@@ -13,6 +13,15 @@ cluster points of the order-n Hilbert scheme:
 sigma is never a matrix: basis vectors carry integer weights mod n
 (x raises the weight by one, y lowers it, tau negates it) and all
 sigma-traces are assembled in the group ring.
+
+x, y and tau are stored as sparse columns: column j is a dict
+{row index: Fraction} holding the nonzero entries of the image of basis
+vector j (a few per column, never a dense dim x dim matrix).  Subspaces
+are spanned by sparse {index: Fraction} vectors, kept in a per-weight
+echelon form.  A character is computed in one pass per conjugacy class:
+rotation classes add integer multiplicities at exponent power*w mod n,
+reflection classes add the tau-diagonal traces of the weights fixed by
+negation, and one CycloElt is built per class at the end.
 """
 
 from __future__ import annotations
@@ -21,13 +30,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hilb
-from .exactnum import CycloElt, rational_value
-from .polyring import Poly, staircase
+from .exactnum import CycloElt, NotRational, rational_value
+from .polyring import Ideal, Poly, staircase
 from .reps import Character, GroupSpec, char_table, conjugacy_classes, decompose
 
 
 class WrongDimension(ValueError):
     pass
+
+
+class InvalidConstellation(Exception):
+    """A module fails a structural certificate (relations or weights).
+
+    Not an AssertionError: the check is a raise, which ``python -O`` keeps.
+    Not a ValueError: it is an internal math failure, and the CLI reports
+    ValueErrors as usage errors.
+    """
 
 
 TWISTS = ("delta0", "delta1")
@@ -41,94 +59,127 @@ def _weight(mono, n):
 
 
 class Constellation:
-    def __init__(self, n, basis, x_action, y_action, tau_action, twist=None, label=""):
+    def __init__(
+        self, n, basis, x_action, y_action, tau_action, twist=None, label="", _columns=False
+    ):
+        """x, y and tau as dense row-major dim x dim matrices.
+
+        They are converted once to sparse columns.  ``_columns=True`` is
+        the trusted path of ``_from_columns``: the actions already are
+        sparse columns without zero entries.
+        """
         self.n = n
         self.basis = tuple(basis)  # (row, monomial)
         self.dim = len(self.basis)
         self.weights = tuple(_weight(m, n) for _, m in self.basis)
-        self.x_action = x_action
-        self.y_action = y_action
-        self.tau_action = tau_action
         self.twist = twist
         self.label = label
+        actions = (x_action, y_action, tau_action)
+        if not _columns:
+            actions = tuple(self._dense_to_columns(m) for m in actions)
+        self.x_action, self.y_action, self.tau_action = actions
         self.validate()
+
+    @classmethod
+    def _from_columns(cls, n, basis, x, y, tau, twist=None, label=""):
+        """Trusted constructor: x, y, tau are lists of sparse columns."""
+        return cls(n, basis, x, y, tau, twist=twist, label=label, _columns=True)
+
+    def _dense_to_columns(self, mat):
+        k = self.dim
+        if len(mat) != k or any(len(row) != k for row in mat):
+            raise InvalidConstellation(f"{self.label}: action is not {k} x {k}")
+        return [{i: mat[i][j] for i in range(k) if mat[i][j] != 0} for j in range(k)]
 
     # --- structural invariants -------------------------------------
 
     def validate(self):
+        """Certify the relations and the weights; raise InvalidConstellation."""
         x, y, t = self.x_action, self.y_action, self.tau_action
-        assert _mat_mul(x, y) == _mat_mul(y, x), "x and y must commute"
-        ident = _identity(self.dim)
-        assert _mat_mul(t, t) == ident, "tau^2 != 1"
-        assert _mat_mul(_mat_mul(t, x), t) == y, "tau x tau != y"
-        n = self.n
-        for j in range(self.dim):
-            for i in range(self.dim):
-                if x[i][j] != 0:
-                    assert self.weights[i] == (self.weights[j] + 1) % n
-                if y[i][j] != 0:
-                    assert self.weights[i] == (self.weights[j] - 1) % n
-                if t[i][j] != 0:
-                    assert self.weights[i] == (-self.weights[j]) % n
+        if _compose(x, y) != _compose(y, x):
+            raise InvalidConstellation(f"{self.label}: x and y do not commute")
+        if _compose(t, t) != [{j: 1} for j in range(self.dim)]:
+            raise InvalidConstellation(f"{self.label}: tau^2 != 1")
+        if _compose(_compose(t, x), t) != y:
+            raise InvalidConstellation(f"{self.label}: tau x tau != y")
+        n, w = self.n, self.weights
+        for name, cols, step in (("x", x, 1), ("y", y, -1), ("tau", t, None)):
+            for j, col in enumerate(cols):
+                want = (-w[j] if step is None else w[j] + step) % n
+                for i in col:
+                    if w[i] != want:
+                        raise InvalidConstellation(
+                            f"{self.label}: {name} maps basis {j} (weight {w[j]}) "
+                            f"to basis {i} (weight {w[i]}), expected weight {want}"
+                        )
 
     # --- characters --------------------------------------------------
 
     def character(self, indices=None):
         """Character of the submodule spanned by the given basis indices."""
-        n = self.n
-        g = GroupSpec("dihedral", n)
-        if indices is None:
-            indices = range(self.dim)
-        indices = list(indices)
-        vals = []
-        for c in conjugacy_classes(g):
-            if c.kind == "rotation":
-                acc = CycloElt.zero(n)
-                for b in indices:
-                    acc = acc + CycloElt.root_power(n, c.power * self.weights[b])
-                vals.append(acc)
-            else:
-                acc = CycloElt.zero(n)
-                for b in indices:
-                    d = self.tau_action[b][b]
-                    if d != 0:
-                        acc = acc + CycloElt.root_power(
-                            n, c.power * self.weights[b], d
-                        )
-                vals.append(acc)
-        return Character(g, self.label or "F", vals)
+        counts = [0] * self.n
+        diag = [Fraction(0)] * self.n
+        for b in range(self.dim) if indices is None else indices:
+            w = self.weights[b]
+            counts[w] += 1
+            diag[w] += self.tau_action[b].get(b, 0)
+        return _class_character(self.n, self.label or "F", counts, diag)
 
     def row_indices(self, row):
         return [i for i, (r, _) in enumerate(self.basis) if r == row]
 
 
-def _identity(k):
-    return [[Fraction(i == j) for j in range(k)] for i in range(k)]
+def _class_character(n, name, counts, diag):
+    """Character from per-weight dimensions and per-weight tau traces.
+
+    The class of sigma^k takes sum_w counts[w] t^(kw); the class of
+    sigma^k tau takes sum_w diag[w] t^(kw).
+    """
+    g = GroupSpec("dihedral", n)
+    vals = []
+    for c in conjugacy_classes(g):
+        acc = [0] * n
+        for w, v in enumerate(counts if c.kind == "rotation" else diag):
+            if v:
+                acc[c.power * w % n] += v
+        vals.append(CycloElt(n, acc))
+    return Character(g, name, vals)
 
 
-def _mat_mul(a, b):
-    k = len(a)
-    out = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for l in range(k):
-            ail = a[i][l]
-            if ail == 0:
-                continue
-            row = b[l]
-            oi = out[i]
-            for j in range(k):
-                if row[j] != 0:
-                    oi[j] += ail * row[j]
-    return out
-
-
-def _expand(ideal, poly, index):
-    """Coefficients of a normal form in the staircase basis."""
-    nf = ideal.normal_form(poly)
+def _apply(cols, vec):
+    """Image of a sparse vector under a sparse-column action."""
     out = {}
-    for m, c in nf.terms.items():
-        out[index[m]] = c
-    return out
+    for j, c in vec.items():
+        for i, a in cols[j].items():
+            out[i] = out.get(i, 0) + a * c
+    return {i: v for i, v in out.items() if v}
+
+
+def _compose(a, b):
+    """Sparse columns of the product a * b."""
+    return [_apply(a, col) for col in b]
+
+
+def _axpy(vec, f, other):
+    """vec += f * other in place, dropping entries that cancel."""
+    for i, c in other.items():
+        v = vec.get(i, 0) + f * c
+        if v:
+            vec[i] = v
+        else:
+            vec.pop(i, None)
+
+
+def _sparse(vec):
+    """A seed as a sparse {index: coefficient} dict (dense lists convert)."""
+    if isinstance(vec, dict):
+        return {i: c for i, c in vec.items() if c}
+    return {i: c for i, c in enumerate(vec) if c}
+
+
+def _expand(ideal, poly, index, offset=0):
+    """Sparse coefficients of a normal form in the staircase basis."""
+    return {index[m] + offset: c for m, c in ideal.normal_form(poly).terms.items()}
 
 
 def constellation_from_cluster(n, p, twist=None):
@@ -144,73 +195,51 @@ def constellation_from_cluster(n, p, twist=None):
     st = staircase(ideal)
     if st.dim != n:
         raise WrongDimension(f"{p.label}: quotient has length {st.dim} != {n}")
-    fixed = hilb.z2_image(n, p) == p or hilb.cluster_ideal(n, hilb.z2_image(n, p)) == ideal
+    q = hilb.z2_image(n, p)
+    ideal_g = ideal if q == p else hilb.cluster_ideal(n, q)
+    fixed = ideal_g == ideal
     if not fixed and twist is not None:
         raise ValueError("twist is only meaningful at a Z_2-fixed point")
     if fixed and twist is not None and twist not in TWISTS:
         raise ValueError(f"unknown twist {twist}")
     if fixed:
         return _fixed_constellation(n, p, ideal, st, twist)
-    return _generic_constellation(n, p, ideal)
-
-
-def _mono_poly(m):
-    return Poly.mono(m)
+    return _generic_constellation(n, ideal, ideal_g, f"{p.label}|{q.label}")
 
 
 def _fixed_constellation(n, p, ideal, st, twist):
     basis = [(0, m) for m in st.basis] + [(1, m) for m in st.basis]
     index = {m: i for i, m in enumerate(st.basis)}
-    dim = 2 * len(st.basis)
-    x = [[Fraction(0)] * dim for _ in range(dim)]
-    y = [[Fraction(0)] * dim for _ in range(dim)]
-    t = [[Fraction(0)] * dim for _ in range(dim)]
     k = len(st.basis)
-    for j, m in enumerate(st.basis):
-        for mat, shift in ((x, (1, 0)), (y, (0, 1))):
-            img = _expand(ideal, _mono_poly((m[0] + shift[0], m[1] + shift[1])), index)
-            for i, c in img.items():
-                mat[i][j] = c
-                mat[i + k][j + k] = c
-        timg = _expand(ideal, _mono_poly((m[1], m[0])), index)
-        for i, c in timg.items():
-            t[i][j] = _TWIST_SIGN["delta0"] * c
-            t[i + k][j + k] = _TWIST_SIGN["delta1"] * c
-    return Constellation(n, basis, x, y, t, twist=twist, label=p.label)
+    x, y, t = ([None] * (2 * k) for _ in range(3))
+    for j, (a, b) in enumerate(st.basis):
+        for cols, mono in ((x, (a + 1, b)), (y, (a, b + 1))):
+            img = _expand(ideal, Poly.mono(mono), index)
+            cols[j] = img
+            cols[j + k] = {i + k: c for i, c in img.items()}
+        timg = _expand(ideal, Poly.mono((b, a)), index)
+        t[j] = {i: _TWIST_SIGN["delta0"] * c for i, c in timg.items()}
+        t[j + k] = {i + k: _TWIST_SIGN["delta1"] * c for i, c in timg.items()}
+    return Constellation._from_columns(n, basis, x, y, t, twist=twist, label=p.label)
 
 
-def _generic_constellation(n, p, ideal):
-    q = hilb.z2_image(n, p)
-    ideal_g = hilb.cluster_ideal(n, q)
-    st0 = staircase(ideal)
-    st1 = staircase(ideal_g)
-    if st1.dim != n:
-        raise WrongDimension(f"{q.label}: quotient has length {st1.dim} != {n}")
-    basis = [(0, m) for m in st0.basis] + [(1, m) for m in st1.basis]
-    i0 = {m: i for i, m in enumerate(st0.basis)}
-    i1 = {m: i for i, m in enumerate(st1.basis)}
-    k = len(st0.basis)
-    dim = 2 * k
-    x = [[Fraction(0)] * dim for _ in range(dim)]
-    y = [[Fraction(0)] * dim for _ in range(dim)]
-    t = [[Fraction(0)] * dim for _ in range(dim)]
-    for j, m in enumerate(st0.basis):
-        for mat, shift in ((x, (1, 0)), (y, (0, 1))):
-            img = _expand(ideal, _mono_poly((m[0] + shift[0], m[1] + shift[1])), i0)
-            for i, c in img.items():
-                mat[i][j] = c
-        timg = _expand(ideal_g, _mono_poly((m[1], m[0])), i1)
-        for i, c in timg.items():
-            t[i + k][j] = c
-    for j, m in enumerate(st1.basis):
-        for mat, shift in ((x, (1, 0)), (y, (0, 1))):
-            img = _expand(ideal_g, _mono_poly((m[0] + shift[0], m[1] + shift[1])), i1)
-            for i, c in img.items():
-                mat[i + k][j + k] = c
-        timg = _expand(ideal, _mono_poly((m[1], m[0])), i0)
-        for i, c in timg.items():
-            t[i][j + k] = c
-    return Constellation(n, basis, x, y, t, label=f"{p.label}|{q.label}")
+def _generic_constellation(n, ideal, ideal_g, label):
+    """C[x,y]/ideal (+) C[x,y]/ideal_g with tau swapping the two rows."""
+    rows = []
+    for I in (ideal, ideal_g):
+        st = staircase(I)
+        if st.dim != n:
+            raise WrongDimension(f"{label}: quotient has length {st.dim} != {n}")
+        rows.append((I, st.basis, {m: i for i, m in enumerate(st.basis)}))
+    basis = [(r, m) for r, (_, mons, _) in enumerate(rows) for m in mons]
+    x, y, t = [], [], []
+    for r, (I, mons, index) in enumerate(rows):
+        J, _, index_g = rows[1 - r]
+        for a, b in mons:
+            x.append(_expand(I, Poly.mono((a + 1, b)), index, r * n))
+            y.append(_expand(I, Poly.mono((a, b + 1)), index, r * n))
+            t.append(_expand(J, Poly.mono((b, a)), index_g, (1 - r) * n))
+    return Constellation._from_columns(n, basis, x, y, t, label=label)
 
 
 def regular_check(F):
@@ -225,7 +254,7 @@ def regular_check(F):
 def rational_value_or_none(v):
     try:
         return rational_value(v)
-    except Exception:
+    except NotRational:
         return None
 
 
@@ -233,119 +262,90 @@ def rational_value_or_none(v):
 
 
 class _Graded:
-    """Weight-graded subspace with per-weight echelon bases."""
+    """Weight-graded subspace with per-weight echelon bases.
 
-    def __init__(self, F):
-        self.F = F
-        self.rows = {}  # weight -> list of echelon vectors
-        self.members = {}  # weight -> list of original vectors (same span)
+    rows[w] maps each pivot index to its sparse echelon vector (pivot
+    entry 1); every vector vanishes at the pivots inserted before it.
+    """
+
+    def __init__(self):
+        self.rows = {}  # weight -> {pivot: sparse echelon vector}
 
     def dim(self):
         return sum(len(v) for v in self.rows.values())
 
+    def _reduce(self, w, vec):
+        """Reduce vec in place; return its coordinates by pivot."""
+        coords = {}
+        for piv, b in self.rows.get(w, {}).items():
+            f = vec.get(piv)
+            if f:
+                coords[piv] = f
+                _axpy(vec, -f, b)
+        return coords
+
     def insert(self, w, vec):
-        vec = list(vec)
-        basis = self.rows.setdefault(w, [])
-        for b in basis:
-            piv = next(i for i, c in enumerate(b) if c != 0)
-            if vec[piv] != 0:
-                f = vec[piv] / b[piv]
-                vec = [a - f * c for a, c in zip(vec, b)]
-        if any(c != 0 for c in vec):
-            basis.append(vec)
-            return True
-        return False
+        vec = dict(vec)
+        self._reduce(w, vec)
+        basis = self.rows.setdefault(w, {})
+        if not vec:
+            return False
+        piv = min(vec)
+        f = vec[piv]
+        basis[piv] = {i: c / f for i, c in vec.items()}
+        return True
 
     def coordinates(self, w, vec):
         """Express vec in the echelon basis of weight w (must be a member)."""
-        basis = self.rows.get(w, [])
-        vec = list(vec)
-        coords = []
-        for b in basis:
-            piv = next(i for i, c in enumerate(b) if c != 0)
-            f = vec[piv] / b[piv]
-            coords.append(f)
-            vec = [a - f * c for a, c in zip(vec, b)]
-        if any(c != 0 for c in vec):
+        vec = dict(vec)
+        coords = self._reduce(w, vec)
+        if vec:
             raise ValueError("vector outside the subspace")
         return coords
-
-    def basis_items(self):
-        for w, vecs in sorted(self.rows.items()):
-            for v in vecs:
-                yield w, v
 
 
 def _split_by_weight(F, vec):
     out = {}
-    for i, c in enumerate(vec):
-        if c == 0:
-            continue
-        w = F.weights[i]
-        out.setdefault(w, [Fraction(0)] * F.dim)
-        out[w][i] = c
-    return out
-
-
-def _apply(mat, vec):
-    dim = len(vec)
-    out = [Fraction(0)] * dim
-    for j, c in enumerate(vec):
-        if c == 0:
-            continue
-        for i in range(dim):
-            if mat[i][j] != 0:
-                out[i] += mat[i][j] * c
+    for i, c in vec.items():
+        out.setdefault(F.weights[i], {})[i] = c
     return out
 
 
 def subspace_character(F, graded):
     """Character of a graded, tau-stable subspace."""
     n = F.n
-    g = GroupSpec("dihedral", n)
-    vals = []
-    for c in conjugacy_classes(g):
-        acc = CycloElt.zero(n)
-        if c.kind == "rotation":
-            for w, vecs in graded.rows.items():
-                acc = acc + CycloElt.root_power(n, c.power * w, len(vecs))
-        else:
-            for w, vecs in graded.rows.items():
-                if (2 * w) % n != 0:
-                    continue  # tau maps W_w to W_(-w); no diagonal contribution
-                for v in vecs:
-                    img = _apply(F.tau_action, v)
-                    coords = graded.coordinates(w, img)
-                    # diagonal coefficient of this vector in its own basis
-                    idx = graded.rows[w].index(v)
-                    acc = acc + CycloElt.root_power(n, c.power * w, coords[idx])
-        vals.append(acc)
-    return Character(g, "sub", vals)
+    counts = [0] * n
+    diag = [Fraction(0)] * n
+    for w, vecs in graded.rows.items():
+        counts[w] = len(vecs)
+        if (2 * w) % n != 0:
+            continue  # tau maps W_w to W_(-w); no diagonal contribution
+        for piv, v in vecs.items():
+            # diagonal coefficient of this vector in its own basis
+            diag[w] += graded.coordinates(w, _apply(F.tau_action, v)).get(piv, 0)
+    return _class_character(n, "sub", counts, diag)
 
 
 def submodule_closure(F, seeds):
-    """Smallest x, y, tau-stable, weight-graded subspace containing the seeds."""
-    graded = _Graded(F)
+    """Smallest x, y, tau-stable, weight-graded subspace containing the seeds.
+
+    Seeds are dense coefficient vectors (or sparse {index: coefficient}
+    dicts); they are made sparse once on entry.
+    """
+    graded = _Graded()
     work = []
     for s in seeds:
-        for w, comp in _split_by_weight(F, s).items():
+        for w, comp in _split_by_weight(F, _sparse(s)).items():
             if graded.insert(w, comp):
                 work.append(comp)
     while work:
         v = work.pop()
-        for mat in (F.x_action, F.y_action, F.tau_action):
-            img = _apply(mat, v)
-            for w, comp in _split_by_weight(F, img).items():
+        for cols in (F.x_action, F.y_action, F.tau_action):
+            for w, comp in _split_by_weight(F, _apply(cols, v)).items():
                 if graded.insert(w, comp):
                     work.append(comp)
     cls = decompose(subspace_character(F, graded))
     return graded, cls
-
-
-def _unit(dim, i):
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(1)
-    return v
 
 
 def top(F):
@@ -355,11 +355,10 @@ def top(F):
     stack-level half of the doubled fixed-point module).
     """
     idx = list(F.row_indices(_twist_row(F))) if F.twist else list(range(F.dim))
-    graded = _Graded(F)
-    for mat in (F.x_action, F.y_action):
+    graded = _Graded()
+    for cols in (F.x_action, F.y_action):
         for j in idx:
-            col = [mat[i][j] for i in range(F.dim)]
-            for w, comp in _split_by_weight(F, col).items():
+            for w, comp in _split_by_weight(F, cols[j]).items():
                 graded.insert(w, comp)
     total = F.character(idx)
     sub = subspace_character(F, graded)
@@ -377,23 +376,20 @@ def socle_subspace(F):
     With a twist flag the kernel is computed inside the flagged row.
     """
     idx = list(F.row_indices(_twist_row(F))) if F.twist else list(range(F.dim))
-    graded = _Graded(F)
+    graded = _Graded()
     by_weight = {}
     for j in idx:
         by_weight.setdefault(F.weights[j], []).append(j)
     for w, cols in sorted(by_weight.items()):
-        # solve x v = 0, y v = 0 on the weight-w block
-        rows = []
-        for mat in (F.x_action, F.y_action):
-            for i in range(F.dim):
-                row = [mat[i][j] for j in cols]
-                if any(c != 0 for c in row):
-                    rows.append(row)
-        for sol in _nullspace(rows, len(cols)):
-            vec = [Fraction(0)] * F.dim
-            for c, j in zip(sol, cols):
-                vec[j] = c
-            graded.insert(w, vec)
+        # solve x v = 0, y v = 0 on the weight-w block: one sparse row
+        # functional per (action, target index), over local columns
+        rows = {}
+        for a, action in enumerate((F.x_action, F.y_action)):
+            for local, j in enumerate(cols):
+                for i, c in action[j].items():
+                    rows.setdefault((a, i), {})[local] = c
+        for sol in _nullspace(rows.values(), len(cols)):
+            graded.insert(w, {cols[local]: c for local, c in sol.items()})
     return graded
 
 
@@ -403,34 +399,36 @@ def socle(F):
 
 
 def _nullspace(rows, width):
-    """Basis of the joint kernel of the given row functionals."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = None
-        for rr in range(r, len(mat)):
-            if mat[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
+    """Basis of the joint kernel of sparse row functionals {column: value}.
+
+    The rows are brought to reduced echelon form (pivot entries 1, zero at
+    every other pivot column); each free column gives one kernel vector.
+    """
+    pivots = {}  # pivot column -> reduced row
+    for row in rows:
+        row = dict(row)
+        for pc, p in pivots.items():
+            f = row.get(pc)
+            if f:
+                _axpy(row, -f, p)
+        if not row:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        f = mat[r][c]
-        mat[r] = [v / f for v in mat[r]]
-        for rr in range(len(mat)):
-            if rr != r and mat[rr][c] != 0:
-                g = mat[rr][c]
-                mat[rr] = [a - g * b for a, b in zip(mat[rr], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
+        pc = min(row)
+        f = row[pc]
+        row = {c: v / f for c, v in row.items()}
+        for p in pivots.values():
+            g = p.get(pc)
+            if g:
+                _axpy(p, -g, row)
+        pivots[pc] = row
     out = []
-    for fc in free:
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -mat[rr][fc]
+    for fc in range(width):
+        if fc in pivots:
+            continue
+        v = {fc: Fraction(1)}
+        for pc, p in pivots.items():
+            if fc in p:
+                v[pc] = -p[fc]
         out.append(v)
     return out
 
@@ -510,38 +508,9 @@ def off_exceptional_report(n, c=Fraction(2)):
     so both the literal top and socle vanish, matching the published
     'otherwise' row.
     """
-    from .polyring import Ideal
-
     I = Ideal([Poly.var("x"), Poly(2, {(0, n): 1, (0, 0): -c})])
-    st = staircase(I)
-    assert st.dim == n
-    idx = {mm: i for i, mm in enumerate(st.basis)}
     Ig = Ideal([Poly.var("y"), Poly(2, {(n, 0): 1, (0, 0): -c})])
-    stg = staircase(Ig)
-    idxg = {mm: i for i, mm in enumerate(stg.basis)}
-    k = len(st.basis)
-    dim = 2 * k
-    x = [[Fraction(0)] * dim for _ in range(dim)]
-    y = [[Fraction(0)] * dim for _ in range(dim)]
-    t = [[Fraction(0)] * dim for _ in range(dim)]
-    basis = [(0, mm) for mm in st.basis] + [(1, mm) for mm in stg.basis]
-    for j, mm in enumerate(st.basis):
-        for mat, shift in ((x, (1, 0)), (y, (0, 1))):
-            img = _expand(I, _mono_poly((mm[0] + shift[0], mm[1] + shift[1])), idx)
-            for i2, cc in img.items():
-                mat[i2][j] = cc
-        timg = _expand(Ig, _mono_poly((mm[1], mm[0])), idxg)
-        for i2, cc in timg.items():
-            t[i2 + k][j] = cc
-    for j, mm in enumerate(stg.basis):
-        for mat, shift in ((x, (1, 0)), (y, (0, 1))):
-            img = _expand(Ig, _mono_poly((mm[0] + shift[0], mm[1] + shift[1])), idxg)
-            for i2, cc in img.items():
-                mat[i2 + k][j + k] = cc
-        timg = _expand(I, _mono_poly((mm[1], mm[0])), idx)
-        for i2, cc in timg.items():
-            t[i2][j + k] = cc
-    F = Constellation(n, basis, x, y, t, label=f"orbit(y^{n}={c})")
+    F = _generic_constellation(n, I, Ig, f"orbit(y^{n}={c})")
     return {
         "witness": F.label,
         "regular": regular_check(F),
@@ -578,26 +547,29 @@ class StabilityParam:
 @dataclass
 class ThetaVerdict:
     destabilized: bool
-    seeds: list = None
+    seeds: list = None  # the destabilizing family entry, as given
     cls: dict = None
     value: Fraction = None
 
 
 def default_family(F):
     """Closures of single basis vectors and matching-weight pair sums."""
-    fam = [[_unit(F.dim, i)] for i in range(F.dim)]
+    one = Fraction(1)
+    fam = [[{i: one}] for i in range(F.dim)]
     for i in range(F.dim):
         for j in range(i + 1, F.dim):
             if F.weights[i] == F.weights[j]:
-                v = _unit(F.dim, i)
-                w = _unit(F.dim, j)
-                fam.append([[a + b for a, b in zip(v, w)]])
-                fam.append([[a - b for a, b in zip(v, w)]])
+                fam.append([{i: one, j: one}])
+                fam.append([{i: one, j: -one}])
     return fam
 
 
 def theta_check(F, theta, family=None):
-    """Sound (not complete) destabilization search over a seed family."""
+    """Sound (not complete) destabilization search over a seed family.
+
+    A given family holds dense seed vectors (as ``--family`` JSON does);
+    the default family holds sparse ones.
+    """
     if family is None:
         family = default_family(F)
     for seeds in family:

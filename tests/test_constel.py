@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_mckay.constel import (
     Constellation,
+    InvalidConstellation,
     StabilityParam,
     constellation_from_cluster,
     expected_socle,
@@ -12,14 +19,17 @@ from dihedral_mckay.constel import (
     opencons_table,
     regular_check,
     socle,
+    socle_subspace,
     socle_table,
+    subspace_character,
     submodule_closure,
     theta_check,
     top,
     witness_point,
 )
+from dihedral_mckay.exactnum import CycloElt
 from dihedral_mckay.hilb import ClusterPoint, half_index
-from dihedral_mckay.reps import GroupSpec, char_table
+from dihedral_mckay.reps import GroupSpec, char_table, conjugacy_classes
 
 
 def cp(i, a, b):
@@ -213,3 +223,152 @@ def test_opencons_tables():
         assert t2["ratio_identity_verified"]
     with pytest.raises(ValueError):
         opencons_table(5, "Umpp", Fraction(1, 2))
+
+
+# --- validate fails closed ----------------------------------------------
+
+
+def _small_module():
+    """Span of 1, x, y for n = 3: x.1 = x, y.1 = y, tau fixes 1 and swaps x, y."""
+    basis = [(0, (0, 0)), (0, (1, 0)), (0, (0, 1))]
+    x, y, t = ([[Fraction(0)] * 3 for _ in range(3)] for _ in range(3))
+    x[1][0] = y[2][0] = t[0][0] = t[1][2] = t[2][1] = Fraction(1)
+    return basis, x, y, t
+
+
+def _noncommuting(basis, x, y, t):
+    x[0][2] = Fraction(1)  # x.y.1 = 1 but y.x.1 = 0
+
+
+def _tau_not_involution(basis, x, y, t):
+    t[0][0] = Fraction(2)
+
+
+def _tau_x_tau_not_y(basis, x, y, t):
+    y[2][0] = Fraction(2)
+
+
+def _weight_violation(basis, x, y, t):
+    basis[1] = (0, (2, 0))  # weight 2, but x must raise weight 0 to 1
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_noncommuting, "do not commute"),
+        (_tau_not_involution, "tau\\^2"),
+        (_tau_x_tau_not_y, "tau x tau"),
+        (_weight_violation, "weight"),
+    ],
+)
+def test_validate_rejects_bad_modules(spoil, message):
+    basis, x, y, t = _small_module()
+    Constellation(3, basis, x, y, t, label="good")  # the unspoiled module passes
+    spoil(basis, x, y, t)
+    with pytest.raises(InvalidConstellation, match=message):
+        Constellation(3, basis, x, y, t, label="bad")
+    assert not issubclass(InvalidConstellation, (AssertionError, ValueError))
+
+
+def test_validate_fails_closed_under_optimize():
+    script = (
+        "import sys\n"
+        "from fractions import Fraction as Q\n"
+        "from dihedral_mckay.constel import Constellation, InvalidConstellation\n"
+        "x, y, t = ([[Q(0)] * 3 for _ in range(3)] for _ in range(3))\n"
+        "x[1][0] = t[0][0] = t[1][2] = t[2][1] = Q(1)\n"
+        "y[2][0] = Q(2)\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "try:\n"
+        "    Constellation(3, [(0, (0, 0)), (0, (1, 0)), (0, (0, 1))], x, y, t, label='bad')\n"
+        "except InvalidConstellation as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "optimize 1" in done.stdout
+    assert "rejected: bad: tau x tau != y" in done.stdout
+
+
+# --- sparse one-pass characters against a dense reference ---------------
+
+
+def _dense_coordinates(vectors, target):
+    """Solve sum_k c_k vectors[k] = target by dense Gauss-Jordan elimination."""
+    k = len(vectors)
+    rows = [[v[i] for v in vectors] + [target[i]] for i in range(len(target))]
+    for col in range(k):
+        r = next(r for r in range(col, len(rows)) if rows[r][col] != 0)
+        rows[col], rows[r] = rows[r], rows[col]
+        rows[col] = [a / rows[col][col] for a in rows[col]]
+        for rr in range(len(rows)):
+            if rr != col and rows[rr][col] != 0:
+                f = rows[rr][col]
+                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[col])]
+    assert all(row[-1] == 0 for row in rows[k:]), "target outside the span"
+    return [rows[j][-1] for j in range(k)]
+
+
+def _dense_reference(F, graded=None, indices=None):
+    """Character values summed one dense CycloElt per basis vector.
+
+    Without ``graded``: the basis vectors of F (or those in ``indices``).
+    With it: the graded
+    subspace's vectors, tau applied as a dense matrix and its diagonal
+    read from dense coordinates.
+    """
+    n, dim = F.n, F.dim
+    tau = [[F.tau_action[j].get(i, Fraction(0)) for j in range(dim)] for i in range(dim)]
+    if graded is None:
+        items = [(F.weights[b], tau[b][b]) for b in indices or range(dim)]
+    else:
+        items = []
+        for w, vecs in graded.rows.items():
+            dense = [[v.get(i, Fraction(0)) for i in range(dim)] for v in vecs.values()]
+            for k, v in enumerate(dense):
+                diag = Fraction(0)
+                if (2 * w) % n == 0:
+                    img = [sum(tau[i][j] * v[j] for j in range(dim)) for i in range(dim)]
+                    diag = _dense_coordinates(dense, img)[k]
+                items.append((w, diag))
+    vals = []
+    for c in conjugacy_classes(GroupSpec("dihedral", n)):
+        acc = CycloElt.zero(n)
+        for w, diag in items:
+            coeff = 1 if c.kind == "rotation" else diag
+            acc = acc + CycloElt.root_power(n, c.power * w, coeff)
+        vals.append(acc)
+    return tuple(vals)
+
+
+_ALPHAS = st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(
+    lambda a: a not in (-1, 0, 1)
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(3, 12), data=st.data())
+def test_characters_match_dense_reference(n, data):
+    i = data.draw(st.integers(1, half_index(n)), label="curve")
+    alpha = data.draw(_ALPHAS, label="alpha")
+    generic = constellation_from_cluster(n, witness_point(n, i, alpha))
+    # a Z_2-fixed witness too: its tau has a nonzero diagonal
+    fixed_point = cp(n // 2, 1, data.draw(st.sampled_from([1, -1]))) if n % 2 == 0 else (
+        cp(half_index(n), 0, 1)
+    )
+    twist = data.draw(st.sampled_from([None, "delta0", "delta1"]), label="twist")
+    fixed = constellation_from_cluster(n, fixed_point, twist=twist)
+    for F in (generic, fixed):
+        assert F.character().values == _dense_reference(F)
+        row = F.row_indices(1)  # one row alone: the twist signs do not cancel
+        assert F.character(row).values == _dense_reference(F, indices=row)
+        graded = socle_subspace(F)
+        assert subspace_character(F, graded).values == _dense_reference(F, graded)

@@ -1,0 +1,29 @@
+"""CLI stdout is byte-for-byte equal to the committed golden outputs.
+
+A refactor that changes any of these artifacts fails here; regenerate a
+file only after a deliberate change of the artifact, e.g.
+``PYTHONPATH=src python -m dihedral_mckay fm-table --n 6 > tests/golden/fm-table_n6.json``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from dihedral_mckay import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "socle-table_n5.json": ["socle-table", "--n", "5"],
+    # theta in char-table order rho0, rho0', rho1, rho2, rho3, rho3':
+    # planted -3 on rho1, 1 elsewhere, rho0 balancing theta(C[G]) = 0
+    "socle-table_n6_theta.json": ["socle-table", "--n", "6", "--theta=1,1,-3,1,1,1"],
+    "fm-table_n6.json": ["fm-table", "--n", "6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_matches_golden(capsys, name):
+    assert cli.main(CASES[name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
