@@ -321,9 +321,8 @@ def _dense_reference(F, graded=None, indices=None):
     """Character values summed one dense CycloElt per basis vector.
 
     Without ``graded``: the basis vectors of F (or those in ``indices``).
-    With it: the graded
-    subspace's vectors, tau applied as a dense matrix and its diagonal
-    read from dense coordinates.
+    With it: the graded subspace's vectors, tau applied as a dense matrix
+    and its diagonal read from dense coordinates.
     """
     n, dim = F.n, F.dim
     tau = [[F.tau_action[j].get(i, Fraction(0)) for j in range(dim)] for i in range(dim)]
