@@ -287,12 +287,11 @@ class _Graded:
     def insert(self, w, vec):
         vec = dict(vec)
         self._reduce(w, vec)
-        basis = self.rows.setdefault(w, {})
         if not vec:
             return False
         piv = min(vec)
         f = vec[piv]
-        basis[piv] = {i: c / f for i, c in vec.items()}
+        self.rows.setdefault(w, {})[piv] = {i: c / f for i, c in vec.items()}
         return True
 
     def coordinates(self, w, vec):
