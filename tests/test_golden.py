@@ -19,6 +19,14 @@ CASES = {
     # planted -3 on rho1, 1 elsewhere, rho0 balancing theta(C[G]) = 0
     "socle-table_n6_theta.json": ["socle-table", "--n", "6", "--theta=1,1,-3,1,1,1"],
     "fm-table_n6.json": ["fm-table", "--n", "6"],
+    # the chart layer: monomial solves, unimodularity and intersection forms
+    "hilb-atlas_n5.json": ["hilb-atlas", "--n", "5"],
+    "hilb-atlas_n6.json": ["hilb-atlas", "--n", "6"],
+    "strict-transforms_n5.json": ["strict-transforms", "--n", "5"],
+    "strict-transforms_n6.json": ["strict-transforms", "--n", "6"],
+    "fold_n6.json": ["fold", "--n", "6"],
+    "chain_n5.json": ["chain", "--n", "5"],
+    "refdiv_n7_k2.json": ["refdiv", "--n", "7", "--k", "2"],
 }
 
 
