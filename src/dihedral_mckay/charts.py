@@ -17,9 +17,10 @@ minors (primitive embedding).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
+from .linalg import coordinates, det, solver
 from .polyring import Poly, rational_roots
 
 
@@ -45,46 +46,18 @@ class Atom:
     poly: Poly  # ambient expansion
 
 
-def _solve_int(rows, target):
+def _solve_int(rows, echelon, target):
     """Integer alpha with sum(alpha_i * rows_i) = target, or None.
 
-    Rows must be linearly independent; the solution is then unique when
-    it exists.
+    ``echelon`` is ``linalg.solver(rows)``; the rows are linearly
+    independent, so the solution is unique when it exists.
     """
-    k = len(rows)
-    dim = len(target)
-    # Gaussian elimination on the k x dim system (transposed: dim eqns).
-    aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(target[j])] for j in range(dim)]
-    piv_rows = []
-    col = 0
-    for col in range(k):
-        piv = None
-        for r in range(len(piv_rows), dim):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        r0 = len(piv_rows)
-        aug[r0], aug[piv] = aug[piv], aug[r0]
-        piv_rows.append(col)
-        f = aug[r0][col]
-        aug[r0] = [v / f for v in aug[r0]]
-        for r in range(dim):
-            if r != r0 and aug[r][col] != 0:
-                g = aug[r][col]
-                aug[r] = [a - g * b for a, b in zip(aug[r], aug[r0])]
-    if len(piv_rows) < k:
-        raise ValueError("chart rows are linearly dependent")
-    for r in range(k, dim):
-        if aug[r][-1] != 0:
-            return None
-    alpha = [aug[r][-1] for r in range(k)]
-    if any(a.denominator != 1 for a in alpha):
+    alpha = coordinates(echelon, target)
+    if alpha is None or any(a.denominator != 1 for a in alpha):
         return None
     alpha = [int(a) for a in alpha]
     # paranoid exact check
-    for j in range(dim):
+    for j in range(len(target)):
         if sum(a * rows[i][j] for i, a in enumerate(alpha)) != target[j]:
             return None
     return alpha
@@ -96,42 +69,13 @@ def _max_minor_gcd(mat):
     cols = len(mat[0])
     g = 0
     for combo in itertools.combinations(range(cols), k):
-        sub = [[row[c] for c in combo] for row in mat]
-        g = _gcd(g, abs(_int_det(sub)))
+        minor = det([[row[c] for c in combo] for row in mat])
+        if minor.denominator != 1:
+            raise ArithmeticError(f"integer matrix with minor {minor}")
+        g = math.gcd(g, minor.numerator)
         if g == 1:
             return 1
     return g
-
-
-def _int_det(m):
-    k = len(m)
-    m = [[Fraction(v) for v in row] for row in m]
-    det = Fraction(1)
-    for i in range(k):
-        piv = None
-        for r in range(i, k):
-            if m[r][i] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det *= m[i][i]
-        inv = 1 / m[i][i]
-        for r in range(i + 1, k):
-            if m[r][i] != 0:
-                f = m[r][i] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[i])]
-    assert det.denominator == 1
-    return int(det)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass
@@ -152,11 +96,13 @@ class Chart:
         if len(self.coord_names) != len(self.rows):
             raise ValueError("coordinate name count mismatch")
         self.validate_unimodular()
+        self._echelon = solver(self.rows)
 
     def validate_unimodular(self):
+        lattice = solver(self.lattice)
         rel = []
         for row in self.rows:
-            alpha = _solve_int(self.lattice, row)
+            alpha = _solve_int(self.lattice, lattice, row)
             if alpha is None:
                 raise NotUnimodular(
                     f"{self.name}: coordinate {row} is outside the atlas lattice"
@@ -164,15 +110,12 @@ class Chart:
             rel.append(alpha)
         k, r = len(rel), len(self.lattice)
         if k == r:
-            if abs(_int_det(rel)) != 1:
-                raise NotUnimodular(f"{self.name}: |det| = {abs(_int_det(rel))} != 1")
+            d = abs(det(rel))
+            if d != 1:
+                raise NotUnimodular(f"{self.name}: |det| = {d} != 1")
         else:
             if _max_minor_gcd(rel) != 1:
                 raise NotUnimodular(f"{self.name}: embedding not primitive")
-
-    def lattice_matrix(self):
-        """Exponent matrix relative to the atlas lattice basis."""
-        return [_solve_int(self.lattice, row) for row in self.rows]
 
     def coord_fraction(self, i):
         """(numerator, denominator) ambient polynomials of coordinate i."""
@@ -209,7 +152,7 @@ def express_monomial(chart, mono):
     The solution may have negative entries (Laurent); the caller decides
     whether that is acceptable.
     """
-    alpha = _solve_int(chart.rows, tuple(mono))
+    alpha = _solve_int(chart.rows, chart._echelon, tuple(mono))
     if alpha is None:
         raise NoIntegerSolution(f"{chart.name}: {mono} not in the chart lattice")
     return tuple(alpha)
@@ -236,24 +179,10 @@ def pullback_orders(chart, f):
     if any(v < 0 for v in mins):
         raise NotInChart(f"{chart.name}: pole along a coordinate (orders {mins})")
     strict = Poly(
-        _poly_nvars(k),
-        {
-            _pad(tuple(a - b for a, b in zip(alpha, mins)), k): f.terms[m]
-            for m, alpha in exps.items()
-        },
+        k, {tuple(a - b for a, b in zip(alpha, mins)): f.terms[m] for m, alpha in exps.items()}
     )
     orders = {label: mins[i] for i, label in chart.exceptional_axes.items()}
     return strict, orders
-
-
-def _poly_nvars(k):
-    if k not in (2, 3):
-        raise ValueError("pullbacks implemented for 2- and 3-coordinate charts")
-    return k
-
-
-def _pad(t, k):
-    return tuple(t[:k])
 
 
 def restrict_to_axis(curve, axis_index):
@@ -290,7 +219,7 @@ def transition_exponents(src, dst):
     """Per-coordinate exponent vectors of dst in terms of src, or None."""
     out = []
     for row in dst.rows:
-        alpha = _solve_int(src.rows, row)
+        alpha = _solve_int(src.rows, src._echelon, row)
         if alpha is None:
             return None
         out.append(tuple(alpha))

@@ -228,12 +228,20 @@ def _parse_theta(n, text):
         raise UsageError(str(exc)) from exc
 
 
-def _load_family(F, spec):
+def _load_family(F, stratum, spec):
+    """Seed-vector lists from a JSON file, each vector of length F.dim."""
     if spec == "default":
         return None
     with open(spec, encoding="utf-8") as fh:
         raw = json.load(fh)
-    return [[[Fraction(str(c)) for c in vec] for vec in seeds] for seeds in raw]
+    family = [[[Fraction(str(c)) for c in vec] for vec in seeds] for seeds in raw]
+    for vec in (vec for seeds in family for vec in seeds):
+        if len(vec) != F.dim:
+            raise UsageError(
+                f"--family: a seed vector has {len(vec)} entries, but the module "
+                f"on stratum {stratum} has dimension {F.dim}"
+            )
+    return family
 
 
 def cmd_socle_table(args):
@@ -252,7 +260,7 @@ def cmd_socle_table(args):
             "regular": row["regular"],
         }
         if theta is not None:
-            family = _load_family(row["constellation"], args.family)
+            family = _load_family(row["constellation"], row["stratum"], args.family)
             verdict = constel.theta_check(row["constellation"], theta, family)
             item["theta"] = (
                 {

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import hilb
+from . import hilb, linalg
 from .exactnum import CycloElt, NotRational, rational_value
 from .polyring import Ideal, Poly, staircase
 from .reps import Character, GroupSpec, char_table, conjugacy_classes, decompose
@@ -160,16 +160,6 @@ def _compose(a, b):
     return [_apply(a, col) for col in b]
 
 
-def _axpy(vec, f, other):
-    """vec += f * other in place, dropping entries that cancel."""
-    for i, c in other.items():
-        v = vec.get(i, 0) + f * c
-        if v:
-            vec[i] = v
-        else:
-            vec.pop(i, None)
-
-
 def _sparse(vec):
     """A seed as a sparse {index: coefficient} dict (dense lists convert)."""
     if isinstance(vec, dict):
@@ -262,11 +252,7 @@ def rational_value_or_none(v):
 
 
 class _Graded:
-    """Weight-graded subspace with per-weight echelon bases.
-
-    rows[w] maps each pivot index to its sparse echelon vector (pivot
-    entry 1); every vector vanishes at the pivots inserted before it.
-    """
+    """Weight-graded subspace: rows[w] is the linalg echelon of weight w."""
 
     def __init__(self):
         self.rows = {}  # weight -> {pivot: sparse echelon vector}
@@ -274,33 +260,12 @@ class _Graded:
     def dim(self):
         return sum(len(v) for v in self.rows.values())
 
-    def _reduce(self, w, vec):
-        """Reduce vec in place; return its coordinates by pivot."""
-        coords = {}
-        for piv, b in self.rows.get(w, {}).items():
-            f = vec.get(piv)
-            if f:
-                coords[piv] = f
-                _axpy(vec, -f, b)
-        return coords
-
     def insert(self, w, vec):
-        vec = dict(vec)
-        self._reduce(w, vec)
-        if not vec:
+        echelon = self.rows.get(w, {})
+        if linalg.insert(echelon, vec) is None:
             return False
-        piv = min(vec)
-        f = vec[piv]
-        self.rows.setdefault(w, {})[piv] = {i: c / f for i, c in vec.items()}
+        self.rows[w] = echelon
         return True
-
-    def coordinates(self, w, vec):
-        """Express vec in the echelon basis of weight w (must be a member)."""
-        vec = dict(vec)
-        coords = self._reduce(w, vec)
-        if vec:
-            raise ValueError("vector outside the subspace")
-        return coords
 
 
 def _split_by_weight(F, vec):
@@ -321,7 +286,12 @@ def subspace_character(F, graded):
             continue  # tau maps W_w to W_(-w); no diagonal contribution
         for piv, v in vecs.items():
             # diagonal coefficient of this vector in its own basis
-            diag[w] += graded.coordinates(w, _apply(F.tau_action, v)).get(piv, 0)
+            rest, coords = linalg.reduce(vecs, _apply(F.tau_action, v))
+            if rest:
+                raise InvalidConstellation(
+                    f"{F.label}: the weight-{w} subspace is not tau-stable"
+                )
+            diag[w] += coords.get(piv, 0)
     return _class_character(n, "sub", counts, diag)
 
 
@@ -387,7 +357,7 @@ def socle_subspace(F):
             for local, j in enumerate(cols):
                 for i, c in action[j].items():
                     rows.setdefault((a, i), {})[local] = c
-        for sol in _nullspace(rows.values(), len(cols)):
+        for sol in linalg.nullspace(rows.values(), len(cols)):
             graded.insert(w, {cols[local]: c for local, c in sol.items()})
     return graded
 
@@ -395,41 +365,6 @@ def socle_subspace(F):
 def socle(F):
     """Joint kernel of the x and y actions, decomposed into irreducibles."""
     return decompose(subspace_character(F, socle_subspace(F)))
-
-
-def _nullspace(rows, width):
-    """Basis of the joint kernel of sparse row functionals {column: value}.
-
-    The rows are brought to reduced echelon form (pivot entries 1, zero at
-    every other pivot column); each free column gives one kernel vector.
-    """
-    pivots = {}  # pivot column -> reduced row
-    for row in rows:
-        row = dict(row)
-        for pc, p in pivots.items():
-            f = row.get(pc)
-            if f:
-                _axpy(row, -f, p)
-        if not row:
-            continue
-        pc = min(row)
-        f = row[pc]
-        row = {c: v / f for c, v in row.items()}
-        for p in pivots.values():
-            g = p.get(pc)
-            if g:
-                _axpy(p, -g, row)
-        pivots[pc] = row
-    out = []
-    for fc in range(width):
-        if fc in pivots:
-            continue
-        v = {fc: Fraction(1)}
-        for pc, p in pivots.items():
-            if fc in p:
-                v[pc] = -p[fc]
-        out.append(v)
-    return out
 
 
 # --- the socle table --------------------------------------------------

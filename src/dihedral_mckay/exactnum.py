@@ -236,28 +236,28 @@ def rational_value(a):
     """
     if all(c == 0 for c in a.coeffs[1:]):
         return a.coeffs[0]
-    rem = _mod_cyclotomic(list(a.coeffs), a.order)
-    if any(c != 0 for c in rem[1:]):
+    rem = _mod_cyclotomic(a.coeffs, a.order)
+    if any(rem[1:]):
         raise NotRational(f"irrational value: {a!r}")
-    return rem[0]
+    return Fraction(rem[0])
 
 
 def _mod_cyclotomic(coeffs, n):
+    """Remainder (length deg Phi_n) of a dense coefficient list modulo Phi_n.
+
+    Integral input (ints or integral Fractions) is reduced in int
+    arithmetic and gives an int remainder; other input gives Fractions.
+    """
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     if all(isinstance(c, int) or c.denominator == 1 for c in coeffs):
         work = [int(c) for c in coeffs]
-        scale = 1
     else:
         work = [Fraction(c) for c in coeffs]
-        scale = None
     # Phi_n is monic, so plain synthetic division works over Z or Q.
     for i in range(len(work) - 1, deg - 1, -1):
         q = work[i]
         if q:
             for j in range(deg + 1):
                 work[i - deg + j] -= q * phi[j]
-    rem = work[:deg]
-    if scale == 1:
-        return [Fraction(c) for c in rem]
-    return rem
+    return work[:deg]

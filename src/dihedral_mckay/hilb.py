@@ -37,6 +37,15 @@ class WrongDimension(ValueError):
     """Cluster quotient does not have the expected length."""
 
 
+class CertificateFailure(Exception):
+    """An identity or a strict transform that a certificate rests on fails.
+
+    Not an AssertionError: the check is a raise, which ``python -O`` keeps.
+    Not a ValueError: it is an internal math failure, and the CLI reports
+    ValueErrors as usage errors.
+    """
+
+
 def half_index(n):
     return (n - 1) // 2 if n % 2 else n // 2
 
@@ -214,8 +223,12 @@ def boundary_strict_transforms(n):
                     meetings.append(rec)
             if meetings:
                 cert = {"type": "meets-axes", "meetings": meetings}
+            elif strict.constant_term() != 1:
+                raise CertificateFailure(
+                    f"{label} on {chart.name}: strict transform misses the axes "
+                    f"with constant term {strict.constant_term()} != 1"
+                )
             else:
-                assert strict.constant_term() == 1
                 cert = {"type": "misses-axes", "constant_term": 1}
             out[(label, chart.name)] = {
                 "strict": strict,
@@ -271,7 +284,11 @@ def boundary_intersection_numbers(n):
         out[label] = row
     if n % 2:
         inv = invariant_chart_boundary(n)
-        assert out["B3"][f"E{m}"] == inv["tangency"], "tangency routes disagree"
+        if out["B3"][f"E{m}"] != inv["tangency"]:
+            raise CertificateFailure(
+                f"n={n}: B3.E{m} = {out['B3'][f'E{m}']} but the invariant chart "
+                f"gives tangency {inv['tangency']}"
+            )
     return out
 
 
@@ -393,7 +410,8 @@ def invariant_chart_boundary(n):
     """
     if n % 2 == 0:
         raise ValueError("odd n only")
-    assert master_identity_holds(n)
+    if not master_identity_holds(n):
+        raise CertificateFailure(f"n={n}: master identity f1^2 - f2^2 = 4(xy)^n fails")
     m = half_index(n)
     atlas = surface_atlas(n)
     chart = atlas.chart("Ainv")
@@ -401,7 +419,10 @@ def invariant_chart_boundary(n):
     eq = Poly(2, {(0, 2): 1, (n, 0): -4})
     strict, orders = pullback_orders(chart, eq)
     expected = Poly(2, {(2, 0): 1, (0, 1): -4})  # t^2 - 4s
-    assert strict == expected, "invariant-chart boundary differs from t^2 - 4s"
+    if strict != expected:
+        raise CertificateFailure(
+            f"n={n}: invariant-chart boundary is {strict}, not t^2 - 4s"
+        )
     curve = LocalCurve("Ainv", strict, "B3")
     tang = local_intersection(curve, 1)
     report = axis_root_report(curve, 1)
@@ -617,7 +638,10 @@ def refdiv_data(n, k):
         strict_inv = surface_pullback(n, atlas.chart("Ainv"), f)[0]
         if k == m:
             # strict on Ainv is t - 1; the boundary t^2 = 4s meets it at (1, 1/4)
-            assert strict_inv == Poly(2, {(1, 0): 1, (0, 0): -1})
+            if strict_inv != Poly(2, {(1, 0): 1, (0, 0): -1}):
+                raise CertificateFailure(
+                    f"n={n}, k={k}: strict transform on Ainv is {strict_inv}, not t - 1"
+                )
             notes.append(
                 "transversal to E_m: meets the boundary B3 at (t, xy) = (1, 1/4)"
             )

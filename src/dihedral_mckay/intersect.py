@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import hilb
+from .linalg import det
 
 
 class NotContractible(ValueError):
@@ -53,13 +54,6 @@ class CurveConfig:
         self.q[(a, b)] = v
         self.q[(b, a)] = v
 
-    def check_symmetric(self):
-        for a in self.labels:
-            for b in self.labels:
-                if self.pair(a, b) != self.pair(b, a):
-                    return False
-        return True
-
     def adjunction_holds(self):
         """K.E + E^2 = -2 for every (rational) curve."""
         return all(
@@ -74,7 +68,7 @@ class CurveConfig:
                 [self.pair(self.labels[r], self.labels[c]) for c in range(t)]
                 for r in range(t)
             ]
-            if (-1) ** t * _det(sub) <= 0:
+            if (-1) ** t * det(sub) <= 0:
                 return False
         return True
 
@@ -110,30 +104,6 @@ class CurveConfig:
                 for p in self.points
             ],
         }
-
-
-def _det(m):
-    m = [row[:] for row in m]
-    k = len(m)
-    det = Fraction(1)
-    for i in range(k):
-        piv = None
-        for r in range(i, k):
-            if m[r][i] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det *= m[i][i]
-        inv = 1 / m[i][i]
-        for r in range(i + 1, k):
-            if m[r][i] != 0:
-                f = m[r][i] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[i])]
-    return det
 
 
 def an_chain(k, prefix="Et"):

@@ -9,8 +9,8 @@ byte.
 from __future__ import annotations
 
 import itertools
+import math
 import re
-import threading
 from fractions import Fraction
 
 VAR_NAMES = ("x", "y", "z")
@@ -264,14 +264,11 @@ class Ideal:
         self.generators = tuple(gens)
         self.nvars = gens[0].nvars
         self._groebner = None
-        self._lock = threading.Lock()
 
     @property
     def groebner(self):
         if self._groebner is None:
-            with self._lock:
-                if self._groebner is None:
-                    self._groebner = tuple(groebner_basis(self.generators))
+            self._groebner = tuple(groebner_basis(self.generators))
         return self._groebner
 
     def normal_form(self, f):
@@ -331,8 +328,6 @@ def staircase(ideal):
 
 # --- canonical text format: terms like 3*x^2*y joined by +/- ------------
 
-_TERM_RE = re.compile(r"^\s*([+-]?)\s*([^+-]+)")
-
 
 def poly_str(p):
     if p.is_zero():
@@ -366,8 +361,6 @@ def parse_poly(text, nvars=2):
     if s == "0":
         return Poly(nvars)
     terms = {}
-    pos = 0
-    sign = 1
     # split into signed chunks
     chunks = re.findall(r"[+-]?[^+-]+", s)
     if "".join(chunks) != s:
@@ -493,7 +486,7 @@ def _rational_root_candidates(c):
     # clear denominators
     den = 1
     for q in c:
-        den = den * q.denominator // _igcd(den, q.denominator)
+        den = math.lcm(den, q.denominator)
     ic = [int(q * den) for q in c]
     k = 0
     while ic[k] == 0:
@@ -517,9 +510,3 @@ def _divisors(n):
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

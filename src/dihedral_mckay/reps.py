@@ -21,6 +21,7 @@ from functools import lru_cache
 from .exactnum import (
     CycloElt,
     NotRational,
+    _mod_cyclotomic,
     cyc_mul,
     expect_rational,
     rational_value,
@@ -198,7 +199,7 @@ def _inner_raw(chi, psi):
     g = chi.group
     classes = conjugacy_classes(g)
     n = g.n
-    acc = {}
+    acc = [0] * n
     exact = True
     for c, a, b in zip(classes, chi.values, psi.values):
         na, nb = a.int_nonzeros(), b.int_nonzeros()
@@ -209,13 +210,12 @@ def _inner_raw(chi, psi):
             sca = c.size * ca
             # conj(b) has coefficient cb at exponent n - j
             for j, cb in nb:
-                k = (i - j) % n
-                acc[k] = acc.get(k, 0) + sca * cb
+                acc[(i - j) % n] += sca * cb
     if exact:
-        rem = _int_mod_cyclotomic(acc, n)
-        if any(v for k, v in rem.items() if k):
+        rem = _mod_cyclotomic(acc, n)
+        if any(rem[1:]):
             raise NotRational(f"<{chi.name},{psi.name}> is irrational")
-        return Fraction(rem.get(0, 0), g.order)
+        return Fraction(rem[0], g.order)
     # general path through the group ring
     acc = {}
     for c, a, b in zip(classes, chi.values, psi.values):
@@ -229,23 +229,6 @@ def _inner_raw(chi, psi):
         total[k] = v
     val = rational_value(CycloElt(n, total))
     return val / g.order
-
-
-def _int_mod_cyclotomic(acc, n):
-    """Reduce a sparse integer coefficient dict modulo Phi_n."""
-    from .exactnum import cyclotomic_polynomial
-
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    work = [0] * n
-    for k, v in acc.items():
-        work[k] = v
-    for i in range(n - 1, deg - 1, -1):
-        q = work[i]
-        if q:
-            for j in range(deg + 1):
-                work[i - deg + j] -= q * phi[j]
-    return {k: v for k, v in enumerate(work[:deg]) if v}
 
 
 def inner_product(chi, psi):

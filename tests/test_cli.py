@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dihedral_mckay import cli, verify
 
 
@@ -122,3 +124,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["kind"] == "quiver" and doc["n"] == 6
+
+
+@pytest.mark.parametrize("vec", [[0] * 8 + [1], [1]], ids=["9-entries", "1-entry"])
+def test_family_seed_length_is_checked(capsys, tmp_path, vec):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps([[vec]]))
+    code, out, err = run(
+        capsys, "socle-table", "--n", "3", "--theta=1,1,-1", "--family", str(family)
+    )
+    assert code == 1 and out == ""
+    assert f"has {len(vec)} entries" in err
+    assert "stratum E1 has dimension 6" in err

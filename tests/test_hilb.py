@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from dihedral_mckay import hilb
 from dihedral_mckay.charts import verify_gluing
 from dihedral_mckay.hilb import (
+    CertificateFailure,
     ClusterPoint,
     boundary_intersection_numbers,
     boundary_strict_transforms,
@@ -134,6 +136,13 @@ def test_invariant_chart_and_master_identity():
         assert inv["tangency"] == 2
         assert inv["report"] == [{"root": Fraction(0), "mult": 2}]
     assert master_identity_holds(4) and master_identity_holds(10)
+
+
+def test_invariant_chart_fails_closed(monkeypatch):
+    assert not issubclass(CertificateFailure, (AssertionError, ValueError))
+    monkeypatch.setattr(hilb, "master_identity_holds", lambda n: False)
+    with pytest.raises(CertificateFailure, match="master identity"):
+        invariant_chart_boundary(5)
 
 
 def test_boundary_intersection_numbers():
