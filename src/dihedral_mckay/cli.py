@@ -235,12 +235,13 @@ def _load_family(F, stratum, spec):
     with open(spec, encoding="utf-8") as fh:
         raw = json.load(fh)
     family = [[[Fraction(str(c)) for c in vec] for vec in seeds] for seeds in raw]
-    for vec in (vec for seeds in family for vec in seeds):
-        if len(vec) != F.dim:
-            raise UsageError(
-                f"--family: a seed vector has {len(vec)} entries, but the module "
-                f"on stratum {stratum} has dimension {F.dim}"
-            )
+    for seeds in family:
+        for vec in seeds:
+            if len(vec) != F.dim:
+                raise UsageError(
+                    f"--family: a seed vector has {len(vec)} entries, but the module "
+                    f"on stratum {stratum} has dimension {F.dim}"
+                )
     return family
 
 

@@ -58,13 +58,13 @@ def combine(coeffs, rows):
     return [sum(a * row[j] for a, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(square_matrices())
 def test_det_matches_cofactor_expansion(m):
     assert det(m) == cofactor_det(m)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(rows=matrices(), data=st.data())
 def test_coordinates_round_trip(rows, data):
     alpha = data.draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
@@ -84,7 +84,7 @@ def test_coordinates_round_trip(rows, data):
         assert coordinates(echelon, outside) is None
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(matrices())
 def test_nullspace_annihilates_rows_with_full_dimension(rows):
     width = len(rows[0])
@@ -98,7 +98,7 @@ def test_nullspace_annihilates_rows_with_full_dimension(rows):
     assert not dense or rank(dense) == len(dense)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(rows=matrices(), data=st.data())
 def test_reduce_leaves_echelon_and_vector_unchanged(rows, data):
     width = len(rows[0])
