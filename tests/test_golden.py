@@ -27,6 +27,15 @@ CASES = {
     "fold_n6.json": ["fold", "--n", "6"],
     "chain_n5.json": ["chain", "--n", "5"],
     "refdiv_n7_k2.json": ["refdiv", "--n", "7", "--k", "2"],
+    # the character layer: the only artifacts that print CycloElt values
+    "chartable_n5.json": ["chartable", "--n", "5", "--format", "json"],
+    "chartable_n6.json": ["chartable", "--n", "6", "--format", "json"],
+    "chartable_n5.txt": ["chartable", "--n", "5", "--format", "table"],
+    "chartable_n6.txt": ["chartable", "--n", "6", "--format", "table"],
+    "quiver_n5.json": ["quiver", "--n", "5", "--format", "json"],
+    "quiver_n6.json": ["quiver", "--n", "6", "--format", "json"],
+    "quiver_n5.dot": ["quiver", "--n", "5", "--format", "dot"],
+    "quiver_n6.dot": ["quiver", "--n", "6", "--format", "dot"],
 }
 
 
