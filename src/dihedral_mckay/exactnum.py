@@ -1,25 +1,28 @@
 """Exact arithmetic kernel: rationals and the ring Q[t]/(t^n - 1).
 
-Sums of n-th roots of unity are carried in the group ring Q[t]/(t^n - 1)
-(coefficient vector of length n), never as floats.  The ring has zero
+Sums of n-th roots of unity are carried in the group ring Q[t]/(t^n - 1),
+never as floats.  An element is sparse: ``terms`` maps each exponent in
+range(n) whose coefficient is nonzero to that coefficient, an int when
+it is integral and a Fraction otherwise.  Integer characters therefore
+run in int arithmetic with no separate code path, and ``==`` and
+``hash`` compare values because hash(Fraction(2)) == hash(2).  The
+dense ``coeffs`` tuple is a read-only view.  The ring has zero
 divisors; an element's value as a complex number is its image under
 t -> exp(2*pi*i/n), and that value is rational exactly when the element
 is congruent to a constant modulo the n-th cyclotomic polynomial.  Two
 extraction routines are provided:
 
-* ``expect_rational`` -- strict: the coefficient vector itself must be
-  constant.
+* ``expect_rational`` -- strict: the element itself must be constant.
 * ``rational_value`` -- reduces modulo the n-th cyclotomic polynomial
   (computed by exact division, no factoring) and accepts a constant
-  remainder.  Character inner products use this one.
+  remainder.  Character inner products use this one; it is the one
+  Phi_n reduction in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-Rat = Fraction
 
 
 class OrderMismatch(ValueError):
@@ -68,69 +71,51 @@ def _exact_poly_div(num, den):
     return out
 
 
-_ZERO = Fraction(0)
-
-
 class CycloElt:
     """Element of Q[t]/(t^n - 1), the carrier for root-of-unity sums."""
 
-    __slots__ = ("order", "coeffs", "_nz", "_inz")
+    __slots__ = ("order", "terms")
 
     def __init__(self, order, coeffs):
         if order < 1:
             raise ValueError("order must be positive")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != order:
             raise ValueError("coefficient vector must have length = order")
         self.order = order
-        self.coeffs = coeffs
-        self._nz = None
-        self._inz = False
-
-    def nonzeros(self):
-        """Sparse view [(exponent, coefficient), ...]; cached."""
-        if self._nz is None:
-            self._nz = tuple((k, c) for k, c in enumerate(self.coeffs) if c != 0)
-        return self._nz
-
-    def int_nonzeros(self):
-        """Sparse integer view, or None when a coefficient is non-integral."""
-        if self._inz is False:
-            out = []
-            for k, c in self.nonzeros():
-                if c.denominator != 1:
-                    out = None
-                    break
-                out.append((k, c.numerator))
-            self._inz = tuple(out) if out is not None else None
-        return self._inz
+        self.terms = _normal(dict(enumerate(coeffs)))
 
     @classmethod
-    def _raw(cls, order, coeffs):
-        """Trusted constructor: coeffs is already a length-order Fraction tuple."""
+    def _raw(cls, order, terms):
+        """Trusted constructor from {exponent in range(order): int or Fraction}.
+
+        Zero coefficients are dropped and integral Fractions become ints.
+        """
         self = object.__new__(cls)
         self.order = order
-        self.coeffs = coeffs
-        self._nz = None
-        self._inz = False
+        self.terms = _normal(terms)
         return self
+
+    @property
+    def coeffs(self):
+        """Dense coefficient tuple of Fractions, exponent 0 first."""
+        out = [Fraction(0)] * self.order
+        for k, c in self.terms.items():
+            out[k] = Fraction(c)
+        return tuple(out)
 
     @classmethod
     def zero(cls, order):
-        return cls._raw(order, (_ZERO,) * order)
+        return cls._raw(order, {})
 
     @classmethod
     def from_rational(cls, order, value):
-        c = [_ZERO] * order
-        c[0] = Fraction(value)
-        return cls._raw(order, tuple(c))
+        return cls._raw(order, {0: Fraction(value)})
 
     @classmethod
     def root_power(cls, order, k, coeff=1):
         """coeff * t^k (exponent reduced mod order)."""
-        c = [_ZERO] * order
-        c[k % order] += Fraction(coeff)
-        return cls._raw(order, tuple(c))
+        return cls._raw(order, {k % order: Fraction(coeff)})
 
     def _check(self, other):
         if not isinstance(other, CycloElt):
@@ -140,23 +125,24 @@ class CycloElt:
 
     def __add__(self, other):
         self._check(other)
-        return CycloElt._raw(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return CycloElt._raw(self.order, out)
 
     def __sub__(self, other):
         self._check(other)
-        return CycloElt._raw(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) - c
+        return CycloElt._raw(self.order, out)
 
     def __neg__(self):
-        return CycloElt._raw(self.order, tuple(-a for a in self.coeffs))
+        return CycloElt._raw(self.order, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloElt._raw(self.order, tuple(a * q for a in self.coeffs))
+            return CycloElt._raw(self.order, {k: c * other for k, c in self.terms.items()})
         self._check(other)
         return cyc_mul(self, other)
 
@@ -166,23 +152,21 @@ class CycloElt:
         return (
             isinstance(other, CycloElt)
             and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, frozenset(self.terms.items())))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self.terms
 
     def conjugate(self):
         return conjugate(self)
 
     def __repr__(self):
         terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
+        for k, c in sorted(self.terms.items()):
             if k == 0:
                 terms.append(str(c))
             elif c == 1:
@@ -192,72 +176,67 @@ class CycloElt:
         return " + ".join(terms) if terms else "0"
 
 
+def _normal(terms):
+    """Drop zero coefficients and turn integral Fractions into ints."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in terms.items() if c}
+
+
 def cyc_mul(a, b):
     """Product in Q[t]/(t^n - 1): cyclic convolution of coefficients."""
     a._check(b)
     n = a.order
-    out = [_ZERO] * n
-    for i, ca in a.nonzeros():
-        for j, cb in b.nonzeros():
+    out = {}
+    for i, ca in a.terms.items():
+        for j, cb in b.terms.items():
             k = i + j
             if k >= n:
                 k -= n
-            out[k] += ca * cb
-    return CycloElt._raw(n, tuple(out))
+            out[k] = out.get(k, 0) + ca * cb
+    return CycloElt._raw(n, out)
 
 
 def conjugate(a):
     """Ring involution t -> t^(n-1), i.e. complex conjugation on values."""
     n = a.order
-    out = [_ZERO] * n
-    for k, c in enumerate(a.coeffs):
-        out[(n - k) % n] = c
-    return CycloElt._raw(n, tuple(out))
+    return CycloElt._raw(n, {-k % n: c for k, c in a.terms.items()})
 
 
 def expect_rational(a):
-    """Return coeffs[0] when every higher coefficient vanishes.
+    """Return the constant coefficient, as a Fraction, when no other survives.
 
     Strict: no cyclotomic reduction is attempted.  A surviving
     non-constant coefficient signals an arithmetic or theory bug in the
     caller (or a value that is only rational modulo Phi_n; use
     ``rational_value`` for those).
     """
-    if any(c != 0 for c in a.coeffs[1:]):
+    if not a.terms.keys() <= {0}:
         raise NotRational(f"non-constant element: {a!r}")
-    return a.coeffs[0]
+    return Fraction(a.terms.get(0, 0))
 
 
 def rational_value(a):
-    """Value of ``a`` at a primitive n-th root of unity, if rational.
+    """Value of ``a`` at a primitive n-th root of unity, as a Fraction, if rational.
 
-    Reduces the coefficient vector modulo the n-th cyclotomic polynomial
-    and returns the remainder when it is constant.
+    Reduces the coefficients modulo the n-th cyclotomic polynomial by
+    synthetic division over a dense work list and returns the remainder
+    when it is constant.  Phi_n is monic with integer coefficients, so
+    integral input stays in int arithmetic.
     """
-    if all(c == 0 for c in a.coeffs[1:]):
-        return a.coeffs[0]
-    rem = _mod_cyclotomic(a.coeffs, a.order)
-    if any(rem[1:]):
-        raise NotRational(f"irrational value: {a!r}")
-    return Fraction(rem[0])
-
-
-def _mod_cyclotomic(coeffs, n):
-    """Remainder (length deg Phi_n) of a dense coefficient list modulo Phi_n.
-
-    Integral input (ints or integral Fractions) is reduced in int
-    arithmetic and gives an int remainder; other input gives Fractions.
-    """
-    phi = cyclotomic_polynomial(n)
+    if a.terms.keys() <= {0}:
+        return Fraction(a.terms.get(0, 0))
+    phi = cyclotomic_polynomial(a.order)
     deg = len(phi) - 1
-    if all(isinstance(c, int) or c.denominator == 1 for c in coeffs):
-        work = [int(c) for c in coeffs]
-    else:
-        work = [Fraction(c) for c in coeffs]
-    # Phi_n is monic, so plain synthetic division works over Z or Q.
-    for i in range(len(work) - 1, deg - 1, -1):
+    # Phi_n is monic, so subtracting q * t^(i - deg) * Phi_n clears t^i;
+    # only its lower nonzero terms are applied, as work[i] is not read again
+    low = [(j - deg, pj) for j, pj in enumerate(phi[:-1]) if pj]
+    work = [0] * a.order
+    for k, c in a.terms.items():
+        work[k] = c
+    for i in range(a.order - 1, deg - 1, -1):
         q = work[i]
         if q:
-            for j in range(deg + 1):
-                work[i - deg + j] -= q * phi[j]
-    return work[:deg]
+            for j, pj in low:
+                work[i + j] -= q * pj
+    if any(work[1:deg]):
+        raise NotRational(f"irrational value: {a!r}")
+    return Fraction(work[0])

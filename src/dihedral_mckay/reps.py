@@ -15,13 +15,11 @@ rational value modulo the cyclotomic polynomial (see exactnum).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import (
     CycloElt,
     NotRational,
-    _mod_cyclotomic,
     cyc_mul,
     expect_rational,
     rational_value,
@@ -133,10 +131,8 @@ class CharTable:
 
 def _rot_value(n, j, k):
     # epsilon^{jk} + epsilon^{-jk}, built without intermediate elements
-    c = [Fraction(0)] * n
-    c[(j * k) % n] += 1
-    c[(-j * k) % n] += 1
-    return CycloElt._raw(n, tuple(c))
+    a, b = j * k % n, -j * k % n
+    return CycloElt._raw(n, {a: 2} if a == b else {a: 1, b: 1})
 
 
 @lru_cache(maxsize=None)
@@ -197,38 +193,15 @@ def _inner_raw(chi, psi):
     if chi.group != psi.group:
         raise ValueError("characters of different groups")
     g = chi.group
-    classes = conjugacy_classes(g)
     n = g.n
     acc = [0] * n
-    exact = True
-    for c, a, b in zip(classes, chi.values, psi.values):
-        na, nb = a.int_nonzeros(), b.int_nonzeros()
-        if na is None or nb is None:
-            exact = False
-            break
-        for i, ca in na:
+    for c, a, b in zip(conjugacy_classes(g), chi.values, psi.values):
+        for i, ca in a.terms.items():
             sca = c.size * ca
             # conj(b) has coefficient cb at exponent n - j
-            for j, cb in nb:
+            for j, cb in b.terms.items():
                 acc[(i - j) % n] += sca * cb
-    if exact:
-        rem = _mod_cyclotomic(acc, n)
-        if any(rem[1:]):
-            raise NotRational(f"<{chi.name},{psi.name}> is irrational")
-        return Fraction(rem[0], g.order)
-    # general path through the group ring
-    acc = {}
-    for c, a, b in zip(classes, chi.values, psi.values):
-        for i, ca in a.nonzeros():
-            sca = c.size * ca
-            for j, cb in b.nonzeros():
-                k = (i - j) % n
-                acc[k] = acc.get(k, Fraction(0)) + sca * cb
-    total = [Fraction(0)] * n
-    for k, v in acc.items():
-        total[k] = v
-    val = rational_value(CycloElt(n, total))
-    return val / g.order
+    return rational_value(CycloElt._raw(n, dict(enumerate(acc)))) / g.order
 
 
 def inner_product(chi, psi):
