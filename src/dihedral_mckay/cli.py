@@ -228,27 +228,31 @@ def _parse_theta(n, text):
         raise UsageError(str(exc)) from exc
 
 
-def _load_family(F, stratum, spec):
-    """Seed-vector lists from a JSON file, each vector of length F.dim."""
+def _load_family(spec):
+    """Seed-vector lists from a JSON file, or None for the default family."""
     if spec == "default":
         return None
     with open(spec, encoding="utf-8") as fh:
         raw = json.load(fh)
-    family = [[[Fraction(str(c)) for c in vec] for vec in seeds] for seeds in raw]
-    for seeds in family:
+    return [[[Fraction(str(c)) for c in vec] for vec in seeds] for seeds in raw]
+
+
+def _check_family(family, F, stratum):
+    """Every seed vector must have length F.dim."""
+    for seeds in family or ():
         for vec in seeds:
             if len(vec) != F.dim:
                 raise UsageError(
                     f"--family: a seed vector has {len(vec)} entries, but the module "
                     f"on stratum {stratum} has dimension {F.dim}"
                 )
-    return family
 
 
 def cmd_socle_table(args):
     n = _need_n(args)
     alpha = Fraction(args.alpha)
     theta = _parse_theta(n, args.theta) if args.theta else None
+    family = _load_family(args.family) if theta is not None else None
     rows = constel.socle_table(n, alpha=alpha)
     payload = []
     for row in rows:
@@ -261,7 +265,7 @@ def cmd_socle_table(args):
             "regular": row["regular"],
         }
         if theta is not None:
-            family = _load_family(row["constellation"], row["stratum"], args.family)
+            _check_family(family, row["constellation"], row["stratum"])
             verdict = constel.theta_check(row["constellation"], theta, family)
             item["theta"] = (
                 {

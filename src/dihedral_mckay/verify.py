@@ -2,7 +2,8 @@
 
 Every criterion returns a dict {id, name, passed, details}; run_all
 executes them in order and the CLI/tests print one pass/fail line per
-criterion.  Ranges can be clipped (verify --n-range) but default to the
+criterion.  A criterion that raises fails closed: run_all records a FAIL
+whose details name the exception type and message.  Ranges can be clipped (verify --n-range) but default to the
 full published ranges.
 """
 
@@ -293,12 +294,13 @@ CRITERIA = [
 
 
 def run_all(n_range=None, emit=print):
+    """Run every criterion; one that raises is recorded as a FAIL, not re-raised."""
     results = []
-    for fn in CRITERIA:
-        if fn is criterion_11:
-            res = fn()
-        else:
-            res = fn(n_range=n_range)
+    for cid, fn in enumerate(CRITERIA, 1):
+        try:
+            res = fn() if fn is criterion_11 else fn(n_range=n_range)
+        except Exception as exc:
+            res = _result(cid, fn.__name__, False, f"raised {type(exc).__name__}: {exc}")
         results.append(res)
         if emit:
             status = "PASS" if res["passed"] else "FAIL"

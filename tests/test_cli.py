@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from dihedral_mckay import cli, verify
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -136,3 +139,63 @@ def test_family_seed_length_is_checked(capsys, tmp_path, vec):
     assert code == 1 and out == ""
     assert f"has {len(vec)} entries" in err
     assert "stratum E1 has dimension 6" in err
+
+
+# dense seeds of length 2n = 10; golden stdout generated before the file
+# was loaded once per run instead of once per stratum
+FAMILY_N5 = [
+    [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0]],
+    [[0, 0, 0, 1, 0, 0, 0, 0, 0, 0]],
+    [[0, 1, 1, 0, 0, 0, 0, 0, 0, 0]],
+    [[0, 0, 0, 0, 0, 1, 0, -1, 0, 0]],
+    [[0, 0, 0, 0, 0, 0, 0, 0, "1/2", 1]],
+]
+
+
+def test_family_file_is_loaded_once(capsys, tmp_path, monkeypatch):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(FAMILY_N5))
+    loads = []
+    real_load = json.load
+
+    def counting_load(fh, **kwargs):
+        loads.append(fh.name)
+        return real_load(fh, **kwargs)
+
+    monkeypatch.setattr(cli.json, "load", counting_load)
+    code, out, _ = run(
+        capsys, "socle-table", "--n", "5", "--theta=3,1,-3,1", "--family", str(family)
+    )
+    assert code == 0
+    assert loads == [str(family)]
+    assert out.count('"theta"') == 4  # one verdict per stratum E1, E2, E1&E2, E2&B3
+    assert out.encode("utf-8") == (GOLDEN / "socle-table_n5_family.json").read_bytes()
+
+
+def test_verify_fails_closed_on_a_raising_criterion(capsys, monkeypatch):
+    from dihedral_mckay import taut
+
+    def raising(n_range=None):
+        raise taut.CrossCheckFailure("W_2 pairings differ")
+
+    criteria = list(verify.CRITERIA)
+    criteria[9] = raising
+    monkeypatch.setattr(verify, "CRITERIA", criteria)
+    code, out, err = run(capsys, "verify", "--n-range", "3..4")
+    assert code == 2
+    assert "Traceback" not in out + err and err == ""
+    assert "FAIL criterion 10: raising - raised CrossCheckFailure: W_2 pairings differ" in out
+    assert out.count("PASS") == 10 and "10/11 criteria passed" in out
+
+    code, out, _ = run(capsys, "verify", "--n-range", "3..4", "--format", "json")
+    assert code == 2
+    doc = json.loads(out[out.index("{"):])
+    failed = [r for r in doc["payload"] if not r["passed"]]
+    assert failed == [
+        {
+            "id": 10,
+            "name": "raising",
+            "passed": False,
+            "details": "raised CrossCheckFailure: W_2 pairings differ",
+        }
+    ]
