@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import hilb
-from .linalg import det
+from .linalg import insert, reduce, vector
 
 
 class NotContractible(ValueError):
@@ -61,15 +61,19 @@ class CurveConfig:
         )
 
     def negative_definite(self):
-        """Exact sign test on leading principal minors of Q."""
-        k = len(self.labels)
-        for t in range(1, k + 1):
-            sub = [
-                [self.pair(self.labels[r], self.labels[c]) for c in range(t)]
-                for r in range(t)
-            ]
-            if (-1) ** t * det(sub) <= 0:
+        """Sylvester's criterion from one elimination in row order.
+
+        Row t of Q, reduced by the echelon of rows 0..t-1, has the pivot
+        D_t / D_(t-1) at index t (D_t the t-th leading principal minor,
+        so D_t is the product of the first t pivots).  Q is negative
+        definite exactly when every pivot is negative.
+        """
+        echelon = {}
+        for t, a in enumerate(self.labels):
+            rest, _ = reduce(echelon, vector([self.pair(a, b) for b in self.labels]))
+            if rest.get(t, 0) >= 0:
                 return False
+            insert(echelon, rest)
         return True
 
     def to_json(self):

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_mckay.hilb import half_index
 from dihedral_mckay.intersect import (
+    CurveConfig,
     NotContractible,
     Point,
     an_chain,
@@ -19,6 +22,7 @@ from dihedral_mckay.intersect import (
     quotient_pair,
     z2_fold,
 )
+from dihedral_mckay.linalg import det
 
 
 def fold(n):
@@ -143,3 +147,48 @@ def test_dual_graph_dot():
     assert '"E2" [label="E2 (0, -1)"]' in dot
     assert '"E1" -- "E2" [label="1"]' in dot
     assert '"E2" -- "B3" [label="2", style=dashed]' in dot
+
+
+def _symmetric(k, entries):
+    m = [[0] * k for _ in range(k)]
+    it = iter(entries)
+    for i in range(k):
+        for j in range(i, k):
+            m[i][j] = m[j][i] = next(it)
+    return m
+
+
+def _gram_negated(a, shift):
+    """-(A^T A) - shift * I: negative semidefinite, definite when shift > 0."""
+    k = len(a)
+    return [
+        [-sum(a[r][i] * a[r][j] for r in range(k)) - (shift if i == j else 0) for j in range(k)]
+        for i in range(k)
+    ]
+
+
+_SIZES = st.integers(0, 5)
+_RAW = _SIZES.flatmap(
+    lambda k: st.lists(
+        st.integers(-3, 3), min_size=k * (k + 1) // 2, max_size=k * (k + 1) // 2
+    ).map(lambda e: _symmetric(k, e))
+)
+_GRAM = _SIZES.flatmap(
+    lambda k: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=k, max_size=k),
+        st.integers(0, 1),
+    ).map(lambda a: _gram_negated(*a))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_RAW, _GRAM))
+def test_negative_definite_matches_leading_minors(m):
+    """Sylvester's criterion through linalg.det on every leading minor."""
+    labels = [f"C{i}" for i in range(len(m))]
+    q = {(a, b): Fraction(m[i][j]) for i, a in enumerate(labels) for j, b in enumerate(labels)}
+    cfg = CurveConfig(labels, q, {}, {}, {})
+    want = all(
+        (-1) ** t * det([row[:t] for row in m[:t]]) > 0 for t in range(1, len(m) + 1)
+    )
+    assert cfg.negative_definite() is want
