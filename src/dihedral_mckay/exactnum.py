@@ -222,8 +222,6 @@ def rational_value(a):
     when it is constant.  Phi_n is monic with integer coefficients, so
     integral input stays in int arithmetic.
     """
-    if a.terms.keys() <= {0}:
-        return Fraction(a.terms.get(0, 0))
     phi = cyclotomic_polynomial(a.order)
     deg = len(phi) - 1
     # Phi_n is monic, so subtracting q * t^(i - deg) * Phi_n clears t^i;

@@ -201,7 +201,11 @@ def _inner_raw(chi, psi):
             # conj(b) has coefficient cb at exponent n - j
             for j, cb in b.terms.items():
                 acc[(i - j) % n] += sca * cb
-    return rational_value(CycloElt._raw(n, dict(enumerate(acc)))) / g.order
+    try:
+        val = rational_value(CycloElt._raw(n, dict(enumerate(acc))))
+    except NotRational as exc:
+        raise NotRational(f"<{chi.name},{psi.name}> is irrational: {exc}") from None
+    return val / g.order
 
 
 def inner_product(chi, psi):

@@ -3,8 +3,8 @@
 Every criterion returns a dict {id, name, passed, details}; run_all
 executes them in order and the CLI/tests print one pass/fail line per
 criterion.  A criterion that raises fails closed: run_all records a FAIL
-whose details name the exception type and message.  Ranges can be clipped (verify --n-range) but default to the
-full published ranges.
+whose details name the exception type and message.  Ranges can be
+clipped (verify --n-range) but default to the full published ranges.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@ import cmath
 
 import pytest
 
-from dihedral_mckay.exactnum import rational_value
+from dihedral_mckay.exactnum import CycloElt, NotRational, rational_value
 from dihedral_mckay.reps import (
     Character,
     GroupSpec,
@@ -288,3 +288,12 @@ def test_quiver_symmetry_and_handshake():
                 sum(q.adjacency[i][j] * degs[j] for j in range(len(q.vertices)))
                 == 2 * degs[i]
             )
+
+
+
+def test_irrational_inner_product_names_both_class_functions():
+    g = GroupSpec("cyclic", 5)
+    # t at the identity class, 0 elsewhere: the inner product with eps0 is t/5
+    chi = Character(g, "odd", [CycloElt.root_power(5, 1)] + [CycloElt.zero(5)] * 4)
+    with pytest.raises(NotRational, match=r"<odd,eps0> is irrational"):
+        inner_product(chi, char_table(g).by_name["eps0"])
