@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dihedral_mckay import cli, verify
+from dihedral_mckay import cli, taut, verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -173,8 +173,6 @@ def test_family_file_is_loaded_once(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_fails_closed_on_a_raising_criterion(capsys, monkeypatch):
-    from dihedral_mckay import taut
-
     def raising(n_range=None):
         raise taut.CrossCheckFailure("W_2 pairings differ")
 

@@ -290,7 +290,6 @@ def test_quiver_symmetry_and_handshake():
             )
 
 
-
 def test_irrational_inner_product_names_both_class_functions():
     g = GroupSpec("cyclic", 5)
     # t at the identity class, 0 elsewhere: the inner product with eps0 is t/5
