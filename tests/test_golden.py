@@ -36,6 +36,13 @@ CASES = {
     "quiver_n6.json": ["quiver", "--n", "6", "--format", "json"],
     "quiver_n5.dot": ["quiver", "--n", "5", "--format", "dot"],
     "quiver_n6.dot": ["quiver", "--n", "6", "--format", "dot"],
+    # the tautological ledgers with their torsion check, and the fixed points
+    "taut-table_n5.json": ["taut-table", "--n", "5"],
+    "taut-table_n6.json": ["taut-table", "--n", "6"],
+    "fixed-points_n5.json": ["fixed-points", "--n", "5"],
+    "fixed-points_n6.json": ["fixed-points", "--n", "6"],
+    # the pass/fail lines and the JSON report of every criterion
+    "verify_n3-6.json": ["verify", "--n-range", "3..6", "--format", "json"],
 }
 
 
