@@ -3,7 +3,8 @@
 Every subcommand emits a deterministic artifact: JSON envelopes are
 {"kind": <subcommand>, "n": n, "payload": ...} with sorted keys, DOT
 output is canonical, and table output is plain text.  Exit codes: 0 on
-success, 1 on a usage error, 2 on a verification failure.
+success, 1 on a usage error, 2 on a verification failure or an internal
+error.
 """
 
 from __future__ import annotations
@@ -60,12 +61,23 @@ def _parse_range(text):
     return lo, hi
 
 
+def _fraction(option, text):
+    """A rational option value; a malformed one is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{option}: {text!r} is not a rational number") from exc
+
+
 def _emit(args, text):
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}") from exc
 
 
 def _emit_json(args, kind, n, payload):
@@ -221,7 +233,7 @@ def _parse_theta(n, text):
         raise UsageError(
             f"--theta needs {len(names)} values for {', '.join(names)}"
         )
-    values = {name: Fraction(v) for name, v in zip(names, parts)}
+    values = {name: _fraction("--theta", v) for name, v in zip(names, parts)}
     try:
         return constel.StabilityParam.make(n, values)
     except ValueError as exc:
@@ -232,9 +244,15 @@ def _load_family(spec):
     """Seed-vector lists from a JSON file, or None for the default family."""
     if spec == "default":
         return None
-    with open(spec, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return [[[Fraction(str(c)) for c in vec] for vec in seeds] for seeds in raw]
+    try:
+        with open(spec, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
+        raise UsageError(f"--family: {exc}") from exc
+    try:
+        return [[[_fraction("--family", str(c)) for c in vec] for vec in seeds] for seeds in raw]
+    except TypeError as exc:
+        raise UsageError("--family must be a JSON list of seed-vector lists") from exc
 
 
 def _check_family(family, F, stratum):
@@ -250,7 +268,9 @@ def _check_family(family, F, stratum):
 
 def cmd_socle_table(args):
     n = _need_n(args)
-    alpha = Fraction(args.alpha)
+    alpha = _fraction("--alpha", args.alpha)
+    if alpha in (-1, 0, 1):
+        raise UsageError("--alpha must avoid 0 and +-1")
     theta = _parse_theta(n, args.theta) if args.theta else None
     family = _load_family(args.family) if theta is not None else None
     rows = constel.socle_table(n, alpha=alpha)
@@ -312,7 +332,7 @@ def cmd_fm_table(args):
     n = _need_n(args)
     payload = {
         "table": taut.fm_table(n),
-        "socle_cross_check": taut.fm_cross_check(n),
+        "socle_cross_check": taut.fm_cross_check(n, constel.socle_table(n)),
     }
     _emit_json(args, "fm-table", n, payload)
     return 0
@@ -320,6 +340,9 @@ def cmd_fm_table(args):
 
 def cmd_refdiv(args):
     n = _need_n(args)
+    m = hilb.half_index(n)
+    if args.k is not None and not 1 <= args.k <= m:
+        raise UsageError(f"--k must lie in 1..{m} for n = {n}")
     cert = taut.refdivisor_certify(n, args.k)
     _emit_json(args, "refdiv", n, cert)
     return 0
@@ -331,21 +354,10 @@ def cmd_verify(args):
     results = verify.run_all(n_range=n_range, emit=lines.append)
     passed = sum(1 for r in results if r["passed"])
     lines.append(f"{passed}/{len(results)} criteria passed")
+    print("\n".join(lines))
     if args.format == "json" or args.out:
-        doc = json.dumps(
-            {"kind": "verify", "n_range": args.n_range, "payload": results},
-            sort_keys=True,
-            indent=2,
-        )
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(doc + "\n")
-            print("\n".join(lines))
-        else:
-            print("\n".join(lines))
-            sys.stdout.write(doc + "\n")
-    else:
-        print("\n".join(lines))
+        doc = {"kind": "verify", "n_range": args.n_range, "payload": results}
+        _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0 if passed == len(results) else 2
 
 
@@ -373,9 +385,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # an internal failure, never a usage error
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

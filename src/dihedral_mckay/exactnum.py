@@ -53,6 +53,14 @@ def cyclotomic_polynomial(n):
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
+def _phi_reducer(n):
+    """deg Phi_n and the nonzero lower terms of Phi_n as (j - deg, p_j)."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    return deg, tuple((j - deg, pj) for j, pj in enumerate(phi[:-1]) if pj)
+
+
 def _exact_poly_div(num, den):
     """Exact division of integer polynomials (low degree first)."""
     num = list(num)
@@ -222,11 +230,9 @@ def rational_value(a):
     when it is constant.  Phi_n is monic with integer coefficients, so
     integral input stays in int arithmetic.
     """
-    phi = cyclotomic_polynomial(a.order)
-    deg = len(phi) - 1
     # Phi_n is monic, so subtracting q * t^(i - deg) * Phi_n clears t^i;
     # only its lower nonzero terms are applied, as work[i] is not read again
-    low = [(j - deg, pj) for j, pj in enumerate(phi[:-1]) if pj]
+    deg, low = _phi_reducer(a.order)
     work = [0] * a.order
     for k, c in a.terms.items():
         work[k] = c

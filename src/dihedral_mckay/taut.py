@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import constel, hilb, intersect
+from . import hilb, intersect
 from .reps import GroupSpec, char_table, decompose, induce, restrict
 
 
@@ -67,38 +67,28 @@ class DivisorClass:
 
 
 class PairingTable:
-    """Pairings of the basis divisors with the exceptional curves E_j."""
+    """Pairings of the basis divisors with the exceptional curves E_j.
 
-    def __init__(self, n, transversal_k=None):
+    The E and supp<B> rows are read off the fold, whose boundary pairings
+    come from the chart computations in hilb.
+    """
+
+    def __init__(self, n):
         self.n = n
         self.m = hilb.half_index(n)
-        self.k = self.m if transversal_k is None else transversal_k
-        if not 1 <= self.k <= self.m:
-            raise ValueError("transversal index out of range")
         fold = intersect.z2_fold(intersect.an_chain(n - 1), n)
-        self.fold = fold
-        self.rows = {}
-        for i in range(1, self.m + 1):
-            self.rows[f"E{i}"] = {
-                f"E{j}": fold.pair(f"E{i}", f"E{j}") for j in range(1, self.m + 1)
-            }
-        bnums = hilb.boundary_intersection_numbers(n)
-        for lab, row in bnums.items():
-            self.rows[f"supp{lab}"] = {e: Fraction(v) for e, v in row.items()}
-        # the distinguished transversal D and the family D_i
-        for i in range(1, self.m + 1):
-            self.rows[f"D{i}"] = {
-                f"E{j}": Fraction(1 if j == i else 0) for j in range(1, self.m + 1)
-            }
-        self.rows["D"] = dict(self.rows[f"D{self.k}"])
+        curves = fold.labels
+        self.rows = {a: {b: fold.pair(a, b) for b in curves} for a in curves}
+        for lab in fold.boundary_dot[curves[0]]:
+            self.rows[f"supp{lab}"] = {e: fold.boundary_dot[e][lab] for e in curves}
+        # the family D_i, with the distinguished transversal D = D_m
+        for i, a in enumerate(curves, 1):
+            self.rows[f"D{i}"] = {e: Fraction(int(e == a)) for e in curves}
+        self.rows["D"] = dict(self.rows[f"D{self.m}"])
         # 2L = -(sum of boundary supports)
-        lrow = {}
-        for j in range(1, self.m + 1):
-            s = sum(
-                (self.rows[f"supp{lab}"][f"E{j}"] for lab in bnums), Fraction(0)
-            )
-            lrow[f"E{j}"] = -s / 2
-        self.rows["L"] = lrow
+        self.rows["L"] = {
+            e: -sum(fold.boundary_dot[e].values(), Fraction(0)) / 2 for e in curves
+        }
 
     def pair(self, cls, curve):
         total = Fraction(0)
@@ -283,9 +273,11 @@ def fm_table(n):
     return out
 
 
-def fm_cross_check(n, alpha=Fraction(1, 2)):
+def fm_cross_check(n, rows):
     """Supports of the FM images against the socle strata.
 
+    ``rows`` is ``constel.socle_table(n)``, passed in by the caller that
+    has built and checked it (verify criterion 9, the fm-table command).
     For every representation with a curve support E_k the socle table
     must show it exactly on the strata touching E_k (the generic stratum
     of E_k plus incident points); rho0, rho0' have support F and appear
@@ -293,7 +285,6 @@ def fm_cross_check(n, alpha=Fraction(1, 2)):
     twists -B1/-B2 match the exclusion of the representation from the
     socle at the opposite stacky point.
     """
-    rows = constel.socle_table(n, alpha=alpha)
     strata_curves = {}
     for row in rows:
         s = row["stratum"]
@@ -323,14 +314,11 @@ def fm_cross_check(n, alpha=Fraction(1, 2)):
                 raise CrossCheckFailure(
                     f"{rep}: missing from the socle on its generic stratum"
                 )
-        if entry["twist"] == "-B1":
-            bad = next(r for r in rows if r["stratum"] == "B1")
+        if entry["twist"] in ("-B1", "-B2"):
+            point = entry["twist"][1:]
+            bad = next(r for r in rows if r["stratum"] == point)
             if rep in bad["socle"]:
-                raise CrossCheckFailure(f"{rep}: should be excluded at B1")
-        if entry["twist"] == "-B2":
-            bad = next(r for r in rows if r["stratum"] == "B2")
-            if rep in bad["socle"]:
-                raise CrossCheckFailure(f"{rep}: should be excluded at B2")
+                raise CrossCheckFailure(f"{rep}: should be excluded at {point}")
     return {"n": n, "checked": len(table), "strata": len(rows)}
 
 

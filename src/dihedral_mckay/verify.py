@@ -212,8 +212,8 @@ def criterion_8(n_range=None):
     return _result(8, "flop atlases", True, "gluings verified; counts drop by one per flop")
 
 
-def criterion_9(n_range=None, alpha=Fraction(1, 2)):
-    """Socle suite: the order-8 example, the full table, tops."""
+def criterion_9(n_range=None):
+    """Socle suite: the order-8 example, the full table, tops, FM cross-check."""
     F = constel.constellation_from_cluster(
         4, hilb.ClusterPoint(2, Fraction(1), Fraction(-1)), twist="delta1"
     )
@@ -225,7 +225,8 @@ def criterion_9(n_range=None, alpha=Fraction(1, 2)):
     if constel.socle(G) != {"rho2": 1}:
         return _result(9, "socles", False, "I2(1:1) twist delta1")
     for n in _clip(3, 20, n_range):
-        for row in constel.socle_table(n, alpha=alpha):
+        rows = constel.socle_table(n)
+        for row in rows:
             if row["socle"] != constel.expected_socle(n, row["stratum"]):
                 return _result(9, "socles", False, f"{row['stratum']} at n={n}")
             if not row["regular"]:
@@ -233,31 +234,35 @@ def criterion_9(n_range=None, alpha=Fraction(1, 2)):
             want_top = {"rho0": 1} if row["twist"] else {"rho0": 1, "rho0'": 1}
             if row["top"] != want_top:
                 return _result(9, "socles", False, f"top at {row['stratum']} n={n}")
+        taut.fm_cross_check(n, rows)  # raises CrossCheckFailure on a mismatch
     return _result(9, "socles", True, "table matches the published case list")
 
 
 def criterion_10(n_range=None):
-    """Tautological ledgers, torsion checks, pushforwards, FM cross-check."""
+    """Tautological ledgers, torsion on one PairingTable per n, pushforwards."""
     for n in _clip(3, 20, n_range):
         for space in ("stack", "coarse"):
             taut.build_ledger(n, space)  # raises on any rank/extension mismatch
-        if not taut.torsion_check(n, taut.stack_twist_class(n)):
+        table = taut.PairingTable(n)
+        if not taut.torsion_check(n, taut.stack_twist_class(n), table):
             return _result(10, "tautological ledgers", False, f"torsion at n={n}")
-        for i in range(1, hilb.half_index(n) + 1):
-            if taut.torsion_check(n, taut.DivisorClass.make({f"E{i}": 1})):
+        for i in range(1, table.m + 1):
+            if taut.torsion_check(n, taut.DivisorClass.make({f"E{i}": 1}), table):
                 return _result(10, "tautological ledgers", False, f"E{i} torsion n={n}")
         taut.pushforward_identities(n)
-        taut.fm_cross_check(n)
         taut.refdivisor_certify(n)
     return _result(10, "tautological ledgers", True, "tables, torsion and cross-checks exact")
 
 
-def criterion_11(trials=100, seed=2024):
+def criterion_11(n_range=None, trials=100, seed=2024):
     """Theta-checker soundness on planted destabilizers."""
+    ns = _clip(3, 10, n_range)
+    if not ns:
+        trials = 0  # no n to draw from
     rng = random.Random(seed)
     table_cache = {}
     for t in range(trials):
-        n = rng.randint(3, 10)
+        n = rng.randint(ns[0], ns[-1])
         m = hilb.half_index(n)
         i = rng.randint(1, m)
         F = constel.constellation_from_cluster(
@@ -298,7 +303,7 @@ def run_all(n_range=None, emit=print):
     results = []
     for cid, fn in enumerate(CRITERIA, 1):
         try:
-            res = fn() if fn is criterion_11 else fn(n_range=n_range)
+            res = fn(n_range=n_range)
         except Exception as exc:
             res = _result(cid, fn.__name__, False, f"raised {type(exc).__name__}: {exc}")
         results.append(res)

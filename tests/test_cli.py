@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from dihedral_mckay import cli, taut, verify
+from dihedral_mckay.exactnum import NotRational
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +101,62 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
     assert cli.main(["socle-table", "--n", "5", "--theta", "1,2"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["socle-table", "--n", "5", "--alpha", "1/0"], "--alpha: '1/0' is not a rational number"),
+        (["socle-table", "--n", "5", "--alpha", "half"], "--alpha: 'half' is not a rational number"),
+        (["socle-table", "--n", "5", "--alpha", "0"], "--alpha must avoid 0 and +-1"),
+        (["socle-table", "--n", "5", "--alpha=-1"], "--alpha must avoid 0 and +-1"),
+        (["socle-table", "--n", "5", "--theta=1,1,1/0,1"], "--theta: '1/0' is not a rational"),
+        (["refdiv", "--n", "6", "--k", "4"], "--k must lie in 1..3 for n = 6"),
+        (["refdiv", "--n", "7", "--k", "0"], "--k must lie in 1..3 for n = 7"),
+    ],
+)
+def test_bad_option_values_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "--family: [Errno 2]"),
+        ("[[[1, 0", "--family: Expecting"),
+        ("[5]", "--family must be a JSON list of seed-vector lists"),
+        ('[[["x"]]]', "--family: 'x' is not a rational number"),
+    ],
+    ids=["missing", "malformed", "not-nested", "not-rational"],
+)
+def test_bad_family_files_are_usage_errors(capsys, tmp_path, content, message):
+    family = tmp_path / "family.json"
+    if content is not None:
+        family.write_text(content)
+    code, out, err = run(
+        capsys, "socle-table", "--n", "5", "--theta=3,1,-3,1", "--family", str(family)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and message in err
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "quiver", "--n", "5", "--out", str(tmp_path / "no" / "q.json"))
+    assert code == 1 and err.startswith("usage error: --out: ")
+
+
+def test_internal_failures_are_not_usage_errors(capsys, monkeypatch):
+    # NotRational is a ValueError subclass; it must not read as a usage error
+    def irrational(n):
+        raise NotRational("irrational value: t + t^4")
+
+    monkeypatch.setattr(cli, "mckay_quiver", irrational)
+    code, out, err = run(capsys, "quiver", "--n", "5")
+    assert code == 2 and out == ""
+    assert err == "error: NotRational: irrational value: t + t^4\n"
 
 
 def test_verify_exit_codes(capsys, monkeypatch, tmp_path):

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from dihedral_mckay.hilb import half_index
+from dihedral_mckay import taut
+from dihedral_mckay.constel import socle_table
+from dihedral_mckay.hilb import boundary_intersection_numbers, half_index
 from dihedral_mckay.taut import (
     DivisorClass,
     PairingTable,
@@ -29,6 +31,23 @@ def test_pairing_table_columns():
     t4 = PairingTable(4)
     assert t4.rows["L"] == {"E1": 0, "E2": -1}
     assert t4.rows["suppB1"] == {"E1": 0, "E2": 1}
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_pairing_table_boundary_rows_match_the_chart_numbers(n):
+    # the supp<B> and L rows are read off the fold; they must equal the rows
+    # built straight from hilb's boundary intersection numbers
+    t = PairingTable(n)
+    bnums = boundary_intersection_numbers(n)
+    curves = [f"E{j}" for j in range(1, half_index(n) + 1)]
+    for lab, row in bnums.items():
+        assert t.rows[f"supp{lab}"] == {e: Fraction(row[e]) for e in curves}
+    assert t.rows["L"] == {
+        e: -sum(Fraction(row[e]) for row in bnums.values()) / 2 for e in curves
+    }
+    assert sorted(k for k in t.rows if k.startswith("supp")) == sorted(
+        f"supp{lab}" for lab in bnums
+    )
 
 
 def test_torsion_examples():
@@ -110,8 +129,16 @@ def test_fm_table_rows():
 
 def test_fm_cross_check():
     for n in range(3, 11):
-        res = fm_cross_check(n)
+        res = fm_cross_check(n, socle_table(n))
         assert res["checked"] == len(fm_table(n))
+
+
+def test_fm_cross_check_rejects_a_socle_at_the_excluded_point():
+    rows = socle_table(4)
+    b1 = next(r for r in rows if r["stratum"] == "B1")
+    b1["socle"] = {**b1["socle"], "rho2": 1}  # rho2 carries the twist -B1
+    with pytest.raises(taut.CrossCheckFailure, match="rho2: should be excluded at B1"):
+        fm_cross_check(4, rows)
 
 
 def test_refdivisor_certify():
