@@ -231,21 +231,34 @@ def _single_inversion(trans):
     return len(inverted) <= 1
 
 
-def _cross_multiply_ok(src, dst, trans):
-    """Verify each monomial transition as an ambient polynomial identity."""
-    for j, alpha in enumerate(trans):
+def _monomial_fraction(chart, alpha):
+    """(numerator, denominator) ambient polynomials of prod(coords^alpha)."""
+    num = Poly.const(1, chart.atoms[0].poly.nvars)
+    den = Poly.const(1, chart.atoms[0].poly.nvars)
+    for i, e in enumerate(alpha):
+        if e:
+            c_num, c_den = chart.coord_fraction(i)
+            if e < 0:
+                c_num, c_den, e = c_den, c_num, -e
+            num, den = num * c_num**e, den * c_den**e
+    return num, den
+
+
+def verify_poly_transition(src, dst, combos):
+    """Check dst coordinates against polynomial combinations of src monomials.
+
+    combos maps each dst coordinate index to a list of (coeff, alpha)
+    meaning sum(coeff * prod(src_coords^alpha)); equality is verified by
+    exact cross-multiplication of the ambient expansions.
+    """
+    nvars = src.atoms[0].poly.nvars
+    for j, combo in combos.items():
+        num, den = Poly.zero(nvars), Poly.const(1, nvars)
+        for coeff, alpha in combo:
+            a_num, a_den = _monomial_fraction(src, alpha)
+            num, den = num * a_den + a_num * den * coeff, den * a_den
         b_num, b_den = dst.coord_fraction(j)
-        lhs = b_num
-        rhs = b_den
-        for i, e in enumerate(alpha):
-            a_num, a_den = src.coord_fraction(i)
-            if e > 0:
-                lhs = lhs * a_den**e
-                rhs = rhs * a_num**e
-            elif e < 0:
-                lhs = lhs * a_num ** (-e)
-                rhs = rhs * a_den ** (-e)
-        if lhs != rhs:
+        if num * b_den != b_num * den:
             return False
     return True
 
@@ -267,7 +280,10 @@ def verify_gluing(a, b):
     t_ba = transition_exponents(b, a)
     if t_ba is None or not _single_inversion(t_ba):
         return False
-    return _cross_multiply_ok(a, b, t_ab) and _cross_multiply_ok(b, a, t_ba)
+    return all(
+        verify_poly_transition(src, dst, {j: [(1, alpha)] for j, alpha in enumerate(t)})
+        for src, dst, t in ((a, b, t_ab), (b, a, t_ba))
+    )
 
 
 @dataclass

@@ -43,8 +43,9 @@ class InvalidConstellation(Exception):
     """A module fails a structural certificate (relations or weights).
 
     Not an AssertionError: the check is a raise, which ``python -O`` keeps.
-    Not a ValueError: it is an internal math failure, and the CLI reports
-    ValueErrors as usage errors.
+    Not a ValueError: the package raises ValueError for bad input, and a
+    caller that catches it to report a usage error must not catch this
+    internal math failure too.
     """
 
 
@@ -435,16 +436,16 @@ def expected_socle(n, stratum):
     return {f"rho{i}": 1}
 
 
-def off_exceptional_report(n, c=Fraction(2)):
+def off_exceptional_report(n):
     """Literal top/socle of a free-orbit witness away from the origin.
 
-    The cluster <x, y^n - c> is a reduced free orbit; y acts invertibly,
+    The cluster <x, y^n - 2> is a reduced free orbit; y acts invertibly,
     so both the literal top and socle vanish, matching the published
     'otherwise' row.
     """
-    I = Ideal([Poly.var("x"), Poly(2, {(0, n): 1, (0, 0): -c})])
-    Ig = Ideal([Poly.var("y"), Poly(2, {(n, 0): 1, (0, 0): -c})])
-    F = _generic_constellation(n, I, Ig, f"orbit(y^{n}={c})")
+    I = Ideal([Poly.var("x"), Poly(2, {(0, n): 1, (0, 0): -2})])
+    Ig = Ideal([Poly.var("y"), Poly(2, {(n, 0): 1, (0, 0): -2})])
+    F = _generic_constellation(n, I, Ig, f"orbit(y^{n}=2)")
     return {
         "witness": F.label,
         "regular": regular_check(F),
@@ -463,14 +464,12 @@ class StabilityParam:
     theta: dict  # irreducible name -> Fraction
 
     @classmethod
-    def make(cls, n, values, generic=False):
+    def make(cls, n, values):
         table = char_table(GroupSpec("dihedral", n))
         theta = {c.name: Fraction(values.get(c.name, 0)) for c in table}
         total = sum(int(c.degree) * theta[c.name] for c in table)
         if total != 0:
             raise ValueError(f"theta(C[G]) = {total} != 0")
-        if generic and all(v == 0 for v in theta.values()):
-            raise ValueError("the zero parameter is strictly semistable everywhere")
         return cls(tuple(sorted(theta.items())))
 
     def value(self, cls_dict):
@@ -514,53 +513,3 @@ def theta_check(F, theta, family=None):
             if val <= 0:
                 return ThetaVerdict(True, seeds=seeds, cls=cls, value=val)
     return ThetaVerdict(False)
-
-
-# --- the two-row chart tables ------------------------------------------
-
-
-def opencons_table(n, chart, value):
-    """The two-row module table on the charts covering the last curve (even n).
-
-    chart "Umpp" uses alpha = (x^m - y^m)/(x^m + y^m); chart "Um1p" uses
-    beta = (x^m + y^m)/(x^m - y^m).  The ratio identity is verified by a
-    normal-form computation in the witness cluster, and the witness
-    constellation is returned with the table.
-    """
-    if n % 2:
-        raise ValueError("the displayed tables cover E_(n/2) for even n")
-    m = n // 2
-    value = Fraction(value)
-    if chart == "Umpp":
-        alpha = value
-        point = hilb.ClusterPoint(m, 1 - alpha, 1 + alpha).canonical()
-        lhs = Poly(2, {(m, 0): 1, (0, m): -1})
-        rhs = Poly(2, {(m, 0): alpha, (0, m): alpha})
-        rows = (
-            ["1"] + [f"(x^{k}, y^{k})" for k in range(1, m)] + [f"alpha*(x^{m} - y^{m})"],
-            ["alpha"]
-            + [f"alpha*(y^{k}, -x^{k})" for k in range(1, m)]
-            + [f"x^{m} - y^{m}"],
-        )
-    elif chart == "Um1p":
-        beta = value
-        point = hilb.ClusterPoint(m, beta - 1, beta + 1).canonical()
-        lhs = Poly(2, {(m, 0): 1, (0, m): 1})
-        rhs = Poly(2, {(m, 0): beta, (0, m): -beta})
-        rows = (
-            ["1"] + [f"(x^{k}, y^{k})" for k in range(1, m)] + [f"x^{m} + y^{m}"],
-            ["beta"]
-            + [f"beta*(y^{k}, -x^{k})" for k in range(1, m)]
-            + [f"beta*(x^{m} + y^{m})"],
-        )
-    else:
-        raise ValueError("chart must be 'Umpp' or 'Um1p'")
-    ideal = hilb.cluster_ideal(n, point)
-    verified = ideal.normal_form(lhs - rhs).is_zero()
-    return {
-        "chart": chart,
-        "parameter": str(value),
-        "witness": point.label,
-        "rows": rows,
-        "ratio_identity_verified": verified,
-    }

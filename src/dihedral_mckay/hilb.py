@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .charts import (
     Atlas,
@@ -29,20 +30,18 @@ from .charts import (
     pullback_orders,
     transition_exponents,
     verify_gluing,
+    verify_poly_transition,
 )
 from .polyring import Ideal, Poly, staircase
-
-
-class WrongDimension(ValueError):
-    """Cluster quotient does not have the expected length."""
 
 
 class CertificateFailure(Exception):
     """An identity or a strict transform that a certificate rests on fails.
 
     Not an AssertionError: the check is a raise, which ``python -O`` keeps.
-    Not a ValueError: it is an internal math failure, and the CLI reports
-    ValueErrors as usage errors.
+    Not a ValueError: the package raises ValueError for bad input, and a
+    caller that catches it to report a usage error must not catch this
+    internal math failure too.
     """
 
 
@@ -100,12 +99,6 @@ def z2_image(n, p):
 
 def swap_xy(f):
     return Poly(2, {(b, a): c for (a, b), c in f.terms.items()})
-
-
-def z2_image_ideal_check(n, p):
-    """Apply x<->y to the generators and compare with the image ideal."""
-    swapped = Ideal([swap_xy(g) for g in cluster_ideal(n, p).generators])
-    return swapped == cluster_ideal(n, z2_image(n, p))
 
 
 def fixed_points(n):
@@ -198,6 +191,16 @@ def boundary_equations(n):
     return {"B3": Poly(2, {(2 * n, 0): 1, (n, n): -2, (0, 2 * n): 1})}
 
 
+def _boundary_pullbacks(n):
+    """label -> chart name -> (chart, strict, orders): every boundary
+    equation pulled back once to every X1 chart."""
+    atlas = hilb_atlas(n)
+    return {
+        label: {chart.name: (chart, *pullback_orders(chart, eq)) for chart in atlas.charts}
+        for label, eq in boundary_equations(n).items()
+    }
+
+
 def boundary_strict_transforms(n):
     """Strict transform of each boundary equation on every X1 chart.
 
@@ -205,58 +208,48 @@ def boundary_strict_transforms(n):
     certificate; meeting charts record the axis, the root with its
     multiplicity, and the matching cluster point.
     """
-    atlas = hilb_atlas(n)
     out = {}
-    for label, eq in boundary_equations(n).items():
-        for chart in atlas.charts:
-            i = int(chart.name[1:])
-            strict, orders = pullback_orders(chart, eq)
-            curve = LocalCurve(chart.name, strict, label)
+    for label, per_chart in _boundary_pullbacks(n).items():
+        for name, (chart, strict, orders) in per_chart.items():
+            curve = LocalCurve(name, strict, label)
             meetings = []
             for axis, axis_label in sorted(chart.exceptional_axes.items()):
                 for rec in axis_root_report(curve, axis):
                     rec = dict(rec)
                     rec["axis"] = axis_label
                     if "root" in rec:
-                        rec["point"] = axis_point(n, i, axis, rec["root"]).label
+                        rec["point"] = axis_point(n, int(name[1:]), axis, rec["root"]).label
                         rec["root"] = str(rec["root"])
                     meetings.append(rec)
             if meetings:
                 cert = {"type": "meets-axes", "meetings": meetings}
             elif strict.constant_term() != 1:
                 raise CertificateFailure(
-                    f"{label} on {chart.name}: strict transform misses the axes "
+                    f"{label} on {name}: strict transform misses the axes "
                     f"with constant term {strict.constant_term()} != 1"
                 )
             else:
                 cert = {"type": "misses-axes", "constant_term": 1}
-            out[(label, chart.name)] = {
-                "strict": strict,
-                "orders": orders,
-                "certificate": cert,
-            }
+            out[(label, name)] = {"strict": strict, "orders": orders, "certificate": cert}
     return out
 
 
-def _x1_reduced_boundary_restrictions(n, label):
-    """B~ . Et_j for the reduced boundary curve, by canonical counting."""
-    atlas = hilb_atlas(n)
-    eq = boundary_equations(n)[label]
+def _x1_reduced_boundary_restrictions(n, per_chart):
+    """B~ . Et_j for the reduced boundary curve, by canonical counting.
+
+    per_chart is one label's entry of ``_boundary_pullbacks(n)``.
+    """
     counts = {}
     for j in range(1, n):
-        total = 0
         # finite part on chart U_j, axis {v = 0}
-        strict, _ = pullback_orders(atlas.chart(f"U{j}"), eq)
-        res = strict.substitute_zero(1).univariate_in(0)
-        total += len(res) - 1
+        _, strict, _ = per_chart[f"U{j}"]
+        total = len(strict.substitute_zero(1).univariate_in(0)) - 1
         # corner contribution from chart U_{j+1}: ord at v=0 of strict|_{u=0}
-        strict2, _ = pullback_orders(atlas.chart(f"U{j + 1}"), eq)
-        res2 = strict2.substitute_zero(0)
-        if res2.is_zero():
+        _, strict, _ = per_chart[f"U{j + 1}"]
+        res = strict.substitute_zero(0)
+        if res.is_zero():
             raise ValueError("boundary contains an exceptional curve")
-        coeffs = res2.univariate_in(1)
-        ord0 = next(k for k, c in enumerate(coeffs) if c != 0)
-        total += ord0
+        total += _ord_at_zero(res.univariate_in(1))
         if total % 2 != 0:
             raise ValueError("squared boundary should meet with even multiplicity")
         counts[f"Et{j}"] = total // 2
@@ -273,8 +266,8 @@ def boundary_intersection_numbers(n):
     """
     m = half_index(n)
     out = {}
-    for label in boundary_equations(n):
-        tilde = _x1_reduced_boundary_restrictions(n, label)
+    for label, per_chart in _boundary_pullbacks(n).items():
+        tilde = _x1_reduced_boundary_restrictions(n, per_chart)
         row = {}
         for i in range(1, m + 1):
             if n % 2 == 0 and i == n // 2:
@@ -438,88 +431,54 @@ def invariant_chart_boundary(n):
 # --- refdivisor curves on the surface -------------------------------------
 
 
-def _divide_out_shift(poly, var_index, root):
-    """Factor (var - root)^k out of a bivariate Poly; returns (k, quotient)."""
-    k = 0
-    cur = poly
-    while True:
-        by_deg = {}
-        maxd = 0
-        for mono, c in cur.terms.items():
-            d = mono[var_index]
-            by_deg.setdefault(d, {})[mono[1 - var_index]] = c
-            maxd = max(maxd, d)
+def _reflect(f):
+    """f(1 - x, y) for a bivariate Poly f, by binomial expansion."""
+    out = {}
+    for (i, j), c in f.terms.items():
+        for k in range(i + 1):
+            out[(k, j)] = out.get((k, j), 0) + (-1) ** k * comb(i, k) * c
+    return Poly(2, out)
 
-        def _acc(dst, src, factor):
-            for o, c in src.items():
-                s = dst.get(o, Fraction(0)) + c * factor
-                if s:
-                    dst[o] = s
-                else:
-                    dst.pop(o, None)
 
-        # synthetic division by (var - root), coefficients in the other var
-        quot = {}
-        carry = {}
-        for d in range(maxd, 0, -1):
-            coef = dict(by_deg.get(d, {}))
-            _acc(coef, carry, Fraction(1))
-            quot[d - 1] = coef
-            carry = {o: c * root for o, c in coef.items() if c != 0}
-        rem = dict(by_deg.get(0, {}))
-        _acc(rem, carry, Fraction(1))
-        if any(v != 0 for v in rem.values()):
-            return k, cur
-        terms = {}
-        for d, coefs in quot.items():
-            for o, c in coefs.items():
-                if c:
-                    mono = [0, 0]
-                    mono[var_index] = d
-                    mono[1 - var_index] = o
-                    terms[tuple(mono)] = c
-        cur = Poly(2, terms)
-        k += 1
-        if cur.is_zero():
-            raise ValueError("zero polynomial while dividing")
+def _split_monomial(f):
+    """(exponents of the largest monomial dividing f, f divided by it)."""
+    mins = tuple(min(mono[i] for mono in f.terms) for i in range(f.nvars))
+    rest = {tuple(a - b for a, b in zip(mono, mins)): c for mono, c in f.terms.items()}
+    return mins, Poly(f.nvars, rest)
 
 
 def _pullback_even_end(n, chart, f):
     """Pull an atom-polynomial back to the even-n end charts Am, Am1.
 
-    The coordinates there are not monomial in the atoms; the inverse
-    substitutions are polynomial:
-      on Am:  xy = (1-u)w/4,  f1^2 = ((1-u)w/4)^(m-1) w,  f2^2 = u f1^2
-      on Am1: xy = (t-1)w/4,  f2^2 = ((t-1)w/4)^(m-1) w,  f1^2 = t f2^2
-    Returns (strict, orders) where orders includes the non-axis divisor
-    E_(m-1) = {first coordinate = 1}.
+    The chart coordinates (u, w) are not monomial in the atoms, but in
+    (v, w) with v = 1 - u the master identity makes every atom a
+    monomial up to a power of 1 - v:
+      on Am:  xy = vw/4,   f1^2 = (vw/4)^(m-1) w,   f2^2 = (1 - v) f1^2
+      on Am1: xy = -vw/4,  f2^2 = (-vw/4)^(m-1) w,  f1^2 = (1 - v) f2^2
+    The order along the non-axis divisor E_(m-1) = {u = 1} is the least
+    v-exponent.  Returns (strict, orders) with strict in (u, w), so that
+    f = u^(boundary order) w^(E_m order) (u - 1)^(E_(m-1) order) strict.
     """
     m = half_index(n)
-    u = Poly.var("x")  # first chart coordinate
-    w = Poly.var("y")  # second chart coordinate
-    quarter = Fraction(1, 4)
     if chart.name == f"A{m}":
-        s_img = (Poly.const(1) - u) * w * quarter
-        f1_img = s_img ** (m - 1) * w
-        f2_img = u * f1_img
-        shift_root = Fraction(1)
+        sign, unit = 1, 2  # the atom carrying the factor 1 - v: f2^2
     elif chart.name == f"A{m + 1}":
-        s_img = (u - Poly.const(1)) * w * quarter
-        f2_img = s_img ** (m - 1) * w
-        f1_img = u * f2_img
-        shift_root = Fraction(1)
+        sign, unit = -1, 1  # f1^2
     else:
         raise ValueError("not an end chart")
     total = Poly.zero(2)
-    for (a, b, c), coeff in f.terms.items():
-        total = total + coeff * (s_img**a) * (f1_img**b) * (f2_img**c)
+    for mono, coeff in f.terms.items():
+        e = mono[0] + (m - 1) * (mono[1] + mono[2])
+        total = total + _reflect(Poly.mono((mono[unit], 0))).mul_term(
+            (e, e + mono[1] + mono[2]), coeff * Fraction(sign, 4) ** e
+        )
     if total.is_zero():
         raise ValueError("zero pullback")
-    mins = [min(mono[i] for mono in total.terms) for i in range(2)]
-    strict = Poly(2, {(mu - mins[0], mw - mins[1]): c for (mu, mw), c in total.terms.items()})
-    shift_ord, strict = _divide_out_shift(strict, 0, shift_root)
-    orders = {chart.exceptional_axes[1]: mins[1]}
-    orders[chart.meta["boundary_axis"][1]] = mins[0]
+    (shift_ord, axis_ord), rest = _split_monomial(total)
+    # v^k = (-1)^k (u - 1)^k, so the sign keeps strict's (u - 1)-factorisation
+    (boundary_ord, _), strict = _split_monomial(_reflect(rest) * (-1) ** shift_ord)
+    orders = {chart.exceptional_axes[1]: axis_ord}
+    orders[chart.meta["boundary_axis"][1]] = boundary_ord
     orders[chart.meta["unit_shift_divisor"][1]] = shift_ord
     return strict, orders
 
@@ -567,18 +526,14 @@ def refdiv_curve(n, k):
     return Poly(3, {(0, 0, 1): 1, (0, 1, 0): 1})
 
 
-def curve_intersections_on_surface(n, f):
+def curve_intersections_on_surface(n, stricts):
     """E_j . (strict transform of f) by canonical per-curve counting.
 
-    Each curve E_j is counted in its own chart A_j ({w = 0}, coordinate
-    u) plus the single far point supplied by the next chart.
+    stricts maps each surface chart name to the strict transform of f
+    there.  Each curve E_j is counted in its own chart A_j ({w = 0},
+    coordinate u) plus the single far point supplied by the next chart.
     """
     m = half_index(n)
-    atlas = surface_atlas(n)
-    stricts = {}
-    for chart in atlas.charts:
-        stricts[chart.name] = surface_pullback(n, chart, f)[0]
-
     counts = {}
     for j in range(1, m + 1):
         total = 0
@@ -592,33 +547,14 @@ def curve_intersections_on_surface(n, f):
             nxt = stricts[f"A{j + 1}"]
             if n % 2 == 0 and j + 1 == m:
                 # E_(m-1) appears in Am as {u = 1}; far point is (1, 0)
-                sub = _substitute_value(nxt, 0, Fraction(1))
-                total += _ord_at_zero(sub)
-            else:
-                sub = nxt.substitute_zero(0)
-                total += _ord_at_zero(sub.univariate_in(1))
+                nxt = _reflect(nxt)
+            total += _ord_at_zero(nxt.substitute_zero(0).univariate_in(1))
         else:
             last = stricts["Ainv" if n % 2 else f"A{m + 1}"]
             sub = last.substitute_zero(1)
             total += _ord_at_zero(sub.univariate_in(0))
         counts[f"E{j}"] = total
     return counts
-
-
-def _substitute_value(poly, var_index, value):
-    """Univariate coefficient list after substituting one variable."""
-    out = {}
-    for mono, c in poly.terms.items():
-        d = mono[1 - var_index]
-        out[d] = out.get(d, Fraction(0)) + c * value ** mono[var_index]
-    if not out:
-        return []
-    coeffs = [Fraction(0)] * (max(out) + 1)
-    for d, c in out.items():
-        coeffs[d] = c
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 def _ord_at_zero(coeffs):
@@ -631,11 +567,11 @@ def refdiv_data(n, k):
     """Certificate that W_k meets E_k once, transversally, and no other E_j."""
     m = half_index(n)
     f = refdiv_curve(n, k)
-    counts = curve_intersections_on_surface(n, f)
-    atlas = surface_atlas(n)
+    stricts = {c.name: surface_pullback(n, c, f)[0] for c in surface_atlas(n).charts}
+    counts = curve_intersections_on_surface(n, stricts)
     notes = []
     if n % 2:
-        strict_inv = surface_pullback(n, atlas.chart("Ainv"), f)[0]
+        strict_inv = stricts["Ainv"]
         if k == m:
             # strict on Ainv is t - 1; the boundary t^2 = 4s meets it at (1, 1/4)
             if strict_inv != Poly(2, {(1, 0): 1, (0, 0): -1}):
@@ -647,14 +583,11 @@ def refdiv_data(n, k):
             )
     else:
         for name, blabel in ((f"A{m}", "B2"), (f"A{m + 1}", "B1")):
-            strict = surface_pullback(n, atlas.chart(name), f)[0]
-            res = _substitute_value(strict, 0, Fraction(0))
-            if res and _ord_at_zero(res) == 0 and len(res) > 1:
+            res = stricts[name].substitute_zero(0).univariate_in(1)
+            if res[0] != 0 and len(res) > 1:
                 notes.append(f"crosses the boundary {blabel} away from E_{m}")
     point = None
-    strict_k = surface_pullback(n, atlas.chart(f"A{k}"), f)[0]
-    res = strict_k.substitute_zero(1)
-    roots = res.univariate_in(0)
+    roots = stricts[f"A{k}"].substitute_zero(1).univariate_in(0)
     if len(roots) == 2:  # linear: single transversal point
         point = str(-roots[0] / roots[1])
     return {
@@ -782,6 +715,18 @@ def _flop_chart_rows(n):
     return rows
 
 
+def _flop_charts(n, names):
+    """The named flop charts, over one copy of the atoms, lattice and rows."""
+    rows = _flop_chart_rows(n)
+    atoms, lattice = _flop_atoms(n), _flop_lattice(n)
+    charts = []
+    for name in names:
+        if name not in rows:
+            raise ValueError(f"n={n}: undefined flop chart {name}")
+        charts.append(Chart(name, atoms, lattice, rows[name], ("c1", "c2", "c3")))
+    return charts
+
+
 @dataclass
 class FlopAtlas:
     n: int
@@ -810,9 +755,6 @@ def stage_chain(n):
 def build_flop_atlas(n, stage):
     """Stage atlas X_{0...i} (odd) or X_{0...i}^{m...(m-j)} (even)."""
     m = half_index(n)
-    rows = _flop_chart_rows(n)
-    atoms = _flop_atoms(n)
-    lattice = _flop_lattice(n)
     if n % 2:
         (i,) = stage
         if not 0 <= i <= m - 1:
@@ -832,20 +774,8 @@ def build_flop_atlas(n, stage):
         if 2 <= m - j + 1 <= m + 2:
             names.append(f"V{m - j + 1}'")
         names += [f"V{k}''" for k in range(max(m - j + 2, 2), m + 4)]
-    charts = []
-    for name in names:
-        if name not in rows:
-            raise ValueError(f"stage {stage} refers to undefined chart {name}")
-        charts.append(
-            Chart(
-                name=name,
-                atoms=atoms,
-                lattice=lattice,
-                rows=rows[name],
-                coord_names=("c1", "c2", "c3"),
-            )
-        )
-    atlas = Atlas(f"stage{stage}(n={n})", atoms, lattice, charts)
+    charts = _flop_charts(n, names)
+    atlas = Atlas(f"stage{stage}(n={n})", charts[0].atoms, charts[0].lattice, charts)
     pc = "f1" if n % 2 else "f1^2"
     tags = []
     for k in range(1, i + 2):
@@ -866,11 +796,7 @@ def build_flop_atlas(n, stage):
 def displayed_gluing(n):
     """The transition displayed for (U_m'', U_{m+1}'): (c1c2, c2^-1, c2c3)."""
     m = half_index(n)
-    rows = _flop_chart_rows(n)
-    atoms = _flop_atoms(n)
-    lattice = _flop_lattice(n)
-    src = Chart(f"U{m}''", atoms, lattice, rows[f"U{m}''"], ("c1", "c2", "c3"))
-    dst = Chart(f"U{m + 1}'", atoms, lattice, rows[f"U{m + 1}'"], ("c1", "c2", "c3"))
+    src, dst = _flop_charts(n, (f"U{m}''", f"U{m + 1}'"))
     trans = transition_exponents(src, dst)
     ok = trans == [(1, 1, 0), (0, -1, 0), (0, 1, 1)] and verify_gluing(src, dst)
     return {"pair": (src.name, dst.name), "transition": trans, "verified": ok}
@@ -879,15 +805,8 @@ def displayed_gluing(n):
 def flop_em(n):
     """The E_m flop replaces the chart pair (U_m'', U_{m+1}') by (U_m', U_{m+1})."""
     m = half_index(n)
-    rows = _flop_chart_rows(n)
-    atoms = _flop_atoms(n)
-    lattice = _flop_lattice(n)
-
-    def mk(name):
-        return Chart(name, atoms, lattice, rows[name], ("c1", "c2", "c3"))
-
-    before = (mk(f"U{m}''"), mk(f"U{m + 1}'"))
-    after = (mk(f"U{m}'"), mk(f"U{m + 1}"))
+    charts = _flop_charts(n, (f"U{m}''", f"U{m + 1}'", f"U{m}'", f"U{m + 1}"))
+    before, after = tuple(charts[:2]), tuple(charts[2:])
     if n % 2:
         after_ok = verify_gluing(*after)
     else:
@@ -900,39 +819,6 @@ def flop_em(n):
         "before_glues": verify_gluing(*before),
         "after_glues": after_ok,
     }
-
-
-def _frac_monomial(chart, alpha):
-    num = Poly.const(1, 3)
-    den = Poly.const(1, 3)
-    for i, e in enumerate(alpha):
-        cn, cd = chart.coord_fraction(i)
-        if e > 0:
-            num, den = num * cn**e, den * cd**e
-        elif e < 0:
-            num, den = num * cd ** (-e), den * cn ** (-e)
-    return num, den
-
-
-def verify_poly_transition(src, dst, combos):
-    """Check dst coordinates against polynomial combinations of src monomials.
-
-    combos maps each dst coordinate index to a list of (coeff, alpha)
-    meaning sum(coeff * prod(src_coords^alpha)); equality is verified by
-    exact cross-multiplication of the ambient expansions.
-    """
-    for j, combo in combos.items():
-        total = (Poly.zero(3), Poly.const(1, 3))
-        for coeff, alpha in combo:
-            num, den = _frac_monomial(src, alpha)
-            total = (
-                total[0] * den + total[1] * num * Poly.const(coeff, 3),
-                total[1] * den,
-            )
-        dn, dd = dst.coord_fraction(j)
-        if total[0] * dd != dn * total[1]:
-            return False
-    return True
 
 
 # the known non-monomial wall crossings, per parity

@@ -26,7 +26,7 @@ class BoundaryData:
     """Reduced boundary components, each with coefficient (m_j - 1)/m_j = 1/2."""
 
     components: tuple  # labels
-    coefficient: Fraction = Fraction(1, 2)
+    coefficient = Fraction(1, 2)  # a class constant, not a field
 
 
 @dataclass
@@ -110,9 +110,9 @@ class CurveConfig:
         }
 
 
-def an_chain(k, prefix="Et"):
-    """A_k chain of (-2)-curves: crepant, no boundary pairings."""
-    labels = [f"{prefix}{i}" for i in range(1, k + 1)]
+def an_chain(k):
+    """A_k chain of (-2)-curves Et_1, ..., Et_k: crepant, no boundary pairings."""
+    labels = [f"Et{i}" for i in range(1, k + 1)]
     cfg = CurveConfig(
         labels=labels,
         q={},

@@ -284,17 +284,6 @@ class Ideal:
         return hash(self.groebner)
 
 
-def buchberger(gens):
-    """Ideal with its reduced basis computed (idempotent by uniqueness)."""
-    ideal = Ideal(gens)
-    _ = ideal.groebner
-    return ideal
-
-
-def normal_form(f, ideal):
-    return ideal.normal_form(f)
-
-
 class Staircase:
     """Standard monomials of a zero-dimensional ideal."""
 

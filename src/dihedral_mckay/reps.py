@@ -180,15 +180,6 @@ def char_table(g):
     return CharTable(g, classes, chars)
 
 
-def regular_character(g):
-    classes = conjugacy_classes(g)
-    n = g.n
-    vals = [
-        CycloElt.from_rational(n, g.order if c.label == "1" else 0) for c in classes
-    ]
-    return Character(g, "reg", vals)
-
-
 def _inner_raw(chi, psi):
     if chi.group != psi.group:
         raise ValueError("characters of different groups")

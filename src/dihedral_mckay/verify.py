@@ -92,11 +92,11 @@ def criterion_3(n_range=None):
     return _result(3, "fixed points", True, "counts and certificates exact")
 
 
-def criterion_4(n_range=None, per_n=200, seed=7):
-    """Cluster quotients have length n on randomized rational points."""
+def criterion_4(n_range=None, seed=7):
+    """Cluster quotients have length n on 200 randomized rational points per n."""
     rng = random.Random(seed)
     for n in _clip(3, 20, n_range):
-        for _ in range(per_n):
+        for _ in range(200):
             i = rng.randint(1, n - 1)
             a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -104,7 +104,7 @@ def criterion_4(n_range=None, per_n=200, seed=7):
                 a = Fraction(1)
             if hilb.cluster_dimension(n, hilb.ClusterPoint(i, a, b)) != n:
                 return _result(4, "cluster lengths", False, f"n={n}, I{i}({a}:{b})")
-    return _result(4, "cluster lengths", True, f"{per_n} random points per n")
+    return _result(4, "cluster lengths", True, "200 random points per n")
 
 
 def criterion_5(n_range=None):

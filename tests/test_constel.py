@@ -16,7 +16,6 @@ from dihedral_mckay.constel import (
     constellation_from_cluster,
     expected_socle,
     off_exceptional_report,
-    opencons_table,
     regular_check,
     socle,
     socle_subspace,
@@ -141,8 +140,6 @@ def test_submodule_closure_examples():
 def test_theta_examples():
     n = 5
     with pytest.raises(ValueError):
-        StabilityParam.make(n, {}, generic=True)
-    with pytest.raises(ValueError):
         StabilityParam.make(n, {"rho0": 1})  # theta(C[G]) != 0
     F = constellation_from_cluster(n, witness_point(n, 1, Fraction(1, 2)))
     # destabilize the socle rho_1: theta(rho1) < 0
@@ -213,16 +210,6 @@ def test_off_exceptional_report():
         rep = off_exceptional_report(n)
         assert rep["regular"]
         assert rep["top"] == {} and rep["socle"] == {}
-
-
-def test_opencons_tables():
-    for n in (4, 6, 8):
-        t = opencons_table(n, "Umpp", Fraction(1, 2))
-        assert t["ratio_identity_verified"]
-        t2 = opencons_table(n, "Um1p", Fraction(3))
-        assert t2["ratio_identity_verified"]
-    with pytest.raises(ValueError):
-        opencons_table(5, "Umpp", Fraction(1, 2))
 
 
 # --- validate fails closed ----------------------------------------------

@@ -27,6 +27,11 @@ CASES = {
     "fold_n6.json": ["fold", "--n", "6"],
     "chain_n5.json": ["chain", "--n", "5"],
     "refdiv_n7_k2.json": ["refdiv", "--n", "7", "--k", "2"],
+    # the even end charts: W_m on A_m and A_(m+1), and W_(m-1), whose far
+    # point on E_(m-1) is the point u = 1 of A_m
+    "refdiv_n6_k3.json": ["refdiv", "--n", "6", "--k", "3"],
+    "refdiv_n8_k3.json": ["refdiv", "--n", "8", "--k", "3"],
+    "refdiv_n8_k4.json": ["refdiv", "--n", "8", "--k", "4"],
     # the character layer: the only artifacts that print CycloElt values
     "chartable_n5.json": ["chartable", "--n", "5", "--format", "json"],
     "chartable_n6.json": ["chartable", "--n", "6", "--format", "json"],

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dihedral_mckay import hilb
 from dihedral_mckay.charts import verify_gluing
@@ -23,10 +25,10 @@ from dihedral_mckay.hilb import (
     refdiv_data,
     stage_chain,
     surface_atlas,
+    swap_xy,
     z2_image,
-    z2_image_ideal_check,
 )
-from dihedral_mckay.polyring import buchberger, parse_poly, staircase
+from dihedral_mckay.polyring import Ideal, Poly, parse_poly, staircase
 
 
 def cp(i, a, b):
@@ -36,7 +38,7 @@ def cp(i, a, b):
 def test_cluster_ideal_n4_matches_explicit_generators():
     # <x^2 + y^2, x^3, xy, y^3> generates the same ideal as I_2(1:-1)
     ideal = cluster_ideal(4, cp(2, 1, -1))
-    other = buchberger(
+    other = Ideal(
         [parse_poly(s) for s in ("x^3", "y^3", "x*y", "x^2 + y^2")]
     )
     assert ideal == other
@@ -76,7 +78,9 @@ def test_z2_image_is_ideal_level_involution():
         for _ in range(6):
             i = rng.randint(1, n - 1)
             p = cp(i, rng.randint(-5, 5), rng.randint(1, 5))
-            assert z2_image_ideal_check(n, p)
+            # x<->y maps the generators of I_p onto generators of I_(g.p)
+            swapped = Ideal([swap_xy(g) for g in cluster_ideal(n, p).generators])
+            assert swapped == cluster_ideal(n, z2_image(n, p))
             assert z2_image(n, z2_image(n, p)) == p.canonical()
 
 
@@ -280,13 +284,59 @@ def test_flop_chart_u1p_definition():
 def test_nonadjacent_flop_charts_do_not_glue():
     # every U3' coordinate IS a Laurent monomial in U1'' coordinates, but
     # the transition inverts two of them, so it is not a wall crossing
-    from dihedral_mckay.charts import Chart, transition_exponents
-    from dihedral_mckay.hilb import _flop_atoms, _flop_chart_rows, _flop_lattice
+    from dihedral_mckay.charts import transition_exponents
+    from dihedral_mckay.hilb import _flop_charts
 
     for n in (5, 7):
-        rows = _flop_chart_rows(n)
-        atoms, lat = _flop_atoms(n), _flop_lattice(n)
-        a = Chart("U1''", atoms, lat, rows["U1''"], ("c1", "c2", "c3"))
-        b = Chart("U3'", atoms, lat, rows["U3'"], ("c1", "c2", "c3"))
+        a, b = _flop_charts(n, ("U1''", "U3'"))
         assert transition_exponents(a, b) is not None
         assert not verify_gluing(a, b)
+
+
+def _end_chart_images(n, name):
+    """Images of (xy, f1^2, f2^2) in the coordinates (u, w) of an end chart,
+    by plain Poly arithmetic: xy = (1 - u)w/4 on A_m and (u - 1)w/4 on
+    A_(m+1), where f1^2 and f2^2 trade places."""
+    m = half_index(n)
+    u, w, one = Poly.var("x"), Poly.var("y"), Poly.const(1)
+    sign = 1 if name == f"A{m}" else -1
+    s = (one - u) * w * Fraction(sign, 4)
+    base = s ** (m - 1) * w
+    f1, f2 = (base, u * base) if sign == 1 else (u * base, base)
+    return s, f1, f2
+
+
+ATOM_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(2, 8).map(lambda h: 2 * h), st.booleans(), ATOM_TERMS)
+def test_end_chart_pullback_matches_substitution(n, last, terms):
+    m = half_index(n)
+    name = f"A{m + 1}" if last else f"A{m}"
+    chart = surface_atlas(n).chart(name)
+    f = Poly(3, terms)
+    s, f1, f2 = _end_chart_images(n, name)
+    reference = Poly.zero()
+    for (a, b, c), coeff in f.terms.items():
+        reference = reference + coeff * s**a * f1**b * f2**c
+    assume(not reference.is_zero())  # a multiple of f1^2 - f2^2 - 4(xy)^m
+    strict, orders = hilb.surface_pullback(n, chart, f)
+    u, w = Poly.var("x"), Poly.var("y")
+    factor = (
+        u ** orders[chart.meta["boundary_axis"][1]]
+        * w ** orders[f"E{m}"]
+        * (u - Poly.const(1)) ** orders[f"E{m - 1}"]
+    )
+    assert factor * strict == reference
+    assert any(mono[0] == 0 for mono in strict.terms)  # not divisible by u
+    assert any(mono[1] == 0 for mono in strict.terms)  # not divisible by w
+    at_one = {}  # strict(1, w), coefficient by power of w
+    for (_, j), c in strict.terms.items():
+        at_one[j] = at_one.get(j, 0) + c
+    assert any(at_one.values())  # not divisible by u - 1

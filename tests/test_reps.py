@@ -13,9 +13,18 @@ from dihedral_mckay.reps import (
     induce,
     inner_product,
     mckay_quiver,
-    regular_character,
     restrict,
 )
+
+
+def regular_character(g):
+    """|G| at the identity class, 0 elsewhere."""
+    vals = [
+        CycloElt.from_rational(g.n, g.order if c.label == "1" else 0)
+        for c in conjugacy_classes(g)
+    ]
+    return Character(g, "reg", vals)
+
 
 # --- numeric oracle: the dihedral group as explicit elements -------------
 

@@ -17,3 +17,39 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _references(tree, skip):
+    """Identifiers loaded as names or attributes in tree, outside the node skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_public_definition_is_used_in_the_package():
+    """Code that only tests call is dead weight: each public module-level
+    function or class must be referenced somewhere in the package outside
+    its own definition."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(dihedral_mckay.__file__).parent.glob("*.py"))
+    }
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            if not any(node.name in _references(t, node) for t in trees.values()):
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    assert not unused, f"public definitions nothing in the package uses: {unused}"
