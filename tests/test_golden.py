@@ -25,6 +25,9 @@ CASES = {
     "strict-transforms_n5.json": ["strict-transforms", "--n", "5"],
     "strict-transforms_n6.json": ["strict-transforms", "--n", "6"],
     "fold_n6.json": ["fold", "--n", "6"],
+    # odd n: the X1 count with the invariant-chart tangency check
+    "fold_n9.json": ["fold", "--n", "9"],
+    "strict-transforms_n7.json": ["strict-transforms", "--n", "7"],
     "chain_n5.json": ["chain", "--n", "5"],
     "refdiv_n7_k2.json": ["refdiv", "--n", "7", "--k", "2"],
     # the even end charts: W_m on A_m and A_(m+1), and W_(m-1), whose far
@@ -32,6 +35,8 @@ CASES = {
     "refdiv_n6_k3.json": ["refdiv", "--n", "6", "--k", "3"],
     "refdiv_n8_k3.json": ["refdiv", "--n", "8", "--k", "3"],
     "refdiv_n8_k4.json": ["refdiv", "--n", "8", "--k", "4"],
+    # odd n, k = m: the far point of the last curve lies on Ainv
+    "refdiv_n9_k4.json": ["refdiv", "--n", "9", "--k", "4"],
     # the character layer: the only artifacts that print CycloElt values
     "chartable_n5.json": ["chartable", "--n", "5", "--format", "json"],
     "chartable_n6.json": ["chartable", "--n", "6", "--format", "json"],
