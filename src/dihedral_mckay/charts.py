@@ -7,11 +7,12 @@ Hilbert-scheme atlas uses x, y) or designated polynomial expressions
 atom carries its ambient expansion as a Poly so monomial identities can
 be re-verified by exact polynomial cross-multiplication.
 
-Charts of one atlas share the atom alphabet and a lattice of allowed
-exponent vectors (the invariant monomials).  Unimodularity is checked
-relative to that lattice: expressed in a lattice basis, a chart's
-exponent matrix has |det| = 1 (square case) or unit gcd of maximal
-minors (primitive embedding).
+An atlas owns the atom alphabet and a basis of the lattice of allowed
+exponent vectors (the invariant monomials); every chart of the atlas is
+over the same atoms.  The atlas solves its lattice basis once and checks
+each chart against it: expressed in that basis, a chart's exponent
+matrix has |det| = 1 (square case) or unit gcd of maximal minors
+(primitive embedding).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class CurveContainsAxis(ValueError):
 
 
 class NotUnimodular(ValueError):
-    """Chart exponent matrix is not unimodular relative to the atlas lattice."""
+    """Chart exponent matrix is not unimodular relative to the atlas lattice,
+    or the chart is over other atoms than its atlas."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,6 @@ class Chart:
 
     name: str
     atoms: tuple  # tuple[Atom]
-    lattice: tuple  # lattice basis rows over atom exponents
     rows: tuple  # one exponent vector per coordinate
     coord_names: tuple
     exceptional_axes: dict = field(default_factory=dict)  # coord index -> label
@@ -92,30 +93,9 @@ class Chart:
 
     def __post_init__(self):
         self.rows = tuple(tuple(r) for r in self.rows)
-        self.lattice = tuple(tuple(r) for r in self.lattice)
         if len(self.coord_names) != len(self.rows):
             raise ValueError("coordinate name count mismatch")
-        self.validate_unimodular()
         self._echelon = solver(self.rows)
-
-    def validate_unimodular(self):
-        lattice = solver(self.lattice)
-        rel = []
-        for row in self.rows:
-            alpha = _solve_int(self.lattice, lattice, row)
-            if alpha is None:
-                raise NotUnimodular(
-                    f"{self.name}: coordinate {row} is outside the atlas lattice"
-                )
-            rel.append(alpha)
-        k, r = len(rel), len(self.lattice)
-        if k == r:
-            d = abs(det(rel))
-            if d != 1:
-                raise NotUnimodular(f"{self.name}: |det| = {d} != 1")
-        else:
-            if _max_minor_gcd(rel) != 1:
-                raise NotUnimodular(f"{self.name}: embedding not primitive")
 
     def coord_fraction(self, i):
         """(numerator, denominator) ambient polynomials of coordinate i."""
@@ -199,9 +179,7 @@ def restrict_to_axis(curve, axis_index):
 
 def local_intersection(curve, axis_index):
     """Total vanishing multiplicity of the curve along the axis (finite part)."""
-    coeffs = restrict_to_axis(curve, axis_index)
-    deg = len(coeffs) - 1
-    return deg
+    return len(restrict_to_axis(curve, axis_index)) - 1
 
 
 def axis_root_report(curve, axis_index):
@@ -288,11 +266,37 @@ def verify_gluing(a, b):
 
 @dataclass
 class Atlas:
+    """Charts over one atom alphabet, each unimodular against one lattice."""
+
     name: str
     atoms: tuple
-    lattice: tuple
+    lattice: tuple  # lattice basis rows over atom exponents
     charts: list
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.lattice = tuple(tuple(r) for r in self.lattice)
+        self.validate_unimodular()
+
+    def validate_unimodular(self):
+        basis = solver(self.lattice)
+        for chart in self.charts:
+            if chart.atoms != self.atoms:
+                raise NotUnimodular(f"{chart.name}: atoms differ from the atlas atoms")
+            rel = []
+            for row in chart.rows:
+                alpha = _solve_int(self.lattice, basis, row)
+                if alpha is None:
+                    raise NotUnimodular(
+                        f"{chart.name}: coordinate {row} is outside the atlas lattice"
+                    )
+                rel.append(alpha)
+            if len(rel) == len(self.lattice):
+                d = abs(det(rel))
+                if d != 1:
+                    raise NotUnimodular(f"{chart.name}: |det| = {d} != 1")
+            elif _max_minor_gcd(rel) != 1:
+                raise NotUnimodular(f"{chart.name}: embedding not primitive")
 
     def chart(self, name):
         for c in self.charts:

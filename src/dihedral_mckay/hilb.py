@@ -28,6 +28,7 @@ from .charts import (
     axis_root_report,
     local_intersection,
     pullback_orders,
+    restrict_to_axis,
     transition_exponents,
     verify_gluing,
     verify_poly_transition,
@@ -158,7 +159,6 @@ def hilb_atlas(n):
             Chart(
                 name=f"U{i}",
                 atoms=atoms,
-                lattice=lattice,
                 rows=((i, i - n), (1 - i, n + 1 - i)),
                 coord_names=(f"x^{i}/y^{n - i}", f"y^{n + 1 - i}/x^{i - 1}"),
                 exceptional_axes=axes,
@@ -169,7 +169,7 @@ def hilb_atlas(n):
             f"Et{i}": f"(x^{i} : y^{n - i})" for i in range(1, n)
         }
     }
-    return Atlas(name=f"X1(n={n})", atoms=atoms, lattice=lattice, charts=charts, meta=meta)
+    return Atlas(f"X1(n={n})", atoms, lattice, charts, meta)
 
 
 def axis_point(n, chart_index, axis_index, root):
@@ -234,24 +234,33 @@ def boundary_strict_transforms(n):
     return out
 
 
+def _count_meetings(label, own, far, far_axis):
+    """Meetings of a strict transform with the curve {w = 0} of its own
+    chart (coordinate u), plus its order at the curve's far point: the
+    origin of the next chart's strict transform restricted to far_axis."""
+    try:
+        near = local_intersection(LocalCurve(label, own, "own strict transform"), 1)
+        at_far = restrict_to_axis(LocalCurve(label, far, "far strict transform"), far_axis)
+    except ValueError as exc:
+        raise CertificateFailure(f"{label}: {exc}") from exc
+    return near + next(k for k, c in enumerate(at_far) if c != 0)
+
+
 def _x1_reduced_boundary_restrictions(n, per_chart):
     """B~ . Et_j for the reduced boundary curve, by canonical counting.
 
-    per_chart is one label's entry of ``_boundary_pullbacks(n)``.
+    per_chart is one label's entry of ``_boundary_pullbacks(n)``; Et_j is
+    {v = 0} on U_j and its far point is the origin of U_(j+1).
     """
     counts = {}
     for j in range(1, n):
-        # finite part on chart U_j, axis {v = 0}
-        _, strict, _ = per_chart[f"U{j}"]
-        total = len(strict.substitute_zero(1).univariate_in(0)) - 1
-        # corner contribution from chart U_{j+1}: ord at v=0 of strict|_{u=0}
-        _, strict, _ = per_chart[f"U{j + 1}"]
-        res = strict.substitute_zero(0)
-        if res.is_zero():
-            raise ValueError("boundary contains an exceptional curve")
-        total += _ord_at_zero(res.univariate_in(1))
+        total = _count_meetings(
+            f"Et{j}", per_chart[f"U{j}"][1], per_chart[f"U{j + 1}"][1], 0
+        )
         if total % 2 != 0:
-            raise ValueError("squared boundary should meet with even multiplicity")
+            raise CertificateFailure(
+                f"squared boundary meets Et{j} with odd multiplicity {total}"
+            )
         counts[f"Et{j}"] = total // 2
     return counts
 
@@ -319,43 +328,14 @@ def surface_atlas(n):
     """
     m = half_index(n)
     f1, f2, _ = _binomials(n)
+    xy = Atom("xy", Poly.var("x") * Poly.var("y"))
     if n % 2:
-        atoms = (Atom("xy", Poly.var("x") * Poly.var("y")), Atom("f1", f1))
-        lattice = ((1, 0), (0, 1))
-        charts = []
-        for i in range(1, m + 1):
-            axes = {1: f"E{i}"}
-            if i >= 2:
-                axes[0] = f"E{i - 1}"
-            charts.append(
-                Chart(
-                    name=f"A{i}",
-                    atoms=atoms,
-                    lattice=lattice,
-                    rows=((i, -1), (1 - i, 1)),
-                    coord_names=(f"(xy)^{i}/f1", f"f1/(xy)^{i - 1}"),
-                    exceptional_axes=axes,
-                )
-            )
-        charts.append(
-            Chart(
-                name="Ainv",
-                atoms=atoms,
-                lattice=lattice,
-                rows=((-m, 1), (1, 0)),
-                coord_names=(f"f1/(xy)^{m}", "xy"),
-                exceptional_axes={1: f"E{m}"},
-            )
-        )
-        return Atlas(f"Y1(n={n})", atoms, lattice, charts)
-    atoms = (
-        Atom("xy", Poly.var("x") * Poly.var("y")),
-        Atom("f1^2", f1 * f1),
-        Atom("f2^2", f2 * f2),
-    )
-    lattice = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        atoms, pc, pad, last = (xy, Atom("f1", f1)), "f1", (), m
+    else:
+        atoms = (xy, Atom("f1^2", f1 * f1), Atom("f2^2", f2 * f2))
+        pc, pad, last = "f1^2", (0,), m - 1
     charts = []
-    for i in range(1, m):
+    for i in range(1, last + 1):
         axes = {1: f"E{i}"}
         if i >= 2:
             axes[0] = f"E{i - 1}"
@@ -363,34 +343,40 @@ def surface_atlas(n):
             Chart(
                 name=f"A{i}",
                 atoms=atoms,
-                lattice=lattice,
-                rows=((i, -1, 0), (1 - i, 1, 0)),
-                coord_names=(f"(xy)^{i}/f1^2", f"f1^2/(xy)^{i - 1}"),
+                rows=((i, -1, *pad), (1 - i, 1, *pad)),
+                coord_names=(f"(xy)^{i}/{pc}", f"{pc}/(xy)^{i - 1}"),
                 exceptional_axes=axes,
             )
         )
-    charts.append(
-        Chart(
-            name=f"A{m}",
-            atoms=atoms,
-            lattice=lattice,
-            rows=((0, -1, 1), (1 - m, 1, 0)),
-            coord_names=("f2^2/f1^2", f"f1^2/(xy)^{m - 1}"),
-            exceptional_axes={1: f"E{m}"},
-            meta={"boundary_axis": (0, "B2"), "unit_shift_divisor": (0, f"E{m - 1}")},
+    if n % 2:
+        charts.append(
+            Chart(
+                name="Ainv",
+                atoms=atoms,
+                rows=((-m, 1), (1, 0)),
+                coord_names=(f"f1/(xy)^{m}", "xy"),
+                exceptional_axes={1: f"E{m}"},
+            )
         )
-    )
-    charts.append(
-        Chart(
-            name=f"A{m + 1}",
-            atoms=atoms,
-            lattice=lattice,
-            rows=((0, 1, -1), (1 - m, 0, 1)),
-            coord_names=("f1^2/f2^2", f"f2^2/(xy)^{m - 1}"),
-            exceptional_axes={1: f"E{m}"},
-            meta={"boundary_axis": (0, "B1"), "unit_shift_divisor": (0, f"E{m - 1}")},
-        )
-    )
+    else:
+        for name, rows, p, q, boundary in (
+            (f"A{m}", ((0, -1, 1), (1 - m, 1, 0)), "f1^2", "f2^2", "B2"),
+            (f"A{m + 1}", ((0, 1, -1), (1 - m, 0, 1)), "f2^2", "f1^2", "B1"),
+        ):
+            charts.append(
+                Chart(
+                    name=name,
+                    atoms=atoms,
+                    rows=rows,
+                    coord_names=(f"{q}/{p}", f"{p}/(xy)^{m - 1}"),
+                    exceptional_axes={1: f"E{m}"},
+                    meta={
+                        "boundary_axis": (0, boundary),
+                        "unit_shift_divisor": (0, f"E{m - 1}"),
+                    },
+                )
+            )
+    lattice = [[int(a is b) for b in atoms] for a in atoms]  # all atom monomials
     return Atlas(f"Y1(n={n})", atoms, lattice, charts)
 
 
@@ -505,8 +491,7 @@ def surface_pullback(n, chart, f):
         return _pullback_even_end(n, chart, f)
     if n % 2 == 0:
         f = _eliminate_f2sq(n, f)
-    strict, orders = pullback_orders(chart, f)
-    return strict, orders
+    return pullback_orders(chart, f)
 
 
 def refdiv_curve(n, k):
@@ -536,31 +521,15 @@ def curve_intersections_on_surface(n, stricts):
     m = half_index(n)
     counts = {}
     for j in range(1, m + 1):
-        total = 0
-        own = stricts[f"A{j}"]
-        res = own.substitute_zero(1)
-        if res.is_zero():
-            raise ValueError(f"curve contains E{j}")
-        total += len(res.univariate_in(0)) - 1
-        # far-point contribution
         if j < m:
-            nxt = stricts[f"A{j + 1}"]
+            far, axis = stricts[f"A{j + 1}"], 0
             if n % 2 == 0 and j + 1 == m:
                 # E_(m-1) appears in Am as {u = 1}; far point is (1, 0)
-                nxt = _reflect(nxt)
-            total += _ord_at_zero(nxt.substitute_zero(0).univariate_in(1))
+                far = _reflect(far)
         else:
-            last = stricts["Ainv" if n % 2 else f"A{m + 1}"]
-            sub = last.substitute_zero(1)
-            total += _ord_at_zero(sub.univariate_in(0))
-        counts[f"E{j}"] = total
+            far, axis = stricts["Ainv" if n % 2 else f"A{m + 1}"], 1
+        counts[f"E{j}"] = _count_meetings(f"E{j}", stricts[f"A{j}"], far, axis)
     return counts
-
-
-def _ord_at_zero(coeffs):
-    if not coeffs or all(c == 0 for c in coeffs):
-        raise ValueError("identically zero restriction")
-    return next(k for k, c in enumerate(coeffs) if c != 0)
 
 
 def refdiv_data(n, k):
@@ -715,16 +684,16 @@ def _flop_chart_rows(n):
     return rows
 
 
-def _flop_charts(n, names):
-    """The named flop charts, over one copy of the atoms, lattice and rows."""
+def _flop_atlas(n, label, names):
+    """Atlas of the named flop charts, over one copy of the atoms and rows."""
     rows = _flop_chart_rows(n)
-    atoms, lattice = _flop_atoms(n), _flop_lattice(n)
+    atoms = _flop_atoms(n)
     charts = []
     for name in names:
         if name not in rows:
             raise ValueError(f"n={n}: undefined flop chart {name}")
-        charts.append(Chart(name, atoms, lattice, rows[name], ("c1", "c2", "c3")))
-    return charts
+        charts.append(Chart(name, atoms, rows[name], ("c1", "c2", "c3")))
+    return Atlas(f"{label}(n={n})", atoms, _flop_lattice(n), charts)
 
 
 @dataclass
@@ -774,8 +743,7 @@ def build_flop_atlas(n, stage):
         if 2 <= m - j + 1 <= m + 2:
             names.append(f"V{m - j + 1}'")
         names += [f"V{k}''" for k in range(max(m - j + 2, 2), m + 4)]
-    charts = _flop_charts(n, names)
-    atlas = Atlas(f"stage{stage}(n={n})", charts[0].atoms, charts[0].lattice, charts)
+    atlas = _flop_atlas(n, f"stage{stage}", names)
     pc = "f1" if n % 2 else "f1^2"
     tags = []
     for k in range(1, i + 2):
@@ -796,7 +764,7 @@ def build_flop_atlas(n, stage):
 def displayed_gluing(n):
     """The transition displayed for (U_m'', U_{m+1}'): (c1c2, c2^-1, c2c3)."""
     m = half_index(n)
-    src, dst = _flop_charts(n, (f"U{m}''", f"U{m + 1}'"))
+    src, dst = _flop_atlas(n, "displayed", (f"U{m}''", f"U{m + 1}'")).charts
     trans = transition_exponents(src, dst)
     ok = trans == [(1, 1, 0), (0, -1, 0), (0, 1, 1)] and verify_gluing(src, dst)
     return {"pair": (src.name, dst.name), "transition": trans, "verified": ok}
@@ -805,7 +773,7 @@ def displayed_gluing(n):
 def flop_em(n):
     """The E_m flop replaces the chart pair (U_m'', U_{m+1}') by (U_m', U_{m+1})."""
     m = half_index(n)
-    charts = _flop_charts(n, (f"U{m}''", f"U{m + 1}'", f"U{m}'", f"U{m + 1}"))
+    charts = _flop_atlas(n, "flop", (f"U{m}''", f"U{m + 1}'", f"U{m}'", f"U{m + 1}")).charts
     before, after = tuple(charts[:2]), tuple(charts[2:])
     if n % 2:
         after_ok = verify_gluing(*after)

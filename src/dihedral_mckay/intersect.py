@@ -171,7 +171,7 @@ def z2_fold(chain, n):
             lab: Fraction(row[f"E{i}"]) for lab, row in sorted(bnums.items())
         }
     if not cfg.adjunction_holds():
-        raise AssertionError("adjunction failed after fold")
+        raise hilb.CertificateFailure(f"n={n}: adjunction fails after the fold")
     # special points: chain corners plus boundary incidences on the last curve
     for i in range(1, m):
         cfg.points.append(
@@ -242,8 +242,8 @@ def domination_chain(n):
             if cfg.pair(a, a) == -1 and cfg.k_dot[a] == -1
         ]
         if len(contractible) != 1:
-            raise AssertionError(
-                f"expected exactly one (-1)-curve, found {contractible}"
+            raise hilb.CertificateFailure(
+                f"n={n}: expected exactly one (-1)-curve, found {contractible}"
             )
         cfg = blow_down(cfg, contractible[0])
         out.append(cfg)
@@ -368,7 +368,7 @@ def embedded_resolution_chain(n):
             if blowup_discrepancy(bdry, sum(p.boundary.values()), priors) <= 0:
                 centers.append(p)
         if len(centers) != 1:
-            raise AssertionError(f"expected one forced center, got {len(centers)}")
+            raise hilb.CertificateFailure(f"n={n}: {len(centers)} forced centers, not one")
         cfg = blow_up_at(cfg, bdry, centers[0], new_label=f"E{step}")
         # after the blow-up the boundary strict transform separates from
         # the new curve except at the next center; recompute its record

@@ -18,12 +18,14 @@ from . import hilb, intersect
 from .reps import GroupSpec, char_table, decompose, induce, restrict
 
 
-class IdentityViolation(AssertionError):
-    pass
+class IdentityViolation(Exception):
+    """A ledger or push-forward identity fails: an internal failure, not an
+    AssertionError or a ValueError (see hilb.CertificateFailure)."""
 
 
-class CrossCheckFailure(AssertionError):
-    pass
+class CrossCheckFailure(Exception):
+    """The chart data and the socle tables disagree; an internal failure,
+    not an AssertionError or a ValueError (see hilb.CertificateFailure)."""
 
 
 @dataclass(frozen=True)

@@ -3,19 +3,27 @@ from fractions import Fraction
 import pytest
 
 from dihedral_mckay.charts import (
+    Atlas,
     Atom,
     Chart,
     CurveContainsAxis,
     LocalCurve,
     NoIntegerSolution,
     NotInChart,
+    NotUnimodular,
     axis_root_report,
     express_monomial,
     local_intersection,
     pullback_orders,
     verify_gluing,
 )
-from dihedral_mckay.hilb import hilb_atlas, boundary_equations
+from dihedral_mckay.hilb import (
+    boundary_equations,
+    build_flop_atlas,
+    hilb_atlas,
+    stage_chain,
+    surface_atlas,
+)
 from dihedral_mckay.polyring import Poly, parse_poly
 
 XY_ATOMS = (Atom("x", Poly.var("x")), Atom("y", Poly.var("y")))
@@ -23,7 +31,7 @@ ID2 = ((1, 0), (0, 1))
 
 
 def identity_chart():
-    return Chart("id", XY_ATOMS, ID2, ((1, 0), (0, 1)), ("x", "y"))
+    return Chart("id", XY_ATOMS, ((1, 0), (0, 1)), ("x", "y"))
 
 
 def test_identity_chart_express():
@@ -60,6 +68,45 @@ def test_unimodularity_of_atlases():
         assert len(atlas.charts) == n  # construction already validates |det| = 1
 
 
+def test_every_built_atlas_passes_its_lattice_check():
+    for n in range(3, 13):
+        atlases = [hilb_atlas(n), surface_atlas(n)]
+        atlases += [build_flop_atlas(n, stage).atlas for stage in stage_chain(n)]
+        for atlas in atlases:
+            atlas.validate_unimodular()  # raises NotUnimodular on a bad chart
+            assert all(c.atoms == atlas.atoms for c in atlas.charts)
+
+
+XYZ_ATOMS = tuple(Atom(v, Poly.var(v, 3)) for v in "xyz")
+ID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "atoms, lattice, chart_atoms, rows, message",
+    [
+        # x alone is not an invariant monomial of the order-4 X1 lattice
+        (
+            XY_ATOMS,
+            ((1, 1), (0, 4)),
+            XY_ATOMS,
+            ((1, 0), (0, 1)),
+            r"coordinate \(1, 0\) is outside the atlas lattice",
+        ),
+        (XY_ATOMS, ID2, XY_ATOMS, ((2, 0), (0, 1)), r"\|det\| = 2 != 1"),
+        # both rows lie in the index-2 sublattice 2Z + Z of the (x, y) plane
+        (XYZ_ATOMS, ID3, XYZ_ATOMS, ((2, 0, 0), (0, 1, 0)), "embedding not primitive"),
+        (XY_ATOMS, ID2, XY_ATOMS[::-1], ID2, "atoms differ from the atlas atoms"),
+    ],
+    ids=["outside-lattice", "det-2", "not-primitive", "other-atoms"],
+)
+def test_atlas_rejects_a_chart_that_is_not_unimodular(atoms, lattice, chart_atoms, rows, message):
+    names = tuple(f"c{i}" for i in range(len(rows)))
+    good = Chart("good", atoms, lattice[: len(rows)], names)
+    bad = Chart("bad", chart_atoms, rows, names)
+    with pytest.raises(NotUnimodular, match=f"^bad: {message}"):
+        Atlas("a", atoms, lattice, [good, bad])
+
+
 def test_pullback_b1_even():
     # B1-hat = (x^(n/2) + y^(n/2))^2 on U_(n/2): strict (u+1)^2
     for n in (4, 6, 8):
@@ -93,7 +140,7 @@ def test_pullback_pole_raises():
         # x is not an invariant monomial: no integer solution on U2
         pullback_orders(atlas.chart("U2"), Poly.mono((1, 0)))
     # genuine pole: y = v/u on the chart (u, v) = (x, xy)
-    c = Chart("p", XY_ATOMS, ID2, ((1, 0), (1, 1)), ("u", "v"))
+    c = Chart("p", XY_ATOMS, ((1, 0), (1, 1)), ("u", "v"))
     with pytest.raises(NotInChart):
         pullback_orders(c, Poly.var("y"))
 

@@ -161,6 +161,41 @@ def test_boundary_intersection_numbers():
     assert nums9["B3"] == {f"E{i}": (2 if i == 4 else 0) for i in range(1, 5)}
 
 
+def test_boundary_intersection_numbers_closed_form():
+    # B1 = B2 = delta_(i,m) for even n, B3 = 2 delta_(i,m) for odd n
+    for n in range(3, 31):
+        m = half_index(n)
+        delta = {f"E{i}": (1 if i == m else 0) for i in range(1, m + 1)}
+        if n % 2:
+            want = {"B3": {e: 2 * v for e, v in delta.items()}}
+        else:
+            want = {"B1": delta, "B2": delta}
+        assert boundary_intersection_numbers(n) == want, n
+
+
+def test_refdiv_intersections_are_kronecker_deltas():
+    for n in range(9, 17):
+        m = half_index(n)
+        for k in range(1, m + 1):
+            want = {f"E{j}": (1 if j == k else 0) for j in range(1, m + 1)}
+            assert refdiv_data(n, k)["intersections"] == want, (n, k)
+
+
+def test_curve_meeting_count_fails_closed():
+    x, y = Poly.var("x"), Poly.var("y")
+    one = Poly.const(1)
+    # a strict transform that contains the curve {w = 0} is no strict transform
+    with pytest.raises(CertificateFailure, match="E1: own strict transform"):
+        hilb._count_meetings("E1", x * y, one, 0)
+    with pytest.raises(CertificateFailure, match="E1: far strict transform"):
+        hilb._count_meetings("E1", one, x, 0)
+    # a squared boundary meets each Et_j with even multiplicity
+    per_chart = {"U1": (None, x - one, None), "U2": (None, one, None)}
+    with pytest.raises(CertificateFailure, match="odd multiplicity 1"):
+        hilb._x1_reduced_boundary_restrictions(2, per_chart)
+    assert hilb._count_meetings("E1", (x - one) ** 2, y ** 3 + x, 0) == 5
+
+
 def test_surface_atlas_gluings():
     for n in (5, 7, 9):
         atlas = surface_atlas(n)
@@ -285,10 +320,10 @@ def test_nonadjacent_flop_charts_do_not_glue():
     # every U3' coordinate IS a Laurent monomial in U1'' coordinates, but
     # the transition inverts two of them, so it is not a wall crossing
     from dihedral_mckay.charts import transition_exponents
-    from dihedral_mckay.hilb import _flop_charts
+    from dihedral_mckay.hilb import _flop_atlas
 
     for n in (5, 7):
-        a, b = _flop_charts(n, ("U1''", "U3'"))
+        a, b = _flop_atlas(n, "pair", ("U1''", "U3'")).charts
         assert transition_exponents(a, b) is not None
         assert not verify_gluing(a, b)
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_mckay.hilb import half_index
+from dihedral_mckay import intersect
+from dihedral_mckay.hilb import CertificateFailure, half_index
 from dihedral_mckay.intersect import (
     CurveConfig,
     NotContractible,
@@ -192,3 +193,21 @@ def test_negative_definite_matches_leading_minors(m):
         (-1) ** t * det([row[:t] for row in m[:t]]) > 0 for t in range(1, len(m) + 1)
     )
     assert cfg.negative_definite() is want
+
+
+def test_fold_and_chains_fail_closed(monkeypatch):
+    """A broken fold or chain raises the internal CertificateFailure, which
+    ``python -O`` keeps and a ValueError handler does not catch."""
+    with monkeypatch.context() as patch:
+        patch.setattr(CurveConfig, "adjunction_holds", lambda self: False)
+        with pytest.raises(CertificateFailure, match="adjunction fails after the fold"):
+            fold(5)
+    with monkeypatch.context() as patch:
+        # two (-2)-curves with K.E = 0: nothing to contract
+        patch.setattr(intersect, "z2_fold", lambda chain, n: an_chain(2))
+        with pytest.raises(CertificateFailure, match=r"exactly one \(-1\)-curve, found \[\]"):
+            domination_chain(5)
+    with monkeypatch.context() as patch:
+        patch.setattr(intersect, "blowup_discrepancy", lambda *args: Fraction(1))
+        with pytest.raises(CertificateFailure, match="0 forced centers, not one"):
+            embedded_resolution_chain(5)

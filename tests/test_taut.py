@@ -114,6 +114,13 @@ def test_pushforward_identities():
         assert report  # raises IdentityViolation on failure
 
 
+def test_identity_violation_fails_closed(monkeypatch):
+    assert not issubclass(taut.IdentityViolation, (AssertionError, ValueError))
+    monkeypatch.setattr(taut, "decompose", lambda chi: {})
+    with pytest.raises(taut.IdentityViolation, match=r"Ind eps0 = \{\}"):
+        pushforward_identities(4)
+
+
 def test_fm_table_rows():
     t4 = fm_table(4)
     by = {e["rep"]: e for e in t4}
@@ -139,6 +146,14 @@ def test_fm_cross_check_rejects_a_socle_at_the_excluded_point():
     b1["socle"] = {**b1["socle"], "rho2": 1}  # rho2 carries the twist -B1
     with pytest.raises(taut.CrossCheckFailure, match="rho2: should be excluded at B1"):
         fm_cross_check(4, rows)
+
+
+def test_refdivisor_certify_fails_closed(monkeypatch):
+    assert not issubclass(taut.CrossCheckFailure, (AssertionError, ValueError))
+    wrong = {"intersections": {"E1": 1, "E2": 1}}
+    monkeypatch.setattr(taut.hilb, "refdiv_data", lambda n, k: wrong)
+    with pytest.raises(taut.CrossCheckFailure, match="W_1 pairings"):
+        refdivisor_certify(5, 1)
 
 
 def test_refdivisor_certify():
