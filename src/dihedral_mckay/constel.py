@@ -1,8 +1,9 @@
 """D_2n-constellations as explicit modules with group action.
 
 A constellation is a 2n-dimensional C[x,y]-module with a D_2n action
-whose total character is the regular character.  Witnesses come from
-cluster points of the order-n Hilbert scheme:
+whose total character is the regular character.  Every witness is a
+two-row module C[x,y]/I (+) C[x,y]/I' from one builder, at a cluster
+point of the order-n Hilbert scheme:
 
 * generic point p: the module is C[x,y]/I_p (+) C[x,y]/I_{g.p} with tau
   swapping the summands;
@@ -14,9 +15,9 @@ sigma is never a matrix: basis vectors carry integer weights mod n
 (x raises the weight by one, y lowers it, tau negates it) and all
 sigma-traces are assembled in the group ring.
 
-x, y and tau are stored as sparse columns: column j is a dict
-{row index: Fraction} holding the nonzero entries of the image of basis
-vector j (a few per column, never a dense dim x dim matrix).  Subspaces
+``Constellation`` takes x, y and tau as sparse columns only: column j is
+a dict {row index: Fraction} holding the nonzero entries of the image of
+basis vector j (a few per column, never a dense dim x dim matrix).  Subspaces
 are spanned by sparse {index: Fraction} vectors, kept in a per-weight
 echelon form.  A character is computed in one pass per conjugacy class:
 rotation classes add integer multiplicities at exponent power*w mod n,
@@ -35,12 +36,8 @@ from .polyring import Ideal, Poly, staircase
 from .reps import Character, GroupSpec, char_table, conjugacy_classes, decompose
 
 
-class WrongDimension(ValueError):
-    pass
-
-
 class InvalidConstellation(Exception):
-    """A module fails a structural certificate (relations or weights).
+    """A module fails a structural certificate (shape, relations or weights).
 
     Not an AssertionError: the check is a raise, which ``python -O`` keeps.
     Not a ValueError: the package raises ValueError for bad input, and a
@@ -51,8 +48,9 @@ class InvalidConstellation(Exception):
 
 TWISTS = ("delta0", "delta1")
 # delta1 carries the pullback action tau.v = v o tau (the convention that
-# reproduces the stated stacky socles); delta0 is its sign flip.
-_TWIST_SIGN = {"delta0": Fraction(-1), "delta1": Fraction(1)}
+# reproduces the stated stacky socles); delta0 is its sign flip.  Row r of
+# a fixed-point module carries TWISTS[r], so tau acts on it by _TWIST_SIGNS[r].
+_TWIST_SIGNS = (Fraction(-1), Fraction(1))
 
 
 def _weight(mono, n):
@@ -60,46 +58,30 @@ def _weight(mono, n):
 
 
 class Constellation:
-    def __init__(
-        self, n, basis, x_action, y_action, tau_action, twist=None, label="", _columns=False
-    ):
-        """x, y and tau as dense row-major dim x dim matrices.
-
-        They are converted once to sparse columns.  ``_columns=True`` is
-        the trusted path of ``_from_columns``: the actions already are
-        sparse columns without zero entries.
-        """
+    def __init__(self, n, basis, x_action, y_action, tau_action, twist=None, label=""):
+        """x, y and tau as sparse columns: column j holds the nonzero
+        entries of the image of basis vector j as {row index: Fraction}."""
         self.n = n
         self.basis = tuple(basis)  # (row, monomial)
         self.dim = len(self.basis)
         self.weights = tuple(_weight(m, n) for _, m in self.basis)
         self.twist = twist
         self.label = label
-        actions = (x_action, y_action, tau_action)
-        if not _columns:
-            actions = tuple(self._dense_to_columns(m) for m in actions)
-        self.x_action, self.y_action, self.tau_action = actions
+        self.x_action, self.y_action, self.tau_action = x_action, y_action, tau_action
         self.validate()
-
-    @classmethod
-    def _from_columns(cls, n, basis, x, y, tau, twist=None, label=""):
-        """Trusted constructor: x, y, tau are lists of sparse columns."""
-        return cls(n, basis, x, y, tau, twist=twist, label=label, _columns=True)
-
-    def _dense_to_columns(self, mat):
-        k = self.dim
-        if len(mat) != k or any(len(row) != k for row in mat):
-            raise InvalidConstellation(f"{self.label}: action is not {k} x {k}")
-        return [{i: mat[i][j] for i in range(k) if mat[i][j] != 0} for j in range(k)]
 
     # --- structural invariants -------------------------------------
 
     def validate(self):
-        """Certify the relations and the weights; raise InvalidConstellation."""
+        """Certify the shape, relations and weights; raise InvalidConstellation."""
         x, y, t = self.x_action, self.y_action, self.tau_action
+        k = self.dim
+        for cols in (x, y, t):
+            if len(cols) != k or any(not 0 <= i < k for col in cols for i in col):
+                raise InvalidConstellation(f"{self.label}: action is not {k} x {k}")
         if _compose(x, y) != _compose(y, x):
             raise InvalidConstellation(f"{self.label}: x and y do not commute")
-        if _compose(t, t) != [{j: 1} for j in range(self.dim)]:
+        if _compose(t, t) != [{j: 1} for j in range(k)]:
             raise InvalidConstellation(f"{self.label}: tau^2 != 1")
         if _compose(_compose(t, x), t) != y:
             raise InvalidConstellation(f"{self.label}: tau x tau != y")
@@ -168,9 +150,15 @@ def _sparse(vec):
     return {i: c for i, c in enumerate(vec) if c}
 
 
-def _expand(ideal, poly, index, offset=0):
-    """Sparse coefficients of a normal form in the staircase basis."""
-    return {index[m] + offset: c for m, c in ideal.normal_form(poly).terms.items()}
+def _expand(ideal, mono, index, forms):
+    """Sparse coefficients of the normal form of a monomial in a staircase basis.
+
+    ``forms`` is one build's memo: x.x^a y^b = y.x^(a+1) y^(b-1), and the
+    two rows at a Z_2-fixed point share one ideal."""
+    key = (id(ideal), mono)
+    if key not in forms:
+        forms[key] = ideal.normal_form(Poly.mono(mono)).terms
+    return {index[m]: c for m, c in forms[key].items()}
 
 
 def constellation_from_cluster(n, p, twist=None):
@@ -183,70 +171,50 @@ def constellation_from_cluster(n, p, twist=None):
     """
     p = p.canonical()
     ideal = hilb.cluster_ideal(n, p)
-    st = staircase(ideal)
-    if st.dim != n:
-        raise WrongDimension(f"{p.label}: quotient has length {st.dim} != {n}")
     q = hilb.z2_image(n, p)
     ideal_g = ideal if q == p else hilb.cluster_ideal(n, q)
-    fixed = ideal_g == ideal
-    if not fixed and twist is not None:
-        raise ValueError("twist is only meaningful at a Z_2-fixed point")
-    if fixed and twist is not None and twist not in TWISTS:
+    if ideal_g != ideal:
+        if twist is not None:
+            raise ValueError("twist is only meaningful at a Z_2-fixed point")
+        return _two_row(n, (ideal, ideal_g), f"{p.label}|{q.label}")
+    if twist is not None and twist not in TWISTS:
         raise ValueError(f"unknown twist {twist}")
-    if fixed:
-        return _fixed_constellation(n, p, ideal, st, twist)
-    return _generic_constellation(n, ideal, ideal_g, f"{p.label}|{q.label}")
+    return _two_row(n, (ideal, ideal), p.label, signs=_TWIST_SIGNS, twist=twist)
 
 
-def _fixed_constellation(n, p, ideal, st, twist):
-    basis = [(0, m) for m in st.basis] + [(1, m) for m in st.basis]
-    index = {m: i for i, m in enumerate(st.basis)}
-    k = len(st.basis)
-    x, y, t = ([None] * (2 * k) for _ in range(3))
-    for j, (a, b) in enumerate(st.basis):
-        for cols, mono in ((x, (a + 1, b)), (y, (a, b + 1))):
-            img = _expand(ideal, Poly.mono(mono), index)
-            cols[j] = img
-            cols[j + k] = {i + k: c for i, c in img.items()}
-        timg = _expand(ideal, Poly.mono((b, a)), index)
-        t[j] = {i: _TWIST_SIGN["delta0"] * c for i, c in timg.items()}
-        t[j + k] = {i + k: _TWIST_SIGN["delta1"] * c for i, c in timg.items()}
-    return Constellation._from_columns(n, basis, x, y, t, twist=twist, label=p.label)
+def _two_row(n, ideals, label, signs=None, twist=None):
+    """C[x,y]/I_0 (+) C[x,y]/I_1 on the staircase bases of its two rows.
 
-
-def _generic_constellation(n, ideal, ideal_g, label):
-    """C[x,y]/ideal (+) C[x,y]/ideal_g with tau swapping the two rows."""
+    x and y act within each row.  Without ``signs`` tau swaps the rows (a
+    generic point): x^a y^b in one row goes to x^b y^a in the other.  With
+    ``signs`` (s_0, s_1) tau keeps each row and acts on row r as s_r times
+    that exchange (a Z_2-fixed point, both rows the same ideal).
+    """
     rows = []
-    for I in (ideal, ideal_g):
+    for r, I in enumerate(ideals):
         st = staircase(I)
         if st.dim != n:
-            raise WrongDimension(f"{label}: quotient has length {st.dim} != {n}")
-        rows.append((I, st.basis, {m: i for i, m in enumerate(st.basis)}))
+            raise InvalidConstellation(f"{label}: quotient has length {st.dim} != {n}")
+        rows.append((I, st.basis, {m: i + r * n for i, m in enumerate(st.basis)}))
     basis = [(r, m) for r, (_, mons, _) in enumerate(rows) for m in mons]
-    x, y, t = [], [], []
+    x, y, t, forms = [], [], [], {}
     for r, (I, mons, index) in enumerate(rows):
-        J, _, index_g = rows[1 - r]
+        J, _, index_t = rows[1 - r if signs is None else r]
         for a, b in mons:
-            x.append(_expand(I, Poly.mono((a + 1, b)), index, r * n))
-            y.append(_expand(I, Poly.mono((a, b + 1)), index, r * n))
-            t.append(_expand(J, Poly.mono((b, a)), index_g, (1 - r) * n))
-    return Constellation._from_columns(n, basis, x, y, t, label=label)
+            x.append(_expand(I, (a + 1, b), index, forms))
+            y.append(_expand(I, (a, b + 1), index, forms))
+            img = _expand(J, (b, a), index_t, forms)
+            t.append(img if signs is None else {i: signs[r] * c for i, c in img.items()})
+    return Constellation(n, basis, x, y, t, twist=twist, label=label)
 
 
 def regular_check(F):
     """Traces equal (2n, 0, ..., 0) across the conjugacy classes."""
-    chi = F.character()
-    vals = [rational_value_or_none(v) for v in chi.values]
-    if vals[0] != 2 * F.n:
-        return False
-    return all(v == 0 for v in vals[1:])
-
-
-def rational_value_or_none(v):
     try:
-        return rational_value(v)
+        vals = [rational_value(v) for v in F.character().values]
     except NotRational:
-        return None
+        return False
+    return vals[0] == 2 * F.n and not any(vals[1:])
 
 
 # --- graded subspaces ------------------------------------------------
@@ -324,7 +292,7 @@ def top(F):
     With a twist flag the quotient is taken inside the flagged row (the
     stack-level half of the doubled fixed-point module).
     """
-    idx = list(F.row_indices(_twist_row(F))) if F.twist else list(range(F.dim))
+    idx = _stacky_half(F)
     graded = _Graded()
     for cols in (F.x_action, F.y_action):
         for j in idx:
@@ -336,8 +304,9 @@ def top(F):
     return decompose(diff)
 
 
-def _twist_row(F):
-    return 0 if F.twist == "delta0" else 1
+def _stacky_half(F):
+    """Basis indices of the flagged row (row r carries TWISTS[r]), or all of F."""
+    return F.row_indices(TWISTS.index(F.twist)) if F.twist else range(F.dim)
 
 
 def socle_subspace(F):
@@ -345,7 +314,7 @@ def socle_subspace(F):
 
     With a twist flag the kernel is computed inside the flagged row.
     """
-    idx = list(F.row_indices(_twist_row(F))) if F.twist else list(range(F.dim))
+    idx = _stacky_half(F)
     graded = _Graded()
     by_weight = {}
     for j in idx:
@@ -445,7 +414,7 @@ def off_exceptional_report(n):
     """
     I = Ideal([Poly.var("x"), Poly(2, {(0, n): 1, (0, 0): -2})])
     Ig = Ideal([Poly.var("y"), Poly(2, {(n, 0): 1, (0, 0): -2})])
-    F = _generic_constellation(n, I, Ig, f"orbit(y^{n}=2)")
+    F = _two_row(n, (I, Ig), f"orbit(y^{n}=2)")
     return {
         "witness": F.label,
         "regular": regular_check(F),

@@ -274,9 +274,6 @@ class Ideal:
     def normal_form(self, f):
         return _reduce(f, list(self.groebner))
 
-    def contains(self, f):
-        return self.normal_form(f).is_zero()
-
     def __eq__(self, other):
         return isinstance(other, Ideal) and self.groebner == other.groebner
 

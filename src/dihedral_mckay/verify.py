@@ -214,28 +214,29 @@ def criterion_8(n_range=None):
 
 def criterion_9(n_range=None):
     """Socle suite: the order-8 example, the full table, tops, FM cross-check."""
-    F = constel.constellation_from_cluster(
-        4, hilb.ClusterPoint(2, Fraction(1), Fraction(-1)), twist="delta1"
-    )
-    if constel.socle(F) != {"rho2'": 1}:
-        return _result(9, "socles", False, "I2(1:-1) twist delta1")
-    G = constel.constellation_from_cluster(
-        4, hilb.ClusterPoint(2, Fraction(1), Fraction(1)), twist="delta1"
-    )
-    if constel.socle(G) != {"rho2": 1}:
-        return _result(9, "socles", False, "I2(1:1) twist delta1")
+    for stratum, b, want in (("B1", -1, {"rho2'": 1}), ("B2", 1, {"rho2": 1})):
+        point = hilb.ClusterPoint(2, Fraction(1), Fraction(b))
+        F = constel.constellation_from_cluster(4, point, twist="delta1")
+        row = {"stratum": stratum, "witness": F.label, "twist": F.twist, "socle": constel.socle(F)}
+        if row["socle"] != want:
+            return _result(9, "socles", False, _mismatch(4, row, "socle", want))
     for n in _clip(3, 20, n_range):
         rows = constel.socle_table(n)
         for row in rows:
-            if row["socle"] != constel.expected_socle(n, row["stratum"]):
-                return _result(9, "socles", False, f"{row['stratum']} at n={n}")
-            if not row["regular"]:
-                return _result(9, "socles", False, f"regular check {row['stratum']} n={n}")
-            want_top = {"rho0": 1} if row["twist"] else {"rho0": 1, "rho0'": 1}
-            if row["top"] != want_top:
-                return _result(9, "socles", False, f"top at {row['stratum']} n={n}")
+            top = {"rho0": 1} if row["twist"] else {"rho0": 1, "rho0'": 1}
+            socle = constel.expected_socle(n, row["stratum"])
+            for what, want in (("socle", socle), ("regular", True), ("top", top)):
+                if row[what] != want:
+                    return _result(9, "socles", False, _mismatch(n, row, what, want))
         taut.fm_cross_check(n, rows)  # raises CrossCheckFailure on a mismatch
     return _result(9, "socles", True, "table matches the published case list")
+
+
+def _mismatch(n, row, what, want):
+    """Failure details: the case, the entry that differs, expected and actual."""
+    twist = f" twist {row['twist']}" if row["twist"] else ""
+    case = f"n={n} stratum {row['stratum']} witness {row['witness']}{twist}"
+    return f"{what} at {case}: expected {want}, got {row[what]}"
 
 
 def criterion_10(n_range=None):

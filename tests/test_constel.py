@@ -35,6 +35,11 @@ def cp(i, a, b):
     return ClusterPoint(i, Fraction(a), Fraction(b))
 
 
+def columns(mat):
+    """Sparse columns of a dense row-major matrix, as Constellation takes them."""
+    return [{i: row[j] for i, row in enumerate(mat) if row[j] != 0} for j in range(len(mat))]
+
+
 def test_final_example_n4():
     # the order-8 example: <x^3, y^3, xy, x^2 + y^2> with twist delta1
     F = constellation_from_cluster(4, cp(2, 1, -1), twist="delta1")
@@ -103,9 +108,9 @@ def test_regular_check_rejects_fake():
     F = Constellation(
         n,
         [(0, (0, 0))] * n + [(1, (0, 0))] * n,
-        zeros,
-        [r[:] for r in zeros],
-        ident,
+        columns(zeros),
+        columns(zeros),
+        columns(ident),
         label="fake",
     )
     assert not regular_check(F)
@@ -250,11 +255,33 @@ def _weight_violation(basis, x, y, t):
 )
 def test_validate_rejects_bad_modules(spoil, message):
     basis, x, y, t = _small_module()
-    Constellation(3, basis, x, y, t, label="good")  # the unspoiled module passes
+    # the unspoiled module passes
+    Constellation(3, basis, *map(columns, (x, y, t)), label="good")
     spoil(basis, x, y, t)
     with pytest.raises(InvalidConstellation, match=message):
-        Constellation(3, basis, x, y, t, label="bad")
+        Constellation(3, basis, *map(columns, (x, y, t)), label="bad")
     assert not issubclass(InvalidConstellation, (AssertionError, ValueError))
+
+
+def _short_action(cols):
+    cols["x"].pop()  # two columns for a three-dimensional module
+
+
+def _row_outside(cols):
+    cols["tau"][0][3] = Fraction(1)  # row index 3 = dim
+
+
+def _negative_row(cols):
+    cols["y"][0][-1] = Fraction(1)
+
+
+@pytest.mark.parametrize("spoil", [_short_action, _row_outside, _negative_row])
+def test_validate_rejects_misshapen_actions(spoil):
+    basis, x, y, t = _small_module()
+    cols = {"x": columns(x), "y": columns(y), "tau": columns(t)}
+    spoil(cols)
+    with pytest.raises(InvalidConstellation, match="^misshapen: action is not 3 x 3$"):
+        Constellation(3, basis, cols["x"], cols["y"], cols["tau"], label="misshapen")
 
 
 def test_validate_fails_closed_under_optimize():
@@ -265,6 +292,9 @@ def test_validate_fails_closed_under_optimize():
         "x, y, t = ([[Q(0)] * 3 for _ in range(3)] for _ in range(3))\n"
         "x[1][0] = t[0][0] = t[1][2] = t[2][1] = Q(1)\n"
         "y[2][0] = Q(2)\n"
+        "def columns(m):\n"
+        "    return [{i: m[i][j] for i in range(3) if m[i][j]} for j in range(3)]\n"
+        "x, y, t = map(columns, (x, y, t))\n"
         "print('optimize', sys.flags.optimize)\n"
         "try:\n"
         "    Constellation(3, [(0, (0, 0)), (0, (1, 0)), (0, (0, 1))], x, y, t, label='bad')\n"
@@ -358,3 +388,39 @@ def test_characters_match_dense_reference(n, data):
         assert F.character(row).values == _dense_reference(F, indices=row)
         graded = socle_subspace(F)
         assert subspace_character(F, graded).values == _dense_reference(F, graded)
+
+
+_POSITIVE = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+
+
+def _draw_witness(n, data):
+    """A stratum witness: a generic point, a corner, or a twisted fixed point."""
+    m = half_index(n)
+    kinds = ["generic", "fixed"] + (["corner"] if m >= 2 else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "generic":
+        point = witness_point(n, data.draw(st.integers(1, m), label="curve"), data.draw(_ALPHAS))
+        return constellation_from_cluster(n, point)
+    if kind == "corner":
+        return constellation_from_cluster(n, cp(data.draw(st.integers(1, m - 1)), 0, 1))
+    twist = data.draw(st.sampled_from(["delta0", "delta1"]), label="twist")
+    point = cp(n // 2, 1, data.draw(st.sampled_from([1, -1]))) if n % 2 == 0 else cp(m, 0, 1)
+    return constellation_from_cluster(n, point, twist=twist)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(3, 10), data=st.data())
+def test_theta_check_finds_planted_socle_destabilizers(n, data):
+    """A socle irreducible with negative theta, positive theta elsewhere:
+    theta_check must report a proper, nonzero closure of non-positive value."""
+    F = _draw_witness(n, data)
+    planted = data.draw(st.sampled_from(sorted(socle(F))), label="planted")
+    degs = {c.name: int(c.degree) for c in char_table(GroupSpec("dihedral", n))}
+    values = {k: data.draw(_POSITIVE, label=k) for k in sorted(degs) if k != planted}
+    values[planted] = -sum(degs[k] * v for k, v in values.items()) / degs[planted]
+    theta = StabilityParam.make(n, values)
+    verdict = theta_check(F, theta)
+    assert verdict.destabilized, (F.label, F.twist, planted)
+    assert verdict.value <= 0 and verdict.value == theta.value(verdict.cls)
+    graded, cls = submodule_closure(F, verdict.seeds)
+    assert 0 < graded.dim() < F.dim and cls == verdict.cls

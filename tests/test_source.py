@@ -63,10 +63,10 @@ def _references(tree, skip):
     return out
 
 
-def test_every_public_definition_is_used_in_the_package():
-    """Code that only tests call is dead weight: each public module-level
-    function or class must be referenced somewhere in the package outside
-    its own definition."""
+def test_every_definition_is_used_in_the_package():
+    """Code that only tests call is dead weight: each module-level function
+    or class, public or private, must be referenced somewhere in the
+    package outside its own definition."""
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in MODULES
@@ -76,8 +76,6 @@ def test_every_public_definition_is_used_in_the_package():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_"):
-                continue
             if not any(node.name in _references(t, node) for t in trees.values()):
                 unused.append(f"{name}:{node.lineno} {node.name}")
-    assert not unused, f"public definitions nothing in the package uses: {unused}"
+    assert not unused, f"definitions nothing in the package uses: {unused}"

@@ -1,6 +1,8 @@
 """Each per-n artifact is built once per criterion and passed along, and
 every criterion honours ``--n-range``."""
 
+import pytest
+
 from dihedral_mckay import constel, taut, verify
 
 
@@ -43,3 +45,38 @@ def test_criterion_11_runs_no_trial_on_an_empty_range(monkeypatch):
     built = _count_calls(monkeypatch, constel, "constellation_from_cluster")
     assert verify.criterion_11(n_range=(11, 20))["passed"]
     assert built == []
+
+
+def _spoil_socle(monkeypatch):
+    real = constel.expected_socle
+    monkeypatch.setattr(
+        constel, "expected_socle", lambda n, s: {"rho9": 1} if s == "E2" else real(n, s)
+    )
+    return "socle", "E2", "expected {'rho9': 1}, got {'rho2': 1}"
+
+
+def _spoil_regular(monkeypatch):
+    monkeypatch.setattr(constel, "regular_check", lambda F: False)
+    return "regular", "E1", "expected True, got False"
+
+
+def _spoil_top(monkeypatch):
+    monkeypatch.setattr(constel, "top", lambda F: {"rho0": 2})
+    return "top", "E1", "expected {'rho0': 1, \"rho0'\": 1}, got {'rho0': 2}"
+
+
+@pytest.mark.parametrize("spoil", [_spoil_socle, _spoil_regular, _spoil_top])
+def test_criterion_9_failure_names_the_case(monkeypatch, spoil):
+    witness = {row["stratum"]: row["witness"] for row in constel.socle_table(5)}
+    what, stratum, values = spoil(monkeypatch)
+    res = verify.criterion_9(n_range=(5, 5))
+    assert not res["passed"]
+    assert res["details"] == f"{what} at n=5 stratum {stratum} witness {witness[stratum]}: {values}"
+
+
+def test_criterion_9_failure_names_the_twist(monkeypatch):
+    monkeypatch.setattr(constel, "socle", lambda F: {})
+    res = verify.criterion_9(n_range=(5, 5))
+    assert res["details"] == (
+        "socle at n=4 stratum B1 witness I2(1:-1) twist delta1: expected {\"rho2'\": 1}, got {}"
+    )
