@@ -89,31 +89,29 @@ def build_parser():
     p = Parser(prog="dimckay", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_n=True):
-        if need_n:
-            sp.add_argument("--n", type=int, required=True, help="group parameter (n >= 3)")
-        sp.add_argument(
-            "--format", choices=("json", "dot", "table"), default="json"
-        )
+    def common(name, text, formats=("json",)):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--n", type=int, required=True, help="group parameter (n >= 3)")
+        sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         return sp
 
-    common(sub.add_parser("chartable", help="character table of D_2n"))
-    common(sub.add_parser("quiver", help="McKay quiver"))
-    common(sub.add_parser("hilb-atlas", help="chart atlas of the order-n Hilbert scheme"))
-    common(sub.add_parser("fixed-points", help="Z_2-fixed cluster points with certificates"))
-    common(sub.add_parser("strict-transforms", help="boundary strict transforms per chart"))
-    common(sub.add_parser("fold", help="folded intersection configuration"))
-    common(sub.add_parser("chain", help="blow-down chain from the fold"))
-    sp = common(sub.add_parser("socle-table", help="socle/top table with witnesses"))
+    common("chartable", "character table of D_2n", ("json", "table"))
+    common("quiver", "McKay quiver", ("json", "dot"))
+    common("hilb-atlas", "chart atlas of the order-n Hilbert scheme", ("json", "dot"))
+    common("fixed-points", "Z_2-fixed cluster points with certificates")
+    common("strict-transforms", "boundary strict transforms per chart")
+    common("fold", "folded intersection configuration", ("json", "dot"))
+    common("chain", "blow-down chain from the fold")
+    sp = common("socle-table", "socle/top table with witnesses")
     sp.add_argument("--alpha", default="1/2", help="generic-stratum witness parameter")
     sp.add_argument("--theta", default=None, help="csv of rationals, one per irreducible")
     sp.add_argument(
         "--family", default="default", help="'default' or a JSON seeds file"
     )
-    common(sub.add_parser("taut-table", help="tautological ledgers (stack and coarse)"))
-    common(sub.add_parser("fm-table", help="Fourier-Mukai image table"))
-    sp = common(sub.add_parser("refdiv", help="transversal-divisor certificate"))
+    common("taut-table", "tautological ledgers (stack and coarse)", ("json", "table"))
+    common("fm-table", "Fourier-Mukai image table")
+    sp = common("refdiv", "transversal-divisor certificate")
     sp.add_argument("--k", type=int, default=None, help="curve index (default m)")
     sp = sub.add_parser("verify", help="run the acceptance suite")
     sp.add_argument("--n-range", default=None, help="clip ranges to A..B")

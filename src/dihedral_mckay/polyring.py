@@ -142,9 +142,6 @@ class Poly:
         _, c = self.leading()
         return self * (Fraction(1) / c)
 
-    def degree(self):
-        return max((sum(m) for m in self.terms), default=-1)
-
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, Fraction(0))
 

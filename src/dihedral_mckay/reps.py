@@ -8,8 +8,8 @@ tau column; for even n the reflections split into two classes
 (tau*sigma^even, tau*sigma^odd) and the listed values are expanded onto
 both, with (-1)^i distinguishing rho_{n/2} from rho_{n/2}'.
 
-Values are CycloElt over Q[t]/(t^n - 1); inner products extract their
-rational value modulo the cyclotomic polynomial (see exactnum).
+Values are CycloElt over Q[t]/(t^n - 1).  ``gram`` pairs a whole table in
+one pass, reducing each distinct sum once modulo Phi_n (see exactnum).
 """
 
 from __future__ import annotations
@@ -103,12 +103,6 @@ class Character:
         vals = [cyc_mul(a, b) for a, b in zip(self.values, other.values)]
         return Character(self.group, f"{self.name}*{other.name}", vals)
 
-    def __add__(self, other):
-        if self.group != other.group:
-            raise ValueError("characters of different groups")
-        vals = [a + b for a, b in zip(self.values, other.values)]
-        return Character(self.group, f"{self.name}+{other.name}", vals)
-
     def __repr__(self):
         return f"Character({self.name})"
 
@@ -180,31 +174,49 @@ def char_table(g):
     return CharTable(g, classes, chars)
 
 
-def _inner_raw(chi, psi):
-    if chi.group != psi.group:
+def gram(rows, cols):
+    """Exact matrix of <chi, psi> for chi in rows and psi in cols, as Fractions.
+
+    <chi, psi> = (1/|G|) sum over classes of size * chi * conj(psi); each
+    distinct sum in Q[t]/(t^n - 1) is reduced modulo Phi_n once per call.
+    """
+    groups = {f.group for f in (*rows, *cols)}
+    if len(groups) > 1:
         raise ValueError("characters of different groups")
-    g = chi.group
+    if not groups:
+        return []
+    (g,) = groups
     n = g.n
-    acc = [0] * n
-    for c, a, b in zip(conjugacy_classes(g), chi.values, psi.values):
-        for i, ca in a.terms.items():
-            sca = c.size * ca
-            # conj(b) has coefficient cb at exponent n - j
-            for j, cb in b.terms.items():
-                acc[(i - j) % n] += sca * cb
-    try:
-        val = rational_value(CycloElt._raw(n, dict(enumerate(acc))))
-    except NotRational as exc:
-        raise NotRational(f"<{chi.name},{psi.name}> is irrational: {exc}") from None
-    return val / g.order
+    classes = conjugacy_classes(g)
+    col_terms = [[] for _ in classes]  # per class: (column, exponent, coefficient)
+    for q, psi in enumerate(cols):
+        for terms, v in zip(col_terms, psi.values):
+            terms.extend((q, j, b) for j, b in v.terms.items())
+    reduced = {}  # sum before the reduction -> <chi, psi>, for this call only
+    out = []
+    for chi in rows:
+        accs = [[0] * n for _ in cols]
+        for c, v, terms in zip(classes, chi.values, col_terms):
+            for i, a in v.terms.items():
+                sa = c.size * a
+                for q, j, b in terms:
+                    accs[q][i - j] += sa * b  # conj(t^j) = t^(n - j); i - j < 0 wraps
+        row = []
+        for psi, acc in zip(cols, accs):
+            key = tuple(acc)
+            if key not in reduced:
+                try:
+                    reduced[key] = rational_value(CycloElt._raw(n, dict(enumerate(acc)))) / g.order
+                except NotRational as exc:
+                    raise NotRational(f"<{chi.name},{psi.name}> is irrational: {exc}") from None
+            row.append(reduced[key])
+        out.append(row)
+    return out
 
 
 def inner_product(chi, psi):
-    """<chi, psi> = (1/|G|) sum over classes of size * chi * conj(psi).
-
-    Must come out a nonnegative integer for genuine characters.
-    """
-    val = _inner_raw(chi, psi)
+    """<chi, psi>, which must come out a nonnegative integer for genuine characters."""
+    val = gram([chi], [psi])[0][0]
     if val.denominator != 1 or val < 0:
         raise NotACharacter(f"<{chi.name},{psi.name}> = {val}")
     return int(val)
@@ -215,8 +227,7 @@ def decompose(chi):
     table = char_table(chi.group)
     mults = {}
     recon = [CycloElt.zero(chi.group.n) for _ in table.classes]
-    for irr in table:
-        m = _inner_raw(chi, irr)
+    for irr, m in zip(table, gram([chi], table.chars)[0]):
         if m.denominator != 1 or m < 0:
             raise NotACharacter(f"multiplicity of {irr.name} in {chi.name} is {m}")
         m = int(m)
@@ -330,9 +341,7 @@ def mckay_quiver(n):
     drawn = _drawn_adjacency(n, names)
     divergences = []
     for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if j < i:
-                continue
+        for j, b in enumerate(names[i:], i):
             if adj[i][j] != drawn[i][j]:
                 divergences.append(
                     {"from": a, "to": b, "computed": adj[i][j], "drawn": drawn[i][j]}

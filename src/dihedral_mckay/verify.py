@@ -17,7 +17,7 @@ from .polyring import parse_poly
 from .reps import (
     GroupSpec,
     char_table,
-    inner_product,
+    gram,
     mckay_quiver,
 )
 
@@ -42,14 +42,12 @@ def criterion_1(n_range=None):
             return _result(1, "character tables", False, f"count at n={n}")
         if sum(int(c.degree) ** 2 for c in table) != 2 * n:
             return _result(1, "character tables", False, f"degree sum at n={n}")
-        chars = table.chars
-        for i, chi in enumerate(chars):
-            for j in range(i, len(chars)):
-                want = 1 if i == j else 0
-                if inner_product(chi, chars[j]) != want:
-                    return _result(
-                        1, "character tables", False, f"<{chi.name},{chars[j].name}> at n={n}"
-                    )
+        for i, (chi, row) in enumerate(zip(table, gram(table.chars, table.chars))):
+            for j, (psi, got) in enumerate(zip(table, row)):
+                want = int(i == j)
+                if got != want:
+                    details = f"<{chi.name},{psi.name}> at n={n}: expected {want}, got {got}"
+                    return _result(1, "character tables", False, details)
     return _result(1, "character tables", True, "orthonormal, counts and degrees exact")
 
 
@@ -261,7 +259,6 @@ def criterion_11(n_range=None, trials=100, seed=2024):
     if not ns:
         trials = 0  # no n to draw from
     rng = random.Random(seed)
-    table_cache = {}
     for t in range(trials):
         n = rng.randint(ns[0], ns[-1])
         m = hilb.half_index(n)
@@ -271,8 +268,7 @@ def criterion_11(n_range=None, trials=100, seed=2024):
         )
         soc = constel.socle(F)
         planted = sorted(soc)[rng.randrange(len(soc))]
-        table = table_cache.setdefault(n, char_table(GroupSpec("dihedral", n)))
-        degs = {c.name: int(c.degree) for c in table}
+        degs = {c.name: int(c.degree) for c in char_table(GroupSpec("dihedral", n))}
         values = {name: Fraction(1) for name in degs}
         values[planted] = Fraction(-rng.randint(1, 5))
         rest = sum(degs[k] * v for k, v in values.items() if k != "rho0")

@@ -254,3 +254,18 @@ def test_verify_fails_closed_on_a_raising_criterion(capsys, monkeypatch):
             "details": "raised CrossCheckFailure: W_2 pairings differ",
         }
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, formats",
+    [
+        (["refdiv", "--n", "5", "--format", "dot"], "'json'"),
+        (["chartable", "--n", "5", "--format", "dot"], "'json', 'table'"),
+        (["quiver", "--n", "5", "--format", "table"], "'json', 'dot'"),
+    ],
+)
+def test_format_a_subcommand_cannot_emit_is_a_usage_error(capsys, argv, formats):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    fmt = argv[-1]
+    assert err == f"usage error: argument --format: invalid choice: '{fmt}' (choose from {formats})\n"

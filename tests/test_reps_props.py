@@ -22,6 +22,7 @@ from dihedral_mckay.reps import (
     char_table,
     conjugacy_classes,
     decompose,
+    gram,
     inner_product,
 )
 
@@ -140,3 +141,49 @@ def test_pairing_across_groups_is_a_value_error(g, h):
     psi = char_table(h).chars[-1]
     with pytest.raises(ValueError, match="characters of different groups"):
         inner_product(chi, psi)
+
+
+def rewritten(vals, q):
+    """vals with q subtracted at the identity class, written as q * (t + ... + t^(n-1)).
+
+    Against a class function psi rational at the identity, each pairing
+    sum keeps its constant term while the value moves by -q * psi(1) / |G|,
+    so a reduction looked up by part of the sum returns a stale value.
+    """
+    n = vals[0].order
+    return [vals[0] + CycloElt(n, [0] + [q] * (n - 1))] + vals[1:]
+
+
+def pools(g):
+    """One to four class functions, the first repeated under another name
+    and once more rewritten."""
+    vals = st.one_of(combinations(g), combinations(g), perturbed(g), sparse_values(g))
+    return st.builds(
+        lambda vs, q: [
+            Character(g, f"f{k}", v) for k, v in enumerate(vs + vs[:1] + [rewritten(vs[0], q)])
+        ],
+        st.lists(vals, min_size=1, max_size=4),
+        SCALE,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(GROUPS.flatmap(pools), st.data())
+def test_gram_matches_definition_entrywise(pool, data):
+    """Repeated and permuted rows and columns; no value leaks between pairs."""
+    pick = st.lists(st.sampled_from(pool), max_size=6)
+    rows, cols = data.draw(pick), data.draw(pick)
+    for chi in rows:
+        for psi in cols:
+            try:
+                reference(chi, psi)
+            except NotRational as exc:
+                event("irrational entry")
+                with pytest.raises(NotRational) as info:
+                    gram(rows, cols)
+                assert str(info.value) == f"<{chi.name},{psi.name}> is irrational: {exc}"
+                return
+    event("rational matrix")
+    got = gram(rows, cols)
+    assert got == [[reference(chi, psi) for psi in cols] for chi in rows]
+    assert all(type(v) is Fraction for row in got for v in row)

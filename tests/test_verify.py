@@ -1,9 +1,11 @@
 """Each per-n artifact is built once per criterion and passed along, and
 every criterion honours ``--n-range``."""
 
+from fractions import Fraction
+
 import pytest
 
-from dihedral_mckay import constel, taut, verify
+from dihedral_mckay import constel, reps, taut, verify
 
 
 def _count_calls(monkeypatch, owner, attr):
@@ -80,3 +82,29 @@ def test_criterion_9_failure_names_the_twist(monkeypatch):
     assert res["details"] == (
         "socle at n=4 stratum B1 witness I2(1:-1) twist delta1: expected {\"rho2'\": 1}, got {}"
     )
+
+
+@pytest.mark.parametrize("planted, pair, want", [((2, 2), "rho1,rho1", 1), ((0, 3), "rho0,rho2", 0)])
+def test_criterion_1_failure_names_the_pair(monkeypatch, planted, pair, want):
+    real = verify.gram
+
+    def spoiled(rows, cols):
+        out = real(rows, cols)
+        if rows[0].group.n == 7:
+            i, j = planted
+            out[i][j] = Fraction(2)
+        return out
+
+    monkeypatch.setattr(verify, "gram", spoiled)
+    res = verify.criterion_1(n_range=(3, 9))
+    assert not res["passed"]
+    assert res["details"] == f"<{pair}> at n=7: expected {want}, got 2"
+
+
+def test_criterion_1_pairs_each_table_once_without_inner_product(monkeypatch):
+    pairs = _count_calls(monkeypatch, verify, "gram")
+    singles = _count_calls(monkeypatch, reps, "inner_product")
+    res = verify.criterion_1(n_range=(3, 8))
+    assert res == verify._result(1, "character tables", True, "orthonormal, counts and degrees exact")
+    assert [args[0][0].group.n for args in pairs] == list(range(3, 9))
+    assert singles == []
