@@ -49,6 +49,8 @@ CASES = {
     # the tautological ledgers with their torsion check, and the fixed points
     "taut-table_n5.json": ["taut-table", "--n", "5"],
     "taut-table_n6.json": ["taut-table", "--n", "6"],
+    "taut-table_n5.txt": ["taut-table", "--n", "5", "--format", "table"],
+    "taut-table_n6.txt": ["taut-table", "--n", "6", "--format", "table"],
     "fixed-points_n5.json": ["fixed-points", "--n", "5"],
     "fixed-points_n6.json": ["fixed-points", "--n", "6"],
     # the pass/fail lines and the JSON report of every criterion
