@@ -25,22 +25,6 @@ from .reps import (
     table_to_json,
 )
 
-SUBCOMMANDS = (
-    "chartable",
-    "quiver",
-    "hilb-atlas",
-    "fixed-points",
-    "strict-transforms",
-    "fold",
-    "chain",
-    "socle-table",
-    "taut-table",
-    "fm-table",
-    "refdiv",
-    "verify",
-)
-
-
 class UsageError(Exception):
     pass
 
@@ -239,7 +223,9 @@ def _parse_theta(n, text):
 
 
 def _load_family(spec):
-    """Seed-vector lists from a JSON file, or None for the default family."""
+    """Seed-vector lists from a JSON file, or None for the default family.
+
+    Every level must be a JSON list: a string or object reads as its keys."""
     if spec == "default":
         return None
     try:
@@ -247,21 +233,27 @@ def _load_family(spec):
             raw = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise UsageError(f"--family: {exc}") from exc
-    try:
-        return [[[_fraction("--family", str(c)) for c in vec] for vec in seeds] for seeds in raw]
-    except TypeError as exc:
-        raise UsageError("--family must be a JSON list of seed-vector lists") from exc
+    if not (
+        isinstance(raw, list)
+        and all(isinstance(seeds, list) for seeds in raw)
+        and all(isinstance(vec, list) for seeds in raw for vec in seeds)
+    ):
+        raise UsageError("--family must be a JSON list of seed-vector lists")
+    return [[[_fraction("--family", str(c)) for c in vec] for vec in seeds] for seeds in raw]
 
 
 def _check_family(family, F, stratum):
-    """Every seed vector must have length F.dim."""
-    for seeds in family or ():
+    """The family as sparse seeds of F; every seed vector must have length F.dim."""
+    if family is None:
+        return None
+    for seeds in family:
         for vec in seeds:
             if len(vec) != F.dim:
                 raise UsageError(
                     f"--family: a seed vector has {len(vec)} entries, but the module "
                     f"on stratum {stratum} has dimension {F.dim}"
                 )
+    return [[{i: c for i, c in enumerate(vec) if c} for vec in seeds] for seeds in family]
 
 
 def cmd_socle_table(args):
@@ -283,8 +275,8 @@ def cmd_socle_table(args):
             "regular": row["regular"],
         }
         if theta is not None:
-            _check_family(family, row["constellation"], row["stratum"])
-            verdict = constel.theta_check(row["constellation"], theta, family)
+            seeds = _check_family(family, row["constellation"], row["stratum"])
+            verdict = constel.theta_check(row["constellation"], theta, seeds)
             item["theta"] = (
                 {
                     "verdict": "destabilized-by",
@@ -349,7 +341,7 @@ def cmd_refdiv(args):
 def cmd_verify(args):
     n_range = _parse_range(args.n_range) if args.n_range else None
     lines = []
-    results = verify.run_all(n_range=n_range, emit=lines.append)
+    results = verify.run_all(lines.append, n_range=n_range)
     passed = sum(1 for r in results if r["passed"])
     lines.append(f"{passed}/{len(results)} criteria passed")
     print("\n".join(lines))

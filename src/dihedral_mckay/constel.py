@@ -143,13 +143,6 @@ def _compose(a, b):
     return [_apply(a, col) for col in b]
 
 
-def _sparse(vec):
-    """A seed as a sparse {index: coefficient} dict (dense lists convert)."""
-    if isinstance(vec, dict):
-        return {i: c for i, c in vec.items() if c}
-    return {i: c for i, c in enumerate(vec) if c}
-
-
 def _expand(ideal, mono, index, forms):
     """Sparse coefficients of the normal form of a monomial in a staircase basis.
 
@@ -192,10 +185,10 @@ def _two_row(n, ideals, label, signs=None, twist=None):
     """
     rows = []
     for r, I in enumerate(ideals):
-        st = staircase(I)
-        if st.dim != n:
-            raise InvalidConstellation(f"{label}: quotient has length {st.dim} != {n}")
-        rows.append((I, st.basis, {m: i + r * n for i, m in enumerate(st.basis)}))
+        mons = staircase(I)
+        if len(mons) != n:
+            raise InvalidConstellation(f"{label}: quotient has length {len(mons)} != {n}")
+        rows.append((I, mons, {m: i + r * n for i, m in enumerate(mons)}))
     basis = [(r, m) for r, (_, mons, _) in enumerate(rows) for m in mons]
     x, y, t, forms = [], [], [], {}
     for r, (I, mons, index) in enumerate(rows):
@@ -267,13 +260,13 @@ def subspace_character(F, graded):
 def submodule_closure(F, seeds):
     """Smallest x, y, tau-stable, weight-graded subspace containing the seeds.
 
-    Seeds are dense coefficient vectors (or sparse {index: coefficient}
-    dicts); they are made sparse once on entry.
+    Seeds are sparse {basis index: coefficient} dicts holding only
+    nonzero coefficients, like the columns of the actions.
     """
     graded = _Graded()
     work = []
     for s in seeds:
-        for w, comp in _split_by_weight(F, _sparse(s)).items():
+        for w, comp in _split_by_weight(F, s).items():
             if graded.insert(w, comp):
                 work.append(comp)
     while work:
@@ -469,8 +462,9 @@ def default_family(F):
 def theta_check(F, theta, family=None):
     """Sound (not complete) destabilization search over a seed family.
 
-    A given family holds dense seed vectors (as ``--family`` JSON does);
-    the default family holds sparse ones.
+    A family is a list of seed lists; each seed is a sparse {basis index:
+    coefficient} dict of nonzero coefficients (see submodule_closure).
+    Without a family the search runs over ``default_family(F)``.
     """
     if family is None:
         family = default_family(F)

@@ -91,7 +91,7 @@ def cluster_ideal(n, p):
 
 
 def cluster_dimension(n, p):
-    return staircase(cluster_ideal(n, p)).dim
+    return len(staircase(cluster_ideal(n, p)))
 
 
 def z2_image(n, p):
@@ -121,19 +121,15 @@ def fixed_points(n):
         # corner I_i(0:1) = I_(i+1)(1:0); fixed iff swapping gives the same ideal
         candidates.append(ClusterPoint(i, Fraction(0), Fraction(1)))
     out = []
-    seen = []
     for p in candidates:
         ideal = cluster_ideal(n, p)
         image = Ideal([swap_xy(g) for g in ideal.generators])
         if ideal == image:
-            if any(ideal == s for s in seen):
-                continue
-            seen.append(ideal)
             cert = {
                 "point": p.canonical().label,
                 "groebner": [str(g) for g in ideal.groebner],
                 "image_equals": True,
-                "quotient_dim": staircase(ideal).dim,
+                "quotient_dim": len(staircase(ideal)),
             }
             out.append((p.canonical(), cert))
     return out
@@ -703,15 +699,6 @@ class FlopAtlas:
     atlas: Atlas
     curve_tags: list  # [{"curve", "coords", "charts"}]
     floppable: dict  # tag of the curve flopped at this stage
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "stage": list(self.stage),
-            "atlas": self.atlas.to_json(),
-            "curve_tags": self.curve_tags,
-            "floppable": self.floppable,
-        }
 
 
 def stage_chain(n):

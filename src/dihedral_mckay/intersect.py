@@ -256,18 +256,19 @@ def blowup_discrepancy(boundary, mult, prior_discrepancies_at_center):
     return total - boundary.coefficient * Fraction(mult)
 
 
+def _center_discrepancy(cfg, boundary, point):
+    """Discrepancy of the curve that blowing up a recorded point creates."""
+    priors = [cfg.discrepancy[c] * Fraction(mult) for c, mult in point.curves.items()]
+    return blowup_discrepancy(boundary, sum(point.boundary.values()), priors)
+
+
 def blow_up_at(cfg, boundary, point, new_label="F"):
     """Blow up a recorded point; returns the new configuration.
 
     Used to build the one-step-beyond configurations that maximality
     must reject.
     """
-    priors = [
-        cfg.discrepancy[c] * Fraction(mult) for c, mult in point.curves.items()
-    ]
-    a_new = blowup_discrepancy(
-        boundary, sum(point.boundary.values()), priors
-    )
+    a_new = _center_discrepancy(cfg, boundary, point)
     labels = cfg.labels + [new_label]
     out = CurveConfig(
         labels=labels,
@@ -329,9 +330,7 @@ def is_maximal(cfg, boundary):
         )
     candidates.append(("generic surface point", blowup_discrepancy(boundary, 0, [])))
     for p in cfg.points:
-        priors = [cfg.discrepancy[c] * mult for c, mult in p.curves.items()]
-        a_new = blowup_discrepancy(boundary, sum(p.boundary.values()), priors)
-        candidates.append((f"point {p.label}", a_new))
+        candidates.append((f"point {p.label}", _center_discrepancy(cfg, boundary, p)))
     cert["candidates"] = [(name, str(v)) for name, v in candidates]
     bad = [name for name, v in candidates if v <= 0]
     if bad:
@@ -355,44 +354,26 @@ def embedded_resolution_chain(n):
 
     Independent re-derivation of the fold: starting from (C^2/G, B-hat)
     and repeatedly blowing up the recorded non-positive-discrepancy
-    point reproduces z2_fold(n) exactly (up to curve naming).
+    point reproduces z2_fold(n) exactly (up to curve naming) in its
+    labels, pairings, K.E, boundary pairings and discrepancies.  Only the
+    next center is recorded as a point, so the result carries no special
+    points, and ``configs_equal`` does not compare them.
     """
     bdry = boundary_data(n)
     cfg = quotient_pair(n)
     m = hilb.half_index(n)
     for step in range(1, m + 1):
         # the unique candidate center with non-positive discrepancy
-        centers = []
-        for p in cfg.points:
-            priors = [cfg.discrepancy[c] * mult for c, mult in p.curves.items()]
-            if blowup_discrepancy(bdry, sum(p.boundary.values()), priors) <= 0:
-                centers.append(p)
+        centers = [p for p in cfg.points if _center_discrepancy(cfg, bdry, p) <= 0]
         if len(centers) != 1:
             raise hilb.CertificateFailure(f"n={n}: {len(centers)} forced centers, not one")
         cfg = blow_up_at(cfg, bdry, centers[0], new_label=f"E{step}")
-        # after the blow-up the boundary strict transform separates from
-        # the new curve except at the next center; recompute its record
-        cfg.points = [p for p in cfg.points if not p.label.startswith("E")]
+        # the boundary strict transform meets the new curve only at the
+        # next center
+        cfg.points = []
         if step < m:
-            if n % 2:
-                nxt = Point(f"E{step}&B3", {f"E{step}": 1}, {"B3": 2})
-            else:
-                nxt = Point(
-                    f"E{step}&B1&B2", {f"E{step}": 1}, {"B1": 1, "B2": 1}
-                )
-            cfg.points = [nxt]
-        else:
-            if n % 2:
-                cfg.points = [Point(f"E{m}&B3", {f"E{m}": 1}, {"B3": 1})]
-            else:
-                cfg.points = [
-                    Point(f"E{m}&B1", {f"E{m}": 1}, {"B1": 1}),
-                    Point(f"E{m}&B2", {f"E{m}": 1}, {"B2": 1}),
-                ]
-            for i in range(1, m):
-                cfg.points.append(
-                    Point(f"E{i}&E{i + 1}", {f"E{i}": 1, f"E{i + 1}": 1}, {})
-                )
+            meets = {"B3": 2} if n % 2 else {"B1": 1, "B2": 1}
+            cfg.points.append(Point(f"E{step}&" + "&".join(meets), {f"E{step}": 1}, meets))
     return cfg
 
 

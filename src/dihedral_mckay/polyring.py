@@ -278,17 +278,8 @@ class Ideal:
         return hash(self.groebner)
 
 
-class Staircase:
-    """Standard monomials of a zero-dimensional ideal."""
-
-    __slots__ = ("basis", "dim")
-
-    def __init__(self, basis):
-        self.basis = tuple(basis)
-        self.dim = len(self.basis)
-
-
 def staircase(ideal):
+    """Sorted tuple of the standard monomials of a zero-dimensional ideal."""
     leads = [g.leading()[0] for g in ideal.groebner]
     nvars = ideal.nvars
     bounds = []
@@ -305,8 +296,7 @@ def staircase(ideal):
         for m in itertools.product(*ranges)
         if not any(_divides(lm, m) for lm in leads)
     ]
-    basis.sort(key=_key)
-    return Staircase(basis)
+    return tuple(sorted(basis, key=_key))
 
 
 # --- canonical text format: terms like 3*x^2*y joined by +/- ------------

@@ -130,65 +130,45 @@ class LedgerEntry:
 
 
 def build_ledger(n, space):
-    """Tautological tables on the stack or the coarse space."""
+    """Tautological tables on the stack or the coarse space.
+
+    The spaces differ in the twist (the order-2 class on the stack, L on
+    the coarse space), in the rank-2 entries (unique nontrivial extensions
+    on the stack, split on the coarse space) and in rho_(n/2): half a
+    boundary support on the stack, a support plus L on the coarse space.
+    """
     if space not in ("stack", "coarse"):
         raise ValueError("space must be 'stack' or 'coarse'")
-    m = hilb.half_index(n)
-    table = char_table(GroupSpec("dihedral", n))
-    twist = stack_twist_class(n)
+    stack = space == "stack"
     L = DivisorClass.make({"L": 1})
+    twist = stack_twist_class(n) if stack else L
     entries = []
-    two_dim_max = (n - 1) // 2
-    for chi in table:
+    for chi in char_table(GroupSpec("dihedral", n)):
         name = chi.name
-        deg = int(chi.degree)
-        if space == "stack":
-            if name == "rho0":
-                entries.append(LedgerEntry(name, 1, DivisorClass.make({}), "O", "line"))
-            elif name == "rho0'":
-                entries.append(LedgerEntry(name, 1, twist, f"O({twist.pretty()})", "line"))
-            elif deg == 2:
-                i = int(name[3:])
-                c1 = DivisorClass.make({f"D{i}": 1}) + twist
-                entries.append(
-                    LedgerEntry(
-                        name,
-                        2,
-                        c1,
-                        f"0 -> O -> R^({name}) -> O({c1.pretty()}) -> 0",
-                        "unique-nontrivial",
-                    )
-                )
-            else:  # rho_{n/2} and rho_{n/2}'
-                lab = "suppB1" if not name.endswith("'") else "suppB2"
-                c1 = DivisorClass.make({lab: Fraction(1, 2)})
-                entries.append(LedgerEntry(name, 1, c1, f"O({c1.pretty()})", "line"))
-        else:
-            if name == "rho0":
-                entries.append(LedgerEntry(name, 1, DivisorClass.make({}), "O", "line"))
-            elif name == "rho0'":
-                entries.append(LedgerEntry(name, 1, L, "O(L)", "line"))
-            elif deg == 2:
-                i = int(name[3:])
-                c1 = DivisorClass.make({f"D{i}": 1}) + L
-                entries.append(
-                    LedgerEntry(
-                        name, 2, c1, f"O (+) O({c1.pretty()})", "split"
-                    )
-                )
+        rank, extension = 1, "line"
+        if name == "rho0":
+            c1, text = DivisorClass.make({}), "O"
+        elif name == "rho0'":
+            c1, text = twist, f"O({twist.pretty()})"
+        elif int(chi.degree) == 2:
+            rank = 2
+            c1 = DivisorClass.make({f"D{int(name[3:])}": 1}) + twist
+            if stack:
+                text = f"0 -> O -> R^({name}) -> O({c1.pretty()}) -> 0"
+                extension = "unique-nontrivial"
             else:
-                lab = "suppB1" if not name.endswith("'") else "suppB2"
+                text, extension = f"O (+) O({c1.pretty()})", "split"
+        else:  # rho_{n/2} and rho_{n/2}'
+            lab = "suppB1" if not name.endswith("'") else "suppB2"
+            if stack:
+                c1 = DivisorClass.make({lab: Fraction(1, 2)})
+            else:
                 c1 = DivisorClass.make({lab: 1}) + L
-                entries.append(LedgerEntry(name, 1, c1, f"O({c1.pretty()})", "line"))
-    # rank bookkeeping must match degrees
-    degs = {c.name: int(c.degree) for c in table}
-    for e in entries:
-        if e.rank != degs[e.name]:
-            raise IdentityViolation(f"rank of {e.name} differs from its degree")
-        if e.rank == 2 and space == "stack" and e.extension != "unique-nontrivial":
-            raise IdentityViolation("stack rank-2 entries carry the extension flag")
-        if e.rank == 2 and space == "coarse" and e.extension != "split":
-            raise IdentityViolation("coarse rank-2 entries split")
+            text = f"O({c1.pretty()})"
+        # rank bookkeeping must match degrees
+        if rank != int(chi.degree):
+            raise IdentityViolation(f"rank of {name} differs from its degree")
+        entries.append(LedgerEntry(name, rank, c1, text, extension))
     return entries
 
 

@@ -22,8 +22,23 @@ from .reps import (
 )
 
 
-def _result(cid, name, passed, details=""):
-    return {"id": cid, "name": name, "passed": bool(passed), "details": details}
+NAMES = (
+    "character tables",
+    "mckay quivers",
+    "fixed points",
+    "cluster lengths",
+    "strict transforms",
+    "fold and chain",
+    "discrepancies",
+    "flop atlases",
+    "socles",
+    "tautological ledgers",
+    "theta soundness",
+)
+
+
+def _result(cid, passed, details=""):
+    return {"id": cid, "name": NAMES[cid - 1], "passed": bool(passed), "details": details}
 
 
 def _clip(lo, hi, n_range):
@@ -39,16 +54,16 @@ def criterion_1(n_range=None):
         table = char_table(GroupSpec("dihedral", n))
         expected = (n + 3) // 2 if n % 2 else n // 2 + 3
         if len(table.chars) != expected:
-            return _result(1, "character tables", False, f"count at n={n}")
+            return _result(1, False, f"count at n={n}")
         if sum(int(c.degree) ** 2 for c in table) != 2 * n:
-            return _result(1, "character tables", False, f"degree sum at n={n}")
+            return _result(1, False, f"degree sum at n={n}")
         for i, (chi, row) in enumerate(zip(table, gram(table.chars, table.chars))):
             for j, (psi, got) in enumerate(zip(table, row)):
                 want = int(i == j)
                 if got != want:
                     details = f"<{chi.name},{psi.name}> at n={n}: expected {want}, got {got}"
-                    return _result(1, "character tables", False, details)
-    return _result(1, "character tables", True, "orthonormal, counts and degrees exact")
+                    return _result(1, False, details)
+    return _result(1, True, "orthonormal, counts and degrees exact")
 
 
 def criterion_2(n_range=None):
@@ -57,7 +72,7 @@ def criterion_2(n_range=None):
         q = mckay_quiver(n)
         if n % 2 == 0:
             if q.divergences:
-                return _result(2, "mckay quivers", False, f"even n={n} diverges")
+                return _result(2, False, f"even n={n} diverges")
             deg_one = [
                 v
                 for i, v in enumerate(q.vertices)
@@ -66,15 +81,15 @@ def criterion_2(n_range=None):
             if sorted(deg_one) != sorted(
                 ["rho0", "rho0'", f"rho{n // 2}", f"rho{n // 2}'"]
             ):
-                return _result(2, "mckay quivers", False, f"tails at n={n}")
+                return _result(2, False, f"tails at n={n}")
         else:
             m = (n - 1) // 2
             want = [
                 {"from": f"rho{m}", "to": f"rho{m}", "computed": 1, "drawn": 0}
             ]
             if [dict(d) for d in q.divergences] != want:
-                return _result(2, "mckay quivers", False, f"odd n={n} loop flag")
-    return _result(2, "mckay quivers", True, "even diagrams exact; odd loop flagged")
+                return _result(2, False, f"odd n={n} loop flag")
+    return _result(2, True, "even diagrams exact; odd loop flagged")
 
 
 def criterion_3(n_range=None):
@@ -83,11 +98,11 @@ def criterion_3(n_range=None):
         pts = hilb.fixed_points(n)
         want = 2 if n % 2 == 0 else 1
         if len(pts) != want:
-            return _result(3, "fixed points", False, f"count at n={n}")
+            return _result(3, False, f"count at n={n}")
         for p, cert in pts:
             if not cert["image_equals"] or cert["quotient_dim"] != n:
-                return _result(3, "fixed points", False, f"certificate at n={n}")
-    return _result(3, "fixed points", True, "counts and certificates exact")
+                return _result(3, False, f"certificate at n={n}")
+    return _result(3, True, "counts and certificates exact")
 
 
 def criterion_4(n_range=None, seed=7):
@@ -101,8 +116,8 @@ def criterion_4(n_range=None, seed=7):
             if a == 0 and b == 0:
                 a = Fraction(1)
             if hilb.cluster_dimension(n, hilb.ClusterPoint(i, a, b)) != n:
-                return _result(4, "cluster lengths", False, f"n={n}, I{i}({a}:{b})")
-    return _result(4, "cluster lengths", True, "200 random points per n")
+                return _result(4, False, f"n={n}, I{i}({a}:{b})")
+    return _result(4, True, "200 random points per n")
 
 
 def criterion_5(n_range=None):
@@ -120,25 +135,25 @@ def criterion_5(n_range=None):
             }
             for key, text in forms.items():
                 if st[key]["strict"] != parse_poly(text):
-                    return _result(5, "strict transforms", False, f"{key} at n={n}")
+                    return _result(5, False, f"{key} at n={n}")
             pts = {m["point"] for m in st[("B1", f"U{h}")]["certificate"]["meetings"]}
             if pts != {f"I{h}(1:-1)"}:
-                return _result(5, "strict transforms", False, f"B1 point at n={n}")
+                return _result(5, False, f"B1 point at n={n}")
         else:
             m = hilb.half_index(n)
             named = {f"U{m + 1}"}
             meets = st[("B3", f"U{m + 1}")]["certificate"]["meetings"]
             if not all(t["mult"] == 2 for t in meets):
-                return _result(5, "strict transforms", False, f"tangency at n={n}")
+                return _result(5, False, f"tangency at n={n}")
             inv = hilb.invariant_chart_boundary(n)
             if inv["tangency"] != 2:
-                return _result(5, "strict transforms", False, f"invariant chart n={n}")
+                return _result(5, False, f"invariant chart n={n}")
         for (label, cname), rec in st.items():
             if cname not in named and rec["certificate"]["type"] != "misses-axes":
                 return _result(
-                    5, "strict transforms", False, f"{label} meets axes on {cname}, n={n}"
+                    5, False, f"{label} meets axes on {cname}, n={n}"
                 )
-    return _result(5, "strict transforms", True, "forms, tangencies and certificates exact")
+    return _result(5, True, "forms, tangencies and certificates exact")
 
 
 def criterion_6(n_range=None):
@@ -147,17 +162,17 @@ def criterion_6(n_range=None):
         m = hilb.half_index(n)
         chain = intersect.domination_chain(n)
         if len(chain) != m + 1 or chain[-1].labels:
-            return _result(6, "fold and chain", False, f"chain length at n={n}")
+            return _result(6, False, f"chain length at n={n}")
         fold = chain[0]
         if fold.pair(f"E{m}", f"E{m}") != -1:
-            return _result(6, "fold and chain", False, f"E_m^2 at n={n}")
+            return _result(6, False, f"E_m^2 at n={n}")
         for i in range(1, m):
             if fold.pair(f"E{i}", f"E{i}") != -2:
-                return _result(6, "fold and chain", False, f"E_{i}^2 at n={n}")
+                return _result(6, False, f"E_{i}^2 at n={n}")
         for cfg in chain[:-1]:
             if not (cfg.adjunction_holds() and cfg.negative_definite()):
-                return _result(6, "fold and chain", False, f"adjunction/Q at n={n}")
-    return _result(6, "fold and chain", True, "pairings, adjunction, chain lengths exact")
+                return _result(6, False, f"adjunction/Q at n={n}")
+    return _result(6, True, "pairings, adjunction, chain lengths exact")
 
 
 def criterion_7(n_range=None):
@@ -166,26 +181,26 @@ def criterion_7(n_range=None):
     for n in _clip(3, 20, n_range):
         bdry = intersect.boundary_data(n)
         if intersect.blowup_discrepancy(bdry, 1, []) != Fraction(1, 2):
-            return _result(7, "discrepancies", False, "smooth-point value")
+            return _result(7, False, "smooth-point value")
         fold = intersect.z2_fold(intersect.an_chain(n - 1), n)
         if any(fold.discrepancy[a] != 0 for a in fold.labels):
-            return _result(7, "discrepancies", False, f"fold ledger at n={n}")
+            return _result(7, False, f"fold ledger at n={n}")
         if not intersect.configs_equal(intersect.embedded_resolution_chain(n), fold):
-            return _result(7, "discrepancies", False, f"forward chain at n={n}")
+            return _result(7, False, f"forward chain at n={n}")
         ok, _ = intersect.is_maximal(fold, bdry)
         if not ok:
-            return _result(7, "discrepancies", False, f"fold not maximal at n={n}")
+            return _result(7, False, f"fold not maximal at n={n}")
         ok, _ = intersect.is_maximal(intersect.quotient_pair(n), bdry)
         if ok:
-            return _result(7, "discrepancies", False, f"quotient accepted at n={n}")
+            return _result(7, False, f"quotient accepted at n={n}")
         blab = "B3" if n % 2 else "B1"
         beyond = intersect.blow_up_at(
             fold, bdry, intersect.Point("generic", {}, {blab: 1})
         )
         ok, _ = intersect.is_maximal(beyond, bdry)
         if ok:
-            return _result(7, "discrepancies", False, f"one-beyond accepted at n={n}")
-    return _result(7, "discrepancies", True, "1/2 at smooth points; crepant fold is maximal")
+            return _result(7, False, f"one-beyond accepted at n={n}")
+    return _result(7, True, "1/2 at smooth points; crepant fold is maximal")
 
 
 def criterion_8(n_range=None):
@@ -193,21 +208,21 @@ def criterion_8(n_range=None):
     for n in _clip(3, 15, n_range):
         d = hilb.displayed_gluing(n)
         if not d["verified"]:
-            return _result(8, "flop atlases", False, f"displayed gluing at n={n}")
+            return _result(8, False, f"displayed gluing at n={n}")
         f = hilb.flop_em(n)
         if not (f["before_glues"] and f["after_glues"]):
-            return _result(8, "flop atlases", False, f"flop pair at n={n}")
+            return _result(8, False, f"flop pair at n={n}")
         counts = []
         for stage in hilb.stage_chain(n):
             fa = hilb.build_flop_atlas(n, stage)
             counts.append(len(fa.curve_tags))
             bridges = hilb.poly_bridges(n, fa.atlas)
             if any(not b["verified"] for b in bridges):
-                return _result(8, "flop atlases", False, f"bridge at n={n}, {stage}")
+                return _result(8, False, f"bridge at n={n}, {stage}")
         m = hilb.half_index(n)
         if counts != list(range(m, 0, -1)):
-            return _result(8, "flop atlases", False, f"counts {counts} at n={n}")
-    return _result(8, "flop atlases", True, "gluings verified; counts drop by one per flop")
+            return _result(8, False, f"counts {counts} at n={n}")
+    return _result(8, True, "gluings verified; counts drop by one per flop")
 
 
 def criterion_9(n_range=None):
@@ -217,7 +232,7 @@ def criterion_9(n_range=None):
         F = constel.constellation_from_cluster(4, point, twist="delta1")
         row = {"stratum": stratum, "witness": F.label, "twist": F.twist, "socle": constel.socle(F)}
         if row["socle"] != want:
-            return _result(9, "socles", False, _mismatch(4, row, "socle", want))
+            return _result(9, False, _mismatch(4, row, "socle", want))
     for n in _clip(3, 20, n_range):
         rows = constel.socle_table(n)
         for row in rows:
@@ -225,9 +240,9 @@ def criterion_9(n_range=None):
             socle = constel.expected_socle(n, row["stratum"])
             for what, want in (("socle", socle), ("regular", True), ("top", top)):
                 if row[what] != want:
-                    return _result(9, "socles", False, _mismatch(n, row, what, want))
+                    return _result(9, False, _mismatch(n, row, what, want))
         taut.fm_cross_check(n, rows)  # raises CrossCheckFailure on a mismatch
-    return _result(9, "socles", True, "table matches the published case list")
+    return _result(9, True, "table matches the published case list")
 
 
 def _mismatch(n, row, what, want):
@@ -244,20 +259,19 @@ def criterion_10(n_range=None):
             taut.build_ledger(n, space)  # raises on any rank/extension mismatch
         table = taut.PairingTable(n)
         if not taut.torsion_check(n, taut.stack_twist_class(n), table):
-            return _result(10, "tautological ledgers", False, f"torsion at n={n}")
+            return _result(10, False, f"torsion at n={n}")
         for i in range(1, table.m + 1):
             if taut.torsion_check(n, taut.DivisorClass.make({f"E{i}": 1}), table):
-                return _result(10, "tautological ledgers", False, f"E{i} torsion n={n}")
+                return _result(10, False, f"E{i} torsion n={n}")
         taut.pushforward_identities(n)
         taut.refdivisor_certify(n)
-    return _result(10, "tautological ledgers", True, "tables, torsion and cross-checks exact")
+    return _result(10, True, "tables, torsion and cross-checks exact")
 
 
-def criterion_11(n_range=None, trials=100, seed=2024):
-    """Theta-checker soundness on planted destabilizers."""
+def criterion_11(n_range=None, seed=2024):
+    """Theta-checker soundness on 100 planted destabilizers."""
     ns = _clip(3, 10, n_range)
-    if not ns:
-        trials = 0  # no n to draw from
+    trials = 100 if ns else 0  # no n to draw from
     rng = random.Random(seed)
     for t in range(trials):
         n = rng.randint(ns[0], ns[-1])
@@ -276,8 +290,8 @@ def criterion_11(n_range=None, trials=100, seed=2024):
         theta = constel.StabilityParam.make(n, values)
         verdict = constel.theta_check(F, theta)
         if not verdict.destabilized or verdict.value > 0:
-            return _result(11, "theta soundness", False, f"trial {t}: n={n} {planted}")
-    return _result(11, "theta soundness", True, f"{trials} planted destabilizers found")
+            return _result(11, False, f"trial {t}: n={n} {planted}")
+    return _result(11, True, f"{trials} planted destabilizers found")
 
 
 CRITERIA = [
@@ -295,16 +309,15 @@ CRITERIA = [
 ]
 
 
-def run_all(n_range=None, emit=print):
-    """Run every criterion; one that raises is recorded as a FAIL, not re-raised."""
+def run_all(emit, n_range=None):
+    """Run every criterion and emit its pass/fail line; a raise is a FAIL."""
     results = []
     for cid, fn in enumerate(CRITERIA, 1):
         try:
             res = fn(n_range=n_range)
         except Exception as exc:
-            res = _result(cid, fn.__name__, False, f"raised {type(exc).__name__}: {exc}")
+            res = _result(cid, False, f"raised {type(exc).__name__}: {exc}")
         results.append(res)
-        if emit:
-            status = "PASS" if res["passed"] else "FAIL"
-            emit(f"{status} criterion {res['id']}: {res['name']} - {res['details']}")
+        status = "PASS" if res["passed"] else "FAIL"
+        emit(f"{status} criterion {res['id']}: {res['name']} - {res['details']}")
     return results

@@ -129,8 +129,14 @@ def test_bad_option_values_are_usage_errors(capsys, argv, message):
         ("[[[1, 0", "--family: Expecting"),
         ("[5]", "--family must be a JSON list of seed-vector lists"),
         ('[[["x"]]]', "--family: 'x' is not a rational number"),
+        # a string or an object of the module's dimension 10 is not a vector
+        ('[["1000000000"]]', "--family must be a JSON list of seed-vector lists"),
+        (
+            json.dumps([[{str(i): int(i == 0) for i in range(10)}]]),
+            "--family must be a JSON list of seed-vector lists",
+        ),
     ],
-    ids=["missing", "malformed", "not-nested", "not-rational"],
+    ids=["missing", "malformed", "not-nested", "not-rational", "string-vector", "object-vector"],
 )
 def test_bad_family_files_are_usage_errors(capsys, tmp_path, content, message):
     family = tmp_path / "family.json"
@@ -239,7 +245,10 @@ def test_verify_fails_closed_on_a_raising_criterion(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--n-range", "3..4")
     assert code == 2
     assert "Traceback" not in out + err and err == ""
-    assert "FAIL criterion 10: raising - raised CrossCheckFailure: W_2 pairings differ" in out
+    assert (
+        "FAIL criterion 10: tautological ledgers - raised CrossCheckFailure: W_2 pairings differ"
+        in out
+    )
     assert out.count("PASS") == 10 and "10/11 criteria passed" in out
 
     code, out, _ = run(capsys, "verify", "--n-range", "3..4", "--format", "json")
@@ -249,7 +258,7 @@ def test_verify_fails_closed_on_a_raising_criterion(capsys, monkeypatch):
     assert failed == [
         {
             "id": 10,
-            "name": "raising",
+            "name": "tautological ledgers",
             "passed": False,
             "details": "raised CrossCheckFailure: W_2 pairings differ",
         }

@@ -124,21 +124,15 @@ def test_submodule_closure_examples():
     F = constellation_from_cluster(n, cp(2, 1, -1), twist="delta1")
     # socle vector: y^2 (= -x^2) in the delta1 row
     j = F.basis.index((1, (0, 2)))
-    seed = [Fraction(0)] * F.dim
-    seed[j] = Fraction(1)
-    graded, cls = submodule_closure(F, [seed])
+    graded, cls = submodule_closure(F, [{j: Fraction(1)}])
     assert graded.dim() == 1 and cls == {"rho2'": 1}
     # cyclic generator: 1 in the delta1 row generates that whole row
     j1 = F.basis.index((1, (0, 0)))
-    gen = [Fraction(0)] * F.dim
-    gen[j1] = Fraction(1)
-    graded2, cls2 = submodule_closure(F, [gen])
+    graded2, cls2 = submodule_closure(F, [{j1: Fraction(1)}])
     assert graded2.dim() == 4
     # generic witness: the cluster generator row is tau-swapped into everything
     G = constellation_from_cluster(5, witness_point(5, 1, Fraction(1, 2)))
-    gen5 = [Fraction(0)] * G.dim
-    gen5[G.basis.index((0, (0, 0)))] = Fraction(1)
-    graded3, _ = submodule_closure(G, [gen5])
+    graded3, _ = submodule_closure(G, [{G.basis.index((0, (0, 0))): Fraction(1)}])
     assert graded3.dim() == G.dim  # tau swaps the rows, so 1 generates all
 
 

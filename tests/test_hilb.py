@@ -42,7 +42,7 @@ def test_cluster_ideal_n4_matches_explicit_generators():
         [parse_poly(s) for s in ("x^3", "y^3", "x*y", "x^2 + y^2")]
     )
     assert ideal == other
-    assert staircase(ideal).dim == 4
+    assert len(staircase(ideal)) == 4
 
 
 def test_cluster_dimension_examples():

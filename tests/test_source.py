@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import dihedral_mckay
@@ -47,35 +48,47 @@ def test_no_check_in_the_package_is_an_assertion_error():
     assert not found, f"AssertionError in the package: {found}"
 
 
-def _references(tree, skip):
-    """Identifiers loaded as names or attributes in tree, outside the node skip."""
-    out = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return out
+def _references(tree):
+    """Counts of the identifiers read as names or attributes in tree."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _defined_names(node):
+    """Names a module-level statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return []
 
 
 def test_every_definition_is_used_in_the_package():
-    """Code that only tests call is dead weight: each module-level function
-    or class, public or private, must be referenced somewhere in the
-    package outside its own definition."""
+    """Code that only tests call is dead weight: each module-level function,
+    class or assigned name, public or private, must be read somewhere in
+    the package outside its own definition.  Dunder names such as
+    ``__version__`` are exempt.  References are counted once per module,
+    and each definition subtracts the ones inside itself."""
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in MODULES
     }
+    total = sum((_references(tree) for tree in trees.values()), Counter())
     unused = []
     for name, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = [
+                d for d in _defined_names(node) if not (d.startswith("__") and d.endswith("__"))
+            ]
+            if not defined:
                 continue
-            if not any(node.name in _references(t, node) for t in trees.values()):
-                unused.append(f"{name}:{node.lineno} {node.name}")
+            inside = _references(node)
+            unused += [
+                f"{name}:{node.lineno} {d}" for d in defined if total[d] - inside[d] == 0
+            ]
     assert not unused, f"definitions nothing in the package uses: {unused}"
