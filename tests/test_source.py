@@ -92,3 +92,14 @@ def test_every_definition_is_used_in_the_package():
                 f"{name}:{node.lineno} {d}" for d in defined if total[d] - inside[d] == 0
             ]
     assert not unused, f"definitions nothing in the package uses: {unused}"
+
+
+def test_no_line_in_the_package_is_longer_than_99_characters():
+    """A line-count reduction must not come from packing lines."""
+    long = [
+        f"{path.name}:{i}"
+        for path in MODULES
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 99
+    ]
+    assert not long, f"lines over 99 characters: {long}"
