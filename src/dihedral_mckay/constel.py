@@ -373,29 +373,20 @@ def socle_table(n, alpha=Fraction(1, 2)):
 
 
 def expected_socle(n, stratum):
-    """The published case list for the socle on each stratum."""
+    """The published case list for the socle on each stratum.
+
+    The three stacky points are listed as they are published.  A curve
+    stratum (E_i, or the corner E_i&E_(i+1)) has in its socle every
+    irreducible whose McKay index (CharTable.index) is a curve it meets:
+    rho_i, and both rho_(n/2) and rho_(n/2)' on E_(n/2).
+    """
     m = hilb.half_index(n)
-    if stratum == "B1":
-        return {f"rho{m}'": 1}
-    if stratum == "B2":
-        return {f"rho{m}": 1}
-    if stratum == f"E{m}&B3":
-        return {f"rho{m}": 1}
-    if "&" in stratum:
-        a, b = stratum.split("&")
-        i, j = int(a[1:]), int(b[1:])
-        out = {}
-        for k in (i, j):
-            if n % 2 == 0 and k == m:
-                out[f"rho{m}"] = 1
-                out[f"rho{m}'"] = 1
-            else:
-                out[f"rho{k}"] = 1
-        return out
-    i = int(stratum[1:])
-    if n % 2 == 0 and i == m:
-        return {f"rho{m}": 1, f"rho{m}'": 1}
-    return {f"rho{i}": 1}
+    stacky = {"B1": {f"rho{m}'": 1}, "B2": {f"rho{m}": 1}, f"E{m}&B3": {f"rho{m}": 1}}
+    if stratum in stacky:
+        return stacky[stratum]
+    curves = {int(part[1:]) for part in stratum.split("&")}
+    table = char_table(GroupSpec("dihedral", n))
+    return {c.name: 1 for c in table if table.index[c.name] in curves}
 
 
 def off_exceptional_report(n):

@@ -108,13 +108,21 @@ class Character:
 
 
 class CharTable:
-    __slots__ = ("group", "classes", "chars", "by_name")
+    """Irreducible characters of a group, in table order.
 
-    def __init__(self, group, classes, chars):
+    ``index`` maps each name to its McKay index j: eps_j -> j; rho0,
+    rho0' -> 0; rho_j -> j; rho_(n/2), rho_(n/2)' -> n/2.  Then Res rho_j =
+    eps_j + eps_(-j mod n), and rho_j with j >= 1 belongs to the curve E_j.
+    """
+
+    __slots__ = ("group", "classes", "chars", "by_name", "index")
+
+    def __init__(self, group, classes, chars, index):
         self.group = group
         self.classes = classes
         self.chars = tuple(chars)
         self.by_name = {c.name: c for c in chars}
+        self.index = index
 
     def __iter__(self):
         return iter(self.chars)
@@ -133,45 +141,36 @@ def _rot_value(n, j, k):
 def char_table(g):
     n = g.n
     classes = conjugacy_classes(g)
+    chars, index = [], {}
+
+    def add(name, j, vals):
+        chars.append(Character(g, name, vals))
+        index[name] = j
+
     if g.kind == "cyclic":
-        chars = []
         for j in range(n):
-            vals = [CycloElt.root_power(n, j * c.power) for c in classes]
-            chars.append(Character(g, f"eps{j}", vals))
-        return CharTable(g, classes, chars)
+            add(f"eps{j}", j, [CycloElt.root_power(n, j * c.power) for c in classes])
+        return CharTable(g, classes, chars, index)
 
     one = CycloElt.from_rational(n, 1)
 
     def const(q):
         return CycloElt.from_rational(n, q)
 
-    chars = [Character(g, "rho0", [one] * len(classes))]
-    chars.append(
-        Character(
-            g,
-            "rho0'",
-            [const(-1) if c.kind == "reflection" else one for c in classes],
-        )
-    )
+    add("rho0", 0, [one] * len(classes))
+    add("rho0'", 0, [const(-1) if c.kind == "reflection" else one for c in classes])
     for j in range(1, (n - 1) // 2 + 1):
-        vals = []
-        for c in classes:
-            if c.kind == "reflection":
-                vals.append(CycloElt.zero(n))
-            else:
-                vals.append(_rot_value(n, j, c.power))
-        chars.append(Character(g, f"rho{j}", vals))
+        vals = [
+            CycloElt.zero(n) if c.kind == "reflection" else _rot_value(n, j, c.power)
+            for c in classes
+        ]
+        add(f"rho{j}", j, vals)
     if n % 2 == 0:
         h = n // 2
         for name, refl_sign in ((f"rho{h}", 1), (f"rho{h}'", -1)):
-            vals = []
-            for c in classes:
-                if c.kind == "rotation":
-                    vals.append(const((-1) ** c.power))
-                else:
-                    vals.append(const(refl_sign * (-1) ** c.power))
-            chars.append(Character(g, name, vals))
-    return CharTable(g, classes, chars)
+            sign = {"rotation": 1, "reflection": refl_sign}
+            add(name, h, [const(sign[c.kind] * (-1) ** c.power) for c in classes])
+    return CharTable(g, classes, chars, index)
 
 
 def gram(rows, cols):
@@ -306,25 +305,14 @@ class Quiver:
         self.divergences = tuple(divergences)
 
 
-def _drawn_adjacency(n, names):
-    """Adjacency of the diagram as drawn: affine-D shape, no loops."""
-    idx = {v: i for i, v in enumerate(names)}
-    adj = [[0] * len(names) for _ in names]
+def _drawn_adjacency(table):
+    """Adjacency of the diagram as drawn: affine-D shape, no loops.
 
-    def connect(a, b):
-        adj[idx[a]][idx[b]] += 1
-        adj[idx[b]][idx[a]] += 1
-
-    m = (n - 1) // 2 if n % 2 else n // 2 - 1  # last 2-dim irrep index
-    connect("rho0", "rho1")
-    connect("rho0'", "rho1")
-    for j in range(1, m):
-        connect(f"rho{j}", f"rho{j + 1}")
-    if n % 2 == 0:
-        h = n // 2
-        connect(f"rho{m}", f"rho{h}")
-        connect(f"rho{m}", f"rho{h}'")
-    return adj
+    One edge joins each two irreducibles whose McKay indices differ by one,
+    which makes the forks at rho0, rho0' and, for even n, rho_(n/2), rho_(n/2)'.
+    """
+    idx = [table.index[c.name] for c in table]
+    return [[int(abs(i - j) == 1) for j in idx] for i in idx]
 
 
 def mckay_quiver(n):
@@ -338,7 +326,7 @@ def mckay_quiver(n):
     for chi in table:
         prod = nat * chi
         adj.append([inner_product(prod, psi) for psi in table])
-    drawn = _drawn_adjacency(n, names)
+    drawn = _drawn_adjacency(table)
     divergences = []
     for i, a in enumerate(names):
         for j, b in enumerate(names[i:], i):

@@ -143,7 +143,8 @@ def build_ledger(n, space):
     L = DivisorClass.make({"L": 1})
     twist = stack_twist_class(n) if stack else L
     entries = []
-    for chi in char_table(GroupSpec("dihedral", n)):
+    table = char_table(GroupSpec("dihedral", n))
+    for chi in table:
         name = chi.name
         rank, extension = 1, "line"
         if name == "rho0":
@@ -152,7 +153,7 @@ def build_ledger(n, space):
             c1, text = twist, f"O({twist.pretty()})"
         elif int(chi.degree) == 2:
             rank = 2
-            c1 = DivisorClass.make({f"D{int(name[3:])}": 1}) + twist
+            c1 = DivisorClass.make({f"D{table.index[name]}": 1}) + twist
             if stack:
                 text = f"0 -> O -> R^({name}) -> O({c1.pretty()}) -> 0"
                 extension = "unique-nontrivial"
@@ -198,34 +199,25 @@ def ledger_markdown(n, entries, space):
 def pushforward_identities(n):
     """Character-level p_* identities between the two tautological families.
 
-    Ind eps_i = rho_i doubled-on-restriction for i != 0, n/2;
-    Ind eps_0 = rho0 + rho0'; Ind eps_{n/2} = rho_{n/2} + rho_{n/2}'.
+    Both sides read the McKay index j of CharTable.index: Ind eps_i is the
+    sum of the dihedral irreducibles of index min(i, n - i) (rho0 + rho0'
+    for i = 0, rho_(n/2) + rho_(n/2)' for i = n/2, rho_i otherwise), and
+    Res rho_j = eps_j + eps_(n-j), a single eps_j when j = 0 or n/2.
     """
     cyc = char_table(GroupSpec("cyclic", n))
-    report = []
-    for i in range(n):
-        ind = decompose(induce(cyc.by_name[f"eps{i}"]))
-        if i == 0:
-            want = {"rho0": 1, "rho0'": 1}
-        elif n % 2 == 0 and i == n // 2:
-            want = {f"rho{n // 2}": 1, f"rho{n // 2}'": 1}
-        else:
-            j = min(i, n - i)
-            want = {f"rho{j}": 1}
-        if ind != want:
-            raise IdentityViolation(f"Ind eps{i} = {ind}, expected {want}")
-        report.append({"eps": f"eps{i}", "induced": ind})
-    # restriction side: Res rho_j = eps_j + eps_(n-j)
     dih = char_table(GroupSpec("dihedral", n))
+    report = []
+    for eps in cyc:
+        i = cyc.index[eps.name]
+        ind = decompose(induce(eps))
+        want = {c.name: 1 for c in dih if dih.index[c.name] == min(i, n - i)}
+        if ind != want:
+            raise IdentityViolation(f"Ind {eps.name} = {ind}, expected {want}")
+        report.append({"eps": eps.name, "induced": ind})
     for chi in dih:
+        j = dih.index[chi.name]
         res = decompose(restrict(chi))
-        j = chi.name[3:].rstrip("'")
-        if chi.name in ("rho0", "rho0'"):
-            want = {"eps0": 1}
-        elif int(j) == n // 2 and n % 2 == 0 and int(chi.degree) == 1:
-            want = {f"eps{n // 2}": 1}
-        else:
-            want = {f"eps{int(j)}": 1, f"eps{n - int(j)}": 1}
+        want = {c.name: 1 for c in cyc if cyc.index[c.name] in (j, n - j)}
         if res != want:
             raise IdentityViolation(f"Res {chi.name} = {res}, expected {want}")
         report.append({"rho": chi.name, "restricted": res})
@@ -233,25 +225,25 @@ def pushforward_identities(n):
 
 
 def fm_table(n):
-    """Fourier-Mukai images of the origin skyscrapers on the quotient stack."""
+    """Fourier-Mukai images of the origin skyscrapers on the quotient stack.
+
+    The McKay index j of CharTable.index fixes the support and the shift:
+    E_j and 1 for j >= 1, F and 0 for rho0, rho0'.  Only the twist is chosen
+    per case: (B3-D) or (B1-B2) on rho0', -B3 on rho_m for odd n, and -B1,
+    -B2 on rho_(n/2), rho_(n/2)'.
+    """
     m = hilb.half_index(n)
     table = char_table(GroupSpec("dihedral", n))
     out = []
     for chi in table:
-        name = chi.name
-        deg = int(chi.degree)
-        if name == "rho0":
-            out.append({"rep": name, "support": "F", "twist": "none", "shift": 0})
-        elif name == "rho0'":
-            twist = "(B1-B2)" if n % 2 == 0 else "(B3-D)"
-            out.append({"rep": name, "support": "F", "twist": twist, "shift": 0})
-        elif deg == 2:
-            i = int(name[3:])
-            twist = "-B3" if (n % 2 and i == m) else "none"
-            out.append({"rep": name, "support": f"E{i}", "twist": twist, "shift": 1})
-        else:
-            twist = "-B1" if not name.endswith("'") else "-B2"
-            out.append({"rep": name, "support": f"E{m}", "twist": twist, "shift": 1})
+        j, primed = table.index[chi.name], chi.name.endswith("'")
+        twist = "none"
+        if j == 0 and primed:
+            twist = "(B3-D)" if n % 2 else "(B1-B2)"
+        elif j == m:
+            twist = "-B3" if n % 2 else ("-B2" if primed else "-B1")
+        support = f"E{j}" if j else "F"
+        out.append({"rep": chi.name, "support": support, "twist": twist, "shift": int(j > 0)})
     return out
 
 
