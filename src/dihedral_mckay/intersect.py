@@ -41,10 +41,10 @@ class Point:
 @dataclass
 class CurveConfig:
     labels: list
-    q: dict  # (label, label) -> Fraction, symmetric
-    k_dot: dict  # label -> Fraction
-    boundary_dot: dict  # label -> {boundary label -> Fraction}
-    discrepancy: dict  # label -> Fraction
+    q: dict = field(default_factory=dict)  # (label, label) -> Fraction, symmetric
+    k_dot: dict = field(default_factory=dict)  # label -> Fraction
+    boundary_dot: dict = field(default_factory=dict)  # label -> {boundary label -> Fraction}
+    discrepancy: dict = field(default_factory=dict)  # label -> Fraction
     points: list = field(default_factory=list)
 
     def pair(self, a, b):
@@ -115,7 +115,6 @@ def an_chain(k):
     labels = [f"Et{i}" for i in range(1, k + 1)]
     cfg = CurveConfig(
         labels=labels,
-        q={},
         k_dot={a: Fraction(0) for a in labels},
         boundary_dot={a: {} for a in labels},
         discrepancy={a: Fraction(0) for a in labels},
@@ -150,13 +149,7 @@ def z2_fold(chain, n):
         return [f"Et{i}", f"Et{n - i}"]
 
     labels = [f"E{i}" for i in range(1, m + 1)]
-    cfg = CurveConfig(
-        labels=labels,
-        q={},
-        k_dot={},
-        boundary_dot={},
-        discrepancy={a: Fraction(0) for a in labels},
-    )
+    cfg = CurveConfig(labels, discrepancy={a: Fraction(0) for a in labels})
     for i in range(1, m + 1):
         for j in range(i, m + 1):
             val = sum(
@@ -194,13 +187,7 @@ def blow_down(cfg, curve):
             f"{curve}: C^2 = {cfg.pair(curve, curve)}, K.C = {cfg.k_dot[curve]}"
         )
     labels = [a for a in cfg.labels if a != curve]
-    out = CurveConfig(
-        labels=labels,
-        q={},
-        k_dot={},
-        boundary_dot={},
-        discrepancy={a: cfg.discrepancy[a] for a in labels},
-    )
+    out = CurveConfig(labels, discrepancy={a: cfg.discrepancy[a] for a in labels})
     for i, a in enumerate(labels):
         for b in labels[i:]:
             out.set_pair(a, b, cfg.pair(a, b) + cfg.pair(a, curve) * cfg.pair(b, curve))
@@ -270,13 +257,7 @@ def blow_up_at(cfg, boundary, point, new_label="F"):
     """
     a_new = _center_discrepancy(cfg, boundary, point)
     labels = cfg.labels + [new_label]
-    out = CurveConfig(
-        labels=labels,
-        q={},
-        k_dot={},
-        boundary_dot={},
-        discrepancy={**cfg.discrepancy, new_label: a_new},
-    )
+    out = CurveConfig(labels, discrepancy={**cfg.discrepancy, new_label: a_new})
     for i, a in enumerate(cfg.labels):
         for b in cfg.labels[i:]:
             ma = Fraction(point.curves.get(a, 0))
@@ -341,7 +322,7 @@ def is_maximal(cfg, boundary):
 
 def quotient_pair(n):
     """(C^2/G, B-hat) as a configuration: no curves, one singular boundary point."""
-    cfg = CurveConfig(labels=[], q={}, k_dot={}, boundary_dot={}, discrepancy={})
+    cfg = CurveConfig([])
     if n % 2:
         cfg.points.append(Point("origin", {}, {"B3": 2}))
     else:
@@ -357,7 +338,8 @@ def embedded_resolution_chain(n):
     point reproduces z2_fold(n) exactly (up to curve naming) in its
     labels, pairings, K.E, boundary pairings and discrepancies.  Only the
     next center is recorded as a point, so the result carries no special
-    points, and ``configs_equal`` does not compare them.
+    points, and ``configs_equal`` does not compare them; verify criterion
+    7 checks the fold's points against the incidences its pairings imply.
     """
     bdry = boundary_data(n)
     cfg = quotient_pair(n)

@@ -72,23 +72,19 @@ def criterion_2(n_range=None):
         q = mckay_quiver(n)
         if n % 2 == 0:
             if q.divergences:
-                return _result(2, False, f"even n={n} diverges")
-            deg_one = [
-                v
-                for i, v in enumerate(q.vertices)
-                if sum(q.adjacency[i]) == 1
-            ]
-            if sorted(deg_one) != sorted(
-                ["rho0", "rho0'", f"rho{n // 2}", f"rho{n // 2}'"]
-            ):
-                return _result(2, False, f"tails at n={n}")
+                d = q.divergences[0]
+                edge = f"edge {d['from']}--{d['to']} at n={n}"
+                return _result(2, False, f"{edge}: expected {d['drawn']}, got {d['computed']}")
+            tails = sorted(v for v, row in zip(q.vertices, q.adjacency) if sum(row) == 1)
+            want = sorted(["rho0", "rho0'", f"rho{n // 2}", f"rho{n // 2}'"])
+            if tails != want:
+                return _result(2, False, f"tails at n={n}: expected {want}, got {tails}")
         else:
             m = (n - 1) // 2
-            want = [
-                {"from": f"rho{m}", "to": f"rho{m}", "computed": 1, "drawn": 0}
-            ]
-            if [dict(d) for d in q.divergences] != want:
-                return _result(2, False, f"odd n={n} loop flag")
+            want = [{"from": f"rho{m}", "to": f"rho{m}", "computed": 1, "drawn": 0}]
+            got = [dict(d) for d in q.divergences]
+            if got != want:
+                return _result(2, False, f"loop flag at n={n}: expected {want}, got {got}")
     return _result(2, True, "even diagrams exact; odd loop flagged")
 
 
@@ -177,7 +173,8 @@ def criterion_6(n_range=None):
 
 def criterion_7(n_range=None):
     """Discrepancy ledger: 1/2 at a smooth boundary point, crepant fold,
-    maximality accepted for the fold and rejected on both sides."""
+    the fold's special points exactly as its pairings imply, maximality
+    accepted for the fold and rejected on both sides."""
     for n in _clip(3, 20, n_range):
         bdry = intersect.boundary_data(n)
         if intersect.blowup_discrepancy(bdry, 1, []) != Fraction(1, 2):
@@ -187,6 +184,9 @@ def criterion_7(n_range=None):
             return _result(7, False, f"fold ledger at n={n}")
         if not intersect.configs_equal(intersect.embedded_resolution_chain(n), fold):
             return _result(7, False, f"forward chain at n={n}")
+        want, got = _implied_points(fold), _incidences((p.curves, p.boundary) for p in fold.points)
+        if got != want:
+            return _result(7, False, f"special points at n={n}: expected {want}, got {got}")
         ok, _ = intersect.is_maximal(fold, bdry)
         if not ok:
             return _result(7, False, f"fold not maximal at n={n}")
@@ -201,6 +201,23 @@ def criterion_7(n_range=None):
         if ok:
             return _result(7, False, f"one-beyond accepted at n={n}")
     return _result(7, True, "1/2 at smooth points; crepant fold is maximal")
+
+
+def _incidences(pairs):
+    """(curves, boundary) multiplicity dicts as a sorted list of item lists."""
+    return sorted((sorted(c.items()), sorted(b.items())) for c, b in pairs)
+
+
+def _implied_points(cfg):
+    """The special points that the numbers of cfg imply: one transversal
+    corner for each two distinct curves that meet, and one point for each
+    nonzero pairing of a curve with a boundary component."""
+    labels = cfg.labels
+    corners = [
+        ({a: 1, b: 1}, {}) for i, a in enumerate(labels) for b in labels[i + 1 :] if cfg.pair(a, b)
+    ]
+    ends = [({a: 1}, {lab: 1}) for a in labels for lab, v in cfg.boundary_dot[a].items() if v]
+    return _incidences(corners + ends)
 
 
 def criterion_8(n_range=None):
@@ -258,14 +275,23 @@ def criterion_10(n_range=None):
         for space in ("stack", "coarse"):
             taut.build_ledger(n, space)  # raises on any rank/extension mismatch
         table = taut.PairingTable(n)
-        if not taut.torsion_check(n, taut.stack_twist_class(n), table):
-            return _result(10, False, f"torsion at n={n}")
+        twist = taut.stack_twist_class(n)
+        if not taut.torsion_check(n, twist, table):
+            return _result(10, False, _torsion(n, table, twist, "0 on every E_j"))
         for i in range(1, table.m + 1):
-            if taut.torsion_check(n, taut.DivisorClass.make({f"E{i}": 1}), table):
-                return _result(10, False, f"E{i} torsion n={n}")
+            cls = taut.DivisorClass.make({f"E{i}": 1})
+            if taut.torsion_check(n, cls, table):
+                return _result(10, False, _torsion(n, table, cls, "nonzero on some E_j"))
         taut.pushforward_identities(n)
         taut.refdivisor_certify(n)
     return _result(10, True, "tables, torsion and cross-checks exact")
+
+
+def _torsion(n, table, cls, want):
+    """Failure details of a torsion check: the class and its doubled pairings."""
+    doubled = cls.scale(2)
+    got = {f"E{j}": str(table.pair(doubled, f"E{j}")) for j in range(1, table.m + 1)}
+    return f"2*({cls.pretty()}) at n={n}: expected {want}, got {got}"
 
 
 def criterion_11(n_range=None, seed=2024):

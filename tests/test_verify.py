@@ -113,3 +113,101 @@ def test_criterion_1_pairs_each_table_once_without_inner_product(monkeypatch):
     }
     assert [args[0][0].group.n for args in pairs] == list(range(3, 9))
     assert singles == []
+
+
+def test_criterion_7_fails_on_a_fold_without_its_points(monkeypatch):
+    """The forward chain carries no points, so criterion 7 checks the fold's
+    points against the incidences its own pairings imply."""
+    real = verify.intersect.z2_fold
+
+    def pointless(chain, n):
+        cfg = real(chain, n)
+        if n == 7:
+            cfg.points = []
+        return cfg
+
+    monkeypatch.setattr(verify.intersect, "z2_fold", pointless)
+    res = verify.criterion_7(n_range=(3, 9))
+    assert not res["passed"]
+    assert res["details"] == (
+        "special points at n=7: expected [([('E1', 1), ('E2', 1)], []), "
+        "([('E2', 1), ('E3', 1)], []), ([('E3', 1)], [('B3', 1)])], got []"
+    )
+
+
+def _quiver_at(monkeypatch, at, spoil):
+    real = verify.mckay_quiver
+
+    def spoiled(n):
+        q = real(n)
+        return spoil(q) if n == at else q
+
+    monkeypatch.setattr(verify, "mckay_quiver", spoiled)
+
+
+def _drop_loop_flag(q):
+    return reps.Quiver(q.n, q.vertices, q.adjacency, [])
+
+
+def _flag_an_edge(q):
+    d = {"from": "rho1", "to": "rho2", "computed": 2, "drawn": 1}
+    return reps.Quiver(q.n, q.vertices, q.adjacency, [d])
+
+
+def _join_the_tails(q):
+    adj = [list(row) for row in q.adjacency]
+    adj[0][1] = adj[1][0] = 1  # rho0 -- rho0'
+    return reps.Quiver(q.n, q.vertices, adj, q.divergences)
+
+
+@pytest.mark.parametrize(
+    "at, spoil, details",
+    [
+        (
+            7,
+            _drop_loop_flag,
+            "loop flag at n=7: expected "
+            "[{'from': 'rho3', 'to': 'rho3', 'computed': 1, 'drawn': 0}], got []",
+        ),
+        (8, _flag_an_edge, "edge rho1--rho2 at n=8: expected 1, got 2"),
+        (
+            8,
+            _join_the_tails,
+            "tails at n=8: expected ['rho0', \"rho0'\", 'rho4', \"rho4'\"], "
+            "got ['rho4', \"rho4'\"]",
+        ),
+    ],
+)
+def test_criterion_2_failure_names_n_and_the_values(monkeypatch, at, spoil, details):
+    _quiver_at(monkeypatch, at, spoil)
+    res = verify.criterion_2(n_range=(4, 9))
+    assert not res["passed"]
+    assert res["details"] == details
+
+
+def test_criterion_10_failure_names_the_twist_and_its_pairings(monkeypatch):
+    real = taut.stack_twist_class
+    monkeypatch.setattr(
+        taut,
+        "stack_twist_class",
+        lambda n: taut.DivisorClass.make({"E1": 1}) if n == 7 else real(n),
+    )
+    res = verify.criterion_10(n_range=(3, 9))
+    assert not res["passed"]
+    assert res["details"] == (
+        "2*(E1) at n=7: expected 0 on every E_j, got {'E1': '-4', 'E2': '2', 'E3': '0'}"
+    )
+
+
+def test_criterion_10_failure_names_the_torsion_curve(monkeypatch):
+    real = taut.PairingTable.pair
+
+    def flat(self, cls, curve):
+        return Fraction(0) if self.n == 7 else real(self, cls, curve)
+
+    monkeypatch.setattr(taut.PairingTable, "pair", flat)
+    res = verify.criterion_10(n_range=(3, 9))
+    assert not res["passed"]
+    assert res["details"] == (
+        "2*(E1) at n=7: expected nonzero on some E_j, got {'E1': '0', 'E2': '0', 'E3': '0'}"
+    )
