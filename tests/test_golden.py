@@ -29,6 +29,11 @@ CASES = {
     "fold_n9.json": ["fold", "--n", "9"],
     "strict-transforms_n7.json": ["strict-transforms", "--n", "7"],
     "chain_n5.json": ["chain", "--n", "5"],
+    # even n: blow-downs carry both boundary components onto one image point
+    "chain_n6.json": ["chain", "--n", "6"],
+    # the dual graph with its dashed boundary pairings
+    "fold_n6.dot": ["fold", "--n", "6", "--format", "dot"],
+    "fold_n9.dot": ["fold", "--n", "9", "--format", "dot"],
     "refdiv_n7_k2.json": ["refdiv", "--n", "7", "--k", "2"],
     # the even end charts: W_m on A_m and A_(m+1), and W_(m-1), whose far
     # point on E_(m-1) is the point u = 1 of A_m

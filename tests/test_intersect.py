@@ -98,6 +98,25 @@ def test_domination_chain():
             assert cfg.negative_definite()
 
 
+def test_blow_up_then_down_is_identity():
+    """Contracting the new curve undoes the blow-up at every recorded point
+    and at a generic point of each boundary component and each curve."""
+    cases = 0
+    for n in range(3, 25):
+        bdry = boundary_data(n)
+        for cfg in domination_chain(n)[:-1]:
+            centers = list(cfg.points)
+            centers += [Point(f"generic {lab}", {}, {lab: 1}) for lab in bdry.components]
+            centers += [Point(f"generic {a}", {a: 1}, {}) for a in cfg.labels]
+            for p in centers:
+                up = blow_up_at(cfg, bdry, p, "F")
+                assert up.pair("F", "F") == -1 and up.k_dot["F"] == -1, (n, p)
+                assert up.adjunction_holds(), (n, p)
+                assert configs_equal(blow_down(up, "F"), cfg), (n, p)
+                cases += 1
+    assert cases == 1529
+
+
 def test_blowup_discrepancy_examples():
     b_odd = boundary_data(5)
     assert blowup_discrepancy(b_odd, 1, []) == Fraction(1, 2)
