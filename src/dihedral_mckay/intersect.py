@@ -1,11 +1,14 @@
 """Exceptional-curve intersection data on the quotient surface.
 
-A CurveConfig is a labeled symmetric rational intersection matrix with
-the canonical pairing, reduced-boundary pairings, discrepancies, and the
-special points (curve/boundary incidences with multiplicities).  The
-fold of the A_(n-1) chain under the Z_2 action comes from the projection
-formula; blow-downs follow the Castelnuovo update; maximality of the
-log pair is decided by enumerating blow-up centers.
+A CurveConfig holds one symmetric rational form on the curve labels, the
+label "K" of the canonical class and the reduced-boundary labels, plus
+discrepancies and the special points (curve/boundary incidences with
+multiplicities).  K and the boundary are updated by the same rule as the
+curves: Q'_xy = Q_xy + Q_xC Q_yC when C is contracted, and
+Q'_xy = Q_xy - m_x m_y when a point is blown up (m_K = -1).  The fold of
+the A_(n-1) chain under the Z_2 action comes from the projection
+formula; maximality of the log pair is decided by enumerating blow-up
+centers.
 """
 
 from __future__ import annotations
@@ -40,10 +43,12 @@ class Point:
 
 @dataclass
 class CurveConfig:
+    """Curves of a log pair; q pairs each curve with the curves, "K" and
+    the boundary labels (K.E is pair(E, "K"), B.E is pair(E, B))."""
+
     labels: list
+    boundary: tuple = ()  # boundary labels
     q: dict = field(default_factory=dict)  # (label, label) -> Fraction, symmetric
-    k_dot: dict = field(default_factory=dict)  # label -> Fraction
-    boundary_dot: dict = field(default_factory=dict)  # label -> {boundary label -> Fraction}
     discrepancy: dict = field(default_factory=dict)  # label -> Fraction
     points: list = field(default_factory=list)
 
@@ -57,7 +62,7 @@ class CurveConfig:
     def adjunction_holds(self):
         """K.E + E^2 = -2 for every (rational) curve."""
         return all(
-            self.k_dot[a] + self.pair(a, a) == -2 for a in self.labels
+            self.pair(a, "K") + self.pair(a, a) == -2 for a in self.labels
         )
 
     def negative_definite(self):
@@ -82,11 +87,9 @@ class CurveConfig:
                 {
                     "label": a,
                     "self_intersection": str(self.pair(a, a)),
-                    "k_dot": str(self.k_dot[a]),
+                    "k_dot": str(self.pair(a, "K")),
                     "discrepancy": str(self.discrepancy[a]),
-                    "boundary_dot": {
-                        b: str(v) for b, v in sorted(self.boundary_dot[a].items())
-                    },
+                    "boundary_dot": {b: str(self.pair(a, b)) for b in sorted(self.boundary)},
                 }
                 for a in self.labels
             ],
@@ -113,12 +116,7 @@ class CurveConfig:
 def an_chain(k):
     """A_k chain of (-2)-curves Et_1, ..., Et_k: crepant, no boundary pairings."""
     labels = [f"Et{i}" for i in range(1, k + 1)]
-    cfg = CurveConfig(
-        labels=labels,
-        k_dot={a: Fraction(0) for a in labels},
-        boundary_dot={a: {} for a in labels},
-        discrepancy={a: Fraction(0) for a in labels},
-    )
+    cfg = CurveConfig(labels, discrepancy={a: Fraction(0) for a in labels})
     for i, a in enumerate(labels):
         cfg.set_pair(a, a, Fraction(-2))
         if i + 1 < k:
@@ -149,20 +147,17 @@ def z2_fold(chain, n):
         return [f"Et{i}", f"Et{n - i}"]
 
     labels = [f"E{i}" for i in range(1, m + 1)]
-    cfg = CurveConfig(labels, discrepancy={a: Fraction(0) for a in labels})
+    bnums = hilb.boundary_intersection_numbers(n)
+    cfg = CurveConfig(labels, tuple(sorted(bnums)), discrepancy={a: Fraction(0) for a in labels})
     for i in range(1, m + 1):
         for j in range(i, m + 1):
             val = sum(
                 (chain.pair(a, b) for a in pull(i) for b in pull(j)), Fraction(0)
             ) / 2
             cfg.set_pair(f"E{i}", f"E{j}", val)
-    for i in range(1, m + 1):
-        cfg.k_dot[f"E{i}"] = Fraction(-1) if i == m else Fraction(0)
-    bnums = hilb.boundary_intersection_numbers(n)
-    for i in range(1, m + 1):
-        cfg.boundary_dot[f"E{i}"] = {
-            lab: Fraction(row[f"E{i}"]) for lab, row in sorted(bnums.items())
-        }
+        cfg.set_pair(f"E{i}", "K", Fraction(-1) if i == m else Fraction(0))
+        for lab, row in bnums.items():
+            cfg.set_pair(f"E{i}", lab, Fraction(row[f"E{i}"]))
     if not cfg.adjunction_holds():
         raise hilb.CertificateFailure(f"n={n}: adjunction fails after the fold")
     # special points: chain corners plus boundary incidences on the last curve
@@ -179,37 +174,32 @@ def z2_fold(chain, n):
 
 
 def blow_down(cfg, curve):
-    """Contract a (-1)-curve; Q'_ab = Q_ab + Q_aC Q_bC, same rule for K and B."""
+    """Contract a (-1)-curve C: Q'_xy = Q_xy + Q_xC Q_yC for every remaining
+    curve x, with y over the remaining curves, "K" and the boundary."""
     if curve not in cfg.labels:
         raise KeyError(curve)
-    if cfg.pair(curve, curve) != -1 or cfg.k_dot[curve] != -1:
+    if cfg.pair(curve, curve) != -1 or cfg.pair(curve, "K") != -1:
         raise NotContractible(
-            f"{curve}: C^2 = {cfg.pair(curve, curve)}, K.C = {cfg.k_dot[curve]}"
+            f"{curve}: C^2 = {cfg.pair(curve, curve)}, K.C = {cfg.pair(curve, 'K')}"
         )
     labels = [a for a in cfg.labels if a != curve]
-    out = CurveConfig(labels, discrepancy={a: cfg.discrepancy[a] for a in labels})
-    for i, a in enumerate(labels):
-        for b in labels[i:]:
-            out.set_pair(a, b, cfg.pair(a, b) + cfg.pair(a, curve) * cfg.pair(b, curve))
-        out.k_dot[a] = cfg.k_dot[a] + cfg.k_dot[curve] * cfg.pair(a, curve)
-        out.boundary_dot[a] = {
-            lab: v + cfg.boundary_dot[curve].get(lab, Fraction(0)) * cfg.pair(a, curve)
-            for lab, v in cfg.boundary_dot[a].items()
-        }
+    out = CurveConfig(labels, cfg.boundary, discrepancy={a: cfg.discrepancy[a] for a in labels})
+    for i, x in enumerate(labels):
+        for y in labels[i:] + ["K", *cfg.boundary]:
+            out.set_pair(x, y, cfg.pair(x, y) + cfg.pair(x, curve) * cfg.pair(y, curve))
     # points away from the contracted curve persist; everything incident
     # to it lands on one image point with multiplicity = intersection number
     for p in cfg.points:
         if curve not in p.curves:
             out.points.append(Point(p.label, dict(p.curves), dict(p.boundary)))
-    image = Point(f"image({curve})", {}, {})
-    for a in labels:
-        v = cfg.pair(a, curve)
-        if v != 0:
-            image.curves[a] = int(v)
-    for lab, v in cfg.boundary_dot[curve].items():
-        if v != 0:
-            image.boundary[lab] = int(v)
-    out.points.append(image)
+    meets = {x: int(cfg.pair(x, curve)) for x in labels + list(cfg.boundary)}
+    out.points.append(
+        Point(
+            f"image({curve})",
+            {a: meets[a] for a in labels if meets[a]},
+            {b: meets[b] for b in cfg.boundary if meets[b]},
+        )
+    )
     return out
 
 
@@ -226,7 +216,7 @@ def domination_chain(n):
         contractible = [
             a
             for a in cfg.labels
-            if cfg.pair(a, a) == -1 and cfg.k_dot[a] == -1
+            if cfg.pair(a, a) == -1 and cfg.pair(a, "K") == -1
         ]
         if len(contractible) != 1:
             raise hilb.CertificateFailure(
@@ -250,32 +240,24 @@ def _center_discrepancy(cfg, boundary, point):
 
 
 def blow_up_at(cfg, boundary, point, new_label="F"):
-    """Blow up a recorded point; returns the new configuration.
+    """Blow up a recorded point to the new curve F; returns the new configuration.
 
-    Used to build the one-step-beyond configurations that maximality
-    must reject.
+    With m_x the multiplicity of x at the point and m_K = -1 (K' = K + F):
+    Q'_xy = Q_xy - m_x m_y, Q'_xF = m_x and F^2 = -1, for every curve x
+    and y over the curves, "K" and the boundary.  Used to build the
+    one-step-beyond configurations that maximality must reject.
     """
     a_new = _center_discrepancy(cfg, boundary, point)
     labels = cfg.labels + [new_label]
-    out = CurveConfig(labels, discrepancy={**cfg.discrepancy, new_label: a_new})
-    for i, a in enumerate(cfg.labels):
-        for b in cfg.labels[i:]:
-            ma = Fraction(point.curves.get(a, 0))
-            mb = Fraction(point.curves.get(b, 0))
-            out.set_pair(a, b, cfg.pair(a, b) - ma * mb)
-        out.k_dot[a] = cfg.k_dot[a] + Fraction(point.curves.get(a, 0))
-        out.boundary_dot[a] = {
-            lab: v - Fraction(point.curves.get(a, 0)) * Fraction(point.boundary.get(lab, 0))
-            for lab, v in cfg.boundary_dot[a].items()
-        }
+    out = CurveConfig(labels, cfg.boundary, discrepancy={**cfg.discrepancy, new_label: a_new})
+    mult = {**point.curves, **point.boundary, "K": -1}
+    others = ["K", *cfg.boundary]
+    for i, x in enumerate(cfg.labels):
+        for y in cfg.labels[i:] + others:
+            out.set_pair(x, y, cfg.pair(x, y) - mult.get(x, 0) * mult.get(y, 0))
+    for x in cfg.labels + others:
+        out.set_pair(x, new_label, Fraction(mult.get(x, 0)))
     out.set_pair(new_label, new_label, Fraction(-1))
-    for a in cfg.labels:
-        out.set_pair(a, new_label, Fraction(point.curves.get(a, 0)))
-    out.k_dot[new_label] = Fraction(-1)
-    out.boundary_dot[new_label] = {
-        lab: Fraction(point.boundary.get(lab, 0))
-        for lab in (cfg.boundary_dot[cfg.labels[0]] if cfg.labels else point.boundary)
-    }
     out.points = [
         Point(p.label, dict(p.curves), dict(p.boundary))
         for p in cfg.points
@@ -322,7 +304,7 @@ def is_maximal(cfg, boundary):
 
 def quotient_pair(n):
     """(C^2/G, B-hat) as a configuration: no curves, one singular boundary point."""
-    cfg = CurveConfig([])
+    cfg = CurveConfig([], boundary_data(n).components)
     if n % 2:
         cfg.points.append(Point("origin", {}, {"B3": 2}))
     else:
@@ -360,21 +342,13 @@ def embedded_resolution_chain(n):
 
 
 def configs_equal(a, b):
-    if a.labels != b.labels:
-        return False
+    """Same curves, discrepancies and pairings of each curve with the
+    curves, "K" and either config's boundary labels; points are not compared."""
+    others = a.labels + ["K", *a.boundary, *b.boundary]
     return (
-        all(
-            a.pair(x, y) == b.pair(x, y)
-            for x in a.labels
-            for y in a.labels
-        )
-        and a.k_dot == b.k_dot
+        a.labels == b.labels
         and a.discrepancy == b.discrepancy
-        and all(
-            {k: v for k, v in a.boundary_dot[x].items() if v != 0}
-            == {k: v for k, v in b.boundary_dot[x].items() if v != 0}
-            for x in a.labels
-        )
+        and all(a.pair(x, y) == b.pair(x, y) for x in a.labels for y in others)
     )
 
 
@@ -390,7 +364,8 @@ def dual_graph_dot(cfg, name="dual_graph"):
             if v != 0:
                 lines.append(f'  "{a}" -- "{b}" [label="{v}"];')
     for a in cfg.labels:
-        for lab, v in sorted(cfg.boundary_dot[a].items()):
+        for lab in sorted(cfg.boundary):
+            v = cfg.pair(a, lab)
             if v != 0:
                 lines.append(f'  "{lab}" [shape=box];')
                 lines.append(f'  "{a}" -- "{lab}" [label="{v}", style=dashed];')

@@ -81,15 +81,16 @@ class PairingTable:
         fold = intersect.z2_fold(intersect.an_chain(n - 1), n)
         curves = fold.labels
         self.rows = {a: {b: fold.pair(a, b) for b in curves} for a in curves}
-        for lab in fold.boundary_dot[curves[0]]:
-            self.rows[f"supp{lab}"] = {e: fold.boundary_dot[e][lab] for e in curves}
+        for lab in fold.boundary:
+            self.rows[f"supp{lab}"] = {e: fold.pair(e, lab) for e in curves}
         # the family D_i, with the distinguished transversal D = D_m
         for i, a in enumerate(curves, 1):
             self.rows[f"D{i}"] = {e: Fraction(int(e == a)) for e in curves}
         self.rows["D"] = dict(self.rows[f"D{self.m}"])
         # 2L = -(sum of boundary supports)
         self.rows["L"] = {
-            e: -sum(fold.boundary_dot[e].values(), Fraction(0)) / 2 for e in curves
+            e: -sum((fold.pair(e, lab) for lab in fold.boundary), Fraction(0)) / 2
+            for e in curves
         }
 
     def pair(self, cls, curve):

@@ -216,7 +216,7 @@ def _implied_points(cfg):
     corners = [
         ({a: 1, b: 1}, {}) for i, a in enumerate(labels) for b in labels[i + 1 :] if cfg.pair(a, b)
     ]
-    ends = [({a: 1}, {lab: 1}) for a in labels for lab, v in cfg.boundary_dot[a].items() if v]
+    ends = [({a: 1}, {lab: 1}) for a in labels for lab in cfg.boundary if cfg.pair(a, lab)]
     return _incidences(corners + ends)
 
 

@@ -34,7 +34,7 @@ def test_an_chain():
     c = an_chain(4)
     assert c.labels == ["Et1", "Et2", "Et3", "Et4"]
     for a in c.labels:
-        assert c.pair(a, a) == -2 and c.k_dot[a] == 0 and c.discrepancy[a] == 0
+        assert c.pair(a, a) == -2 and c.pair(a, "K") == 0 and c.discrepancy[a] == 0
     assert c.pair("Et1", "Et2") == 1 and c.pair("Et1", "Et3") == 0
     assert c.adjunction_holds() and c.negative_definite()
     assert an_chain(0).labels == []
@@ -46,13 +46,15 @@ def test_fold_examples():
     assert f5.pair("E1", "E1") == -2
     assert f5.pair("E2", "E2") == -1
     assert f5.pair("E1", "E2") == 1
-    assert f5.boundary_dot["E2"] == {"B3": 2} and f5.boundary_dot["E1"] == {"B3": 0}
+    assert f5.boundary == ("B3",)
+    assert f5.pair("E2", "B3") == 2 and f5.pair("E1", "B3") == 0
     f4 = fold(4)
     assert f4.pair("E1", "E1") == -2 and f4.pair("E2", "E2") == -1
-    assert f4.boundary_dot["E2"] == {"B1": 1, "B2": 1}
+    assert f4.boundary == ("B1", "B2")
+    assert f4.pair("E2", "B1") == 1 and f4.pair("E2", "B2") == 1
     f3 = fold(3)
     assert f3.labels == ["E1"] and f3.pair("E1", "E1") == -1
-    assert f3.boundary_dot["E1"] == {"B3": 2}
+    assert f3.pair("E1", "B3") == 2
 
 
 def test_fold_invariants_wide():
@@ -73,8 +75,8 @@ def test_blow_down():
     f5 = fold(5)
     c = blow_down(f5, "E2")
     assert c.labels == ["E1"]
-    assert c.pair("E1", "E1") == -1 and c.k_dot["E1"] == -1
-    assert c.boundary_dot["E1"] == {"B3": 2}
+    assert c.pair("E1", "E1") == -1 and c.pair("E1", "K") == -1
+    assert c.boundary == ("B3",) and c.pair("E1", "B3") == 2
     assert blow_down(fold(3), "E1").labels == []
     with pytest.raises(NotContractible):
         blow_down(f5, "E1")
@@ -90,7 +92,7 @@ def test_domination_chain():
                 sum(
                     1
                     for a in cfg.labels
-                    if cfg.pair(a, a) == -1 and cfg.k_dot[a] == -1
+                    if cfg.pair(a, a) == -1 and cfg.pair(a, "K") == -1
                 )
                 == 1
             )
@@ -110,7 +112,7 @@ def test_blow_up_then_down_is_identity():
             centers += [Point(f"generic {a}", {a: 1}, {}) for a in cfg.labels]
             for p in centers:
                 up = blow_up_at(cfg, bdry, p, "F")
-                assert up.pair("F", "F") == -1 and up.k_dot["F"] == -1, (n, p)
+                assert up.pair("F", "F") == -1 and up.pair("F", "K") == -1, (n, p)
                 assert up.adjunction_holds(), (n, p)
                 assert configs_equal(blow_down(up, "F"), cfg), (n, p)
                 cases += 1
@@ -207,7 +209,7 @@ def test_negative_definite_matches_leading_minors(m):
     """Sylvester's criterion through linalg.det on every leading minor."""
     labels = [f"C{i}" for i in range(len(m))]
     q = {(a, b): Fraction(m[i][j]) for i, a in enumerate(labels) for j, b in enumerate(labels)}
-    cfg = CurveConfig(labels, q, {}, {}, {})
+    cfg = CurveConfig(labels, q=q)
     want = all(
         (-1) ** t * det([row[:t] for row in m[:t]]) > 0 for t in range(1, len(m) + 1)
     )
