@@ -89,7 +89,6 @@ class Chart:
     rows: tuple  # one exponent vector per coordinate
     coord_names: tuple
     exceptional_axes: dict = field(default_factory=dict)  # coord index -> label
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.rows = tuple(tuple(r) for r in self.rows)
@@ -111,7 +110,6 @@ class Chart:
 
 @dataclass(frozen=True)
 class LocalCurve:
-    chart: str
     equation: Poly  # in chart coordinates
     label: str
 

@@ -207,7 +207,7 @@ def boundary_strict_transforms(n):
     out = {}
     for label, per_chart in _boundary_pullbacks(n).items():
         for name, (chart, strict, orders) in per_chart.items():
-            curve = LocalCurve(name, strict, label)
+            curve = LocalCurve(strict, label)
             meetings = []
             for axis, axis_label in sorted(chart.exceptional_axes.items()):
                 for rec in axis_root_report(curve, axis):
@@ -235,8 +235,8 @@ def _count_meetings(label, own, far, far_axis):
     chart (coordinate u), plus its order at the curve's far point: the
     origin of the next chart's strict transform restricted to far_axis."""
     try:
-        near = local_intersection(LocalCurve(label, own, "own strict transform"), 1)
-        at_far = restrict_to_axis(LocalCurve(label, far, "far strict transform"), far_axis)
+        near = local_intersection(LocalCurve(own, "own strict transform"), 1)
+        at_far = restrict_to_axis(LocalCurve(far, "far strict transform"), far_axis)
     except ValueError as exc:
         raise CertificateFailure(f"{label}: {exc}") from exc
     return near + next(k for k, c in enumerate(at_far) if c != 0)
@@ -355,9 +355,9 @@ def surface_atlas(n):
             )
         )
     else:
-        for name, rows, p, q, boundary in (
-            (f"A{m}", ((0, -1, 1), (1 - m, 1, 0)), "f1^2", "f2^2", "B2"),
-            (f"A{m + 1}", ((0, 1, -1), (1 - m, 0, 1)), "f2^2", "f1^2", "B1"),
+        for name, rows, p, q in (
+            (f"A{m}", ((0, -1, 1), (1 - m, 1, 0)), "f1^2", "f2^2"),
+            (f"A{m + 1}", ((0, 1, -1), (1 - m, 0, 1)), "f2^2", "f1^2"),
         ):
             charts.append(
                 Chart(
@@ -366,10 +366,6 @@ def surface_atlas(n):
                     rows=rows,
                     coord_names=(f"{q}/{p}", f"{p}/(xy)^{m - 1}"),
                     exceptional_axes={1: f"E{m}"},
-                    meta={
-                        "boundary_axis": (0, boundary),
-                        "unit_shift_divisor": (0, f"E{m - 1}"),
-                    },
                 )
             )
     lattice = [[int(a is b) for b in atoms] for a in atoms]  # all atom monomials
@@ -398,7 +394,7 @@ def invariant_chart_boundary(n):
         raise CertificateFailure(
             f"n={n}: invariant-chart boundary is {strict}, not t^2 - 4s"
         )
-    curve = LocalCurve("Ainv", strict, "B3")
+    curve = LocalCurve(strict, "B3")
     tang = local_intersection(curve, 1)
     report = axis_root_report(curve, 1)
     return {
@@ -443,9 +439,9 @@ def _pullback_even_end(n, chart, f):
     """
     m = half_index(n)
     if chart.name == f"A{m}":
-        sign, unit = 1, 2  # the atom carrying the factor 1 - v: f2^2
+        sign, unit, boundary = 1, 2, "B2"  # the atom carrying the factor 1 - v: f2^2
     elif chart.name == f"A{m + 1}":
-        sign, unit = -1, 1  # f1^2
+        sign, unit, boundary = -1, 1, "B1"  # f1^2
     else:
         raise ValueError("not an end chart")
     total = Poly.zero(2)
@@ -459,10 +455,9 @@ def _pullback_even_end(n, chart, f):
     (shift_ord, axis_ord), rest = _split_monomial(total)
     # v^k = (-1)^k (u - 1)^k, so the sign keeps strict's (u - 1)-factorisation
     (boundary_ord, _), strict = _split_monomial(_reflect(rest) * (-1) ** shift_ord)
-    orders = {chart.exceptional_axes[1]: axis_ord}
-    orders[chart.meta["boundary_axis"][1]] = boundary_ord
-    orders[chart.meta["unit_shift_divisor"][1]] = shift_ord
-    return strict, orders
+    return strict, {
+        chart.exceptional_axes[1]: axis_ord, boundary: boundary_ord, f"E{m - 1}": shift_ord
+    }
 
 
 def _eliminate_f2sq(n, f):

@@ -146,23 +146,23 @@ def test_pullback_pole_raises():
 
 
 def test_local_intersection_examples():
-    sq = LocalCurve("c", parse_poly("x^2 + 2*x + 1"), "B1")
+    sq = LocalCurve(parse_poly("x^2 + 2*x + 1"), "B1")
     assert local_intersection(sq, 1) == 2
     assert axis_root_report(sq, 1) == [{"root": Fraction(-1), "mult": 2}]
-    tang = LocalCurve("c", parse_poly("x^2 - 4*y"), "B3")
+    tang = LocalCurve(parse_poly("x^2 - 4*y"), "B3")
     assert local_intersection(tang, 1) == 2
     assert axis_root_report(tang, 1) == [{"root": Fraction(0), "mult": 2}]
-    line = LocalCurve("c", parse_poly("x - 1"), "W")
+    line = LocalCurve(parse_poly("x - 1"), "W")
     assert local_intersection(line, 1) == 1
     # a strict transform is never divisible by a coordinate, so the axis
     # containment error only guards misuse; bypass the constructor check
     from types import SimpleNamespace
 
-    bad = SimpleNamespace(chart="c", equation=parse_poly("x*y + x"), label="bad")
+    bad = SimpleNamespace(equation=parse_poly("x*y + x"), label="bad")
     with pytest.raises(CurveContainsAxis):
         local_intersection(bad, 0)
     with pytest.raises(ValueError):
-        LocalCurve("c", parse_poly("x*y + x"), "bad")
+        LocalCurve(parse_poly("x*y + x"), "bad")
 
 
 def test_verify_gluing_consecutive_and_far():

@@ -364,7 +364,7 @@ def test_end_chart_pullback_matches_substitution(n, last, terms):
     strict, orders = hilb.surface_pullback(n, chart, f)
     u, w = Poly.var("x"), Poly.var("y")
     factor = (
-        u ** orders[chart.meta["boundary_axis"][1]]
+        u ** orders["B1" if last else "B2"]
         * w ** orders[f"E{m}"]
         * (u - Poly.const(1)) ** orders[f"E{m - 1}"]
     )
