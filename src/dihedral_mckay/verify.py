@@ -157,17 +157,22 @@ def criterion_6(n_range=None):
     for n in _clip(3, 40, n_range):
         m = hilb.half_index(n)
         chain = intersect.domination_chain(n)
-        if len(chain) != m + 1 or chain[-1].labels:
-            return _result(6, False, f"chain length at n={n}")
+        want, got = list(range(m, -1, -1)), [len(cfg.labels) for cfg in chain]
+        if got != want:
+            return _result(6, False, f"chain length at n={n}: expected curves {want}, got {got}")
         fold = chain[0]
-        if fold.pair(f"E{m}", f"E{m}") != -1:
-            return _result(6, False, f"E_m^2 at n={n}")
-        for i in range(1, m):
-            if fold.pair(f"E{i}", f"E{i}") != -2:
-                return _result(6, False, f"E_{i}^2 at n={n}")
-        for cfg in chain[:-1]:
-            if not (cfg.adjunction_holds() and cfg.negative_definite()):
-                return _result(6, False, f"adjunction/Q at n={n}")
+        for i in range(1, m + 1):
+            want, got = -1 if i == m else -2, fold.pair(f"E{i}", f"E{i}")
+            if got != want:
+                return _result(6, False, f"E{i}^2 at n={n}: expected {want}, got {got}")
+        for k, cfg in enumerate(chain[:-1]):
+            where = f"at n={n}, stage {k}"
+            if not cfg.adjunction_holds():
+                got = {a: str(cfg.pair(a, "K") + cfg.pair(a, a)) for a in cfg.labels}
+                return _result(6, False, f"adjunction {where}: expected K.E + E^2 = -2, got {got}")
+            if not cfg.negative_definite():
+                got = [[str(cfg.pair(a, b)) for b in cfg.labels] for a in cfg.labels]
+                return _result(6, False, f"Q {where}: expected negative definite, got {got}")
     return _result(6, True, "pairings, adjunction, chain lengths exact")
 
 
@@ -177,29 +182,29 @@ def criterion_7(n_range=None):
     accepted for the fold and rejected on both sides."""
     for n in _clip(3, 20, n_range):
         bdry = intersect.boundary_data(n)
-        if intersect.blowup_discrepancy(bdry, 1, []) != Fraction(1, 2):
-            return _result(7, False, "smooth-point value")
+        smooth = intersect.blowup_discrepancy(bdry, 1, [])
+        if smooth != Fraction(1, 2):
+            return _result(7, False, f"smooth-point value at n={n}: expected 1/2, got {smooth}")
         fold = intersect.z2_fold(intersect.an_chain(n - 1), n)
         if any(fold.discrepancy[a] != 0 for a in fold.labels):
-            return _result(7, False, f"fold ledger at n={n}")
+            got = {a: str(fold.discrepancy[a]) for a in fold.labels}
+            return _result(7, False, f"fold ledger at n={n}: expected 0 on every E_j, got {got}")
         if not intersect.configs_equal(intersect.embedded_resolution_chain(n), fold):
             return _result(7, False, f"forward chain at n={n}")
         want, got = _implied_points(fold), _incidences((p.curves, p.boundary) for p in fold.points)
         if got != want:
             return _result(7, False, f"special points at n={n}: expected {want}, got {got}")
-        ok, _ = intersect.is_maximal(fold, bdry)
-        if not ok:
-            return _result(7, False, f"fold not maximal at n={n}")
-        ok, _ = intersect.is_maximal(intersect.quotient_pair(n), bdry)
-        if ok:
-            return _result(7, False, f"quotient accepted at n={n}")
-        blab = "B3" if n % 2 else "B1"
-        beyond = intersect.blow_up_at(
-            fold, bdry, intersect.Point("generic", {}, {blab: 1})
-        )
-        ok, _ = intersect.is_maximal(beyond, bdry)
-        if ok:
-            return _result(7, False, f"one-beyond accepted at n={n}")
+        generic = intersect.Point("generic", {}, {"B3" if n % 2 else "B1": 1})
+        for label, cfg, want in (
+            ("fold not maximal", fold, True),
+            ("quotient accepted", intersect.quotient_pair(n), False),
+            ("one-beyond accepted", intersect.blow_up_at(fold, bdry, generic), False),
+        ):
+            ok, cert = intersect.is_maximal(cfg, bdry)
+            if ok != want:
+                got = cert.get("violation") or f"no violation among {cert['candidates']}"
+                want = "maximal" if want else "a violation"
+                return _result(7, False, f"{label} at n={n}: expected {want}, got {got}")
     return _result(7, True, "1/2 at smooth points; crepant fold is maximal")
 
 

@@ -211,3 +211,140 @@ def test_criterion_10_failure_names_the_torsion_curve(monkeypatch):
     assert res["details"] == (
         "2*(E1) at n=7: expected nonzero on some E_j, got {'E1': '0', 'E2': '0', 'E3': '0'}"
     )
+
+
+def _chain_at_7(spoil):
+    def patch(monkeypatch):
+        real = verify.intersect.domination_chain
+
+        def spoiled(n):
+            chain = real(n)
+            if n == 7:
+                spoil(chain)
+            return chain
+
+        monkeypatch.setattr(verify.intersect, "domination_chain", spoiled)
+
+    return patch
+
+
+@pytest.mark.parametrize(
+    "patch, details",
+    [
+        (
+            _chain_at_7(lambda c: c.pop()),
+            "chain length at n=7: expected curves [3, 2, 1, 0], got [3, 2, 1]",
+        ),
+        (
+            _chain_at_7(lambda c: c[0].set_pair("E2", "E2", Fraction(-3))),
+            "E2^2 at n=7: expected -2, got -3",
+        ),
+        (
+            _chain_at_7(lambda c: c[1].set_pair("E1", "K", Fraction(1))),
+            "adjunction at n=7, stage 1: expected K.E + E^2 = -2, got {'E1': '-1', 'E2': '-2'}",
+        ),
+        (
+            _chain_at_7(lambda c: c[1].set_pair("E1", "E2", Fraction(3))),
+            "Q at n=7, stage 1: expected negative definite, got [['-2', '3'], ['3', '-1']]",
+        ),
+    ],
+)
+def test_criterion_6_failure_names_n_and_the_values(monkeypatch, patch, details):
+    patch(monkeypatch)
+    res = verify.criterion_6(n_range=(3, 9))
+    assert not res["passed"]
+    assert res["details"] == details
+
+
+class _ThirdBoundary:
+    components = ("B3",)
+    coefficient = Fraction(1, 3)
+
+
+def _third_coefficient_at_7(monkeypatch):
+    real = verify.intersect.boundary_data
+    monkeypatch.setattr(
+        verify.intersect, "boundary_data", lambda n: _ThirdBoundary() if n == 7 else real(n)
+    )
+
+
+def _fold_ledger_at_7(monkeypatch):
+    real = verify.intersect.z2_fold
+
+    def spoiled(chain, n):
+        cfg = real(chain, n)
+        if n == 7:
+            cfg.discrepancy["E2"] = Fraction(-1, 2)
+        return cfg
+
+    monkeypatch.setattr(verify.intersect, "z2_fold", spoiled)
+
+
+def _maximality_input(spoil):
+    """Spoil the configurations that criterion 7 hands to is_maximal."""
+
+    def patch(monkeypatch):
+        real = verify.intersect.is_maximal
+
+        def spoiled(cfg, bdry):
+            spoil(cfg)
+            return real(cfg, bdry)
+
+        monkeypatch.setattr(verify.intersect, "is_maximal", spoiled)
+
+    return patch
+
+
+def _odd_m3(cfg, extra=()):
+    return cfg.labels == ["E1", "E2", "E3", *extra] and cfg.boundary == ("B3",)
+
+
+def _fold_below_minus_one(cfg):
+    if _odd_m3(cfg):  # n = 7
+        cfg.discrepancy["E1"] = Fraction(-1)
+
+
+def _smooth_even_origin(cfg):
+    if not cfg.labels and cfg.boundary == ("B1", "B2"):  # first at n = 4
+        cfg.points = [verify.intersect.Point("origin", {}, {"B1": 1})]
+
+
+def _crepant_beyond(cfg):
+    if _odd_m3(cfg, ["F"]):  # n = 7
+        cfg.discrepancy["F"] = Fraction(0)
+        cfg.points = []
+
+
+@pytest.mark.parametrize(
+    "patch, details",
+    [
+        (_third_coefficient_at_7, "smooth-point value at n=7: expected 1/2, got 2/3"),
+        (
+            _fold_ledger_at_7,
+            "fold ledger at n=7: expected 0 on every E_j, "
+            "got {'E1': '0', 'E2': '-1/2', 'E3': '0'}",
+        ),
+        (
+            _maximality_input(_fold_below_minus_one),
+            "fold not maximal at n=7: expected maximal, got E1: discrepancy -1 outside (-1, 0]",
+        ),
+        (
+            _maximality_input(_smooth_even_origin),
+            "quotient accepted at n=4: expected a violation, got no violation among "
+            "[('generic point of B1', '1/2'), ('generic point of B2', '1/2'), "
+            "('generic surface point', '1'), ('point origin', '1/2')]",
+        ),
+        (
+            _maximality_input(_crepant_beyond),
+            "one-beyond accepted at n=7: expected a violation, got no violation among "
+            "[('generic point of E1', '1'), ('generic point of E2', '1'), "
+            "('generic point of E3', '1'), ('generic point of F', '1'), "
+            "('generic point of B3', '1/2'), ('generic surface point', '1')]",
+        ),
+    ],
+)
+def test_criterion_7_failure_names_n_and_the_values(monkeypatch, patch, details):
+    patch(monkeypatch)
+    res = verify.criterion_7(n_range=(3, 9))
+    assert not res["passed"]
+    assert res["details"] == details
