@@ -435,7 +435,8 @@ def _pullback_even_end(n, chart, f):
       on Am1: xy = -vw/4,  f2^2 = (-vw/4)^(m-1) w,  f1^2 = (1 - v) f2^2
     The order along the non-axis divisor E_(m-1) = {u = 1} is the least
     v-exponent.  Returns (strict, orders) with strict in (u, w), so that
-    f = u^(boundary order) w^(E_m order) (u - 1)^(E_(m-1) order) strict.
+    f = u^(boundary order) w^(E_m order) (u - 1)^(E_(m-1) order) strict,
+    the boundary {u = 0} being B2 on Am and B1 on Am1.
     """
     m = half_index(n)
     if chart.name == f"A{m}":

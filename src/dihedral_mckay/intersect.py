@@ -192,14 +192,11 @@ def blow_down(cfg, curve):
     for p in cfg.points:
         if curve not in p.curves:
             out.points.append(Point(p.label, dict(p.curves), dict(p.boundary)))
-    meets = {x: int(cfg.pair(x, curve)) for x in labels + list(cfg.boundary)}
-    out.points.append(
-        Point(
-            f"image({curve})",
-            {a: meets[a] for a in labels if meets[a]},
-            {b: meets[b] for b in cfg.boundary if meets[b]},
-        )
-    )
+
+    def meets(xs):
+        return {x: int(cfg.pair(x, curve)) for x in xs if cfg.pair(x, curve)}
+
+    out.points.append(Point(f"image({curve})", meets(labels), meets(cfg.boundary)))
     return out
 
 

@@ -89,8 +89,7 @@ class PairingTable:
         self.rows["D"] = dict(self.rows[f"D{self.m}"])
         # 2L = -(sum of boundary supports)
         self.rows["L"] = {
-            e: -sum((fold.pair(e, lab) for lab in fold.boundary), Fraction(0)) / 2
-            for e in curves
+            e: -sum((fold.pair(e, b) for b in fold.boundary), Fraction(0)) / 2 for e in curves
         }
 
     def pair(self, cls, curve):
