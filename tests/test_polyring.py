@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_mckay.polyring import (
     Ideal,
@@ -162,6 +164,36 @@ def test_poly_text_roundtrip():
         assert parse_poly(poly_str(p)) == p
     assert poly_str(parse_poly("x^2*y - 2*x + 1")) == "x^2*y - 2*x + 1"
     assert parse_poly("-1/2 + 5/3*x^3*y") == samples[1]
+
+
+MONOS = st.tuples(st.integers(0, 4), st.integers(0, 4))
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(MONOS, COEFFS, max_size=6).map(lambda t: Poly(2, t)),
+    st.integers(0, 5),
+    st.booleans(),
+    st.integers(0, 1),
+    st.integers(0, 4),
+    COEFFS,
+)
+def test_poly_str_tells_one_change_apart(p, pick, move, var, exp, coeff):
+    """poly_str is injective on bivariate polynomials: q is p with one
+    coefficient or one exponent changed, and the texts agree exactly when
+    the polynomials do (criterion 5 compares strict transforms as text)."""
+    terms = dict(p.terms)
+    mono = sorted(terms)[pick % len(terms)] if terms else (pick % 5, 0)
+    if move:
+        moved = list(mono)
+        moved[var] = exp
+        c = terms.pop(mono, Fraction(1))
+        terms[tuple(moved)] = terms.get(tuple(moved), 0) + c
+    else:
+        terms[mono] = coeff
+    q = Poly(2, terms)
+    assert (p == q) == (poly_str(p) == poly_str(q))
 
 
 def test_sqfree_and_rational_roots():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dihedral_mckay import constel, reps, taut, verify
+from dihedral_mckay.polyring import Poly
 
 
 def _count_calls(monkeypatch, owner, attr):
@@ -348,3 +349,19 @@ def test_criterion_7_failure_names_n_and_the_values(monkeypatch, patch, details)
     res = verify.criterion_7(n_range=(3, 9))
     assert not res["passed"]
     assert res["details"] == details
+
+
+def test_criterion_5_failure_names_n_and_the_chart(monkeypatch):
+    real = verify.hilb.boundary_strict_transforms
+
+    def spoiled(n):
+        st = real(n)
+        if n == 6:
+            x = Poly.var("x")
+            st[("B1", "U3")]["strict"] = x**2 + 2 * x + Poly.const(2)
+        return st
+
+    monkeypatch.setattr(verify.hilb, "boundary_strict_transforms", spoiled)
+    res = verify.criterion_5(n_range=(6, 6))
+    assert not res["passed"]
+    assert "n=6" in res["details"] and "U3" in res["details"]
