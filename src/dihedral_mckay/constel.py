@@ -125,7 +125,7 @@ def _class_character(n, name, counts, diag):
         for w, v in enumerate(counts if c.kind == "rotation" else diag):
             if v:
                 acc[c.power * w % n] += v
-        vals.append(CycloElt._raw(n, dict(enumerate(acc))))
+        vals.append(CycloElt(n, dict(enumerate(acc))))
     return Character(g, name, vals)
 
 

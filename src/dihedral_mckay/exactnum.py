@@ -84,25 +84,11 @@ class CycloElt:
 
     __slots__ = ("order", "terms")
 
-    def __init__(self, order, coeffs):
-        if order < 1:
-            raise ValueError("order must be positive")
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != order:
-            raise ValueError("coefficient vector must have length = order")
-        self.order = order
-        self.terms = _normal(dict(enumerate(coeffs)))
-
-    @classmethod
-    def _raw(cls, order, terms):
-        """Trusted constructor from {exponent in range(order): int or Fraction}.
-
-        Zero coefficients are dropped and integral Fractions become ints.
-        """
-        self = object.__new__(cls)
+    def __init__(self, order, terms):
+        """{exponent in range(order): int or Fraction}; zero coefficients are
+        dropped and integral Fractions become ints."""
         self.order = order
         self.terms = _normal(terms)
-        return self
 
     @property
     def coeffs(self):
@@ -114,16 +100,16 @@ class CycloElt:
 
     @classmethod
     def zero(cls, order):
-        return cls._raw(order, {})
+        return cls(order, {})
 
     @classmethod
     def from_rational(cls, order, value):
-        return cls._raw(order, {0: Fraction(value)})
+        return cls(order, {0: Fraction(value)})
 
     @classmethod
-    def root_power(cls, order, k, coeff=1):
-        """coeff * t^k (exponent reduced mod order)."""
-        return cls._raw(order, {k % order: Fraction(coeff)})
+    def root_power(cls, order, k):
+        """t^k (exponent reduced mod order)."""
+        return cls(order, {k % order: 1})
 
     def _check(self, other):
         if not isinstance(other, CycloElt):
@@ -136,21 +122,21 @@ class CycloElt:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return CycloElt._raw(self.order, out)
+        return CycloElt(self.order, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) - c
-        return CycloElt._raw(self.order, out)
+        return CycloElt(self.order, out)
 
     def __neg__(self):
-        return CycloElt._raw(self.order, {k: -c for k, c in self.terms.items()})
+        return CycloElt(self.order, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloElt._raw(self.order, {k: c * other for k, c in self.terms.items()})
+            return CycloElt(self.order, {k: c * other for k, c in self.terms.items()})
         self._check(other)
         return cyc_mul(self, other)
 
@@ -200,13 +186,13 @@ def cyc_mul(a, b):
             if k >= n:
                 k -= n
             out[k] = out.get(k, 0) + ca * cb
-    return CycloElt._raw(n, out)
+    return CycloElt(n, out)
 
 
 def conjugate(a):
     """Ring involution t -> t^(n-1), i.e. complex conjugation on values."""
     n = a.order
-    return CycloElt._raw(n, {-k % n: c for k, c in a.terms.items()})
+    return CycloElt(n, {-k % n: c for k, c in a.terms.items()})
 
 
 def expect_rational(a):

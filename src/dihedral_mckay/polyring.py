@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from fractions import Fraction
 
 VAR_NAMES = ("x", "y", "z")
@@ -54,8 +53,8 @@ class Poly:
         return cls(nvars, {(0,) * nvars: Fraction(value)})
 
     @classmethod
-    def mono(cls, exps, coeff=1):
-        return cls(len(exps), {tuple(exps): Fraction(coeff)})
+    def mono(cls, exps):
+        return cls(len(exps), {tuple(exps): Fraction(1)})
 
     @classmethod
     def var(cls, name, nvars=2):
@@ -325,40 +324,6 @@ def poly_str(p):
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def parse_poly(text, nvars=2):
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial text")
-    if s == "0":
-        return Poly(nvars)
-    terms = {}
-    # split into signed chunks
-    chunks = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(chunks) != s:
-        raise ValueError(f"cannot parse {text!r}")
-    for chunk in chunks:
-        sign = -1 if chunk.startswith("-") else 1
-        body = chunk.lstrip("+-")
-        coeff = Fraction(sign)
-        exps = [0] * nvars
-        for factor in body.split("*"):
-            if not factor:
-                raise ValueError(f"cannot parse {text!r}")
-            if factor[0].isdigit():
-                coeff *= Fraction(factor)
-            else:
-                m = re.fullmatch(r"([xyz])(?:\^(\d+))?", factor)
-                if not m:
-                    raise ValueError(f"bad factor {factor!r} in {text!r}")
-                idx = VAR_NAMES.index(m.group(1))
-                if idx >= nvars:
-                    raise ValueError(f"variable {m.group(1)} out of range")
-                exps[idx] += int(m.group(2) or 1)
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Poly(nvars, terms)
 
 
 # --- univariate helpers (restrictions of curves to axes) -----------------

@@ -134,7 +134,7 @@ class CharTable:
 def _rot_value(n, j, k):
     # epsilon^{jk} + epsilon^{-jk}, built without intermediate elements
     a, b = j * k % n, -j * k % n
-    return CycloElt._raw(n, {a: 2} if a == b else {a: 1, b: 1})
+    return CycloElt(n, {a: 2} if a == b else {a: 1, b: 1})
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +205,7 @@ def gram(rows, cols):
             key = tuple(acc)
             if key not in reduced:
                 try:
-                    reduced[key] = rational_value(CycloElt._raw(n, dict(enumerate(acc)))) / g.order
+                    reduced[key] = rational_value(CycloElt(n, dict(enumerate(acc)))) / g.order
                 except NotRational as exc:
                     raise NotRational(f"<{chi.name},{psi.name}> is irrational: {exc}") from None
             row.append(reduced[key])

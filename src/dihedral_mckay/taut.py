@@ -45,12 +45,6 @@ class DivisorClass:
             out[k] = out.get(k, Fraction(0)) + v
         return DivisorClass.make(out)
 
-    def __sub__(self, other):
-        out = self.as_dict()
-        for k, v in other.coeffs:
-            out[k] = out.get(k, Fraction(0)) - v
-        return DivisorClass.make(out)
-
     def scale(self, q):
         return DivisorClass.make({k: v * q for k, v in self.coeffs})
 

@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 
 from . import constel, hilb, intersect, taut
-from .polyring import parse_poly
 from .reps import (
     GroupSpec,
     char_table,
@@ -130,7 +129,7 @@ def criterion_5(n_range=None):
                 ("B2", f"U{h + 1}"): "y^2 - 2*y + 1",
             }
             for key, text in forms.items():
-                if st[key]["strict"] != parse_poly(text):
+                if str(st[key]["strict"]) != text:
                     return _result(5, False, f"{key} at n={n}")
             pts = {m["point"] for m in st[("B1", f"U{h}")]["certificate"]["meetings"]}
             if pts != {f"I{h}(1:-1)"}:

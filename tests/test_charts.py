@@ -24,9 +24,10 @@ from dihedral_mckay.hilb import (
     stage_chain,
     surface_atlas,
 )
-from dihedral_mckay.polyring import Poly, parse_poly
+from dihedral_mckay.polyring import Poly
 
-XY_ATOMS = (Atom("x", Poly.var("x")), Atom("y", Poly.var("y")))
+X, Y, ONE = Poly.var("x"), Poly.var("y"), Poly.const(1)
+XY_ATOMS = (Atom("x", X), Atom("y", Y))
 ID2 = ((1, 0), (0, 1))
 
 
@@ -113,7 +114,7 @@ def test_pullback_b1_even():
         atlas = hilb_atlas(n)
         c = atlas.chart(f"U{n // 2}")
         strict, orders = pullback_orders(c, boundary_equations(n)["B1"])
-        assert strict == parse_poly("x^2 + 2*x + 1")  # chart coords (u, v) -> (x, y)
+        assert strict == X**2 + 2 * X + ONE  # chart coords (u, v) -> (x, y)
         assert orders[f"Et{n // 2}"] == n // 2
         assert orders[f"Et{n // 2 - 1}"] == n // 2 - 1
 
@@ -146,23 +147,23 @@ def test_pullback_pole_raises():
 
 
 def test_local_intersection_examples():
-    sq = LocalCurve(parse_poly("x^2 + 2*x + 1"), "B1")
+    sq = LocalCurve(X**2 + 2 * X + ONE, "B1")
     assert local_intersection(sq, 1) == 2
     assert axis_root_report(sq, 1) == [{"root": Fraction(-1), "mult": 2}]
-    tang = LocalCurve(parse_poly("x^2 - 4*y"), "B3")
+    tang = LocalCurve(X**2 - 4 * Y, "B3")
     assert local_intersection(tang, 1) == 2
     assert axis_root_report(tang, 1) == [{"root": Fraction(0), "mult": 2}]
-    line = LocalCurve(parse_poly("x - 1"), "W")
+    line = LocalCurve(X - ONE, "W")
     assert local_intersection(line, 1) == 1
     # a strict transform is never divisible by a coordinate, so the axis
     # containment error only guards misuse; bypass the constructor check
     from types import SimpleNamespace
 
-    bad = SimpleNamespace(equation=parse_poly("x*y + x"), label="bad")
+    bad = SimpleNamespace(equation=X * Y + X, label="bad")
     with pytest.raises(CurveContainsAxis):
         local_intersection(bad, 0)
     with pytest.raises(ValueError):
-        LocalCurve(parse_poly("x*y + x"), "bad")
+        LocalCurve(X * Y + X, "bad")
 
 
 def test_verify_gluing_consecutive_and_far():

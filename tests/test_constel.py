@@ -354,7 +354,7 @@ def _dense_reference(F, graded=None, indices=None):
         acc = CycloElt.zero(n)
         for w, diag in items:
             coeff = 1 if c.kind == "rotation" else diag
-            acc = acc + CycloElt.root_power(n, c.power * w, coeff)
+            acc = acc + CycloElt.root_power(n, c.power * w) * coeff
         vals.append(acc)
     return tuple(vals)
 

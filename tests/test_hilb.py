@@ -28,7 +28,7 @@ from dihedral_mckay.hilb import (
     swap_xy,
     z2_image,
 )
-from dihedral_mckay.polyring import Ideal, Poly, parse_poly, staircase
+from dihedral_mckay.polyring import Ideal, Poly, staircase
 
 
 def cp(i, a, b):
@@ -38,9 +38,8 @@ def cp(i, a, b):
 def test_cluster_ideal_n4_matches_explicit_generators():
     # <x^2 + y^2, x^3, xy, y^3> generates the same ideal as I_2(1:-1)
     ideal = cluster_ideal(4, cp(2, 1, -1))
-    other = Ideal(
-        [parse_poly(s) for s in ("x^3", "y^3", "x*y", "x^2 + y^2")]
-    )
+    x, y = Poly.var("x"), Poly.var("y")
+    other = Ideal([x**3, y**3, x * y, x**2 + y**2])
     assert ideal == other
     assert len(staircase(ideal)) == 4
 

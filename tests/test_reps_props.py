@@ -49,7 +49,7 @@ def reference(chi, psi):
 def elements(n):
     """A CycloElt with at most three nonzero terms."""
     terms = st.dictionaries(st.integers(0, n - 1), COEFF, max_size=3)
-    return terms.map(lambda t: CycloElt(n, [t.get(k, 0) for k in range(n)]))
+    return terms.map(lambda t: CycloElt(n, t))
 
 
 def sparse_values(g):
@@ -151,7 +151,7 @@ def rewritten(vals, q):
     so a reduction looked up by part of the sum returns a stale value.
     """
     n = vals[0].order
-    return [vals[0] + CycloElt(n, [0] + [q] * (n - 1))] + vals[1:]
+    return [vals[0] + CycloElt(n, {k: q for k in range(1, n)})] + vals[1:]
 
 
 def pools(g):
