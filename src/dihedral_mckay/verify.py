@@ -40,6 +40,11 @@ def _result(cid, passed, details=""):
     return {"id": cid, "name": NAMES[cid - 1], "passed": bool(passed), "details": details}
 
 
+def _differs(cid, case, want, got):
+    """A failure that names the case with its n, and the expected and actual values."""
+    return _result(cid, False, f"{case}: expected {want}, got {got}")
+
+
 def _clip(lo, hi, n_range):
     if n_range is None:
         return range(lo, hi + 1)
@@ -51,17 +56,18 @@ def criterion_1(n_range=None):
     """Character tables: orthonormality, degree sums, irreducible counts."""
     for n in _clip(3, 100, n_range):
         table = char_table(GroupSpec("dihedral", n))
-        expected = (n + 3) // 2 if n % 2 else n // 2 + 3
-        if len(table.chars) != expected:
-            return _result(1, False, f"count at n={n}")
-        if sum(int(c.degree) ** 2 for c in table) != 2 * n:
-            return _result(1, False, f"degree sum at n={n}")
+        want = (n + 3) // 2 if n % 2 else n // 2 + 3
+        if len(table.chars) != want:
+            return _differs(1, f"irreducible count at n={n}", want, len(table.chars))
+        degrees = [int(c.degree) for c in table]
+        if sum(d * d for d in degrees) != 2 * n:
+            got = f"{sum(d * d for d in degrees)} from degrees {degrees}"
+            return _differs(1, f"sum of squared degrees at n={n}", 2 * n, got)
         for i, (chi, row) in enumerate(zip(table, gram(table.chars, table.chars))):
             for j, (psi, got) in enumerate(zip(table, row)):
                 want = int(i == j)
                 if got != want:
-                    details = f"<{chi.name},{psi.name}> at n={n}: expected {want}, got {got}"
-                    return _result(1, False, details)
+                    return _differs(1, f"<{chi.name},{psi.name}> at n={n}", want, got)
     return _result(1, True, "orthonormal, counts and degrees exact")
 
 
@@ -73,17 +79,17 @@ def criterion_2(n_range=None):
             if q.divergences:
                 d = q.divergences[0]
                 edge = f"edge {d['from']}--{d['to']} at n={n}"
-                return _result(2, False, f"{edge}: expected {d['drawn']}, got {d['computed']}")
+                return _differs(2, edge, d["drawn"], d["computed"])
             tails = sorted(v for v, row in zip(q.vertices, q.adjacency) if sum(row) == 1)
             want = sorted(["rho0", "rho0'", f"rho{n // 2}", f"rho{n // 2}'"])
             if tails != want:
-                return _result(2, False, f"tails at n={n}: expected {want}, got {tails}")
+                return _differs(2, f"tails at n={n}", want, tails)
         else:
             m = (n - 1) // 2
             want = [{"from": f"rho{m}", "to": f"rho{m}", "computed": 1, "drawn": 0}]
             got = [dict(d) for d in q.divergences]
             if got != want:
-                return _result(2, False, f"loop flag at n={n}: expected {want}, got {got}")
+                return _differs(2, f"loop flag at n={n}", want, got)
     return _result(2, True, "even diagrams exact; odd loop flagged")
 
 
@@ -93,10 +99,12 @@ def criterion_3(n_range=None):
         pts = hilb.fixed_points(n)
         want = 2 if n % 2 == 0 else 1
         if len(pts) != want:
-            return _result(3, False, f"count at n={n}")
-        for p, cert in pts:
-            if not cert["image_equals"] or cert["quotient_dim"] != n:
-                return _result(3, False, f"certificate at n={n}")
+            return _differs(3, f"fixed points at n={n}", want, [c["point"] for _, c in pts])
+        for _, cert in pts:
+            want = {"image_equals": True, "quotient_dim": n}
+            got = {k: cert[k] for k in want}
+            if got != want:
+                return _differs(3, f"certificate of {cert['point']} at n={n}", want, got)
     return _result(3, True, "counts and certificates exact")
 
 
@@ -110,8 +118,9 @@ def criterion_4(n_range=None, seed=7):
             b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             if a == 0 and b == 0:
                 a = Fraction(1)
-            if hilb.cluster_dimension(n, hilb.ClusterPoint(i, a, b)) != n:
-                return _result(4, False, f"n={n}, I{i}({a}:{b})")
+            got = hilb.cluster_dimension(n, hilb.ClusterPoint(i, a, b))
+            if got != n:
+                return _differs(4, f"length of I{i}({a}:{b}) at n={n}", n, got)
     return _result(4, True, "200 random points per n")
 
 
@@ -128,26 +137,27 @@ def criterion_5(n_range=None):
                 ("B1", f"U{h + 1}"): "y^2 + 2*y + 1",
                 ("B2", f"U{h + 1}"): "y^2 - 2*y + 1",
             }
-            for key, text in forms.items():
-                if str(st[key]["strict"]) != text:
-                    return _result(5, False, f"{key} at n={n}")
-            pts = {m["point"] for m in st[("B1", f"U{h}")]["certificate"]["meetings"]}
-            if pts != {f"I{h}(1:-1)"}:
-                return _result(5, False, f"B1 point at n={n}")
+            for (label, cname), text in forms.items():
+                got = str(st[label, cname]["strict"])
+                if got != text:
+                    return _differs(5, f"strict transform {label} on {cname} at n={n}", text, got)
+            want = [f"I{h}(1:-1)"]
+            got = sorted({m["point"] for m in st["B1", f"U{h}"]["certificate"]["meetings"]})
+            if got != want:
+                return _differs(5, f"B1 points on U{h} at n={n}", want, got)
         else:
             m = hilb.half_index(n)
             named = {f"U{m + 1}"}
-            meets = st[("B3", f"U{m + 1}")]["certificate"]["meetings"]
-            if not all(t["mult"] == 2 for t in meets):
-                return _result(5, False, f"tangency at n={n}")
-            inv = hilb.invariant_chart_boundary(n)
-            if inv["tangency"] != 2:
-                return _result(5, False, f"invariant chart n={n}")
+            got = [t["mult"] for t in st["B3", f"U{m + 1}"]["certificate"]["meetings"]]
+            if any(k != 2 for k in got):
+                return _differs(5, f"B3 multiplicities on U{m + 1} at n={n}", "all 2", got)
+            got = hilb.invariant_chart_boundary(n)["tangency"]
+            if got != 2:
+                return _differs(5, f"invariant chart tangency at n={n}", 2, got)
         for (label, cname), rec in st.items():
-            if cname not in named and rec["certificate"]["type"] != "misses-axes":
-                return _result(
-                    5, False, f"{label} meets axes on {cname}, n={n}"
-                )
+            got = rec["certificate"]["type"]
+            if cname not in named and got != "misses-axes":
+                return _differs(5, f"{label} on {cname} at n={n}", "misses-axes", got)
     return _result(5, True, "forms, tangencies and certificates exact")
 
 
@@ -158,20 +168,20 @@ def criterion_6(n_range=None):
         chain = intersect.domination_chain(n)
         want, got = list(range(m, -1, -1)), [len(cfg.labels) for cfg in chain]
         if got != want:
-            return _result(6, False, f"chain length at n={n}: expected curves {want}, got {got}")
+            return _differs(6, f"chain length at n={n}", f"curves {want}", got)
         fold = chain[0]
         for i in range(1, m + 1):
             want, got = -1 if i == m else -2, fold.pair(f"E{i}", f"E{i}")
             if got != want:
-                return _result(6, False, f"E{i}^2 at n={n}: expected {want}, got {got}")
+                return _differs(6, f"E{i}^2 at n={n}", want, got)
         for k, cfg in enumerate(chain[:-1]):
             where = f"at n={n}, stage {k}"
             if not cfg.adjunction_holds():
                 got = {a: str(cfg.pair(a, "K") + cfg.pair(a, a)) for a in cfg.labels}
-                return _result(6, False, f"adjunction {where}: expected K.E + E^2 = -2, got {got}")
+                return _differs(6, f"adjunction {where}", "K.E + E^2 = -2", got)
             if not cfg.negative_definite():
                 got = [[str(cfg.pair(a, b)) for b in cfg.labels] for a in cfg.labels]
-                return _result(6, False, f"Q {where}: expected negative definite, got {got}")
+                return _differs(6, f"Q {where}", "negative definite", got)
     return _result(6, True, "pairings, adjunction, chain lengths exact")
 
 
@@ -183,16 +193,16 @@ def criterion_7(n_range=None):
         bdry = intersect.boundary_data(n)
         smooth = intersect.blowup_discrepancy(bdry, 1, [])
         if smooth != Fraction(1, 2):
-            return _result(7, False, f"smooth-point value at n={n}: expected 1/2, got {smooth}")
+            return _differs(7, f"smooth-point value at n={n}", "1/2", smooth)
         fold = intersect.z2_fold(intersect.an_chain(n - 1), n)
         if any(fold.discrepancy[a] != 0 for a in fold.labels):
             got = {a: str(fold.discrepancy[a]) for a in fold.labels}
-            return _result(7, False, f"fold ledger at n={n}: expected 0 on every E_j, got {got}")
+            return _differs(7, f"fold ledger at n={n}", "0 on every E_j", got)
         if not intersect.configs_equal(intersect.embedded_resolution_chain(n), fold):
             return _result(7, False, f"forward chain at n={n}")
         want, got = _implied_points(fold), _incidences((p.curves, p.boundary) for p in fold.points)
         if got != want:
-            return _result(7, False, f"special points at n={n}: expected {want}, got {got}")
+            return _differs(7, f"special points at n={n}", want, got)
         generic = intersect.Point("generic", {}, {"B3" if n % 2 else "B1": 1})
         for label, cfg, want in (
             ("fold not maximal", fold, True),
@@ -203,7 +213,7 @@ def criterion_7(n_range=None):
             if ok != want:
                 got = cert.get("violation") or f"no violation among {cert['candidates']}"
                 want = "maximal" if want else "a violation"
-                return _result(7, False, f"{label} at n={n}: expected {want}, got {got}")
+                return _differs(7, f"{label} at n={n}", want, got)
     return _result(7, True, "1/2 at smooth points; crepant fold is maximal")
 
 
@@ -253,7 +263,7 @@ def criterion_9(n_range=None):
         F = constel.constellation_from_cluster(4, point, twist="delta1")
         row = {"stratum": stratum, "witness": F.label, "twist": F.twist, "socle": constel.socle(F)}
         if row["socle"] != want:
-            return _result(9, False, _mismatch(4, row, "socle", want))
+            return _mismatch(4, row, "socle", want)
     for n in _clip(3, 20, n_range):
         rows = constel.socle_table(n)
         for row in rows:
@@ -261,16 +271,16 @@ def criterion_9(n_range=None):
             socle = constel.expected_socle(n, row["stratum"])
             for what, want in (("socle", socle), ("regular", True), ("top", top)):
                 if row[what] != want:
-                    return _result(9, False, _mismatch(n, row, what, want))
+                    return _mismatch(n, row, what, want)
         taut.fm_cross_check(n, rows)  # raises CrossCheckFailure on a mismatch
     return _result(9, True, "table matches the published case list")
 
 
 def _mismatch(n, row, what, want):
-    """Failure details: the case, the entry that differs, expected and actual."""
+    """Criterion 9 failure: the case, the entry that differs, expected and actual."""
     twist = f" twist {row['twist']}" if row["twist"] else ""
     case = f"n={n} stratum {row['stratum']} witness {row['witness']}{twist}"
-    return f"{what} at {case}: expected {want}, got {row[what]}"
+    return _differs(9, f"{what} at {case}", want, row[what])
 
 
 def criterion_10(n_range=None):
@@ -281,21 +291,21 @@ def criterion_10(n_range=None):
         table = taut.PairingTable(n)
         twist = taut.stack_twist_class(n)
         if not taut.torsion_check(n, twist, table):
-            return _result(10, False, _torsion(n, table, twist, "0 on every E_j"))
+            return _torsion(n, table, twist, "0 on every E_j")
         for i in range(1, table.m + 1):
             cls = taut.DivisorClass.make({f"E{i}": 1})
             if taut.torsion_check(n, cls, table):
-                return _result(10, False, _torsion(n, table, cls, "nonzero on some E_j"))
+                return _torsion(n, table, cls, "nonzero on some E_j")
         taut.pushforward_identities(n)
         taut.refdivisor_certify(n)
     return _result(10, True, "tables, torsion and cross-checks exact")
 
 
 def _torsion(n, table, cls, want):
-    """Failure details of a torsion check: the class and its doubled pairings."""
+    """Criterion 10 failure of a torsion check: the class and its doubled pairings."""
     doubled = cls.scale(2)
     got = {f"E{j}": str(table.pair(doubled, f"E{j}")) for j in range(1, table.m + 1)}
-    return f"2*({cls.pretty()}) at n={n}: expected {want}, got {got}"
+    return _differs(10, f"2*({cls.pretty()}) at n={n}", want, got)
 
 
 def criterion_11(n_range=None, seed=2024):

@@ -351,17 +351,158 @@ def test_criterion_7_failure_names_n_and_the_values(monkeypatch, patch, details)
     assert res["details"] == details
 
 
+def _table_at_7(spoil):
+    def patch(monkeypatch):
+        real = verify.char_table
+
+        def spoiled(g):
+            t = real(g)
+            return reps.CharTable(t.group, t.classes, spoil(t.chars), t.index) if g.n == 7 else t
+
+        monkeypatch.setattr(verify, "char_table", spoiled)
+
+    return patch
+
+
+def _doubled(chi):
+    return reps.Character(chi.group, chi.name, [2 * v for v in chi.values])
+
+
+@pytest.mark.parametrize(
+    "patch, details",
+    [
+        (_table_at_7(lambda chars: chars[:-1]), "irreducible count at n=7: expected 5, got 4"),
+        (
+            _table_at_7(lambda chars: chars[:-1] + (_doubled(chars[-1]),)),
+            "sum of squared degrees at n=7: expected 14, got 26 from degrees [1, 1, 2, 2, 4]",
+        ),
+    ],
+)
+def test_criterion_1_failure_names_n_and_the_counts(monkeypatch, patch, details):
+    patch(monkeypatch)
+    res = verify.criterion_1(n_range=(3, 9))
+    assert not res["passed"]
+    assert res["details"] == details
+
+
+def _fixed_points_at_6(spoil):
+    def patch(monkeypatch):
+        real = verify.hilb.fixed_points
+        monkeypatch.setattr(
+            verify.hilb, "fixed_points", lambda n: spoil(real(n)) if n == 6 else real(n)
+        )
+
+    return patch
+
+
+def _short_quotient(pts):
+    (p, cert), rest = pts[0], pts[1:]
+    return [(p, {**cert, "quotient_dim": 5})] + rest
+
+
+@pytest.mark.parametrize(
+    "patch, details",
+    [
+        (
+            _fixed_points_at_6(lambda pts: pts[1:]),
+            "fixed points at n=6: expected 2, got ['I3(1:-1)']",
+        ),
+        (
+            _fixed_points_at_6(_short_quotient),
+            "certificate of I3(1:1) at n=6: expected {'image_equals': True, 'quotient_dim': 6}, "
+            "got {'image_equals': True, 'quotient_dim': 5}",
+        ),
+    ],
+)
+def test_criterion_3_failure_names_n_and_the_points(monkeypatch, patch, details):
+    patch(monkeypatch)
+    res = verify.criterion_3(n_range=(3, 9))
+    assert not res["passed"]
+    assert res["details"] == details
+
+
+def test_criterion_4_failure_names_n_and_the_cluster(monkeypatch):
+    real = verify.hilb.cluster_dimension
+    monkeypatch.setattr(
+        verify.hilb, "cluster_dimension", lambda n, p: n - 1 if n == 5 else real(n, p)
+    )
+    res = verify.criterion_4(n_range=(3, 6))
+    assert not res["passed"]
+    assert res["details"] == "length of I2(1/3:-1/9) at n=5: expected 5, got 4"
+
+
+def _strict_transforms_at(at, spoil):
+    def patch(monkeypatch):
+        real = verify.hilb.boundary_strict_transforms
+
+        def spoiled(n):
+            st = real(n)
+            if n == at:
+                spoil(st)
+            return st
+
+        monkeypatch.setattr(verify.hilb, "boundary_strict_transforms", spoiled)
+
+    return patch
+
+
+def _shifted_b1(st):
+    x = Poly.var("x")
+    st["B1", "U3"]["strict"] = x**2 + 2 * x + Poly.const(2)
+
+
+def _moved_b1_point(st):
+    st["B1", "U3"]["certificate"]["meetings"][0]["point"] = "I3(1:1)"
+
+
+def _transversal_b3(st):
+    st["B3", "U4"]["certificate"]["meetings"][0]["mult"] = 1
+
+
+def _b1_meets_u1(st):
+    st["B1", "U1"]["certificate"]["type"] = "meets-axes"
+
+
+def _flat_invariant_chart(monkeypatch):
+    real = verify.hilb.invariant_chart_boundary
+    monkeypatch.setattr(
+        verify.hilb,
+        "invariant_chart_boundary",
+        lambda n: {**real(n), "tangency": 1} if n == 7 else real(n),
+    )
+
+
+@pytest.mark.parametrize(
+    "patch, details",
+    [
+        (
+            _strict_transforms_at(6, _shifted_b1),
+            "strict transform B1 on U3 at n=6: expected x^2 + 2*x + 1, got x^2 + 2*x + 2",
+        ),
+        (
+            _strict_transforms_at(6, _moved_b1_point),
+            "B1 points on U3 at n=6: expected ['I3(1:-1)'], got ['I3(1:1)']",
+        ),
+        (
+            _strict_transforms_at(7, _transversal_b3),
+            "B3 multiplicities on U4 at n=7: expected all 2, got [1, 2]",
+        ),
+        (_flat_invariant_chart, "invariant chart tangency at n=7: expected 2, got 1"),
+        (
+            _strict_transforms_at(6, _b1_meets_u1),
+            "B1 on U1 at n=6: expected misses-axes, got meets-axes",
+        ),
+    ],
+)
+def test_criterion_5_failure_names_n_the_chart_and_the_values(monkeypatch, patch, details):
+    patch(monkeypatch)
+    res = verify.criterion_5(n_range=(3, 9))
+    assert not res["passed"]
+    assert res["details"] == details
+
+
 def test_criterion_5_failure_names_n_and_the_chart(monkeypatch):
-    real = verify.hilb.boundary_strict_transforms
-
-    def spoiled(n):
-        st = real(n)
-        if n == 6:
-            x = Poly.var("x")
-            st[("B1", "U3")]["strict"] = x**2 + 2 * x + Poly.const(2)
-        return st
-
-    monkeypatch.setattr(verify.hilb, "boundary_strict_transforms", spoiled)
+    _strict_transforms_at(6, _shifted_b1)(monkeypatch)
     res = verify.criterion_5(n_range=(6, 6))
     assert not res["passed"]
     assert "n=6" in res["details"] and "U3" in res["details"]
