@@ -165,11 +165,8 @@ def z2_fold(chain, n):
         cfg.points.append(
             Point(f"E{i}&E{i + 1}", {f"E{i}": 1, f"E{i + 1}": 1}, {})
         )
-    if n % 2:
-        cfg.points.append(Point(f"E{m}&B3", {f"E{m}": 1}, {"B3": 1}))
-    else:
-        cfg.points.append(Point(f"E{m}&B1", {f"E{m}": 1}, {"B1": 1}))
-        cfg.points.append(Point(f"E{m}&B2", {f"E{m}": 1}, {"B2": 1}))
+    for lab in cfg.boundary:
+        cfg.points.append(Point(f"E{m}&{lab}", {f"E{m}": 1}, {lab: 1}))
     return cfg
 
 
@@ -322,6 +319,7 @@ def embedded_resolution_chain(n):
     """
     bdry = boundary_data(n)
     cfg = quotient_pair(n)
+    meets = cfg.points[0].boundary  # the boundary through the origin, with multiplicities
     m = hilb.half_index(n)
     for step in range(1, m + 1):
         # the unique candidate center with non-positive discrepancy
@@ -333,8 +331,7 @@ def embedded_resolution_chain(n):
         # next center
         cfg.points = []
         if step < m:
-            meets = {"B3": 2} if n % 2 else {"B1": 1, "B2": 1}
-            cfg.points.append(Point(f"E{step}&" + "&".join(meets), {f"E{step}": 1}, meets))
+            cfg.points.append(Point(f"E{step}&" + "&".join(meets), {f"E{step}": 1}, dict(meets)))
     return cfg
 
 

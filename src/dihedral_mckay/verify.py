@@ -203,7 +203,7 @@ def criterion_7(n_range=None):
         want, got = _implied_points(fold), _incidences((p.curves, p.boundary) for p in fold.points)
         if got != want:
             return _differs(7, f"special points at n={n}", want, got)
-        generic = intersect.Point("generic", {}, {"B3" if n % 2 else "B1": 1})
+        generic = intersect.Point("generic", {}, {bdry.components[0]: 1})
         for label, cfg, want in (
             ("fold not maximal", fold, True),
             ("quotient accepted", intersect.quotient_pair(n), False),
