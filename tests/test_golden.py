@@ -5,6 +5,9 @@ file only after a deliberate change of the artifact, e.g.
 ``PYTHONPATH=src python -m dihedral_mckay fm-table --n 6 > tests/golden/fm-table_n6.json``.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,18 @@ def test_cli_matches_golden(capsys, name):
     assert cli.main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_verify_with_asserts_stripped_matches_golden():
+    """python -O strips every assert; the verify run still passes and prints
+    its golden report byte for byte."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "dihedral_mckay", *CASES["verify_n3-6.json"]],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / "verify_n3-6.json").read_bytes()
