@@ -3,7 +3,8 @@
 Monomial order is graded lexicographic with z > x > y for the tie break
 (x > y in the bivariate case).  A reduced Groebner basis is unique for
 that order, so staircases and normal forms are reproducible byte for
-byte.
+byte.  ``poly_str`` is the one text form of a polynomial; it is output
+only, and there is no parser.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def staircase(ideal):
     return tuple(sorted(basis, key=_key))
 
 
-# --- canonical text format: terms like 3*x^2*y joined by +/- ------------
+# --- canonical text form, output only: terms like 3*x^2*y joined by +/- --
 
 
 def poly_str(p):
