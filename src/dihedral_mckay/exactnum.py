@@ -85,8 +85,8 @@ class CycloElt:
     __slots__ = ("order", "terms")
 
     def __init__(self, order, terms):
-        """{exponent in range(order): int or Fraction}; zero coefficients are
-        dropped and integral Fractions become ints."""
+        """From sparse terms {exponent in range(order): int or Fraction}, trusted:
+        zero coefficients are dropped and integral Fractions become ints."""
         self.order = order
         self.terms = _normal(terms)
 
