@@ -1,6 +1,10 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dihedral_mckay.charts import (
     Atlas,
@@ -106,6 +110,61 @@ def test_atlas_rejects_a_chart_that_is_not_unimodular(atoms, lattice, chart_atom
     bad = Chart("bad", chart_atoms, rows, names)
     with pytest.raises(NotUnimodular, match=f"^bad: {message}"):
         Atlas("a", atoms, lattice, [good, bad])
+
+
+def leibniz_det(m):
+    """Reference determinant of an integer matrix, independent of linalg."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += sign * math.prod(m[r][c] for r, c in enumerate(perm))
+    return total
+
+
+def matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def elementary_product(data, k):
+    """A random integer matrix of det 1: row additions applied to the identity."""
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = data.draw(st.permutations(range(k)))[:2]
+        f = data.draw(st.integers(-2, 2))
+        m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=st.sampled_from([2, 3]), data=st.data())
+def test_atlas_accepts_a_square_chart_exactly_when_det_is_a_unit(k, data):
+    """Chart rows rel * lattice lie in the lattice; the atlas must accept
+    them exactly when |det rel| = 1, and name |det rel| when it rejects."""
+    row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    entries = st.lists(row, min_size=k, max_size=k)
+    lattice = data.draw(entries)
+    assume(leibniz_det(lattice) != 0)
+    if data.draw(st.booleans()):
+        # det exactly d, with |d| = 2 and 3 among the draws
+        d = data.draw(st.sampled_from([1, -1, 2, -2, 3, -3]))
+        diag = [[d if i == j == 0 else int(i == j) for j in range(k)] for i in range(k)]
+        rel = matmul(matmul(elementary_product(data, k), diag), elementary_product(data, k))
+    else:
+        rel = data.draw(entries)
+    d = leibniz_det(rel)
+    assume(d != 0)
+    atoms = XY_ATOMS if k == 2 else XYZ_ATOMS
+    rows = matmul(rel, lattice)
+    chart = Chart("bad", atoms, rows, tuple(f"c{i}" for i in range(k)))
+    if abs(d) != 1:
+        with pytest.raises(NotUnimodular, match=rf"^bad: \|det\| = {abs(d)} != 1$"):
+            Atlas("a", atoms, lattice, [chart])
+        return
+    Atlas("a", atoms, lattice, [chart])
+    for row in lattice:
+        alpha = express_monomial(chart, row)
+        assert all(type(a) is int for a in alpha)
+        assert matmul([alpha], rows) == (tuple(row),)
 
 
 def test_pullback_b1_even():

@@ -103,3 +103,37 @@ def test_no_line_in_the_package_is_longer_than_99_characters():
         if len(line) > 99
     ]
     assert not long, f"lines over 99 characters: {long}"
+
+
+FLOAT_MATH = {"sqrt", "log", "exp", "isclose"}
+
+
+def test_no_float_enters_the_package_source():
+    """Exact arithmetic only: no float literal, no float(...) call and no
+    math.sqrt, log, exp or isclose, imported or called, anywhere in the package."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno} literal {node.value!r}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            ):
+                found.append(f"{path.name}:{node.lineno} float(...)")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+                and node.attr in FLOAT_MATH
+            ):
+                found.append(f"{path.name}:{node.lineno} math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [
+                    f"{path.name}:{node.lineno} from math import {a.name}"
+                    for a in node.names
+                    if a.name in FLOAT_MATH
+                ]
+    assert not found, f"floating point in the package: {found}"
