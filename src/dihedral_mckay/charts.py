@@ -7,12 +7,13 @@ Hilbert-scheme atlas uses x, y) or designated polynomial expressions
 atom carries its ambient expansion as a Poly so monomial identities can
 be re-verified by exact polynomial cross-multiplication.
 
-An atlas owns the atom alphabet and a basis of the lattice of allowed
-exponent vectors (the invariant monomials); every chart of the atlas is
-over the same atoms.  The atlas solves its lattice basis once and checks
-each chart against it: expressed in that basis, a chart's exponent
-matrix has |det| = 1 (square case) or unit gcd of maximal minors
-(primitive embedding).
+Each chart keeps a scaled-integer inverse of its exponent rows, so
+monomial solves, pullbacks and gluings run on ints.  An atlas owns the
+atom alphabet and a basis of the lattice of allowed exponent vectors
+(the invariant monomials); every chart of the atlas is over the same
+atoms.  Each chart must be unimodular against that lattice: in the
+square case every lattice row is an integer combination of the chart
+rows (|det| = 1), otherwise maximal minors have unit gcd (primitive).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .linalg import coordinates, det, solver
+from .linalg import det, integer_coordinates, solver
 from .polyring import Poly, rational_roots
 
 
@@ -54,10 +55,9 @@ def _solve_int(rows, echelon, target):
     ``echelon`` is ``linalg.solver(rows)``; the rows are linearly
     independent, so the solution is unique when it exists.
     """
-    alpha = coordinates(echelon, target)
-    if alpha is None or any(a.denominator != 1 for a in alpha):
+    alpha = integer_coordinates(echelon, target)
+    if alpha is None:
         return None
-    alpha = [int(a) for a in alpha]
     # paranoid exact check
     for j in range(len(target)):
         if sum(a * rows[i][j] for i, a in enumerate(alpha)) != target[j]:
@@ -290,9 +290,9 @@ class Atlas:
                     )
                 rel.append(alpha)
             if len(rel) == len(self.lattice):
-                d = abs(det(rel))
-                if d != 1:
-                    raise NotUnimodular(f"{chart.name}: |det| = {d} != 1")
+                # |det rel| = 1 iff the chart rows span the lattice over Z
+                if any(_solve_int(chart.rows, chart._echelon, r) is None for r in self.lattice):
+                    raise NotUnimodular(f"{chart.name}: |det| = {abs(det(rel))} != 1")
             elif _max_minor_gcd(rel) != 1:
                 raise NotUnimodular(f"{chart.name}: embedding not primitive")
 

@@ -5,15 +5,18 @@ are nonnegative integers.  An echelon is a dict {pivot: vector} in
 reduced form: each vector has coefficient 1 at its own pivot, which is
 its smallest index, and 0 at every other pivot.  Coefficients stay ints
 until a pivot has to be divided out and are Fractions from then on.
+`solver` scales its finished echelon once by the lcm of those
+denominators, so chart solves by `integer_coordinates` run on ints only.
 
 `reduce` and `insert` maintain an echelon; `det`, `solver` with
-`coordinates`, and `nullspace` are built on them.  Constellation
+`integer_coordinates`, and `nullspace` are built on them.  Constellation
 subspaces, chart coordinates, unimodularity and negative definiteness
 all run through this one elimination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -88,11 +91,13 @@ def det(rows):
 
 
 def solver(rows):
-    """Echelon of linearly independent dense rows, for `coordinates`.
+    """Scaled-integer inverse of linearly independent dense rows: (den, echelon).
 
     Row i enters tagged with a 1 at index len(row) + i, so the part of
     each echelon vector past the row width records which combination
-    of the rows it is.  Raises ValueError for dependent rows.
+    of the rows it is.  The reduced echelon is then scaled by den, the
+    lcm of its denominators, so every entry is an int and each vector
+    has den at its pivot.  Raises ValueError for dependent rows.
     """
     echelon = {}
     for i, row in enumerate(rows):
@@ -100,21 +105,31 @@ def solver(rows):
         vec[len(row) + i] = 1
         if insert(echelon, vec) >= len(row):
             raise ValueError("rows are linearly dependent")
-    return echelon
+    den = math.lcm(*(c.denominator for b in echelon.values() for c in b.values()))
+    return den, {
+        p: {i: c.numerator * (den // c.denominator) for i, c in b.items()}
+        for p, b in echelon.items()
+    }
 
 
-def coordinates(echelon, target):
-    """alpha with sum(alpha[i] * rows[i]) == target, or None outside the span.
+def integer_coordinates(solved, target):
+    """Integer alpha with sum(alpha[i] * rows[i]) == target, or None when
+    target is outside the span or not an integer combination of the rows.
 
-    ``echelon`` is ``solver(rows)``; target is dense with the row width.
+    ``solved`` is ``solver(rows)``; target is a dense int vector with the row width.
     """
+    den, echelon = solved
     width = len(target)
-    rest, _ = reduce(echelon, vector(target))
+    rest = vector(den * t for t in target)
+    for p in echelon.keys() & rest.keys():
+        _axpy(rest, -target[p], echelon[p])
     if any(i < width for i in rest):
         return None
     alpha = [0] * len(echelon)
     for i, c in rest.items():
-        alpha[i - width] = -c
+        alpha[i - width], r = divmod(-c, den)
+        if r:
+            return None
     return alpha
 
 

@@ -1,6 +1,7 @@
 """Properties of the sparse reduced-echelon kernel on small rational matrices."""
 
 import copy
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_mckay.linalg import coordinates, det, insert, nullspace, reduce, solver, vector
+from dihedral_mckay.linalg import (
+    det,
+    insert,
+    integer_coordinates,
+    nullspace,
+    reduce,
+    solver,
+    vector,
+)
 
 # mostly zeros, so rows are often dependent and vectors often sparse
 ENTRY = st.one_of(
@@ -16,10 +25,14 @@ ENTRY = st.one_of(
 )
 
 
-def matrices(max_rows=4, max_cols=4):
+# integer rows, for the integer solve
+INT_ENTRY = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+def matrices(max_rows=4, max_cols=4, entry=ENTRY):
     return st.integers(1, max_cols).flatmap(
         lambda w: st.lists(
-            st.lists(ENTRY, min_size=w, max_size=w), min_size=1, max_size=max_rows
+            st.lists(entry, min_size=w, max_size=w), min_size=1, max_size=max_rows
         )
     )
 
@@ -65,23 +78,33 @@ def test_det_matches_cofactor_expansion(m):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(rows=matrices(), data=st.data())
+@given(rows=matrices(entry=INT_ENTRY), data=st.data())
 def test_coordinates_round_trip(rows, data):
-    alpha = data.draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
+    """The integer solve returns the unique integer alpha as ints, and None
+    when the rational solution is not integral or the target is outside the span."""
+    k = len(rows)
+    alpha = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
     target = combine(alpha, rows)
-    if rank(rows) < len(rows):
+    if rank(rows) < k:
         with pytest.raises(ValueError):
             solver(rows)
         return
-    echelon = solver(rows)
-    got = coordinates(echelon, target)
+    got = integer_coordinates(solver(rows), target)
     assert got == alpha  # independent rows: the solution is unique
-    assert combine(got, rows) == target
+    assert all(type(a) is int for a in got)
+    # scaling row j by d makes the rational solution alpha[j] / d
+    j, d = data.draw(st.integers(0, k - 1)), data.draw(st.integers(2, 3))
+    scaled = [[d * c for c in row] if i == j else row for i, row in enumerate(rows)]
+    want = None if alpha[j] % d else [a // d if i == j else a for i, a in enumerate(alpha)]
+    got = integer_coordinates(solver(scaled), target)
+    assert got == want
+    assert got is None or all(type(a) is int for a in got)
     # a kernel vector u of the rows is orthogonal to their span and to
     # nothing nonzero in it, so target + u lies outside the span
     for u in nullspace([vector(r) for r in rows], len(target)):
-        outside = [t + u.get(j, 0) for j, t in enumerate(target)]
-        assert coordinates(echelon, outside) is None
+        scale = math.lcm(*(Fraction(c).denominator for c in u.values()))
+        outside = [t + int(scale * u.get(j, 0)) for j, t in enumerate(target)]
+        assert integer_coordinates(solver(rows), outside) is None
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
