@@ -257,9 +257,16 @@ def blow_up_at(cfg, boundary, point, new_label="F"):
         for p in cfg.points
         if p is not point
     ]
-    # the blown-up boundary/curve branches now meet the new curve
-    inc = Point(f"{new_label}&old", {new_label: 1, **point.curves}, dict(point.boundary))
-    out.points.append(inc)
+    # the branches through the point meet the new curve; they part on it when
+    # no two of them meet any more (two boundary branches have no pairing)
+    labels = [*point.curves, *point.boundary]
+    branches = [({x: m}, {}) for x, m in point.curves.items()]
+    branches += [({}, {b: m}) for b, m in point.boundary.items()]
+    met = any(out.pair(x, y) for i, x in enumerate(labels) for y in labels[i + 1 :])
+    if len(labels) < 2 or len(point.boundary) > 1 or met:
+        labels, branches = ["old"], [(point.curves, point.boundary)]
+    for lab, (curves, bdry) in zip(labels, branches):
+        out.points.append(Point(f"{new_label}&{lab}", {new_label: 1, **curves}, dict(bdry)))
     return out
 
 

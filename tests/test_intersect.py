@@ -119,6 +119,26 @@ def test_blow_up_then_down_is_identity():
     assert cases == 1529
 
 
+def test_blowing_up_a_corner_parts_its_branches_on_the_new_curve():
+    """A transversal corner blows up to two points, one on each branch, as
+    the new pairings imply; a tangency whose branches still meet stays one point."""
+    from dihedral_mckay.verify import _implied_points, _incidences
+
+    f, bdry = fold(7), boundary_data(7)
+    points = {p.label: p for p in f.points}
+    for corner in ("E1&E2", "E2&E3"):
+        up = blow_up_at(f, bdry, points[corner])
+        assert _incidences((p.curves, p.boundary) for p in up.points) == _implied_points(up)
+        a, b = corner.split("&")
+        assert up.pair(a, b) == 0
+        assert [p.label for p in up.points[-2:]] == [f"F&{a}", f"F&{b}"]
+    up = blow_up_at(f, bdry, points["E3&B3"])
+    assert up.pair("E3", "B3") == 1
+    assert [(p.label, p.curves, p.boundary) for p in up.points if "F" in p.curves] == [
+        ("F&old", {"F": 1, "E3": 1}, {"B3": 1})
+    ]
+
+
 def test_blowup_discrepancy_examples():
     b_odd = boundary_data(5)
     assert blowup_discrepancy(b_odd, 1, []) == Fraction(1, 2)
