@@ -55,7 +55,7 @@ def _solve_int(rows, echelon, target):
     ``echelon`` is ``linalg.solver(rows)``; the rows are linearly
     independent, so the solution is unique when it exists.
     """
-    alpha = integer_coordinates(echelon, target)
+    alpha = integer_coordinates(*echelon, target)
     if alpha is None:
         return None
     # paranoid exact check

@@ -257,16 +257,14 @@ def blow_up_at(cfg, boundary, point, new_label="F"):
         for p in cfg.points
         if p is not point
     ]
-    # the branches through the point meet the new curve; they part on it when
-    # no two of them meet any more (two boundary branches have no pairing)
+    # the branches part on the new curve unless two still meet (or both are boundary)
     labels = [*point.curves, *point.boundary]
-    branches = [({x: m}, {}) for x, m in point.curves.items()]
-    branches += [({}, {b: m}) for b, m in point.boundary.items()]
     met = any(out.pair(x, y) for i, x in enumerate(labels) for y in labels[i + 1 :])
-    if len(labels) < 2 or len(point.boundary) > 1 or met:
-        labels, branches = ["old"], [(point.curves, point.boundary)]
-    for lab, (curves, bdry) in zip(labels, branches):
-        out.points.append(Point(f"{new_label}&{lab}", {new_label: 1, **curves}, dict(bdry)))
+    parts = [(x, {x: m}, {}) for x, m in point.curves.items()]
+    parts += [(b, {}, {b: m}) for b, m in point.boundary.items()]
+    if len(parts) < 2 or len(point.boundary) > 1 or met:
+        parts = [("old", point.curves, point.boundary)]
+    out.points += [Point(f"{new_label}&{x}", {new_label: 1, **c}, dict(b)) for x, c, b in parts]
     return out
 
 
@@ -321,7 +319,7 @@ def embedded_resolution_chain(n):
     point reproduces z2_fold(n) exactly (up to curve naming) in its
     labels, pairings, K.E, boundary pairings and discrepancies.  Only the
     next center is recorded as a point, so the result carries no special
-    points, and ``configs_equal`` does not compare them; verify criterion
+    points, and ``first_difference`` does not compare them; verify criterion
     7 checks the fold's points against the incidences its pairings imply.
     """
     bdry = boundary_data(n)
@@ -342,15 +340,15 @@ def embedded_resolution_chain(n):
     return cfg
 
 
-def configs_equal(a, b):
-    """Same curves, discrepancies and pairings of each curve with the
-    curves, "K" and either config's boundary labels; points are not compared."""
+def first_difference(a, b):
+    """None, or the first (entry, value in a, value in b) that differs: the
+    labels, the discrepancies, then each curve's pairings with the curves,
+    "K" and either config's boundary labels.  Points are not compared."""
     others = a.labels + ["K", *a.boundary, *b.boundary]
-    return (
-        a.labels == b.labels
-        and a.discrepancy == b.discrepancy
-        and all(a.pair(x, y) == b.pair(x, y) for x in a.labels for y in others)
-    )
+    entries = [("labels", a.labels, b.labels)]
+    entries += [(f"discrepancy of {x}", a.discrepancy[x], b.discrepancy.get(x)) for x in a.labels]
+    entries += [(f"{x}.{y}", a.pair(x, y), b.pair(x, y)) for x in a.labels for y in others]
+    return next((e for e in entries if e[1] != e[2]), None)
 
 
 def dual_graph_dot(cfg, name="dual_graph"):

@@ -4,14 +4,12 @@ A vector is a dict {index: coefficient} without zero entries; indices
 are nonnegative integers.  An echelon is a dict {pivot: vector} in
 reduced form: each vector has coefficient 1 at its own pivot, which is
 its smallest index, and 0 at every other pivot.  Coefficients stay ints
-until a pivot has to be divided out and are Fractions from then on.
-`solver` scales its finished echelon once by the lcm of those
-denominators, so chart solves by `integer_coordinates` run on ints only.
+until a pivot has to be divided out and are Fractions from then on,
+except that `solver` scales its echelon to ints for `integer_coordinates`.
 
-`reduce` and `insert` maintain an echelon; `det`, `solver` with
-`integer_coordinates`, and `nullspace` are built on them.  Constellation
-subspaces, chart coordinates, unimodularity and negative definiteness
-all run through this one elimination.
+`reduce` and `insert` maintain an echelon; `det`, `solver` and `nullspace`
+are built on them.  Constellation subspaces, chart coordinates,
+unimodularity and negative definiteness all run through this one elimination.
 """
 
 from __future__ import annotations
@@ -91,13 +89,12 @@ def det(rows):
 
 
 def solver(rows):
-    """Scaled-integer inverse of linearly independent dense rows: (den, echelon).
+    """(den, echelon): a scaled-integer inverse of linearly independent dense rows.
 
-    Row i enters tagged with a 1 at index len(row) + i, so the part of
-    each echelon vector past the row width records which combination
-    of the rows it is.  The reduced echelon is then scaled by den, the
-    lcm of its denominators, so every entry is an int and each vector
-    has den at its pivot.  Raises ValueError for dependent rows.
+    Row i enters tagged with a 1 at index len(row) + i, so the part of each
+    echelon vector past the row width records which combination of the rows
+    it is.  den, the lcm of the denominators, scales the echelon to ints.
+    Raises ValueError for dependent rows.
     """
     echelon = {}
     for i, row in enumerate(rows):
@@ -106,30 +103,25 @@ def solver(rows):
         if insert(echelon, vec) >= len(row):
             raise ValueError("rows are linearly dependent")
     den = math.lcm(*(c.denominator for b in echelon.values() for c in b.values()))
-    return den, {
-        p: {i: c.numerator * (den // c.denominator) for i, c in b.items()}
-        for p, b in echelon.items()
-    }
+    for b in echelon.values():
+        b.update({i: c.numerator * (den // c.denominator) for i, c in b.items()})
+    return den, echelon
 
 
-def integer_coordinates(solved, target):
-    """Integer alpha with sum(alpha[i] * rows[i]) == target, or None when
-    target is outside the span or not an integer combination of the rows.
+def integer_coordinates(den, echelon, target):
+    """Integer alpha with sum(alpha[i] * rows[i]) == target, or None if there is none.
 
-    ``solved`` is ``solver(rows)``; target is a dense int vector with the row width.
+    ``den, echelon`` is ``solver(rows)``; target is a dense int vector of the row width.
     """
-    den, echelon = solved
     width = len(target)
     rest = vector(den * t for t in target)
     for p in echelon.keys() & rest.keys():
         _axpy(rest, -target[p], echelon[p])
-    if any(i < width for i in rest):
+    if any(i < width or c % den for i, c in rest.items()):
         return None
     alpha = [0] * len(echelon)
     for i, c in rest.items():
-        alpha[i - width], r = divmod(-c, den)
-        if r:
-            return None
+        alpha[i - width] = -c // den
     return alpha
 
 

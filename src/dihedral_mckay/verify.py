@@ -198,8 +198,8 @@ def criterion_7(n_range=None):
         if any(fold.discrepancy[a] != 0 for a in fold.labels):
             got = {a: str(fold.discrepancy[a]) for a in fold.labels}
             return _differs(7, f"fold ledger at n={n}", "0 on every E_j", got)
-        if not intersect.configs_equal(intersect.embedded_resolution_chain(n), fold):
-            return _result(7, False, f"forward chain at n={n}")
+        if diff := intersect.first_difference(fold, intersect.embedded_resolution_chain(n)):
+            return _differs(7, f"forward chain at n={n}, {diff[0]}", *diff[1:])
         want, got = _implied_points(fold), _incidences((p.curves, p.boundary) for p in fold.points)
         if got != want:
             return _differs(7, f"special points at n={n}", want, got)
@@ -237,22 +237,22 @@ def _implied_points(cfg):
 def criterion_8(n_range=None):
     """Flop-atlas gluings and per-stage exceptional-curve counts."""
     for n in _clip(3, 15, n_range):
-        d = hilb.displayed_gluing(n)
-        if not d["verified"]:
-            return _result(8, False, f"displayed gluing at n={n}")
-        f = hilb.flop_em(n)
-        if not (f["before_glues"] and f["after_glues"]):
-            return _result(8, False, f"flop pair at n={n}")
+        d, f = hilb.displayed_gluing(n), hilb.flop_em(n)
+        checks = [(f"displayed gluing {'-'.join(d['pair'])}", d["verified"])]
+        sides = ("before", "after")
+        checks += [(f"charts {'-'.join(f[s])} {s} the flop", f[f"{s}_glues"]) for s in sides]
         counts = []
         for stage in hilb.stage_chain(n):
             fa = hilb.build_flop_atlas(n, stage)
             counts.append(len(fa.curve_tags))
-            bridges = hilb.poly_bridges(n, fa.atlas)
-            if any(not b["verified"] for b in bridges):
-                return _result(8, False, f"bridge at n={n}, {stage}")
+            for b in hilb.poly_bridges(n, fa.atlas):
+                checks.append((f"bridge {'-'.join(b['pair'])} in stage {stage}", b["verified"]))
+        for case, ok in checks:
+            if not ok:
+                return _differs(8, f"{case} at n={n}", "verified", "not verified")
         m = hilb.half_index(n)
         if counts != list(range(m, 0, -1)):
-            return _result(8, False, f"counts {counts} at n={n}")
+            return _differs(8, f"curve counts per stage at n={n}", list(range(m, 0, -1)), counts)
     return _result(8, True, "gluings verified; counts drop by one per flop")
 
 
@@ -330,7 +330,9 @@ def criterion_11(n_range=None, seed=2024):
         theta = constel.StabilityParam.make(n, values)
         verdict = constel.theta_check(F, theta)
         if not verdict.destabilized or verdict.value > 0:
-            return _result(11, False, f"trial {t}: n={n} {planted}")
+            got = f"value {verdict.value}" if verdict.destabilized else "no destabilizer"
+            case = f"trial {t}: {planted} planted in {F.label} at n={n}"
+            return _differs(11, case, "value <= 0", got)
     return _result(11, True, f"{trials} planted destabilizers found")
 
 

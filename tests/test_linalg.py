@@ -89,14 +89,14 @@ def test_coordinates_round_trip(rows, data):
         with pytest.raises(ValueError):
             solver(rows)
         return
-    got = integer_coordinates(solver(rows), target)
+    got = integer_coordinates(*solver(rows), target)
     assert got == alpha  # independent rows: the solution is unique
     assert all(type(a) is int for a in got)
     # scaling row j by d makes the rational solution alpha[j] / d
     j, d = data.draw(st.integers(0, k - 1)), data.draw(st.integers(2, 3))
     scaled = [[d * c for c in row] if i == j else row for i, row in enumerate(rows)]
     want = None if alpha[j] % d else [a // d if i == j else a for i, a in enumerate(alpha)]
-    got = integer_coordinates(solver(scaled), target)
+    got = integer_coordinates(*solver(scaled), target)
     assert got == want
     assert got is None or all(type(a) is int for a in got)
     # a kernel vector u of the rows is orthogonal to their span and to
@@ -104,7 +104,7 @@ def test_coordinates_round_trip(rows, data):
     for u in nullspace([vector(r) for r in rows], len(target)):
         scale = math.lcm(*(Fraction(c).denominator for c in u.values()))
         outside = [t + int(scale * u.get(j, 0)) for j, t in enumerate(target)]
-        assert integer_coordinates(solver(rows), outside) is None
+        assert integer_coordinates(*solver(rows), outside) is None
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -281,6 +281,18 @@ def _fold_ledger_at_7(monkeypatch):
     monkeypatch.setattr(verify.intersect, "z2_fold", spoiled)
 
 
+def _forward_chain_at_7(monkeypatch):
+    real = verify.intersect.embedded_resolution_chain
+
+    def spoiled(n):
+        cfg = real(n)
+        if n == 7:
+            cfg.set_pair("E1", "E2", Fraction(2))
+        return cfg
+
+    monkeypatch.setattr(verify.intersect, "embedded_resolution_chain", spoiled)
+
+
 def _maximality_input(spoil):
     """Spoil the configurations that criterion 7 hands to is_maximal."""
 
@@ -325,6 +337,7 @@ def _crepant_beyond(cfg):
             "fold ledger at n=7: expected 0 on every E_j, "
             "got {'E1': '0', 'E2': '-1/2', 'E3': '0'}",
         ),
+        (_forward_chain_at_7, "forward chain at n=7, E1.E2: expected 1, got 2"),
         (
             _maximality_input(_fold_below_minus_one),
             "fold not maximal at n=7: expected maximal, got E1: discrepancy -1 outside (-1, 0]",
@@ -506,3 +519,83 @@ def test_criterion_5_failure_names_n_and_the_chart(monkeypatch):
     res = verify.criterion_5(n_range=(6, 6))
     assert not res["passed"]
     assert "n=6" in res["details"] and "U3" in res["details"]
+
+
+def _at_7(name, spoil):
+    """Patch hilb.<name> so that its result at n = 7 passes through spoil."""
+
+    def patch(monkeypatch):
+        real = getattr(verify.hilb, name)
+
+        def spoiled(n, *args):
+            out = real(n, *args)
+            return spoil(out, *args) if n == 7 else out
+
+        monkeypatch.setattr(verify.hilb, name, spoiled)
+
+    return patch
+
+
+def _one_curve_less_in_stage_1(fa, stage):
+    if stage == (1,):
+        fa.curve_tags = fa.curve_tags[1:]
+    return fa
+
+
+@pytest.mark.parametrize(
+    "patch, details",
+    [
+        (
+            _at_7("displayed_gluing", lambda d: {**d, "verified": False}),
+            "displayed gluing U3''-U4' at n=7: expected verified, got not verified",
+        ),
+        (
+            _at_7("flop_em", lambda f: {**f, "before_glues": False}),
+            "charts U3''-U4' before the flop at n=7: expected verified, got not verified",
+        ),
+        (
+            _at_7("flop_em", lambda f: {**f, "after_glues": False}),
+            "charts U3'-U4 after the flop at n=7: expected verified, got not verified",
+        ),
+        (
+            _at_7("poly_bridges", lambda bs, atlas: [{**b, "verified": False} for b in bs]),
+            "bridge U4'-U5 in stage (2,) at n=7: expected verified, got not verified",
+        ),
+        (
+            _at_7("build_flop_atlas", _one_curve_less_in_stage_1),
+            "curve counts per stage at n=7: expected [3, 2, 1], got [3, 1, 1]",
+        ),
+    ],
+    ids=["displayed", "before-flop", "after-flop", "bridge", "counts"],
+)
+def test_criterion_8_failure_names_n_the_charts_and_the_values(monkeypatch, patch, details):
+    patch(monkeypatch)
+    res = verify.criterion_8(n_range=(3, 9))
+    assert not res["passed"]
+    assert res["details"] == details
+
+
+@pytest.mark.parametrize(
+    "verdict, got",
+    [
+        (constel.ThetaVerdict(False), "no destabilizer"),
+        (constel.ThetaVerdict(True, value=Fraction(1, 2)), "value 1/2"),
+    ],
+)
+def test_criterion_11_failure_names_the_trial_the_witness_and_the_value(
+    monkeypatch, verdict, got
+):
+    real, calls = constel.theta_check, []
+
+    def spoiled(F, theta):
+        calls.append(F)
+        return verdict if len(calls) == 5 else real(F, theta)
+
+    monkeypatch.setattr(constel, "theta_check", spoiled)
+    res = verify.criterion_11(n_range=(3, 10))
+    assert not res["passed"]
+    witness = "I1(1:9/4)|I4(1:4/9)"
+    assert calls[-1].label == witness
+    assert res["details"] == (
+        f"trial 4: rho1 planted in {witness} at n=5: expected value <= 0, got {got}"
+    )
