@@ -49,13 +49,13 @@ class Atom:
     poly: Poly  # ambient expansion
 
 
-def _solve_int(rows, echelon, target):
+def _solve_int(rows, solved, target):
     """Integer alpha with sum(alpha_i * rows_i) = target, or None.
 
-    ``echelon`` is ``linalg.solver(rows)``; the rows are linearly
+    ``solved`` is ``linalg.solver(rows)``; the rows are linearly
     independent, so the solution is unique when it exists.
     """
-    alpha = integer_coordinates(*echelon, target)
+    alpha = integer_coordinates(*solved, target)
     if alpha is None:
         return None
     # paranoid exact check
