@@ -89,7 +89,9 @@ def test_coordinates_round_trip(rows, data):
         with pytest.raises(ValueError):
             solver(rows)
         return
-    got = integer_coordinates(*solver(rows), target)
+    den, echelon = solver(rows)
+    assert all(type(c) is int for b in echelon.values() for c in b.values())
+    got = integer_coordinates(den, echelon, target)
     assert got == alpha  # independent rows: the solution is unique
     assert all(type(a) is int for a in got)
     # scaling row j by d makes the rational solution alpha[j] / d
