@@ -206,3 +206,37 @@ def test_sqfree_and_rational_roots():
     assert len(residue) == 1 and len(residue[0][0]) == 3
     facs = sqfree_factors([Fraction(0), Fraction(0), Fraction(1)])  # u^2
     assert facs == [((Fraction(0), Fraction(1)), 2)]
+
+
+def _times(a, b):
+    """Product of two coefficient lists, low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+ROOTS = st.dictionaries(
+    st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(lambda pq: Fraction(*pq)),
+    st.integers(1, 3),
+    max_size=3,
+)
+SCALES = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROOTS, st.sampled_from([None, 1, 2, 3]), SCALES)
+def test_rational_roots_finds_the_drawn_roots(drawn, k, scale):
+    """The product of (q*t - p)^mult over drawn roots p/q, maybe times the
+    rootless t^2 + k, scaled by a rational: rational_roots returns exactly
+    the drawn roots with their multiplicities."""
+    coeffs = [1]
+    for r, m in drawn.items():
+        for _ in range(m):
+            coeffs = _times(coeffs, [-r.numerator, r.denominator])
+    if k:
+        coeffs = _times(coeffs, [k, 0, 1])
+    roots, _ = rational_roots([c * scale for c in coeffs])
+    assert sorted(roots) == sorted(drawn.items())
+
