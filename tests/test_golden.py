@@ -25,6 +25,8 @@ CASES = {
     # the chart layer: monomial solves, unimodularity and intersection forms
     "hilb-atlas_n5.json": ["hilb-atlas", "--n", "5"],
     "hilb-atlas_n6.json": ["hilb-atlas", "--n", "6"],
+    # the chart adjacency graph, the one dot output of the chart layer
+    "hilb-atlas_n5.dot": ["hilb-atlas", "--n", "5", "--format", "dot"],
     "strict-transforms_n5.json": ["strict-transforms", "--n", "5"],
     "strict-transforms_n6.json": ["strict-transforms", "--n", "6"],
     "fold_n6.json": ["fold", "--n", "6"],

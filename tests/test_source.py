@@ -68,12 +68,25 @@ def _defined_names(node):
     return []
 
 
+# Methods that nothing in the package calls by name, with the reason each stays.
+UNCALLED_METHODS = {
+    "cli.py Parser.error": "argparse calls it on a usage error",
+    "exactnum.py CycloElt.conjugate": "the pairing properties use it as the reference",
+}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_definition_is_used_in_the_package():
     """Code that only tests call is dead weight: each module-level function,
-    class or assigned name, public or private, must be read somewhere in
-    the package outside its own definition.  Dunder names such as
-    ``__version__`` are exempt.  References are counted once per module,
-    and each definition subtracts the ones inside itself."""
+    class or assigned name, public or private, and each method of a
+    module-level class, must be read somewhere in the package outside its
+    own definition.  Dunder names such as ``__version__`` or ``__eq__`` are
+    exempt, and so are the methods in UNCALLED_METHODS.  References are
+    counted once per module, and each definition subtracts the ones inside
+    itself."""
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in MODULES
@@ -82,15 +95,20 @@ def test_every_definition_is_used_in_the_package():
     unused = []
     for name, tree in trees.items():
         for node in tree.body:
-            defined = [
-                d for d in _defined_names(node) if not (d.startswith("__") and d.endswith("__"))
-            ]
-            if not defined:
-                continue
+            defined = [d for d in _defined_names(node) if not _is_dunder(d)]
             inside = _references(node)
             unused += [
                 f"{name}:{node.lineno} {d}" for d in defined if total[d] - inside[d] == 0
             ]
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef) or _is_dunder(method.name):
+                    continue
+                if f"{name} {node.name}.{method.name}" in UNCALLED_METHODS:
+                    continue
+                if total[method.name] - _references(method)[method.name] == 0:
+                    unused.append(f"{name}:{method.lineno} {node.name}.{method.name}")
     assert not unused, f"definitions nothing in the package uses: {unused}"
 
 
