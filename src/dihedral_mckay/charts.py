@@ -181,13 +181,12 @@ def local_intersection(curve, axis_index):
 
 
 def axis_root_report(curve, axis_index):
-    """Roots (with multiplicity) of the restriction; irrational roots are
-    reported per irreducible factor with degree counted as point count."""
-    coeffs = restrict_to_axis(curve, axis_index)
-    roots, residue = rational_roots(coeffs)
-    report = [{"root": r, "mult": m} for r, m in sorted(roots)]
-    for fac, m in residue:
-        report.append({"factor_degree": len(fac) - 1, "mult": m})
+    """Rational roots (with multiplicity) of the restriction, then one entry
+    for the cofactor without rational roots, its degree counted as points."""
+    roots, rest = rational_roots(restrict_to_axis(curve, axis_index))
+    report = [{"root": r, "mult": m} for r, m in roots]
+    if len(rest) > 1:
+        report.append({"factor_degree": len(rest) - 1, "mult": 1})
     return report
 
 

@@ -49,7 +49,7 @@ def cyclotomic_polynomial(n):
     num[n] = 1
     for d in range(1, n):
         if n % d == 0:
-            num = _exact_poly_div(num, list(cyclotomic_polynomial(d)))
+            num = exact_poly_div(num, list(cyclotomic_polynomial(d)))
     return tuple(num)
 
 
@@ -61,8 +61,9 @@ def _phi_reducer(n):
     return deg, tuple((j - deg, pj) for j, pj in enumerate(phi[:-1]) if pj)
 
 
-def _exact_poly_div(num, den):
-    """Exact division of integer polynomials (low degree first)."""
+def exact_poly_div(num, den):
+    """Exact division of integer polynomials (low degree first); raises
+    ArithmeticError when den does not divide num over Z."""
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):

@@ -13,6 +13,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from .exactnum import exact_poly_div
+
 VAR_NAMES = ("x", "y", "z")
 
 
@@ -73,9 +75,6 @@ class Poly:
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -274,9 +273,6 @@ class Ideal:
     def __eq__(self, other):
         return isinstance(other, Ideal) and self.groebner == other.groebner
 
-    def __hash__(self):
-        return hash(self.groebner)
-
 
 def staircase(ideal):
     """Sorted tuple of the standard monomials of a zero-dimensional ideal."""
@@ -327,116 +323,43 @@ def poly_str(p):
     return " ".join(parts)
 
 
-# --- univariate helpers (restrictions of curves to axes) -----------------
-
-
-def sqfree_factors(coeffs):
-    """Yun-style square-free decomposition of a univariate Q-polynomial.
-
-    Returns [(factor_coeffs, multiplicity), ...] with factors monic and
-    pairwise coprime; product of factor^mult recovers the monic input.
-    """
-    coeffs = _trim(coeffs)
-    if len(coeffs) <= 1:
-        return []
-    coeffs = _umonic(coeffs)
-    d = _uderiv(coeffs)
-    g = _ugcd(coeffs, d)
-    out = []
-    w = _udiv(coeffs, g)[0]
-    mult = 1
-    while len(w) > 1:
-        y = _ugcd(w, g)
-        f = _udiv(w, y)[0]
-        if len(f) > 1:
-            out.append((tuple(f), mult))
-        w = y
-        g = _udiv(g, y)[0]
-        mult += 1
-    return out
+# --- rational roots of a univariate restriction (curves meeting an axis) --
 
 
 def rational_roots(coeffs):
-    """All rational roots (with multiplicity) plus the rootless residue.
+    """Rational roots, with multiplicity, of a nonzero univariate polynomial.
 
-    Returns (roots, residue) where roots is a list of (Fraction, mult)
-    and residue is a list of (monic factor coeffs, mult) with no
-    rational roots.
+    coeffs are ints or Fractions, low degree first.  They are scaled once to
+    a primitive integer list with a positive leading coefficient, and each
+    root p/q is divided out as q*t - p over Z.  Returns (roots, rest): roots
+    is the sorted list of (Fraction, mult) and rest the integer cofactor with
+    no rational root, [1] when every root is rational.
     """
-    roots = []
-    residue = []
-    for fac, mult in sqfree_factors(list(coeffs)):
-        fac = list(fac)
-        for r in _rational_root_candidates(fac):
-            while len(fac) > 1 and _ueval(fac, r) == 0:
-                fac = _udiv(fac, [-r, Fraction(1)])[0]
-                roots.append((r, mult))
-                break  # square-free: each root once per factor
-        if len(fac) > 1:
-            residue.append((tuple(_umonic(fac)), mult))
-    return roots, residue
+    den = math.lcm(*(c.denominator for c in coeffs))
+    rest = [c.numerator * (den // c.denominator) for c in coeffs]
+    while rest and not rest[-1]:
+        rest.pop()
+    if not rest:
+        raise ValueError("the zero polynomial has no finite root set")
+    g = math.gcd(*rest) if rest[-1] > 0 else -math.gcd(*rest)
+    zeros = next(i for i, c in enumerate(rest) if c)
+    rest = [c // g for c in rest[zeros:]]
+    roots = [(Fraction(0), zeros)] if zeros else []
+    for a, q in itertools.product(_divisors(abs(rest[0])), _divisors(rest[-1])):
+        for p in (-a, a):
+            mult = 0
+            while len(rest) > 1 and not _homogeneous_value(rest, p, q):
+                rest = exact_poly_div(rest, [-p, q])
+                mult += 1
+            if mult:
+                roots.append((Fraction(p, q), mult))
+    return sorted(roots), rest
 
 
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _umonic(c):
-    lc = c[-1]
-    return [a / lc for a in c]
-
-
-def _uderiv(c):
-    return _trim([c[i] * i for i in range(1, len(c))]) or [Fraction(0)]
-
-
-def _udiv(num, den):
-    num = list(num)
-    den = _trim(den)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for i in range(len(q) - 1, -1, -1):
-        f = num[i + len(den) - 1] / den[-1]
-        q[i] = f
-        if f:
-            for j, dj in enumerate(den):
-                num[i + j] -= f * dj
-    return q, _trim(num)
-
-
-def _ugcd(a, b):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _udiv(a, b)[1]
-    return _umonic(a) if a else [Fraction(0)]
-
-
-def _ueval(c, r):
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * r + coeff
-    return acc
-
-
-def _rational_root_candidates(c):
-    c = _trim(c)
-    # clear denominators
-    den = 1
-    for q in c:
-        den = math.lcm(den, q.denominator)
-    ic = [int(q * den) for q in c]
-    k = 0
-    while ic[k] == 0:
-        k += 1
-    if k:
-        yield Fraction(0)
-    a0, an = abs(ic[k]), abs(ic[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            yield Fraction(p, q)
-            yield Fraction(-p, q)
+def _homogeneous_value(coeffs, p, q):
+    """q^d * f(p/q) for f of degree d: zero exactly when p/q is a root."""
+    d = len(coeffs) - 1
+    return sum(c * p**i * q ** (d - i) for i, c in enumerate(coeffs))
 
 
 def _divisors(n):

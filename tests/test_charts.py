@@ -205,6 +205,15 @@ def test_pullback_pole_raises():
         pullback_orders(c, Poly.var("y"))
 
 
+def test_axis_root_report_cofactor_entry():
+    """The part without rational roots is one entry, its degree the number
+    of points it meets: (u + 1)^2 (u^2 + 2) meets the axis 4 times."""
+    curve = LocalCurve((X + ONE) ** 2 * (X**2 + 2 * ONE) + Y, "B")
+    report = axis_root_report(curve, 1)
+    assert report == [{"root": -1, "mult": 2}, {"factor_degree": 2, "mult": 1}]
+    assert local_intersection(curve, 1) == 4
+
+
 def test_local_intersection_examples():
     sq = LocalCurve(X**2 + 2 * X + ONE, "B1")
     assert local_intersection(sq, 1) == 2

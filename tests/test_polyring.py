@@ -13,7 +13,6 @@ from dihedral_mckay.polyring import (
     groebner_basis,
     poly_str,
     rational_roots,
-    sqfree_factors,
     staircase,
 )
 
@@ -193,19 +192,19 @@ def test_poly_str_tells_one_change_apart(p, pick, move, var, exp, coeff):
     assert (p == q) == (poly_str(p) == poly_str(q))
 
 
-def test_sqfree_and_rational_roots():
-    # (u+1)^2 * (u-3)
+def test_rational_roots_examples():
     # (u+1)^2 (u-3) = u^3 - u^2 - 5u - 3
     coeffs = [Fraction(-3), Fraction(-5), Fraction(-1), Fraction(1)]
-    roots, residue = rational_roots(coeffs)
-    assert sorted(roots) == [(Fraction(-1), 2), (Fraction(3), 1)]
-    assert residue == []
-    # u^2 + 1 has no rational roots
-    roots, residue = rational_roots([Fraction(1), Fraction(0), Fraction(1)])
-    assert roots == []
-    assert len(residue) == 1 and len(residue[0][0]) == 3
-    facs = sqfree_factors([Fraction(0), Fraction(0), Fraction(1)])  # u^2
-    assert facs == [((Fraction(0), Fraction(1)), 2)]
+    assert rational_roots(coeffs) == ([(Fraction(-1), 2), (Fraction(3), 1)], [1])
+    # u^2 + 1 has no rational roots: it is the whole cofactor
+    assert rational_roots([Fraction(1), Fraction(0), Fraction(1)]) == ([], [1, 0, 1])
+    # u^2: the zero root, stripped before the candidates are tried
+    assert rational_roots([Fraction(0), Fraction(0), Fraction(1)]) == ([(Fraction(0), 2)], [1])
+
+
+def test_rational_roots_of_int_coefficients():
+    """Int coefficients are divided over Z only, never with a true division."""
+    assert rational_roots([1, 2, 1]) == ([(Fraction(-1), 2)], [1])
 
 
 def _times(a, b):
@@ -230,13 +229,18 @@ SCALES = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 def test_rational_roots_finds_the_drawn_roots(drawn, k, scale):
     """The product of (q*t - p)^mult over drawn roots p/q, maybe times the
     rootless t^2 + k, scaled by a rational: rational_roots returns exactly
-    the drawn roots with their multiplicities."""
+    the drawn roots with their multiplicities, sorted, as Fractions, and the
+    primitive integer cofactor t^2 + k or 1, for int and Fraction input."""
     coeffs = [1]
     for r, m in drawn.items():
         for _ in range(m):
             coeffs = _times(coeffs, [-r.numerator, r.denominator])
     if k:
         coeffs = _times(coeffs, [k, 0, 1])
-    roots, _ = rational_roots([c * scale for c in coeffs])
-    assert sorted(roots) == sorted(drawn.items())
-
+    roots, rest = rational_roots([c * scale for c in coeffs])
+    assert roots == sorted(drawn.items())
+    assert rest == ([k, 0, 1] if k else [1])
+    assert all(type(r) is Fraction for r, _ in roots)
+    assert all(type(c) is int for c in rest)
+    assert sum(m for _, m in roots) + len(rest) - 1 == len(coeffs) - 1
+    assert rational_roots([c * scale.numerator for c in coeffs]) == (roots, rest)
