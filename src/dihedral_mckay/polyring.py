@@ -340,7 +340,7 @@ def rational_roots(coeffs):
     while rest and not rest[-1]:
         rest.pop()
     if not rest:
-        raise ValueError("the zero polynomial has no finite root set")
+        raise ValueError("the zero polynomial vanishes everywhere")
     g = math.gcd(*rest) if rest[-1] > 0 else -math.gcd(*rest)
     zeros = next(i for i, c in enumerate(rest) if c)
     rest = [c // g for c in rest[zeros:]]
