@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedral_mckay import hilb
 from dihedral_mckay.polyring import (
     Ideal,
     InfiniteDimensional,
@@ -244,3 +245,114 @@ def test_rational_roots_finds_the_drawn_roots(drawn, k, scale):
     assert all(type(c) is int for c in rest)
     assert sum(m for _, m in roots) + len(rest) - 1 == len(coeffs) - 1
     assert rational_roots([c * scale.numerator for c in coeffs]) == (roots, rest)
+
+
+# --- Buchberger properties: the reduced basis, normal forms, staircases ---
+
+SMALL_MONOS = {
+    2: st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    3: st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+}
+NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+
+
+def _polys(nvars, min_size=0, max_size=3):
+    return st.dictionaries(SMALL_MONOS[nvars], NONZERO, min_size=min_size, max_size=max_size).map(
+        lambda t: Poly(nvars, t)
+    )
+
+
+@st.composite
+def generator_lists(draw):
+    """Two or three small nonzero generators and the cube of every variable.
+    The cubes keep the quotient within 3^nvars monomials, so that each basis
+    is cheap; without them a few drawn ideals take seconds."""
+    nvars = draw(st.sampled_from([2, 2, 3]))
+    gens = draw(st.lists(_polys(nvars, min_size=1), min_size=2, max_size=3))
+    cubes = [Poly.mono(tuple(3 * (i == v) for i in range(nvars))) for v in range(nvars)]
+    return gens + cubes
+
+
+def _coefficients_are_exact(polys):
+    """Every stored coefficient is a nonzero int or Fraction."""
+    return all(
+        type(c) in (int, Fraction) and c != 0 for p in polys for c in p.terms.values()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists(), st.randoms(use_true_random=False), st.data())
+def test_reduced_basis_ignores_order_and_scaling(gens, rng, data):
+    """The reduced basis is a function of the ideal: permuting the generators
+    or scaling each by a nonzero rational leaves it unchanged, and it is
+    monic, sorted by leading term and mutually reduced."""
+    base = groebner_basis(gens)
+    shuffled = list(gens)
+    rng.shuffle(shuffled)
+    assert groebner_basis(shuffled) == base
+    scales = data.draw(st.lists(NONZERO, min_size=len(gens), max_size=len(gens)))
+    assert groebner_basis([g * c for g, c in zip(gens, scales)]) == base
+    assert all(g.leading()[1] == 1 for g in base)
+    leads = [g.leading()[0] for g in base]
+    assert all(
+        (Poly.mono(a) + Poly.mono(b)).leading()[0] == b for a, b in zip(leads, leads[1:])
+    )
+    for g in base:
+        for h in base:
+            if h is not g:
+                lead = h.leading()[0]
+                assert not any(all(map(int.__le__, lead, m)) for m in g.terms)
+    assert _coefficients_are_exact(base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists(), st.data())
+def test_normal_form_is_linear_and_kills_the_generators(gens, data):
+    """normal_form(a f + b g) = a normal_form(f) + b normal_form(g), and every
+    generator times a monomial has normal form zero."""
+    nvars = gens[0].nvars
+    ideal = Ideal(gens)
+    f, g = data.draw(_polys(nvars, max_size=4)), data.draw(_polys(nvars, max_size=4))
+    a, b = data.draw(COEFFS), data.draw(COEFFS)
+    nf = ideal.normal_form
+    assert nf(f * a + g * b) == nf(f) * a + nf(g) * b
+    assert nf(nf(f)) == nf(f)
+    mono = data.draw(SMALL_MONOS[nvars])
+    for gen in gens:
+        assert nf(gen.mul_term(mono, data.draw(NONZERO))).is_zero()
+    assert _coefficients_are_exact([nf(f), nf(g), nf(f * a + g * b)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    COEFFS,
+    COEFFS,
+)
+def test_cluster_quotient_has_length_n(ni, a, b):
+    """Criterion 4 at random rational points: Q[x, y] / I_i(a:b) has length n."""
+    n, i = ni
+    if a == 0 and b == 0:
+        a = Fraction(1)
+    ideal = hilb.cluster_ideal(n, hilb.ClusterPoint(i, a, b))
+    assert len(staircase(ideal)) == n
+    assert _coefficients_are_exact(ideal.groebner)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda k: st.tuples(_polys(k), _polys(k))), COEFFS)
+def test_public_results_store_no_zero_and_only_exact_coefficients(pq, c):
+    """No result of the arithmetic stores a zero coefficient (is_zero and ==
+    read the stored terms), and every coefficient is an int or a Fraction."""
+    p, q = pq
+    nvars = p.nvars
+    zero = Poly(nvars)
+    mono = (1,) * nvars
+    for z in (p - p, p + (-p), p * 0, p * Fraction(0), p.mul_term(mono, 0)):
+        assert z.is_zero() and z == zero
+    results = [p + q, p - q, -p, p * q, p * c, p.mul_term(mono, c), p**2, q.monic()]
+    assert _coefficients_are_exact(results)
+    if not p.is_zero():
+        assert type(p.leading()[1]) in (int, Fraction)
+        assert p.monic().leading()[1] == 1
+    assert type(p.constant_term()) in (int, Fraction)

@@ -155,3 +155,38 @@ def test_no_float_enters_the_package_source():
                     if a.name in FLOAT_MATH
                 ]
     assert not found, f"floating point in the package: {found}"
+
+
+MAPPING_WRITES = {"pop", "popitem", "update", "setdefault", "clear"}
+
+
+def _is_terms(node):
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def test_no_code_writes_into_a_terms_mapping():
+    """A Poly caches its leading term, so its terms are fixed once built:
+    no package code writes into a ``.terms`` mapping by a subscript
+    assignment, ``del``, ``pop``, ``popitem``, ``update``, ``setdefault`` or
+    ``clear``, except ``Poly.__init__``, which fills the dict it owns."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and (path.name, cls.name) == ("polyring.py", "Poly"):
+                for method in cls.body:
+                    if isinstance(method, ast.FunctionDef) and method.name == "__init__":
+                        allowed |= {id(node) for node in ast.walk(method)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                hit = _is_terms(node.value)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                hit = node.func.attr in MAPPING_WRITES and _is_terms(node.func.value)
+            else:
+                hit = False
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"writes into a .terms mapping: {found}"
