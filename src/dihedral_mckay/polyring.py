@@ -30,15 +30,20 @@ def _key(mono):
 
 
 class Poly:
-    """Polynomial over Q in 2 or 3 variables; terms maps exponent tuple -> Fraction."""
+    """Polynomial over Q in 2 or 3 variables; terms maps exponent tuple -> Fraction.
 
-    __slots__ = ("nvars", "terms")
+    No stored coefficient is zero, and the terms are never changed after
+    construction, so the leading term is computed once and cached.
+    """
+
+    __slots__ = ("nvars", "terms", "_lead")
 
     def __init__(self, nvars, terms=None):
         if nvars not in (2, 3):
             raise ValueError("2 or 3 variables only")
         self.nvars = nvars
         self.terms = {}
+        self._lead = None
         if terms:
             for m, c in terms.items():
                 c = Fraction(c)
@@ -46,6 +51,15 @@ class Poly:
                     if len(m) != nvars or any(e < 0 for e in m):
                         raise ValueError(f"bad exponent tuple {m}")
                     self.terms[tuple(m)] = c
+
+    @classmethod
+    def _raw(cls, nvars, terms):
+        """Adopt terms, a dict this module built from valid polynomials: each
+        key an nvars-tuple of nonnegative ints, each value a nonzero Fraction.
+        Nothing is copied or checked."""
+        p = object.__new__(cls)
+        p.nvars, p.terms, p._lead = nvars, terms, None
+        return p
 
     @classmethod
     def zero(cls, nvars=2):
@@ -77,37 +91,40 @@ class Poly:
         )
 
     def __add__(self, other):
+        if other.nvars != self.nvars:
+            raise ValueError("mixed variable counts")
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+            s = out[m] + c if m in out else c
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        return Poly(self.nvars, out) if out else Poly(self.nvars)
+                del out[m]
+        return Poly._raw(self.nvars, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._raw(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
+            if other == 0:
                 return Poly(self.nvars)
-            return Poly(self.nvars, {m: c * q for m, c in self.terms.items()})
+            return Poly._raw(self.nvars, {m: c * other for m, c in self.terms.items()})
+        if other.nvars != self.nvars:
+            raise ValueError("mixed variable counts")
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = out[m] + c1 * c2 if m in out else c1 * c2
                 if s:
                     out[m] = s
                 else:
                     del out[m]
-        return Poly(self.nvars, out)
+        return Poly._raw(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -124,22 +141,28 @@ class Poly:
         return out
 
     def mul_term(self, mono, coeff):
-        return Poly(
+        if len(mono) != self.nvars or min(mono) < 0:
+            raise ValueError(f"bad exponent tuple {mono}")
+        if coeff == 0:
+            return Poly(self.nvars)
+        return Poly._raw(
             self.nvars,
             {tuple(a + b for a, b in zip(m, mono)): c * coeff for m, c in self.terms.items()},
         )
 
     def leading(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_key)
-        return m, self.terms[m]
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            m = max(self.terms, key=_key)
+            self._lead = m, self.terms[m]
+        return self._lead
 
     def monic(self):
         if not self.terms:
             return self
         _, c = self.leading()
-        return self * (Fraction(1) / c)
+        return self if c == 1 else self * (Fraction(1) / c)
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, Fraction(0))
@@ -176,37 +199,48 @@ def _divides(a, b):
 
 
 def _reduce(f, basis):
-    """Full normal form of f against a list of polynomials."""
+    """Full normal form of f against a list of monic polynomials.
+
+    A step cancels the largest reducible term c*m of f by c * (m / lm) * g,
+    where lm is g's leading monomial; it divides by nothing, because each g
+    is monic.  A basis element that is not monic raises ValueError.
+    """
+    lts = []
+    for g in basis:
+        lm, lc = g.leading()
+        if lc != 1:
+            raise ValueError(f"reduction needs a monic basis: {g} has leading coefficient {lc}")
+        lts.append((lm, g.terms))
     rem = {}
     work = dict(f.terms)
-    lts = [(g.leading()[0], g.leading()[1], g) for g in basis if not g.is_zero()]
     while work:
         m = max(work, key=_key)
-        c = work[m]
-        for lm, lc, g in lts:
+        c = work.pop(m)
+        for lm, gterms in lts:
             if _divides(lm, m):
-                q = c / lc
                 shift = tuple(a - b for a, b in zip(m, lm))
-                for gm, gc in g.terms.items():
+                for gm, gc in gterms.items():
+                    if gm == lm:
+                        continue
                     t = tuple(a + b for a, b in zip(gm, shift))
-                    s = work.get(t, Fraction(0)) - q * gc
+                    s = work[t] - c * gc if t in work else -c * gc
                     if s:
                         work[t] = s
                     else:
-                        work.pop(t, None)
+                        del work[t]
                 break
         else:
             rem[m] = c
-            del work[m]
-    return Poly(f.nvars, rem)
+    return Poly._raw(f.nvars, rem)
 
 
 def _spoly(f, g):
-    mf, cf = f.leading()
-    mg, cg = g.leading()
+    """S-polynomial of two monic polynomials: each is shifted to the lcm of
+    the leading monomials, and the difference is taken."""
+    mf, mg = f.leading()[0], g.leading()[0]
     lcm = tuple(max(a, b) for a, b in zip(mf, mg))
-    return f.mul_term(tuple(a - b for a, b in zip(lcm, mf)), Fraction(1) / cf) - g.mul_term(
-        tuple(a - b for a, b in zip(lcm, mg)), Fraction(1) / cg
+    return f.mul_term(tuple(a - b for a, b in zip(lcm, mf)), 1) + g.mul_term(
+        tuple(a - b for a, b in zip(lcm, mg)), -1
     )
 
 
@@ -231,23 +265,14 @@ def groebner_basis(gens):
         if not s.is_zero():
             basis.append(s.monic())
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    # minimalize: drop elements whose leading term is divisible by another's
-    lead = [g.leading()[0] for g in basis]
+    # minimalize: in grlex order, a leading monomial divides only later ones
     keep = []
-    for i, g in enumerate(basis):
-        if any(
-            j != i and _divides(lead[j], lead[i]) and (lead[j] != lead[i] or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        keep.append(g)
-    # inter-reduce tails
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        reduced.append(_reduce(g, others).monic())
-    reduced.sort(key=lambda g: _key(g.leading()[0]))
-    return reduced
+    for g in sorted(basis, key=lambda g: _key(g.leading()[0])):
+        if not any(_divides(h.leading()[0], g.leading()[0]) for h in keep):
+            keep.append(g)
+    # inter-reduce tails: no other leading monomial divides g's, so g keeps
+    # its monic leading term and its place in the order
+    return [_reduce(g, keep[:i] + keep[i + 1 :]) for i, g in enumerate(keep)]
 
 
 class Ideal:
@@ -268,7 +293,7 @@ class Ideal:
         return self._groebner
 
     def normal_form(self, f):
-        return _reduce(f, list(self.groebner))
+        return _reduce(f, self.groebner)
 
     def __eq__(self, other):
         return isinstance(other, Ideal) and self.groebner == other.groebner

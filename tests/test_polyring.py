@@ -11,6 +11,7 @@ from dihedral_mckay.polyring import (
     Ideal,
     InfiniteDimensional,
     Poly,
+    _reduce,
     groebner_basis,
     poly_str,
     rational_roots,
@@ -94,6 +95,23 @@ def test_normal_form_examples():
     ideal = Ideal([X**2 - Y**3, X**3, X * Y, Y**4])
     assert ideal.normal_form(Y**3) == X**2
     assert ideal.normal_form(ONE) == ONE
+
+
+def test_reduction_refuses_a_basis_that_is_not_monic():
+    """A reduction step subtracts c * g with no division, so a basis element
+    whose leading coefficient is not 1 is refused, naming that coefficient."""
+    with pytest.raises(ValueError, match="leading coefficient 2"):
+        _reduce(X**2, [2 * X - ONE])
+    assert _reduce(X**2, [X - Poly.const(Fraction(1, 2))]) == Poly.const(Fraction(1, 4))
+
+
+def test_arithmetic_refuses_mixed_variable_counts():
+    x3 = Poly.var("x", 3)
+    for op in (lambda: X + x3, lambda: X - x3, lambda: X * x3):
+        with pytest.raises(ValueError, match="mixed variable counts"):
+            op()
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        X.mul_term((1, 0, 0), 1)
 
 
 def test_staircase_examples():
