@@ -228,7 +228,7 @@ def verify_poly_transition(src, dst, combos):
     """
     nvars = src.atoms[0].poly.nvars
     for j, combo in combos.items():
-        num, den = Poly.zero(nvars), Poly.const(1, nvars)
+        num, den = Poly(nvars), Poly.const(1, nvars)
         for coeff, alpha in combo:
             a_num, a_den = _monomial_fraction(src, alpha)
             num, den = num * a_den + a_num * den * coeff, den * a_den

@@ -87,7 +87,7 @@ def cluster_ideal(n, p):
         Poly.mono((1, 1)),
         Poly.mono((0, n + 1 - i)),
     ]
-    return Ideal([g for g in gens if not g.is_zero()])
+    return Ideal(gens)
 
 
 def cluster_dimension(n, p):
@@ -445,7 +445,7 @@ def _pullback_even_end(n, chart, f):
         sign, unit, boundary = -1, 1, "B1"  # f1^2
     else:
         raise ValueError("not an end chart")
-    total = Poly.zero(2)
+    total = Poly(2)
     for mono, coeff in f.terms.items():
         e = mono[0] + (m - 1) * (mono[1] + mono[2])
         total = total + _reflect(Poly.mono((mono[unit], 0))).mul_term(
@@ -470,7 +470,7 @@ def _eliminate_f2sq(n, f):
     """
     m = half_index(n)
     sub = Poly(3, {(0, 1, 0): 1, (m, 0, 0): -4})
-    out = Poly.zero(3)
+    out = Poly(3)
     for (a, b, c), coeff in f.terms.items():
         out = out + coeff * Poly.mono((a, b, 0)) * sub**c
     return out

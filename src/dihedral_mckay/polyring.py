@@ -9,6 +9,7 @@ only, and there is no parser.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -32,9 +33,7 @@ def _key(mono):
 class Poly:
     """Polynomial over Q in 2 or 3 variables; terms maps exponent tuple -> Fraction.
 
-    No stored coefficient is zero, and the terms are never changed after
-    construction, so the leading term is computed once and cached.
-    """
+    No stored coefficient is zero, and terms never change, so leading() is cached."""
 
     __slots__ = ("nvars", "terms", "_lead")
 
@@ -54,16 +53,11 @@ class Poly:
 
     @classmethod
     def _raw(cls, nvars, terms):
-        """Adopt terms, a dict this module built from valid polynomials: each
-        key an nvars-tuple of nonnegative ints, each value a nonzero Fraction.
-        Nothing is copied or checked."""
+        """Adopt, with no copy and no check, a dict built here from valid terms:
+        nvars-tuples of nonnegative ints mapped to nonzero Fractions."""
         p = object.__new__(cls)
         p.nvars, p.terms, p._lead = nvars, terms, None
         return p
-
-    @classmethod
-    def zero(cls, nvars=2):
-        return cls(nvars)
 
     @classmethod
     def const(cls, value, nvars=2):
@@ -75,10 +69,9 @@ class Poly:
 
     @classmethod
     def var(cls, name, nvars=2):
-        i = VAR_NAMES.index(name)
         e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        e[VAR_NAMES.index(name)] = 1
+        return cls.mono(e)
 
     def is_zero(self):
         return not self.terms
@@ -169,26 +162,16 @@ class Poly:
 
     def substitute_zero(self, var_index):
         """Set one variable to 0; result keeps the same nvars."""
-        out = {}
-        for m, c in self.terms.items():
-            if m[var_index] == 0:
-                out[m] = c
-        return Poly(self.nvars, out)
+        return Poly._raw(self.nvars, {m: c for m, c in self.terms.items() if not m[var_index]})
 
     def univariate_in(self, var_index):
         """Coefficient list (low degree first) when only var_index occurs."""
-        deg = 0
-        for m in self.terms:
-            if any(e and i != var_index for i, e in enumerate(m)):
-                raise ValueError("polynomial is not univariate in that variable")
-            deg = max(deg, m[var_index])
-        out = [Fraction(0)] * (deg + 1)
+        if any(sum(m) != m[var_index] for m in self.terms):
+            raise ValueError("polynomial is not univariate in that variable")
+        out = [Fraction(0)] * (max((m[var_index] for m in self.terms), default=0) + 1)
         for m, c in self.terms.items():
             out[m[var_index]] = c
         return out
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: _key(mc[0]), reverse=True)
 
     def __repr__(self):
         return poly_str(self)
@@ -199,12 +182,9 @@ def _divides(a, b):
 
 
 def _reduce(f, basis):
-    """Full normal form of f against a list of monic polynomials.
-
-    A step cancels the largest reducible term c*m of f by c * (m / lm) * g,
-    where lm is g's leading monomial; it divides by nothing, because each g
-    is monic.  A basis element that is not monic raises ValueError.
-    """
+    """Full normal form of f against monic polynomials: a step cancels a term
+    c*m by c * (m / lm) * g, where lm is g's leading monomial, and divides by
+    nothing.  A basis element that is not monic raises ValueError."""
     lts = []
     for g in basis:
         lm, lc = g.leading()
@@ -235,8 +215,7 @@ def _reduce(f, basis):
 
 
 def _spoly(f, g):
-    """S-polynomial of two monic polynomials: each is shifted to the lcm of
-    the leading monomials, and the difference is taken."""
+    """S-polynomial of two monic polynomials, shifted to their leading lcm."""
     mf, mg = f.leading()[0], g.leading()[0]
     lcm = tuple(max(a, b) for a, b in zip(mf, mg))
     return f.mul_term(tuple(a - b for a, b in zip(lcm, mf)), 1) + g.mul_term(
@@ -246,13 +225,12 @@ def _spoly(f, g):
 
 def groebner_basis(gens):
     """Reduced grlex Groebner basis (monic, mutually reduced, sorted)."""
-    basis = [g for g in gens if not g.is_zero()]
+    basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("no nonzero generators")
     nvars = basis[0].nvars
     if any(g.nvars != nvars for g in basis):
         raise ValueError("mixed variable counts")
-    basis = [g.monic() for g in basis]
     pairs = list(itertools.combinations(range(len(basis)), 2))
     while pairs:
         i, j = pairs.pop()
@@ -284,13 +262,10 @@ class Ideal:
             raise ValueError("ideal needs a nonzero generator")
         self.generators = tuple(gens)
         self.nvars = gens[0].nvars
-        self._groebner = None
 
-    @property
+    @functools.cached_property
     def groebner(self):
-        if self._groebner is None:
-            self._groebner = tuple(groebner_basis(self.generators))
-        return self._groebner
+        return tuple(groebner_basis(self.generators))
 
     def normal_form(self, f):
         return _reduce(f, self.groebner)
@@ -327,7 +302,7 @@ def poly_str(p):
     if p.is_zero():
         return "0"
     parts = []
-    for m, c in p.sorted_terms():
+    for m, c in sorted(p.terms.items(), key=lambda mc: _key(mc[0]), reverse=True):
         factors = []
         for v, e in zip(VAR_NAMES, m):
             if e == 1:
