@@ -9,7 +9,6 @@ only, and there is no parser.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -185,12 +184,10 @@ def _reduce(f, basis):
     """Full normal form of f against monic polynomials: a step cancels a term
     c*m by c * (m / lm) * g, where lm is g's leading monomial, and divides by
     nothing.  A basis element that is not monic raises ValueError."""
-    lts = []
     for g in basis:
-        lm, lc = g.leading()
-        if lc != 1:
-            raise ValueError(f"reduction needs a monic basis: {g} has leading coefficient {lc}")
-        lts.append((lm, g.terms))
+        if g.leading()[1] != 1:
+            raise ValueError(f"{g} is not monic: leading coefficient {g.leading()[1]}")
+    lts = [(g.leading()[0], g.terms) for g in basis]
     rem = {}
     work = dict(f.terms)
     while work:
@@ -262,10 +259,13 @@ class Ideal:
             raise ValueError("ideal needs a nonzero generator")
         self.generators = tuple(gens)
         self.nvars = gens[0].nvars
+        self._groebner = None
 
-    @functools.cached_property
+    @property
     def groebner(self):
-        return tuple(groebner_basis(self.generators))
+        if self._groebner is None:
+            self._groebner = tuple(groebner_basis(self.generators))
+        return self._groebner
 
     def normal_form(self, f):
         return _reduce(f, self.groebner)
@@ -277,19 +277,17 @@ class Ideal:
 def staircase(ideal):
     """Sorted tuple of the standard monomials of a zero-dimensional ideal."""
     leads = [g.leading()[0] for g in ideal.groebner]
-    nvars = ideal.nvars
     bounds = []
-    for v in range(nvars):
+    for v in range(ideal.nvars):
         pure = [m[v] for m in leads if all(e == 0 for i, e in enumerate(m) if i != v)]
         if not pure:
             raise InfiniteDimensional(
                 f"no pure power of {VAR_NAMES[v]} in the leading-term ideal"
             )
         bounds.append(min(pure))
-    ranges = [range(b) for b in bounds]
     basis = [
         m
-        for m in itertools.product(*ranges)
+        for m in itertools.product(*map(range, bounds))
         if not any(_divides(lm, m) for lm in leads)
     ]
     return tuple(sorted(basis, key=_key))
