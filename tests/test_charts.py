@@ -167,6 +167,31 @@ def test_atlas_accepts_a_square_chart_exactly_when_det_is_a_unit(k, data):
         assert matmul([alpha], rows) == (tuple(row),)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_atlas_accepts_a_non_square_chart_exactly_when_its_minors_are_coprime(data):
+    """Chart rows rel * lattice for a 2x3 rel lie in the lattice; the atlas
+    must accept them exactly when the 2x2 minors of rel have gcd 1, and
+    otherwise reject the embedding as not primitive."""
+    row = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+    lattice = data.draw(st.lists(row, min_size=3, max_size=3))
+    assume(leibniz_det(lattice) != 0)
+    rel = data.draw(st.lists(row, min_size=2, max_size=2))
+    if data.draw(st.booleans()):
+        # a 2x2 factor on the left multiplies every minor by its determinant
+        pair = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+        rel = matmul(data.draw(st.lists(pair, min_size=2, max_size=2)), rel)
+    minors = [leibniz_det([[r[c] for c in cs] for r in rel]) for cs in ((0, 1), (0, 2), (1, 2))]
+    g = math.gcd(*minors)
+    assume(g != 0)
+    chart = Chart("bad", XYZ_ATOMS, matmul(rel, lattice), ("c0", "c1"))
+    if g != 1:
+        with pytest.raises(NotUnimodular, match="^bad: embedding not primitive$"):
+            Atlas("a", XYZ_ATOMS, lattice, [chart])
+        return
+    Atlas("a", XYZ_ATOMS, lattice, [chart])
+
+
 def test_pullback_b1_even():
     # B1-hat = (x^(n/2) + y^(n/2))^2 on U_(n/2): strict (u+1)^2
     for n in (4, 6, 8):

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,6 @@ from dihedral_mckay.intersect import (
     quotient_pair,
     z2_fold,
 )
-from dihedral_mckay.linalg import det
 
 
 def fold(n):
@@ -209,6 +210,15 @@ def _gram_negated(a, shift):
     ]
 
 
+def leibniz_det(m):
+    """Reference determinant by the Leibniz sum over permutations, independent of linalg."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += sign * math.prod(m[r][c] for r, c in enumerate(perm))
+    return total
+
+
 _SIZES = st.integers(0, 5)
 _RAW = _SIZES.flatmap(
     lambda k: st.lists(
@@ -226,12 +236,12 @@ _GRAM = _SIZES.flatmap(
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_RAW, _GRAM))
 def test_negative_definite_matches_leading_minors(m):
-    """Sylvester's criterion through linalg.det on every leading minor."""
+    """Sylvester's criterion through a Leibniz determinant of every leading minor."""
     labels = [f"C{i}" for i in range(len(m))]
     q = {(a, b): Fraction(m[i][j]) for i, a in enumerate(labels) for j, b in enumerate(labels)}
     cfg = CurveConfig(labels, q=q)
     want = all(
-        (-1) ** t * det([row[:t] for row in m[:t]]) > 0 for t in range(1, len(m) + 1)
+        (-1) ** t * leibniz_det([row[:t] for row in m[:t]]) > 0 for t in range(1, len(m) + 1)
     )
     assert cfg.negative_definite() is want
 

@@ -6,9 +6,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dihedral_mckay.charts import _max_minor_gcd
 from dihedral_mckay.linalg import (
     det,
     insert,
@@ -71,6 +72,29 @@ def combine(coeffs, rows):
     return [sum(a * row[j] for a, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
 
 
+def minor_gcd(m):
+    """Reference gcd of the maximal minors of a k x w integer matrix, k <= w."""
+    k, w = len(m), len(m[0])
+    minors = (cofactor_det([[row[c] for c in cs] for row in m]) for cs in combinations(range(w), k))
+    return math.gcd(*(int(d) for d in minors))
+
+
+def cramer_coordinates(rows, target):
+    """Reference integer solve of independent integer rows: Cramer's rule on
+    a nonzero maximal minor, then a check of every column; None when the
+    solution is not integral or the target is outside the span."""
+    k, w = len(rows), len(rows[0])
+    minors = {cs: cofactor_det([[r[c] for c in cs] for r in rows]) for cs in combinations(range(w), k)}
+    cols, d = next((cs, d) for cs, d in minors.items() if d)
+    alpha = [
+        cofactor_det([[target[c] if r == i else rows[r][c] for c in cols] for r in range(k)]) / d
+        for i in range(k)
+    ]
+    if any(a.denominator != 1 for a in alpha) or combine(alpha, rows) != list(target):
+        return None
+    return [int(a) for a in alpha]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(square_matrices())
 def test_det_matches_cofactor_expansion(m):
@@ -107,6 +131,43 @@ def test_coordinates_round_trip(rows, data):
         scale = math.lcm(*(Fraction(c).denominator for c in u.values()))
         outside = [t + int(scale * u.get(j, 0)) for j, t in enumerate(target)]
         assert integer_coordinates(*solver(rows), outside) is None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=matrices(entry=INT_ENTRY), data=st.data())
+def test_coordinates_match_cramer_on_any_target(rows, data):
+    """On independent integer rows the integer solve agrees with Cramer's
+    rule for targets in the lattice, in the span with a non-integral
+    solution, and outside the span."""
+    k, w = len(rows), len(rows[0])
+    assume(rank(rows) == k)
+    alpha = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    target = combine(alpha, rows)
+    if data.draw(st.booleans()):
+        target = data.draw(st.lists(st.integers(-6, 6), min_size=w, max_size=w))
+    # scaling row j by d keeps the target's span but makes its coordinate alpha[j] / d
+    j, d = data.draw(st.integers(0, k - 1)), data.draw(st.integers(1, 3))
+    rows = [[d * c for c in row] if i == j else row for i, row in enumerate(rows)]
+    assert integer_coordinates(*solver(rows), target) == cramer_coordinates(rows, target)
+
+
+def int_matrices(k, w):
+    """k x w integer matrices, half of them times a random k x k matrix on the
+    left, which multiplies every maximal minor by its determinant."""
+    mat = lambda r, c: st.lists(
+        st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r
+    )
+    return st.tuples(mat(k, w), st.one_of(st.none(), mat(k, k))).map(
+        lambda p: p[0] if p[1] is None else [combine(a, p[0]) for a in p[1]]
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 3), (2, 4), (3, 5)]).flatmap(lambda s: int_matrices(*s)))
+def test_minor_gcd_matches_brute_force(m):
+    """The gcd of the maximal minors, 0 exactly when the rows are dependent."""
+    g = minor_gcd(m)
+    assert _max_minor_gcd(m) == g
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
