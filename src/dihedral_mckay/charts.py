@@ -7,22 +7,21 @@ Hilbert-scheme atlas uses x, y) or designated polynomial expressions
 atom carries its ambient expansion as a Poly so monomial identities can
 be re-verified by exact polynomial cross-multiplication.
 
-Each chart keeps a scaled-integer inverse of its exponent rows, so
-monomial solves, pullbacks and gluings run on ints.  An atlas owns the
-atom alphabet and a basis of the lattice of allowed exponent vectors
-(the invariant monomials); every chart of the atlas is over the same
-atoms.  Each chart must be unimodular against that lattice: in the
-square case every lattice row is an integer combination of the chart
-rows (|det| = 1), otherwise maximal minors have unit gcd (primitive).
+Each chart keeps the integer echelon (`linalg.solver`) of its exponent
+rows, so monomial solves, pullbacks and gluings are integer back-substitutions.
+An atlas owns the atom alphabet and a basis of the lattice of allowed exponent
+vectors (the invariant monomials); every chart of the atlas is over the same
+atoms.  Each chart must be unimodular against that lattice: its rows have
+integer coordinates rel in the lattice basis whose maximal minors have gcd 1
+(|det rel| = 1 when square, a primitive embedding otherwise).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
-from .linalg import det, integer_coordinates, solver
+from .linalg import hnf, integer_coordinates, solver
 from .polyring import Poly, rational_roots
 
 
@@ -55,7 +54,7 @@ def _solve_int(rows, solved, target):
     ``solved`` is ``linalg.solver(rows)``; the rows are linearly
     independent, so the solution is unique when it exists.
     """
-    alpha = integer_coordinates(*solved, target)
+    alpha = integer_coordinates(solved, target)
     if alpha is None:
         return None
     # paranoid exact check
@@ -63,21 +62,6 @@ def _solve_int(rows, solved, target):
         if sum(a * rows[i][j] for i, a in enumerate(alpha)) != target[j]:
             return None
     return alpha
-
-
-def _max_minor_gcd(mat):
-    """gcd of all maximal minors of an integer matrix (rows <= cols)."""
-    k = len(mat)
-    cols = len(mat[0])
-    g = 0
-    for combo in itertools.combinations(range(cols), k):
-        minor = det([[row[c] for c in combo] for row in mat])
-        if minor.denominator != 1:
-            raise ArithmeticError(f"integer matrix with minor {minor}")
-        g = math.gcd(g, minor.numerator)
-        if g == 1:
-            return 1
-    return g
 
 
 @dataclass
@@ -288,12 +272,13 @@ class Atlas:
                         f"{chart.name}: coordinate {row} is outside the atlas lattice"
                     )
                 rel.append(alpha)
-            if len(rel) == len(self.lattice):
-                # |det rel| = 1 iff the chart rows span the lattice over Z
-                if any(_solve_int(chart.rows, chart._echelon, r) is None for r in self.lattice):
-                    raise NotUnimodular(f"{chart.name}: |det| = {abs(det(rel))} != 1")
-            elif _max_minor_gcd(rel) != 1:
-                raise NotUnimodular(f"{chart.name}: embedding not primitive")
+            # rel has independent rows, as the chart rows do, so this is the gcd
+            # of its maximal minors, which is |det rel| when rel is square
+            g = math.prod(b[p] for p, b in hnf(zip(*rel)).items())
+            if g != 1:
+                square = len(rel) == len(self.lattice)
+                why = f"|det| = {g} != 1" if square else "embedding not primitive"
+                raise NotUnimodular(f"{chart.name}: {why}")
 
     def chart(self, name):
         for c in self.charts:

@@ -1,20 +1,24 @@
-"""Exact sparse linear algebra over Q: one reduced-echelon kernel.
+"""Exact sparse linear algebra: one echelon over Q and one over Z.
 
 A vector is a dict {index: coefficient} without zero entries; indices
-are nonnegative integers.  An echelon is a dict {pivot: vector} in
-reduced form: each vector has coefficient 1 at its own pivot, which is
-its smallest index, and 0 at every other pivot.  Coefficients stay ints
-until a pivot has to be divided out and are Fractions from then on,
-except that `solver` scales its echelon to ints for `integer_coordinates`.
+are nonnegative integers.  An echelon is a dict {pivot: vector} whose
+vectors each have their smallest index at their own pivot.
 
-`reduce` and `insert` maintain an echelon; `det`, `solver` and `nullspace`
-are built on them.  Constellation subspaces, chart coordinates,
-unimodularity and negative definiteness all run through this one elimination.
+The Q-echelon is reduced: 1 at its own pivot and 0 at every other pivot.
+Coefficients stay ints until a pivot has to be divided out.  `reduce` and
+`insert` maintain it and `nullspace` is built on them; constellation
+subspaces and negative definiteness run through it.
+
+The Z-echelon, `hnf`, is built from int rows by unimodular row steps only,
+with a positive entry at each pivot.  `solver` and `integer_coordinates`
+answer lattice membership and integer coordinates with it, and the product
+of its pivots gives |det| of a square matrix and the gcd of the maximal
+minors of a wide one (`hnf` of the transpose).  Chart solves and chart
+unimodularity run through it.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -66,62 +70,60 @@ def _axpy(vec, f, other):
             vec.pop(i, None)
 
 
-def det(rows):
-    """Determinant of a square matrix given as dense rows.
+def hnf(rows):
+    """Integer echelon {pivot: vector} of the lattice spanned by dense int rows.
 
-    Row i enters the echelon as rest_i, itself minus earlier rows, then
-    is scaled by 1/rest_i[pivot]; at the end row i is the unit vector at
-    its pivot.  So det is the product of those scales times the sign of
-    the permutation row -> pivot.
+    Euclid's algorithm on rows (H. Cohen, GTM 138, section 2.4): a row is
+    reduced by the echelon vector with its pivot, and the two swap while a
+    remainder is left, so every step is unimodular and no Fraction is built.
+    Each vector has a positive entry at its pivot, its smallest index, and
+    the echelon comes in pivot order.  Rows that reduce to zero add nothing.
     """
     echelon = {}
-    value = 1
-    pivots = []
     for row in rows:
-        rest, _ = reduce(echelon, vector(row))
-        piv = insert(echelon, rest)
-        if piv is None:
-            return 0
-        value *= rest[piv]
-        pivots.append(piv)
-    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
-    return -value if inversions % 2 else value
+        vec = vector(row)
+        while vec:
+            piv = min(vec)
+            b = echelon.get(piv)
+            if b is None:
+                echelon[piv] = vec if vec[piv] > 0 else {i: -c for i, c in vec.items()}
+                break
+            _axpy(vec, -(vec[piv] // b[piv]), b)
+            if piv in vec:
+                echelon[piv], vec = vec, b
+    return dict(sorted(echelon.items()))
 
 
 def solver(rows):
-    """(den, echelon): a scaled-integer inverse of linearly independent dense rows.
+    """Integer echelon of linearly independent dense int rows, for `integer_coordinates`.
 
     Row i enters tagged with a 1 at index len(row) + i, so the part of each
     echelon vector past the row width records which combination of the rows
-    it is.  den, the lcm of the denominators, scales the echelon to ints.
-    Raises ValueError for dependent rows.
+    it is.  Raises ValueError for dependent rows.
     """
-    echelon = {}
-    for i, row in enumerate(rows):
-        vec = vector(row)
-        vec[len(row) + i] = 1
-        if insert(echelon, vec) >= len(row):
-            raise ValueError("rows are linearly dependent")
-    den = math.lcm(*(c.denominator for b in echelon.values() for c in b.values()))
-    for b in echelon.values():
-        b.update({i: c.numerator * (den // c.denominator) for i, c in b.items()})
-    return den, echelon
+    width = len(rows[0])
+    echelon = hnf([*row, *(int(i == j) for j in range(len(rows)))] for i, row in enumerate(rows))
+    if any(p >= width for p in echelon):
+        raise ValueError("rows are linearly dependent")
+    return echelon
 
 
-def integer_coordinates(den, echelon, target):
+def integer_coordinates(echelon, target):
     """Integer alpha with sum(alpha[i] * rows[i]) == target, or None if there is none.
 
-    ``den, echelon`` is ``solver(rows)``; target is a dense int vector of the row width.
+    ``echelon`` is ``solver(rows)``; target is a dense int vector of the row width.
+    One back-substitution in pivot order takes the floor quotient by each pivot,
+    so the target is reached exactly when nothing is left below the row width.
     """
     width = len(target)
-    rest = vector(den * t for t in target)
-    for p in echelon.keys() & rest.keys():
-        _axpy(rest, -target[p], echelon[p])
-    if any(i < width or c % den for i, c in rest.items()):
+    rest = vector(target)
+    for p, b in echelon.items():
+        _axpy(rest, -(rest.get(p, 0) // b[p]), b)
+    if any(i < width for i in rest):
         return None
     alpha = [0] * len(echelon)
     for i, c in rest.items():
-        alpha[i - width] = -c // den
+        alpha[i - width] = -c
     return alpha
 
 

@@ -19,6 +19,7 @@ from dihedral_mckay.charts import (
     express_monomial,
     local_intersection,
     pullback_orders,
+    transition_exponents,
     verify_gluing,
 )
 from dihedral_mckay.hilb import (
@@ -190,6 +191,41 @@ def test_atlas_accepts_a_non_square_chart_exactly_when_its_minors_are_coprime(da
             Atlas("a", XYZ_ATOMS, lattice, [chart])
         return
     Atlas("a", XYZ_ATOMS, lattice, [chart])
+
+
+def test_chart_solves_build_no_fraction(monkeypatch):
+    """An atlas built from ready atoms and rows checks its charts, and then
+    solves monomials and transitions in them, without building a Fraction."""
+    atlases = [hilb_atlas(6), surface_atlas(6)]
+    atlases += [build_flop_atlas(6, stage).atlas for stage in stage_chain(6)]
+    specs = [
+        (a.atoms, a.lattice, [(c.name, c.rows, c.coord_names) for c in a.charts])
+        for a in atlases
+    ]
+    built = 0
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    solved = 0
+    for atoms, lattice, charts in specs:
+        atlas = Atlas("a", atoms, lattice, [Chart(n, atoms, r, names) for n, r, names in charts])
+        for a in atlas.charts:
+            for b in atlas.charts:
+                solved += transition_exponents(a, b) is not None
+                for row in b.rows:
+                    try:
+                        express_monomial(a, row)
+                    except NoIntegerSolution:
+                        pass
+    Fraction(1, 2)  # the counter sees a Fraction built here
+    monkeypatch.undo()
+    assert built == 1
+    assert solved > len(specs)  # some transitions besides the identities
 
 
 def test_pullback_b1_even():

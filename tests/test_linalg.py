@@ -1,4 +1,5 @@
-"""Properties of the sparse reduced-echelon kernel on small rational matrices."""
+"""Properties of the sparse echelon kernels: the reduced echelon on small
+rational matrices and the integer echelon on small integer matrices."""
 
 import copy
 import math
@@ -9,9 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dihedral_mckay.charts import _max_minor_gcd
 from dihedral_mckay.linalg import (
-    det,
+    hnf,
     insert,
     integer_coordinates,
     nullspace,
@@ -72,20 +72,25 @@ def combine(coeffs, rows):
     return [sum(a * row[j] for a, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
 
 
+def maximal_minors(m):
+    """{columns: minor} for every choice of len(m) columns of m."""
+    k, w = len(m), len(m[0])
+    return {
+        cs: cofactor_det([[row[c] for c in cs] for row in m]) for cs in combinations(range(w), k)
+    }
+
+
 def minor_gcd(m):
     """Reference gcd of the maximal minors of a k x w integer matrix, k <= w."""
-    k, w = len(m), len(m[0])
-    minors = (cofactor_det([[row[c] for c in cs] for row in m]) for cs in combinations(range(w), k))
-    return math.gcd(*(int(d) for d in minors))
+    return math.gcd(*(int(d) for d in maximal_minors(m).values()))
 
 
 def cramer_coordinates(rows, target):
     """Reference integer solve of independent integer rows: Cramer's rule on
     a nonzero maximal minor, then a check of every column; None when the
     solution is not integral or the target is outside the span."""
-    k, w = len(rows), len(rows[0])
-    minors = {cs: cofactor_det([[r[c] for c in cs] for r in rows]) for cs in combinations(range(w), k)}
-    cols, d = next((cs, d) for cs, d in minors.items() if d)
+    k = len(rows)
+    cols, d = next((cs, d) for cs, d in maximal_minors(rows).items() if d)
     alpha = [
         cofactor_det([[target[c] if r == i else rows[r][c] for c in cols] for r in range(k)]) / d
         for i in range(k)
@@ -98,7 +103,16 @@ def cramer_coordinates(rows, target):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(square_matrices())
 def test_det_matches_cofactor_expansion(m):
-    assert det(m) == cofactor_det(m)
+    """|det| is the pivot product of the integer echelon of the rows, each
+    scaled to ints; a singular matrix leaves fewer pivots than rows."""
+    scales = [math.lcm(*(Fraction(c).denominator for c in row)) for row in m]
+    echelon = hnf([int(s * c) for c in row] for s, row in zip(scales, m))
+    d = cofactor_det(m)
+    if d == 0:
+        assert len(echelon) < len(m)
+        return
+    assert len(echelon) == len(m)
+    assert math.prod(b[p] for p, b in echelon.items()) == abs(d) * math.prod(scales)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -113,16 +127,16 @@ def test_coordinates_round_trip(rows, data):
         with pytest.raises(ValueError):
             solver(rows)
         return
-    den, echelon = solver(rows)
+    echelon = solver(rows)
     assert all(type(c) is int for b in echelon.values() for c in b.values())
-    got = integer_coordinates(den, echelon, target)
+    got = integer_coordinates(echelon, target)
     assert got == alpha  # independent rows: the solution is unique
     assert all(type(a) is int for a in got)
     # scaling row j by d makes the rational solution alpha[j] / d
     j, d = data.draw(st.integers(0, k - 1)), data.draw(st.integers(2, 3))
     scaled = [[d * c for c in row] if i == j else row for i, row in enumerate(rows)]
     want = None if alpha[j] % d else [a // d if i == j else a for i, a in enumerate(alpha)]
-    got = integer_coordinates(*solver(scaled), target)
+    got = integer_coordinates(solver(scaled), target)
     assert got == want
     assert got is None or all(type(a) is int for a in got)
     # a kernel vector u of the rows is orthogonal to their span and to
@@ -130,7 +144,7 @@ def test_coordinates_round_trip(rows, data):
     for u in nullspace([vector(r) for r in rows], len(target)):
         scale = math.lcm(*(Fraction(c).denominator for c in u.values()))
         outside = [t + int(scale * u.get(j, 0)) for j, t in enumerate(target)]
-        assert integer_coordinates(*solver(rows), outside) is None
+        assert integer_coordinates(solver(rows), outside) is None
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -148,7 +162,7 @@ def test_coordinates_match_cramer_on_any_target(rows, data):
     # scaling row j by d keeps the target's span but makes its coordinate alpha[j] / d
     j, d = data.draw(st.integers(0, k - 1)), data.draw(st.integers(1, 3))
     rows = [[d * c for c in row] if i == j else row for i, row in enumerate(rows)]
-    assert integer_coordinates(*solver(rows), target) == cramer_coordinates(rows, target)
+    assert integer_coordinates(solver(rows), target) == cramer_coordinates(rows, target)
 
 
 def int_matrices(k, w):
@@ -165,9 +179,18 @@ def int_matrices(k, w):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from([(2, 3), (2, 4), (3, 5)]).flatmap(lambda s: int_matrices(*s)))
 def test_minor_gcd_matches_brute_force(m):
-    """The gcd of the maximal minors, 0 exactly when the rows are dependent."""
+    """The gcd of the maximal minors is the pivot product of the integer
+    echelon of the transpose; dependent rows leave fewer pivots than rows."""
     g = minor_gcd(m)
-    assert _max_minor_gcd(m) == g
+    echelon = hnf(zip(*m))
+    for p, b in echelon.items():
+        assert min(b) == p and b[p] > 0
+        assert all(type(c) is int for c in b.values())
+    if g == 0:
+        assert len(echelon) < len(m)
+        return
+    assert len(echelon) == len(m)
+    assert math.prod(b[p] for p, b in echelon.items()) == g
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
