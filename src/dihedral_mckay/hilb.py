@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from .charts import (
     Atlas,
@@ -261,13 +263,15 @@ def _x1_reduced_boundary_restrictions(n, per_chart):
     return counts
 
 
+@lru_cache(maxsize=None)
 def boundary_intersection_numbers(n):
     """supp(B_k) . E_i on the quotient surface, via the projection formula.
 
     p* supp(B_k) = 2 B~_k (ramification), p* E_i = Et_i + Et_(n-i) for
     i < n/2 and p* E_(n/2) = Et_(n/2); the pairing halves the X1-side
     product.  For odd n the invariant-chart tangency is computed as well
-    and must agree.
+    and must agree.  Memoised per n for the process and read-only (mapping
+    proxies); a CertificateFailure is raised on every call, never memoised.
     """
     m = half_index(n)
     out = {}
@@ -287,7 +291,7 @@ def boundary_intersection_numbers(n):
                 f"n={n}: B3.E{m} = {out['B3'][f'E{m}']} but the invariant chart "
                 f"gives tangency {inv['tangency']}"
             )
-    return out
+    return MappingProxyType({label: MappingProxyType(row) for label, row in out.items()})
 
 
 # --- the quotient-surface atlas ------------------------------------------

@@ -19,6 +19,8 @@ from fractions import Fraction
 from . import hilb
 from .linalg import insert, reduce, vector
 
+ZERO = Fraction(0)  # pair() of two labels that q does not pair, built once
+
 
 class NotContractible(ValueError):
     """Castelnuovo preconditions (C^2 = -1, K.C = -1) fail."""
@@ -53,7 +55,7 @@ class CurveConfig:
     points: list = field(default_factory=list)
 
     def pair(self, a, b):
-        return self.q.get((a, b), Fraction(0))
+        return self.q.get((a, b), ZERO)
 
     def set_pair(self, a, b, v):
         self.q[(a, b)] = v
@@ -138,7 +140,8 @@ def z2_fold(chain, n):
     re-verified by adjunction.
     """
     m = hilb.half_index(n)
-    if chain.labels != [f"Et{i}" for i in range(1, n)]:
+    integral = all(v.denominator == 1 for v in chain.q.values())
+    if not integral or chain.labels != [f"Et{i}" for i in range(1, n)]:
         raise ValueError("fold expects the A_(n-1) chain of X1")
 
     def pull(i):
@@ -151,10 +154,8 @@ def z2_fold(chain, n):
     cfg = CurveConfig(labels, tuple(sorted(bnums)), discrepancy={a: Fraction(0) for a in labels})
     for i in range(1, m + 1):
         for j in range(i, m + 1):
-            val = sum(
-                (chain.pair(a, b) for a in pull(i) for b in pull(j)), Fraction(0)
-            ) / 2
-            cfg.set_pair(f"E{i}", f"E{j}", val)
+            val = sum(chain.pair(a, b).numerator for a in pull(i) for b in pull(j))
+            cfg.set_pair(f"E{i}", f"E{j}", Fraction(val, 2))
         cfg.set_pair(f"E{i}", "K", Fraction(-1) if i == m else Fraction(0))
         for lab, row in bnums.items():
             cfg.set_pair(f"E{i}", lab, Fraction(row[f"E{i}"]))

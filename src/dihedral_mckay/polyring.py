@@ -215,9 +215,14 @@ def _spoly(f, g):
     """S-polynomial of two monic polynomials, shifted to their leading lcm."""
     mf, mg = f.leading()[0], g.leading()[0]
     lcm = tuple(max(a, b) for a, b in zip(mf, mg))
-    return f.mul_term(tuple(a - b for a, b in zip(lcm, mf)), 1) + g.mul_term(
-        tuple(a - b for a, b in zip(lcm, mg)), -1
-    )
+    sf, sg = (tuple(a - b for a, b in zip(lcm, m)) for m in (mf, mg))
+    out = {tuple(a + b for a, b in zip(m, sf)): c for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        t = tuple(a + b for a, b in zip(m, sg))
+        s = out.pop(t, 0) - c
+        if s:
+            out[t] = s
+    return Poly._raw(f.nvars, out)
 
 
 def groebner_basis(gens):

@@ -28,6 +28,7 @@ from dihedral_mckay.hilb import (
     swap_xy,
     z2_image,
 )
+from dihedral_mckay.intersect import an_chain, z2_fold
 from dihedral_mckay.polyring import Ideal, Poly, staircase
 
 
@@ -170,6 +171,30 @@ def test_boundary_intersection_numbers_closed_form():
         else:
             want = {"B1": delta, "B2": delta}
         assert boundary_intersection_numbers(n) == want, n
+
+
+def test_boundary_intersection_numbers_are_shared_read_only():
+    """One computation per n serves every caller, so none may change it."""
+    first = boundary_intersection_numbers(8)
+    assert boundary_intersection_numbers(8) == first
+    with pytest.raises(TypeError):
+        first["B1"] = {}
+    with pytest.raises(TypeError):
+        first["B1"]["E4"] = 0
+    assert boundary_intersection_numbers(8)["B1"]["E4"] == 1
+
+
+def test_boundary_certificate_failure_is_raised_on_every_call(monkeypatch):
+    """A failed certificate is not memoised: a disagreeing invariant chart
+    fails the fold on each call, and the real one passes afterwards."""
+    boundary_intersection_numbers.cache_clear()
+    real = hilb.invariant_chart_boundary
+    with monkeypatch.context() as patch:
+        patch.setattr(hilb, "invariant_chart_boundary", lambda n: {**real(n), "tangency": 1})
+        for _ in range(2):
+            with pytest.raises(CertificateFailure, match="invariant chart gives tangency 1"):
+                z2_fold(an_chain(6), 7)
+    assert boundary_intersection_numbers(7)["B3"]["E3"] == 2
 
 
 def test_refdiv_intersections_are_kronecker_deltas():

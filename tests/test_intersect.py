@@ -72,6 +72,20 @@ def test_fold_invariants_wide():
             assert f.pair(f"E{i}", f"E{i + 1}") == 1
 
 
+def test_fold_refuses_a_chain_with_fractional_pairings():
+    """The fold sums the chain's pairings as integers, so it checks that they are."""
+    chain = an_chain(4)
+    chain.set_pair("Et1", "Et2", Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"A_\(n-1\) chain"):
+        z2_fold(chain, 5)
+
+
+def test_pair_of_unpaired_labels_is_one_shared_zero():
+    c = an_chain(3)
+    assert c.pair("Et1", "Et3") is intersect.ZERO and type(intersect.ZERO) is Fraction
+    assert c.pair("Et1", "B1") is c.pair("Et2", "K")
+
+
 def test_blow_down():
     f5 = fold(5)
     c = blow_down(f5, "E2")

@@ -12,6 +12,7 @@ from dihedral_mckay.polyring import (
     InfiniteDimensional,
     Poly,
     _reduce,
+    _spoly,
     groebner_basis,
     poly_str,
     rational_roots,
@@ -296,6 +297,22 @@ def _coefficients_are_exact(polys):
     return all(
         type(c) in (int, Fraction) and c != 0 for p in polys for c in p.terms.values()
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda k: st.tuples(_polys(k, 1), _polys(k, 1))))
+def test_spoly_is_the_difference_of_the_shifted_inputs(fg):
+    """_spoly copies each input shifted to the leading lcm and subtracts;
+    the reference multiplies by 1 and -1 through mul_term and adds.  A pair
+    that cancels completely, such as f and itself, gives the zero polynomial."""
+    f, g = (p.monic() for p in fg)
+    mf, mg = f.leading()[0], g.leading()[0]
+    lcm = tuple(max(a, b) for a, b in zip(mf, mg))
+    shift = [tuple(a - b for a, b in zip(lcm, m)) for m in (mf, mg)]
+    want = f.mul_term(shift[0], 1) + g.mul_term(shift[1], -1)
+    got = _spoly(f, g)
+    assert got == want and _coefficients_are_exact([got])
+    assert _spoly(f, f).is_zero()
 
 
 @settings(max_examples=60, deadline=None)

@@ -123,6 +123,40 @@ def test_no_line_in_the_package_is_longer_than_99_characters():
     assert not long, f"lines over 99 characters: {long}"
 
 
+# Every process-level memo of the package.  Each result is a function of its
+# arguments alone and is shared by every caller, so it must be immutable or
+# never handed out for writing; a new memo joins this list on purpose.
+LRU_CACHED = {
+    "exactnum.cyclotomic_polynomial",
+    "exactnum._phi_reducer",
+    "reps.conjugacy_classes",
+    "reps.char_table",
+    "hilb.boundary_intersection_numbers",
+}
+
+
+def test_every_lru_cache_in_the_package_is_listed():
+    """Find the memoised functions by their cache_info attribute among the
+    attributes of each module and of each class the module defines."""
+    found = set()
+    for path in MODULES:
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(f"dihedral_mckay.{path.stem}")
+        owners = [module] + [
+            cls
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__
+        ]
+        for owner in owners:
+            found |= {
+                f"{path.stem}.{getattr(obj, '__qualname__', name)}"
+                for name, obj in vars(owner).items()
+                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+            }
+    assert found == LRU_CACHED
+
+
 FLOAT_MATH = {"sqrt", "log", "exp", "isclose"}
 
 
