@@ -136,24 +136,18 @@ LRU_CACHED = {
 
 
 def test_every_lru_cache_in_the_package_is_listed():
-    """Find the memoised functions by their cache_info attribute among the
-    attributes of each module and of each class the module defines."""
+    """Find the memoised functions among the module attributes by their
+    cache_info attribute, each in the module that defines it."""
     found = set()
     for path in MODULES:
         if path.stem == "__main__":
             continue
         module = importlib.import_module(f"dihedral_mckay.{path.stem}")
-        owners = [module] + [
-            cls
-            for _, cls in inspect.getmembers(module, inspect.isclass)
-            if cls.__module__ == module.__name__
-        ]
-        for owner in owners:
-            found |= {
-                f"{path.stem}.{getattr(obj, '__qualname__', name)}"
-                for name, obj in vars(owner).items()
-                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
-            }
+        found |= {
+            f"{path.stem}.{name}"
+            for name, obj in vars(module).items()
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+        }
     assert found == LRU_CACHED
 
 
