@@ -333,7 +333,7 @@ def socle(F):
 # --- the socle table --------------------------------------------------
 
 
-def witness_point(n, i, alpha):
+def witness_point(i, alpha):
     """Generic rational point on Et_i: I_i(1 - alpha : 1 + alpha)."""
     if alpha in (Fraction(-1), Fraction(0), Fraction(1)):
         raise ValueError("alpha must avoid 0 and +-1")
@@ -360,7 +360,7 @@ def socle_table(n, alpha=Fraction(1, 2)):
         )
 
     for i in range(1, m + 1):
-        add(f"E{i}", witness_point(n, i, alpha))
+        add(f"E{i}", witness_point(i, alpha))
     for i in range(1, m):
         add(f"E{i}&E{i + 1}", hilb.ClusterPoint(i, Fraction(0), Fraction(1)))
     if n % 2 == 0:

@@ -107,10 +107,10 @@ def swap_xy(f):
 def fixed_points(n):
     """Z_2-fixed points with ideal-equality certificates.
 
-    Candidates come from indices i with n - i in {i-1, i, i+1} (other
-    points cannot map to themselves even set-theoretically) plus the
-    parameter constraints; each one is certified by Groebner-basis
-    equality of the ideal with its x<->y image.
+    The candidates are every corner I_i(0:1), i = 1..n-1, and for even n
+    the points I_(n/2)(1:+-1); each is certified by Groebner-basis equality
+    of the ideal with its x<->y image.  Testing every corner, not only
+    those with n - i near i, is what certifies the count of fixed points.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -170,7 +170,7 @@ def hilb_atlas(n):
     return Atlas(f"X1(n={n})", atoms, lattice, charts, meta)
 
 
-def axis_point(n, chart_index, axis_index, root):
+def axis_point(chart_index, axis_index, root):
     """Cluster point of a root on an exceptional axis of chart U_i."""
     i = chart_index
     if axis_index == 1:  # {v = 0} = Et_i, coordinate u
@@ -216,7 +216,7 @@ def boundary_strict_transforms(n):
                     rec = dict(rec)
                     rec["axis"] = axis_label
                     if "root" in rec:
-                        rec["point"] = axis_point(n, int(name[1:]), axis, rec["root"]).label
+                        rec["point"] = axis_point(int(name[1:]), axis, rec["root"]).label
                         rec["root"] = str(rec["root"])
                     meetings.append(rec)
             if meetings:

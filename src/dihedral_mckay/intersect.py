@@ -134,28 +134,27 @@ def z2_fold(chain, n):
     """Fold the A_(n-1) chain on X1 to the configuration on Y1.
 
     E_a . E_b = (1/2) p*E_a . p*E_b with p*E_i = Et_i + Et_(n-i) for
-    i < n/2 (and for the odd middle pair), p*E_(n/2) = Et_(n/2).
-    Boundary pairings come from the chart computations in hilb; the
-    canonical pairing is fixed by crepancy (K.E_m = -1, else 0) and
+    i < n/2 (and for the odd middle pair), p*E_(n/2) = Et_(n/2): each chain
+    pairing Et_k . Et_l adds to E_min(k,n-k) . E_min(l,n-l).  Boundary
+    pairings come from hilb's charts; K.E_m = -1, else 0 (crepancy),
     re-verified by adjunction.
     """
     m = hilb.half_index(n)
     integral = all(v.denominator == 1 for v in chain.q.values())
     if not integral or chain.labels != [f"Et{i}" for i in range(1, n)]:
         raise ValueError("fold expects the A_(n-1) chain of X1")
-
-    def pull(i):
-        if n % 2 == 0 and i == n // 2:
-            return [f"Et{i}"]
-        return [f"Et{i}", f"Et{n - i}"]
-
+    image = {f"Et{k}": f"E{min(k, n - k)}" for k in range(1, n)}
+    sums = {}
+    for (a, b), v in chain.q.items():
+        if a in image and b in image:  # not "K" or a boundary label
+            key = (image[a], image[b])
+            sums[key] = sums.get(key, 0) + v.numerator
     labels = [f"E{i}" for i in range(1, m + 1)]
     bnums = hilb.boundary_intersection_numbers(n)
     cfg = CurveConfig(labels, tuple(sorted(bnums)), discrepancy={a: Fraction(0) for a in labels})
+    for (a, b), val in sums.items():
+        cfg.set_pair(a, b, Fraction(val, 2))
     for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            val = sum(chain.pair(a, b).numerator for a in pull(i) for b in pull(j))
-            cfg.set_pair(f"E{i}", f"E{j}", Fraction(val, 2))
         cfg.set_pair(f"E{i}", "K", Fraction(-1) if i == m else Fraction(0))
         for lab, row in bnums.items():
             cfg.set_pair(f"E{i}", lab, Fraction(row[f"E{i}"]))

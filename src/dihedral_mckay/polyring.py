@@ -280,7 +280,8 @@ class Ideal:
 
 
 def staircase(ideal):
-    """Sorted tuple of the standard monomials of a zero-dimensional ideal."""
+    """Sorted tuple of the standard monomials of a zero-dimensional ideal:
+    each (p, e), e the last exponent, with e < f for every leading (q, f) with q | p."""
     leads = [g.leading()[0] for g in ideal.groebner]
     bounds = []
     for v in range(ideal.nvars):
@@ -290,11 +291,10 @@ def staircase(ideal):
                 f"no pure power of {VAR_NAMES[v]} in the leading-term ideal"
             )
         bounds.append(min(pure))
-    basis = [
-        m
-        for m in itertools.product(*map(range, bounds))
-        if not any(_divides(lm, m) for lm in leads)
-    ]
+    basis = []
+    for pre in itertools.product(*map(range, bounds[:-1])):
+        top = min(lm[-1] for lm in leads if _divides(lm[:-1], pre))
+        basis += [(*pre, e) for e in range(top)]
     return tuple(sorted(basis, key=_key))
 
 

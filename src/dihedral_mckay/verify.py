@@ -318,7 +318,7 @@ def criterion_11(n_range=None, seed=2024):
         m = hilb.half_index(n)
         i = rng.randint(1, m)
         F = constel.constellation_from_cluster(
-            n, constel.witness_point(n, i, Fraction(rng.randint(2, 7), 13))
+            n, constel.witness_point(i, Fraction(rng.randint(2, 7), 13))
         )
         soc = constel.socle(F)
         planted = sorted(soc)[rng.randrange(len(soc))]

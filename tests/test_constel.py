@@ -63,7 +63,7 @@ def test_generic_socles():
     for n in (4, 5, 7, 8):
         m = half_index(n)
         for i in range(1, m + 1):
-            F = constellation_from_cluster(n, witness_point(n, i, Fraction(1, 2)))
+            F = constellation_from_cluster(n, witness_point(i, Fraction(1, 2)))
             want = expected_socle(n, f"E{i}")
             assert socle(F) == want, (n, i)
             assert top(F) == {"rho0": 1, "rho0'": 1}
@@ -131,7 +131,7 @@ def test_submodule_closure_examples():
     graded2, cls2 = submodule_closure(F, [{j1: Fraction(1)}])
     assert graded2.dim() == 4
     # generic witness: the cluster generator row is tau-swapped into everything
-    G = constellation_from_cluster(5, witness_point(5, 1, Fraction(1, 2)))
+    G = constellation_from_cluster(5, witness_point(1, Fraction(1, 2)))
     graded3, _ = submodule_closure(G, [{G.basis.index((0, (0, 0))): Fraction(1)}])
     assert graded3.dim() == G.dim  # tau swaps the rows, so 1 generates all
 
@@ -140,7 +140,7 @@ def test_theta_examples():
     n = 5
     with pytest.raises(ValueError):
         StabilityParam.make(n, {"rho0": 1})  # theta(C[G]) != 0
-    F = constellation_from_cluster(n, witness_point(n, 1, Fraction(1, 2)))
+    F = constellation_from_cluster(n, witness_point(1, Fraction(1, 2)))
     # destabilize the socle rho_1: theta(rho1) < 0
     theta = StabilityParam.make(
         n, {"rho1": -1, "rho2": 1, "rho0": 0, "rho0'": 0}
@@ -174,7 +174,7 @@ def test_theta_planted_destabilizers():
         if kind == "generic":
             i = rng.randint(1, m)
             F = constellation_from_cluster(
-                n, witness_point(n, i, Fraction(rng.randint(2, 7), 13))
+                n, witness_point(i, Fraction(rng.randint(2, 7), 13))
             )
         elif kind == "corner" and m >= 2:
             i = rng.randint(1, m - 1)
@@ -369,7 +369,7 @@ _ALPHAS = st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(
 def test_characters_match_dense_reference(n, data):
     i = data.draw(st.integers(1, half_index(n)), label="curve")
     alpha = data.draw(_ALPHAS, label="alpha")
-    generic = constellation_from_cluster(n, witness_point(n, i, alpha))
+    generic = constellation_from_cluster(n, witness_point(i, alpha))
     # a Z_2-fixed witness too: its tau has a nonzero diagonal
     fixed_point = cp(n // 2, 1, data.draw(st.sampled_from([1, -1]))) if n % 2 == 0 else (
         cp(half_index(n), 0, 1)
@@ -393,7 +393,7 @@ def _draw_witness(n, data):
     kinds = ["generic", "fixed"] + (["corner"] if m >= 2 else [])
     kind = data.draw(st.sampled_from(kinds), label="kind")
     if kind == "generic":
-        point = witness_point(n, data.draw(st.integers(1, m), label="curve"), data.draw(_ALPHAS))
+        point = witness_point(data.draw(st.integers(1, m), label="curve"), data.draw(_ALPHAS))
         return constellation_from_cluster(n, point)
     if kind == "corner":
         return constellation_from_cluster(n, cp(data.draw(st.integers(1, m - 1)), 0, 1))

@@ -80,6 +80,16 @@ def test_fold_refuses_a_chain_with_fractional_pairings():
         z2_fold(chain, 5)
 
 
+def test_fold_skips_chain_pairings_with_k_and_the_boundary():
+    """The fold reads only the pairings of two chain curves: a chain that
+    also pairs a curve with "K" and with a boundary label folds as before."""
+    for n in (6, 7):
+        chain = an_chain(n - 1)
+        chain.set_pair("Et1", "K", Fraction(0))
+        chain.set_pair("Et2", "B1", Fraction(1))
+        assert z2_fold(chain, n).to_json() == fold(n).to_json()
+
+
 def test_pair_of_unpaired_labels_is_one_shared_zero():
     c = an_chain(3)
     assert c.pair("Et1", "Et3") is intersect.ZERO and type(intersect.ZERO) is Fraction

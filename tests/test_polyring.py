@@ -11,6 +11,7 @@ from dihedral_mckay.polyring import (
     Ideal,
     InfiniteDimensional,
     Poly,
+    _key,
     _reduce,
     _spoly,
     groebner_basis,
@@ -338,6 +339,24 @@ def test_reduced_basis_ignores_order_and_scaling(gens, rng, data):
                 lead = h.leading()[0]
                 assert not any(all(map(int.__le__, lead, m)) for m in g.terms)
     assert _coefficients_are_exact(base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists())
+def test_staircase_is_the_box_filtered_by_the_leading_monomials(gens):
+    """The staircase walks each prefix of the pure-power box up to its least
+    leading exponent; the reference filters the whole box, monomial by
+    monomial, against every leading monomial.  No package caller builds a
+    3-variable staircase, so this is the test that reaches that case."""
+    ideal = Ideal(gens)
+    leads = [g.leading()[0] for g in ideal.groebner]
+    bounds = [min(m[v] for m in leads if sum(m) == m[v]) for v in range(ideal.nvars)]
+    box = [
+        m
+        for m in itertools.product(*map(range, bounds))
+        if not any(all(map(int.__le__, lm, m)) for lm in leads)
+    ]
+    assert staircase(ideal) == tuple(sorted(box, key=_key))
 
 
 @settings(max_examples=60, deadline=None)

@@ -218,3 +218,37 @@ def test_no_code_writes_into_a_terms_mapping():
             if hit:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"writes into a .terms mapping: {found}"
+
+
+def _parameters(node):
+    args = node.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    params += [a for a in (args.vararg, args.kwarg) if a is not None]
+    return [a.arg for a in params if a.arg not in ("self", "cls")]
+
+
+def test_every_parameter_is_read():
+    """A parameter that the body never reads is an unused input that every
+    caller must still pass: each parameter of every package function,
+    method and lambda, except ``self`` and ``cls``, must be read in its
+    body (a nested function's reads count)."""
+    unread = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "lambda")
+            unread += [
+                f"{path.name}:{node.lineno} {name}({p})"
+                for p in _parameters(node)
+                if p not in read
+            ]
+    assert not unread, f"parameters their function never reads: {unread}"
