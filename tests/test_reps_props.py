@@ -167,12 +167,9 @@ def pools(g):
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(GROUPS.flatmap(pools), st.data())
-def test_gram_matches_definition_entrywise(pool, data):
-    """Repeated and permuted rows and columns; no value leaks between pairs."""
-    pick = st.lists(st.sampled_from(pool), max_size=6)
-    rows, cols = data.draw(pick), data.draw(pick)
+def check_gram(rows, cols):
+    """gram agrees with the reference entrywise, or raises NotRational naming
+    the first irrational pair in row-major order."""
     for chi in rows:
         for psi in cols:
             try:
@@ -187,3 +184,30 @@ def test_gram_matches_definition_entrywise(pool, data):
     got = gram(rows, cols)
     assert got == [[reference(chi, psi) for psi in cols] for chi in rows]
     assert all(type(v) is Fraction for row in got for v in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GROUPS.flatmap(pools), st.data())
+def test_gram_matches_definition_entrywise(pool, data):
+    """Repeated and permuted rows and columns; no value leaks between pairs."""
+    pick = st.lists(st.sampled_from(pool), max_size=6)
+    check_gram(data.draw(pick), data.draw(pick))
+
+
+@settings(max_examples=150, deadline=None)
+@given(GROUPS.flatmap(pools), st.data())
+def test_square_gram_matches_definition_entrywise(pool, data):
+    """Square calls: the same list on both sides, an equal copy under other
+    names, and equal-length lists that differ in one entry."""
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    case = data.draw(st.sampled_from(("same list", "renamed copy", "one entry differs")))
+    event(case)
+    if case == "same list":
+        cols = rows
+    elif case == "renamed copy":
+        cols = [Character(f.group, f"{f.name}'", f.values) for f in rows]
+    else:
+        at = data.draw(st.integers(0, len(rows) - 1))
+        other = data.draw(st.sampled_from([f for f in pool if f != rows[at]]))
+        cols = rows[:at] + [other] + rows[at + 1 :]
+    check_gram(rows, cols)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dihedral_mckay import constel, reps, taut, verify
+from dihedral_mckay.exactnum import CycloElt
 from dihedral_mckay.polyring import Poly
 
 
@@ -114,6 +115,47 @@ def test_criterion_1_pairs_each_table_once_without_inner_product(monkeypatch):
     }
     assert [args[0][0].group.n for args in pairs] == list(range(3, 9))
     assert singles == []
+
+
+def _spoil_table(monkeypatch, n, at, k, terms):
+    """verify.char_table with the class-k value of irreducible ``at`` replaced at n."""
+    real = verify.char_table
+    table = real(reps.GroupSpec("dihedral", n))
+    chi = table.chars[at]
+    vals = list(chi.values)
+    vals[k] = CycloElt(n, terms)
+    chars = list(table.chars)
+    chars[at] = reps.Character(chi.group, chi.name, vals)
+    spoiled = reps.CharTable(table.group, table.classes, chars, table.index)
+    monkeypatch.setattr(verify, "char_table", lambda g: spoiled if g.n == n else real(g))
+
+
+@pytest.mark.parametrize(
+    "n, at, k, terms, details",
+    [
+        (6, -1, 1, {0: 1}, "<rho0,rho3'> at n=6: expected 0, got 1/3"),
+        (12, -2, 4, {0: 3}, "<rho0,rho6> at n=12: expected 0, got 1/6"),
+    ],
+)
+def test_criterion_1_fails_on_a_spoiled_late_irreducible(monkeypatch, n, at, k, terms, details):
+    """The real gram finds the first differing pairing of a spoiled table."""
+    _spoil_table(monkeypatch, n, at, k, terms)
+    res = verify.criterion_1(n_range=(3, n + 2))
+    assert not res["passed"]
+    assert res["details"] == details
+
+
+def test_criterion_1_fails_closed_on_an_irrational_pairing(monkeypatch):
+    _spoil_table(monkeypatch, 10, -1, 1, {0: 1})
+    monkeypatch.setattr(verify, "CRITERIA", [verify.criterion_1])
+    lines = []
+    (res,) = verify.run_all(lines.append, n_range=(3, 12))
+    assert not res["passed"]
+    assert lines == [
+        "FAIL criterion 1: character tables - raised NotRational: <rho1,rho5'> is irrational: "
+        "irrational value: 2 + 2*t^1 + 2*t^2 + -2*t^3 + 2*t^4 + -2*t^5 + 2*t^6 + -2*t^7 "
+        "+ 2*t^8 + 2*t^9"
+    ]
 
 
 def test_criterion_7_fails_on_a_fold_without_its_points(monkeypatch):
