@@ -9,11 +9,13 @@ tau column; for even n the reflections split into two classes
 both, with (-1)^i distinguishing rho_{n/2} from rho_{n/2}'.
 
 Values are CycloElt over Q[t]/(t^n - 1).  ``gram`` pairs a whole table in
-one pass, reducing each distinct sum once modulo Phi_n (see exactnum).
+one pass, each unordered pair once as the pairing is Hermitian, and reduces
+each distinct sum once modulo Phi_n (see exactnum).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -178,7 +180,11 @@ def gram(rows, cols):
 
     <chi, psi> = (1/|G|) sum over classes of size * chi * conj(psi); each
     distinct sum in Q[t]/(t^n - 1) is reduced modulo Phi_n once per call.
+    Sum(psi, chi) = conj Sum(chi, psi), and conj fixes (Phi_n) as Phi_n is
+    self-reciprocal: if cols equal rows, entries below the diagonal copy their
+    mirrors, and the first irrational pair in row-major order is on or above it.
     """
+    rows, cols = tuple(rows), tuple(cols)
     groups = {f.group for f in (*rows, *cols)}
     if len(groups) > 1:
         raise ValueError("characters of different groups")
@@ -187,21 +193,25 @@ def gram(rows, cols):
     (g,) = groups
     n = g.n
     classes = conjugacy_classes(g)
+    square = rows == cols
     col_terms = [[] for _ in classes]  # per class: (column, exponent, coefficient)
     for q, psi in enumerate(cols):
         for terms, v in zip(col_terms, psi.values):
             terms.extend((q, j, b) for j, b in v.terms.items())
     reduced = {}  # sum before the reduction -> <chi, psi>, for this call only
     out = []
-    for chi in rows:
-        accs = [[0] * n for _ in cols]
+    for p, chi in enumerate(rows):
+        first = p if square else 0  # the first column this row computes
+        accs = [None] * first + [[0] * n for _ in cols[first:]]
         for c, v, terms in zip(classes, chi.values, col_terms):
+            # terms are in column order, so column `first` begins where bisect finds it
+            suffix = terms[bisect_left(terms, (first,)):] if first else terms
             for i, a in v.terms.items():
                 sa = c.size * a
-                for q, j, b in terms:
+                for q, j, b in suffix:
                     accs[q][i - j] += sa * b  # conj(t^j) = t^(n - j); i - j < 0 wraps
-        row = []
-        for psi, acc in zip(cols, accs):
+        row = [out[q][p] for q in range(first)]
+        for psi, acc in zip(cols[first:], accs[first:]):
             key = tuple(acc)
             if key not in reduced:
                 try:

@@ -10,6 +10,7 @@ from dihedral_mckay.reps import (
     char_table,
     conjugacy_classes,
     decompose,
+    gram,
     induce,
     inner_product,
     mckay_quiver,
@@ -305,3 +306,15 @@ def test_irrational_inner_product_names_both_class_functions():
     chi = Character(g, "odd", [CycloElt.root_power(5, 1)] + [CycloElt.zero(5)] * 4)
     with pytest.raises(NotRational, match=r"<odd,eps0> is irrational"):
         inner_product(chi, char_table(g).by_name["eps0"])
+
+
+def test_gram_reads_iterators_once():
+    """Rows and columns are read once, so generators pair like tuples."""
+    table = char_table(GroupSpec("dihedral", 8))
+    chars = table.chars
+    square = gram(chars, chars)
+    assert square == [[int(i == j) for j in range(len(chars))] for i in range(len(chars))]
+    assert gram(iter(chars), iter(chars)) == square
+    assert gram((c for c in table), (c for c in table)) == square
+    reg = regular_character(table.group)
+    assert gram(iter([reg]), iter(chars)) == gram([reg], chars)
