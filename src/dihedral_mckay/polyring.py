@@ -1,10 +1,11 @@
-"""Exact bivariate/trivariate polynomials over Q with grlex Groebner bases.
+"""Exact polynomials over Q in 2 or 3 variables; grlex Groebner bases in 2.
 
 Monomial order is graded lexicographic with z > x > y for the tie break
-(x > y in the bivariate case).  A reduced Groebner basis is unique for
-that order, so staircases and normal forms are reproducible byte for
-byte.  ``poly_str`` is the one text form of a polynomial; it is output
-only, and there is no parser.
+(x > y with two variables).  `Ideal` and `groebner_basis` take bivariate
+polynomials only, on exponent pairs (a, b); 3-variable arithmetic serves the
+chart atoms of `hilb`.  A reduced basis is unique for the order, so staircases
+and normal forms are reproducible.  ``poly_str`` is the one text form of a
+polynomial; it is output only, and there is no parser.
 """
 
 from __future__ import annotations
@@ -177,13 +178,19 @@ class Poly:
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return a[0] <= b[0] and a[1] <= b[1]
+
+
+def _bivariate(polys):
+    for g in polys:
+        if g.nvars != 2:
+            raise ValueError(f"Groebner bases take 2 variables, not {g.nvars}")
 
 
 def _reduce(f, basis):
     """Full normal form of f against monic polynomials: a step cancels a term
-    c*m by c * (m / lm) * g, where lm is g's leading monomial, and divides by
-    nothing.  A basis element that is not monic raises ValueError."""
+    c*m by subtracting c * (m / lm) * g, where lm is g's leading monomial, and
+    divides by nothing.  A basis element that is not monic raises ValueError."""
     for g in basis:
         if g.leading()[1] != 1:
             raise ValueError(f"{g} is not monic: leading coefficient {g.leading()[1]}")
@@ -192,14 +199,13 @@ def _reduce(f, basis):
     work = dict(f.terms)
     while work:
         m = max(work, key=_key)
-        c = work.pop(m)
+        c = work[m]
+        a, b = m
         for lm, gterms in lts:
-            if _divides(lm, m):
-                shift = tuple(a - b for a, b in zip(m, lm))
-                for gm, gc in gterms.items():
-                    if gm == lm:
-                        continue
-                    t = tuple(a + b for a, b in zip(gm, shift))
+            if lm[0] <= a and lm[1] <= b:
+                da, db = a - lm[0], b - lm[1]
+                for (p, q), gc in gterms.items():
+                    t = (p + da, q + db)
                     s = work[t] - c * gc if t in work else -c * gc
                     if s:
                         work[t] = s
@@ -207,18 +213,17 @@ def _reduce(f, basis):
                         del work[t]
                 break
         else:
-            rem[m] = c
+            rem[m] = work.pop(m)
     return Poly._raw(f.nvars, rem)
 
 
 def _spoly(f, g):
     """S-polynomial of two monic polynomials, shifted to their leading lcm."""
-    mf, mg = f.leading()[0], g.leading()[0]
-    lcm = tuple(max(a, b) for a, b in zip(mf, mg))
-    sf, sg = (tuple(a - b for a, b in zip(lcm, m)) for m in (mf, mg))
-    out = {tuple(a + b for a, b in zip(m, sf)): c for m, c in f.terms.items()}
-    for m, c in g.terms.items():
-        t = tuple(a + b for a, b in zip(m, sg))
+    (fa, fb), (ga, gb) = f.leading()[0], g.leading()[0]
+    la, lb = max(fa, ga), max(fb, gb)
+    out = {(p + la - fa, q + lb - fb): c for (p, q), c in f.terms.items()}
+    for (p, q), c in g.terms.items():
+        t = (p + la - ga, q + lb - gb)
         s = out.pop(t, 0) - c
         if s:
             out[t] = s
@@ -230,16 +235,13 @@ def groebner_basis(gens):
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("no nonzero generators")
-    nvars = basis[0].nvars
-    if any(g.nvars != nvars for g in basis):
-        raise ValueError("mixed variable counts")
+    _bivariate(basis)
     pairs = list(itertools.combinations(range(len(basis)), 2))
     while pairs:
         i, j = pairs.pop()
-        mi = basis[i].leading()[0]
-        mj = basis[j].leading()[0]
+        (a, b), (c, d) = basis[i].leading()[0], basis[j].leading()[0]
         # Buchberger's first criterion: coprime leading monomials.
-        if all(a == 0 or b == 0 for a, b in zip(mi, mj)):
+        if (a == 0 or c == 0) and (b == 0 or d == 0):
             continue
         s = _reduce(_spoly(basis[i], basis[j]), basis)
         if not s.is_zero():
@@ -256,14 +258,14 @@ def groebner_basis(gens):
 
 
 class Ideal:
-    """Polynomial ideal with a lazily computed reduced Groebner basis."""
+    """Bivariate polynomial ideal with a lazily computed reduced Groebner basis."""
 
     def __init__(self, generators):
         gens = [g for g in generators if not g.is_zero()]
         if not gens:
             raise ValueError("ideal needs a nonzero generator")
+        _bivariate(gens)
         self.generators = tuple(gens)
-        self.nvars = gens[0].nvars
         self._groebner = None
 
     @property
@@ -280,21 +282,18 @@ class Ideal:
 
 
 def staircase(ideal):
-    """Sorted tuple of the standard monomials of a zero-dimensional ideal:
-    each (p, e), e the last exponent, with e < f for every leading (q, f) with q | p."""
+    """Sorted tuple of the standard monomials of a zero-dimensional ideal: each
+    (a, b) with a below the least pure power of x and b < f for every leading
+    (q, f) with q <= a."""
     leads = [g.leading()[0] for g in ideal.groebner]
-    bounds = []
-    for v in range(ideal.nvars):
-        pure = [m[v] for m in leads if all(e == 0 for i, e in enumerate(m) if i != v)]
-        if not pure:
+    for v in (0, 1):
+        if all(m[1 - v] for m in leads):
             raise InfiniteDimensional(
                 f"no pure power of {VAR_NAMES[v]} in the leading-term ideal"
             )
-        bounds.append(min(pure))
     basis = []
-    for pre in itertools.product(*map(range, bounds[:-1])):
-        top = min(lm[-1] for lm in leads if _divides(lm[:-1], pre))
-        basis += [(*pre, e) for e in range(top)]
+    for a in range(min(q for q, f in leads if f == 0)):
+        basis += [(a, b) for b in range(min(f for q, f in leads if q <= a))]
     return tuple(sorted(basis, key=_key))
 
 
