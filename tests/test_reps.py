@@ -318,3 +318,52 @@ def test_gram_reads_iterators_once():
     assert gram((c for c in table), (c for c in table)) == square
     reg = regular_character(table.group)
     assert gram(iter([reg]), iter(chars)) == gram([reg], chars)
+
+
+def _defined_table(g):
+    """(name, [term dict per class]) for every irreducible, from the definition."""
+    n, classes = g.n, conjugacy_classes(g)
+    if g.kind == "cyclic":
+        return [(f"eps{j}", [{j * c.power % n: 1} for c in classes]) for j in range(n)]
+
+    def rotation(j, k):  # t^(jk) + t^(-jk), the two terms merged when equal
+        terms = {}
+        for a in (j * k % n, -j * k % n):
+            terms[a] = terms.get(a, 0) + 1
+        return terms
+
+    rows = [
+        ("rho0", [{0: 1} for _ in classes]),
+        ("rho0'", [{0: -1 if c.kind == "reflection" else 1} for c in classes]),
+    ]
+    for j in range(1, (n - 1) // 2 + 1):
+        vals = [{} if c.kind == "reflection" else rotation(j, c.power) for c in classes]
+        rows.append((f"rho{j}", vals))
+    if n % 2 == 0:
+        for name, refl_sign in ((f"rho{n // 2}", 1), (f"rho{n // 2}'", -1)):
+            vals = []
+            for c in classes:  # (-1)^k on sigma^k; on tau*sigma^i, the sign times (-1)^i
+                sign = refl_sign if c.kind == "reflection" else 1
+                vals.append({0: sign * (-1) ** c.power})
+            rows.append((name, vals))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "kind, ns", [("dihedral", range(3, 101)), ("cyclic", range(2, 61))]
+)
+def test_every_table_value_matches_its_definition(kind, ns):
+    """Every value of every D_2n table (n = 3..100) and Z_n table (n = 2..60),
+    in table order, equals the term dict built from the definition class by
+    class: rho_j(sigma^k) = t^(jk) + t^(-jk), eps_j(sigma^k) = t^(jk), signs by
+    class kind and parity, and 0 on reflections for the two-dimensional rows."""
+    for n in ns:
+        g = GroupSpec(kind, n)
+        table = char_table(g)
+        expected = _defined_table(g)
+        assert table.names() == [name for name, _ in expected]
+        for chi, (name, vals) in zip(table, expected):
+            assert len(chi.values) == len(vals)
+            for c, v, terms in zip(table.classes, chi.values, vals):
+                assert v.order == n, (n, name, c.label)
+                assert v.terms == terms, (n, name, c.label)
