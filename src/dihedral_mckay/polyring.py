@@ -275,6 +275,7 @@ class Ideal:
         return self._groebner
 
     def normal_form(self, f):
+        _bivariate([f])
         return _reduce(f, self.groebner)
 
     def __eq__(self, other):

@@ -8,7 +8,10 @@ tau column; for even n the reflections split into two classes
 (tau*sigma^even, tau*sigma^odd) and the listed values are expanded onto
 both, with (-1)^i distinguishing rho_{n/2} from rho_{n/2}'.
 
-Values are CycloElt over Q[t]/(t^n - 1).  ``gram`` pairs a whole table in
+Values are CycloElt over Q[t]/(t^n - 1).  A table builds each distinct
+value once, t^a + t^-a (t^a for Z_n) per exponent a and the constants 1, -1
+and 0, and every row points into those: table values are shared, read-only
+objects, as no code writes into ``.terms``.  ``gram`` pairs a whole table in
 one pass, each unordered pair once as the pairing is Hermitian, and reduces
 each distinct sum once modulo Phi_n (see exactnum).
 """
@@ -133,12 +136,6 @@ class CharTable:
         return [c.name for c in self.chars]
 
 
-def _rot_value(n, j, k):
-    # epsilon^{jk} + epsilon^{-jk}, built without intermediate elements
-    a, b = j * k % n, -j * k % n
-    return CycloElt(n, {a: 2} if a == b else {a: 1, b: 1})
-
-
 @lru_cache(maxsize=None)
 def char_table(g):
     n = g.n
@@ -150,28 +147,24 @@ def char_table(g):
         index[name] = j
 
     if g.kind == "cyclic":
+        root = [CycloElt.root_power(n, a) for a in range(n)]  # t^a
         for j in range(n):
-            add(f"eps{j}", j, [CycloElt.root_power(n, j * c.power) for c in classes])
+            add(f"eps{j}", j, [root[j * c.power % n] for c in classes])
         return CharTable(g, classes, chars, index)
 
-    one = CycloElt.from_rational(n, 1)
-
-    def const(q):
-        return CycloElt.from_rational(n, q)
-
-    add("rho0", 0, [one] * len(classes))
-    add("rho0'", 0, [const(-1) if c.kind == "reflection" else one for c in classes])
+    const = {q: CycloElt.from_rational(n, q) for q in (1, -1, 0)}
+    # t^a + t^-a, the two terms merged when a = -a mod n
+    rot = [CycloElt(n, {a: 1, -a % n: 1} if 2 * a % n else {a: 2}) for a in range(n)]
+    add("rho0", 0, [const[1]] * len(classes))
+    add("rho0'", 0, [const[-1 if c.kind == "reflection" else 1] for c in classes])
     for j in range(1, (n - 1) // 2 + 1):
-        vals = [
-            CycloElt.zero(n) if c.kind == "reflection" else _rot_value(n, j, c.power)
-            for c in classes
-        ]
+        vals = [const[0] if c.kind == "reflection" else rot[j * c.power % n] for c in classes]
         add(f"rho{j}", j, vals)
     if n % 2 == 0:
         h = n // 2
         for name, refl_sign in ((f"rho{h}", 1), (f"rho{h}'", -1)):
-            sign = {"rotation": 1, "reflection": refl_sign}
-            add(name, h, [const(sign[c.kind] * (-1) ** c.power) for c in classes])
+            kind_sign = {"rotation": 1, "reflection": refl_sign}
+            add(name, h, [const[kind_sign[c.kind] * (-1) ** c.power] for c in classes])
     return CharTable(g, classes, chars, index)
 
 
@@ -193,7 +186,7 @@ def gram(rows, cols):
     (g,) = groups
     n = g.n
     classes = conjugacy_classes(g)
-    square = rows == cols
+    square = len(rows) > 1 and rows == cols  # a 1 x 1 square has nothing to mirror
     col_terms = [[] for _ in classes]  # per class: (column, exponent, coefficient)
     for q, psi in enumerate(cols):
         for terms, v in zip(col_terms, psi.values):

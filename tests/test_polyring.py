@@ -119,13 +119,16 @@ def test_arithmetic_refuses_mixed_variable_counts():
 def test_groebner_refuses_polynomials_that_are_not_bivariate():
     """The Groebner kernel works on exponent pairs: a 3-variable generator,
     alone or next to bivariate ones, is refused with its variable count
-    named before any basis is computed."""
+    named before any basis is computed, and so is a 3-variable polynomial
+    handed to a normal form."""
     x3, z = Poly.var("x", 3), Poly.var("z", 3)
     for gens in ([x3, z], [X, Y, z**2]):
         with pytest.raises(ValueError, match="take 2 variables, not 3"):
             Ideal(gens)
         with pytest.raises(ValueError, match="take 2 variables, not 3"):
             groebner_basis(gens)
+    with pytest.raises(ValueError, match="take 2 variables, not 3"):
+        Ideal([X, Y]).normal_form(z)
 
 
 def test_staircase_examples():
