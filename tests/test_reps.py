@@ -372,7 +372,7 @@ def test_every_table_value_matches_its_definition(kind, ns):
 def test_each_distinct_table_value_is_built_once():
     """Rows share their values: a D_2n table holds at most n + 3 distinct value
     objects (t^a + t^-a per exponent a, and 1, -1, 0), a Z_n table at most n."""
-    for kind, ns, bound in (("dihedral", range(3, 41), 3), ("cyclic", range(2, 41), 0)):
+    for kind, ns, bound in (("dihedral", range(3, 101), 3), ("cyclic", range(2, 61), 0)):
         for n in ns:
             table = char_table(GroupSpec(kind, n))
             assert len({id(v) for chi in table for v in chi.values}) <= n + bound, (kind, n)
