@@ -261,8 +261,10 @@ def cmd_socle_table(args):
     alpha = _fraction("--alpha", args.alpha)
     if alpha in (-1, 0, 1):
         raise UsageError("--alpha must avoid 0 and +-1")
+    if args.family != "default" and not args.theta:
+        raise UsageError("--family needs --theta")
     theta = _parse_theta(n, args.theta) if args.theta else None
-    family = _load_family(args.family) if theta is not None else None
+    family = _load_family(args.family)
     rows = constel.socle_table(n, alpha=alpha)
     payload = []
     for row in rows:

@@ -16,10 +16,10 @@ sigma is never a matrix: basis vectors carry integer weights mod n
 sigma-traces are assembled in the group ring.
 
 ``Constellation`` takes x, y and tau as sparse columns only: column j is
-a dict {row index: Fraction} holding the nonzero entries of the image of
-basis vector j (a few per column, never a dense dim x dim matrix).  Subspaces
-are spanned by sparse {index: Fraction} vectors, kept in a per-weight
-echelon form.  A character is computed in one pass per conjugacy class:
+a dict {row index: int or Fraction} holding the nonzero entries of the
+image of basis vector j (a few per column, never a dense dim x dim matrix).
+Subspaces are spanned by sparse {index: int or Fraction} vectors, kept in a
+per-weight echelon form.  A character is computed in one pass per conjugacy class:
 rotation classes add integer multiplicities at exponent power*w mod n,
 reflection classes add the tau-diagonal traces of the weights fixed by
 negation, and one CycloElt is built per class at the end.
@@ -59,8 +59,8 @@ def _weight(mono, n):
 
 class Constellation:
     def __init__(self, n, basis, x_action, y_action, tau_action, twist=None, label=""):
-        """x, y and tau as sparse columns: column j holds the nonzero
-        entries of the image of basis vector j as {row index: Fraction}."""
+        """x, y and tau as sparse columns: column j holds the nonzero entries
+        of the image of basis vector j as {row index: int or Fraction}."""
         self.n = n
         self.basis = tuple(basis)  # (row, monomial)
         self.dim = len(self.basis)

@@ -554,7 +554,7 @@ def refdiv_data(n, k):
     point = None
     roots = stricts[f"A{k}"].substitute_zero(1).univariate_in(0)
     if len(roots) == 2:  # linear: single transversal point
-        point = str(-roots[0] / roots[1])
+        point = str(Fraction(-roots[0], roots[1]))
     return {
         "k": k,
         "equation": str(f),
@@ -779,19 +779,19 @@ def flop_em(n):
 # the known non-monomial wall crossings, per parity
 _BRIDGE_COMBOS = {
     "odd-top": {
-        0: [(Fraction(1), (2, 2, 0)), (Fraction(-4), (2, 0, 1))],
-        1: [(Fraction(1), (0, 1, 0))],
-        2: [(Fraction(1), (-1, 0, 0))],
+        0: [(1, (2, 2, 0)), (-4, (2, 0, 1))],
+        1: [(1, (0, 1, 0))],
+        2: [(1, (-1, 0, 0))],
     },
     "even-upp": {
-        0: [(Fraction(1), (1, 0, 0))],
-        1: [(Fraction(1), (0, 0, 0)), (Fraction(-4), (0, 2, 1))],
-        2: [(Fraction(1), (0, -1, 0))],
+        0: [(1, (1, 0, 0))],
+        1: [(1, (0, 0, 0)), (-4, (0, 2, 1))],
+        2: [(1, (0, -1, 0))],
     },
     "even-flopped": {
-        0: [(Fraction(1), (1, 1, 0)), (Fraction(-4), (1, 0, 1))],
-        1: [(Fraction(1), (-1, 0, 0))],
-        2: [(Fraction(1), (1, 1, 0))],
+        0: [(1, (1, 1, 0)), (-4, (1, 0, 1))],
+        1: [(1, (-1, 0, 0))],
+        2: [(1, (1, 1, 0))],
     },
 }
 

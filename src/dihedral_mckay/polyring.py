@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exactnum import exact_poly_div
+from .exactnum import _normal, exact_poly_div
 
 VAR_NAMES = ("x", "y", "z")
 
@@ -31,41 +31,27 @@ def _key(mono):
 
 
 class Poly:
-    """Polynomial over Q in 2 or 3 variables; terms maps exponent tuple -> Fraction.
+    """Polynomial over Q in 2 or 3 variables; terms maps exponent tuple -> int or Fraction.
 
-    No stored coefficient is zero, and terms never change, so leading() is cached."""
+    Poly(nvars, terms) is the one constructor.  It trusts its input, nvars-tuples
+    of nonnegative ints mapped to ints or Fractions, and stores a fresh dict with
+    zero coefficients dropped and integral ones as ints (``exactnum._normal``).
+    Terms never change, so leading() is cached."""
 
     __slots__ = ("nvars", "terms", "_lead")
 
     def __init__(self, nvars, terms=None):
-        if nvars not in (2, 3):
-            raise ValueError("2 or 3 variables only")
         self.nvars = nvars
-        self.terms = {}
+        self.terms = _normal(terms) if terms else {}
         self._lead = None
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    if len(m) != nvars or any(e < 0 for e in m):
-                        raise ValueError(f"bad exponent tuple {m}")
-                    self.terms[tuple(m)] = c
-
-    @classmethod
-    def _raw(cls, nvars, terms):
-        """Adopt, with no copy and no check, a dict built here from valid terms:
-        nvars-tuples of nonnegative ints mapped to nonzero Fractions."""
-        p = object.__new__(cls)
-        p.nvars, p.terms, p._lead = nvars, terms, None
-        return p
 
     @classmethod
     def const(cls, value, nvars=2):
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def mono(cls, exps):
-        return cls(len(exps), {tuple(exps): Fraction(1)})
+        return cls(len(exps), {tuple(exps): 1})
 
     @classmethod
     def var(cls, name, nvars=2):
@@ -88,36 +74,26 @@ class Poly:
             raise ValueError("mixed variable counts")
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out[m] + c if m in out else c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return Poly._raw(self.nvars, out)
+            out[m] = out[m] + c if m in out else c
+        return Poly(self.nvars, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly._raw(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly(self.nvars)
-            return Poly._raw(self.nvars, {m: c * other for m, c in self.terms.items()})
+            return Poly(self.nvars, {m: c * other for m, c in self.terms.items()})
         if other.nvars != self.nvars:
             raise ValueError("mixed variable counts")
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                s = out[m] + c1 * c2 if m in out else c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Poly._raw(self.nvars, out)
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+        return Poly(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -136,9 +112,7 @@ class Poly:
     def mul_term(self, mono, coeff):
         if len(mono) != self.nvars or min(mono) < 0:
             raise ValueError(f"bad exponent tuple {mono}")
-        if coeff == 0:
-            return Poly(self.nvars)
-        return Poly._raw(
+        return Poly(
             self.nvars,
             {tuple(a + b for a, b in zip(m, mono)): c * coeff for m, c in self.terms.items()},
         )
@@ -158,17 +132,17 @@ class Poly:
         return self if c == 1 else self * (Fraction(1) / c)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, 0)
 
     def substitute_zero(self, var_index):
         """Set one variable to 0; result keeps the same nvars."""
-        return Poly._raw(self.nvars, {m: c for m, c in self.terms.items() if not m[var_index]})
+        return Poly(self.nvars, {m: c for m, c in self.terms.items() if not m[var_index]})
 
     def univariate_in(self, var_index):
         """Coefficient list (low degree first) when only var_index occurs."""
         if any(sum(m) != m[var_index] for m in self.terms):
             raise ValueError("polynomial is not univariate in that variable")
-        out = [Fraction(0)] * (max((m[var_index] for m in self.terms), default=0) + 1)
+        out = [0] * (max((m[var_index] for m in self.terms), default=0) + 1)
         for m, c in self.terms.items():
             out[m[var_index]] = c
         return out
@@ -214,7 +188,7 @@ def _reduce(f, basis):
                 break
         else:
             rem[m] = work.pop(m)
-    return Poly._raw(f.nvars, rem)
+    return Poly(f.nvars, rem)
 
 
 def _spoly(f, g):
@@ -224,10 +198,8 @@ def _spoly(f, g):
     out = {(p + la - fa, q + lb - fb): c for (p, q), c in f.terms.items()}
     for (p, q), c in g.terms.items():
         t = (p + la - ga, q + lb - gb)
-        s = out.pop(t, 0) - c
-        if s:
-            out[t] = s
-    return Poly._raw(f.nvars, out)
+        out[t] = out.get(t, 0) - c
+    return Poly(f.nvars, out)
 
 
 def groebner_basis(gens):

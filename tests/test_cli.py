@@ -149,6 +149,21 @@ def test_bad_family_files_are_usage_errors(capsys, tmp_path, content, message):
     assert err.startswith("usage error: ") and message in err
 
 
+def test_family_without_theta_is_a_usage_error(capsys, tmp_path):
+    """Seeds only feed the theta check: a family file without --theta is
+    refused before it is read, whether it exists or not, and the default
+    family without --theta prints what no option prints."""
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(FAMILY_N5))
+    for path in ("/nonexistent/file.json", str(family)):
+        code, out, err = run(capsys, "socle-table", "--n", "5", "--family", path)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and "--theta" in err
+    code, plain, _ = run(capsys, "socle-table", "--n", "5")
+    assert code == 0
+    assert run(capsys, "socle-table", "--n", "5", "--family", "default") == (0, plain, "")
+
+
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "quiver", "--n", "5", "--out", str(tmp_path / "no" / "q.json"))
     assert code == 1 and err.startswith("usage error: --out: ")

@@ -254,6 +254,15 @@ def test_refdiv_data_odd():
         assert any("boundary" in note for note in cm["notes"])
 
 
+def test_refdiv_transversal_points_are_exact_rationals():
+    """Every transversal point is the text of a Fraction, never of a float
+    from a true division of int coefficients."""
+    for n in range(3, 41):
+        for k in range(1, half_index(n) + 1):
+            s = refdiv_data(n, k)["transversal_point_u"]
+            assert s is None or str(Fraction(s)) == s, (n, k, s)
+
+
 def test_refdiv_data_even():
     for n in (4, 6, 8):
         m = half_index(n)

@@ -59,7 +59,7 @@ def brute_quotient_dim(gens, degree_cap):
             j = max(row)
             if j in pivots:
                 piv = pivots[j]
-                f = row[j] / piv[j]
+                f = Fraction(row[j], piv[j])
                 for k, v in piv.items():
                     s = row.get(k, Fraction(0)) - f * v
                     if s:
@@ -306,10 +306,13 @@ def generator_lists(draw):
     return gens + [X**3, Y**3]
 
 
-def _coefficients_are_exact(polys):
-    """Every stored coefficient is a nonzero int or Fraction."""
+def _coefficients_are_normal(polys):
+    """Every stored coefficient is nonzero, an int when it is integral and a
+    Fraction otherwise."""
     return all(
-        type(c) in (int, Fraction) and c != 0 for p in polys for c in p.terms.values()
+        c != 0 and type(c) is (int if c.denominator == 1 else Fraction)
+        for p in polys
+        for c in p.terms.values()
     )
 
 
@@ -325,7 +328,7 @@ def test_spoly_is_the_difference_of_the_shifted_inputs(fg):
     shift = [tuple(a - b for a, b in zip(lcm, m)) for m in (mf, mg)]
     want = f.mul_term(shift[0], 1) + g.mul_term(shift[1], -1)
     got = _spoly(f, g)
-    assert got == want and _coefficients_are_exact([got])
+    assert got == want and _coefficients_are_normal([got])
     assert _spoly(f, f).is_zero()
 
 
@@ -351,7 +354,7 @@ def test_reduced_basis_ignores_order_and_scaling(gens, rng, data):
             if h is not g:
                 lead = h.leading()[0]
                 assert not any(all(map(int.__le__, lead, m)) for m in g.terms)
-    assert _coefficients_are_exact(base)
+    assert _coefficients_are_normal(base)
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,7 +388,7 @@ def test_normal_form_is_linear_and_kills_the_generators(gens, data):
     mono = data.draw(SMALL_MONOS[2])
     for gen in gens:
         assert nf(gen.mul_term(mono, data.draw(NONZERO))).is_zero()
-    assert _coefficients_are_exact([nf(f), nf(g), nf(f * a + g * b)])
+    assert _coefficients_are_normal([nf(f), nf(g), nf(f * a + g * b)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,7 +404,38 @@ def test_cluster_quotient_has_length_n(ni, a, b):
         a = Fraction(1)
     ideal = hilb.cluster_ideal(n, hilb.ClusterPoint(i, a, b))
     assert len(staircase(ideal)) == n
-    assert _coefficients_are_exact(ideal.groebner)
+    assert _coefficients_are_normal(ideal.groebner)
+
+
+INT_OR_FRACTION = st.one_of(st.integers(-4, 4), NONZERO)
+
+
+def _mixed_polys(nvars):
+    """Polynomials drawn from int and Fraction coefficients, zeros included."""
+    terms = st.dictionaries(SMALL_MONOS[nvars], INT_OR_FRACTION, max_size=4)
+    return terms.map(lambda t: Poly(nvars, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda k: st.tuples(_mixed_polys(k), _mixed_polys(k), SMALL_MONOS[k])
+    ),
+    INT_OR_FRACTION,
+    st.integers(0, 3),
+)
+def test_every_result_stores_integral_coefficients_as_ints(pqm, c, e):
+    """Every polynomial that the constructor and the arithmetic build, and
+    every normal form and reduced basis of a bivariate ideal, stores nonzero
+    coefficients only: an int when it is integral and a Fraction otherwise."""
+    p, q, mono = pqm
+    results = [p, q, p + q, p - q, -p, p * q, p * c, c * p, p.mul_term(mono, c), p**e]
+    results += [p.monic(), q.monic()] + [p.substitute_zero(v) for v in range(p.nvars)]
+    if p.nvars == 2:
+        ideal = Ideal([p, q, X**3, Y**3])
+        results += [ideal.normal_form(p * q + ONE), *ideal.groebner]
+        results += groebner_basis([p * Fraction(2, 3), X**3 - Y, Y**3])
+    assert _coefficients_are_normal(results)
 
 
 @settings(max_examples=100, deadline=None)
@@ -416,7 +450,7 @@ def test_public_results_store_no_zero_and_only_exact_coefficients(pq, c):
     for z in (p - p, p + (-p), p * 0, p * Fraction(0), p.mul_term(mono, 0)):
         assert z.is_zero() and z == zero
     results = [p + q, p - q, -p, p * q, p * c, p.mul_term(mono, c), p**2, q.monic()]
-    assert _coefficients_are_exact(results)
+    assert _coefficients_are_normal(results)
     if not p.is_zero():
         assert type(p.leading()[1]) in (int, Fraction)
         assert p.monic().leading()[1] == 1

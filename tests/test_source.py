@@ -196,19 +196,11 @@ def test_no_code_writes_into_a_terms_mapping():
     """A Poly caches its leading term, so its terms are fixed once built:
     no package code writes into a ``.terms`` mapping by a subscript
     assignment, ``del``, ``pop``, ``popitem``, ``update``, ``setdefault`` or
-    ``clear``, except ``Poly.__init__``, which fills the dict it owns."""
+    ``clear``; each constructor stores a dict built before it is assigned."""
     found = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        allowed = set()
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef) and (path.name, cls.name) == ("polyring.py", "Poly"):
-                for method in cls.body:
-                    if isinstance(method, ast.FunctionDef) and method.name == "__init__":
-                        allowed |= {id(node) for node in ast.walk(method)}
         for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
             if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
                 hit = _is_terms(node.value)
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -218,6 +210,24 @@ def test_no_code_writes_into_a_terms_mapping():
             if hit:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"writes into a .terms mapping: {found}"
+
+
+def test_each_exact_value_has_one_constructor():
+    """``Poly(nvars, terms)`` and ``CycloElt(order, terms)`` are the only ways
+    to build their values: no package code calls ``object.__new__`` to skip
+    a constructor."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__new__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ]
+    assert not found, f"object.__new__ in the package: {found}"
 
 
 def _parameters(node):
