@@ -19,10 +19,10 @@ sigma-traces are assembled in the group ring.
 a dict {row index: int or Fraction} holding the nonzero entries of the
 image of basis vector j (a few per column, never a dense dim x dim matrix).
 Subspaces are spanned by sparse {index: int or Fraction} vectors, kept in a
-per-weight echelon form.  A character is computed in one pass per conjugacy class:
-rotation classes add integer multiplicities at exponent power*w mod n,
-reflection classes add the tau-diagonal traces of the weights fixed by
-negation, and one CycloElt is built per class at the end.
+per-weight echelon form.  A character is computed in one pass per
+conjugacy class: rotation classes add integer multiplicities at exponent
+power*w mod n, reflection classes add the tau-diagonal traces of the
+weights fixed by negation, and one CycloElt is built per class at the end.
 """
 
 from __future__ import annotations
