@@ -113,6 +113,70 @@ def test_atlas_rejects_a_chart_that_is_not_unimodular(atoms, lattice, chart_atom
         Atlas("a", atoms, lattice, [good, bad])
 
 
+@pytest.mark.parametrize(
+    "rows, verdicts",
+    [
+        # accepted first: the chart spans its own lattice, which has index 5 in Z^2
+        (((5, 0), (0, 1)), [(((5, 0), (0, 1)), None), (ID2, r"\|det\| = 5 != 1")]),
+        # rejected first, then accepted by the coarser lattice
+        (((7, 0), (0, 1)), [(ID2, r"\|det\| = 7 != 1"), (((7, 0), (0, 1)), None)]),
+        # outside the first lattice, inside the second
+        (((1, 0), (1, 1)), [(((1, 1), (0, 3)), r"coordinate \(1, 0\) is outside"), (ID2, None)]),
+        (((1, 0), (2, 1)), [(ID2, None), (((1, 1), (0, 3)), r"coordinate \(1, 0\) is outside")]),
+    ],
+    ids=["accept-then-reject", "reject-then-accept", "outside-then-inside", "inside-then-outside"],
+)
+def test_the_same_chart_rows_get_a_verdict_per_lattice(rows, verdicts):
+    """One set of chart rows is judged against each atlas lattice on its own,
+    whichever lattice judges it first."""
+    for lattice, message in verdicts:
+        chart = Chart("c", XY_ATOMS, rows, ("u", "v"))
+        if message is None:
+            Atlas("a", XY_ATOMS, lattice, [chart])
+        else:
+            with pytest.raises(NotUnimodular, match=f"^c: {message}"):
+                Atlas("a", XY_ATOMS, lattice, [chart])
+
+
+def test_each_failing_chart_is_named_in_its_own_rejection():
+    """Two charts with the same failing rows are each named when they fail."""
+    rows = ((11, 0), (0, 1))
+    for name in ("first", "second", "first"):
+        chart = Chart(name, XY_ATOMS, rows, ("u", "v"))
+        with pytest.raises(NotUnimodular, match=rf"^{name}: \|det\| = 11 != 1$"):
+            Atlas("a", XY_ATOMS, ID2, [chart])
+
+
+@pytest.mark.parametrize(
+    "rows, lattice, message",
+    [
+        (((13, 0), (0, 1)), ID2, r"\|det\| = 13 != 1"),
+        (((1, 0), (0, 1)), ((1, 1), (0, 17)), r"coordinate \(1, 0\) is outside the atlas lattice"),
+        (((19, 0, 0), (0, 1, 0)), ID3, "embedding not primitive"),
+    ],
+    ids=["det", "outside", "not-primitive"],
+)
+def test_every_atlas_that_holds_a_failing_chart_rejects_it(rows, lattice, message):
+    """The second and third atlas holding a failing chart reject it as the
+    first one did, with a good chart before it in the list."""
+    atoms = XY_ATOMS if len(lattice) == 2 else XYZ_ATOMS
+    names = tuple(f"c{i}" for i in range(len(rows)))
+    good = Chart("good", atoms, lattice[: len(rows)], names)
+    bad = Chart("bad", atoms, rows, names)
+    for _ in range(3):
+        with pytest.raises(NotUnimodular, match=f"^bad: {message}$"):
+            Atlas("a", atoms, lattice, [good, bad])
+        Atlas("a", atoms, lattice, [good])
+
+
+def test_dependent_chart_rows_are_refused_every_time():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            Chart("dep", XY_ATOMS, ((2, 3), (4, 6)), ("u", "v"))
+        with pytest.raises(ValueError, match="linearly dependent"):
+            Chart("dep", XYZ_ATOMS, ((1, 2, 3), (0, 1, 1), (1, 3, 4)), ("u", "v", "w"))
+
+
 def leibniz_det(m):
     """Reference determinant of an integer matrix, independent of linalg."""
     total = 0
