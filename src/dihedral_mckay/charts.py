@@ -8,18 +8,22 @@ atom carries its ambient expansion as a Poly so monomial identities can
 be re-verified by exact polynomial cross-multiplication.
 
 Each chart keeps the integer echelon (`linalg.solver`) of its exponent
-rows, so monomial solves, pullbacks and gluings are integer back-substitutions.
+rows, so monomial solves, pullbacks and gluings are integer back-substitutions;
+charts with the same rows share that read-only echelon.
 An atlas owns the atom alphabet and a basis of the lattice of allowed exponent
 vectors (the invariant monomials); every chart of the atlas is over the same
 atoms.  Each chart must be unimodular against that lattice: its rows have
 integer coordinates rel in the lattice basis whose maximal minors have gcd 1
-(|det rel| = 1 when square, a primitive embedding otherwise).
+(|det rel| = 1 when square, a primitive embedding otherwise).  The verdict
+depends on the rows and the lattice alone and is reached once per pair per
+process; every atlas that holds a failing chart raises, naming that chart.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .linalg import hnf, integer_coordinates, solver
 from .polyring import Poly, rational_roots
@@ -245,6 +249,23 @@ def verify_gluing(a, b):
     )
 
 
+@lru_cache(maxsize=None)
+def _unimodular_failure(rows, lattice):
+    """Why the int-tuple chart rows are not unimodular against the lattice, or None."""
+    basis = solver(lattice)
+    rel = []
+    for row in rows:
+        alpha = _solve_int(lattice, basis, row)
+        if alpha is None:
+            return f"coordinate {row} is outside the atlas lattice"
+        rel.append(alpha)
+    # rel has independent rows, as the chart rows do, so this is the gcd
+    # of its maximal minors, which is |det rel| when rel is square
+    g = math.prod(b[p] for p, b in hnf(zip(*rel)).items())
+    if g != 1:
+        return f"|det| = {g} != 1" if len(rel) == len(lattice) else "embedding not primitive"
+
+
 @dataclass
 class Atlas:
     """Charts over one atom alphabet, each unimodular against one lattice."""
@@ -260,24 +281,12 @@ class Atlas:
         self.validate_unimodular()
 
     def validate_unimodular(self):
-        basis = solver(self.lattice)
+        solver(self.lattice)  # a dependent lattice raises ValueError, with or without charts
         for chart in self.charts:
             if chart.atoms != self.atoms:
                 raise NotUnimodular(f"{chart.name}: atoms differ from the atlas atoms")
-            rel = []
-            for row in chart.rows:
-                alpha = _solve_int(self.lattice, basis, row)
-                if alpha is None:
-                    raise NotUnimodular(
-                        f"{chart.name}: coordinate {row} is outside the atlas lattice"
-                    )
-                rel.append(alpha)
-            # rel has independent rows, as the chart rows do, so this is the gcd
-            # of its maximal minors, which is |det rel| when rel is square
-            g = math.prod(b[p] for p, b in hnf(zip(*rel)).items())
-            if g != 1:
-                square = len(rel) == len(self.lattice)
-                why = f"|det| = {g} != 1" if square else "embedding not primitive"
+            why = _unimodular_failure(chart.rows, self.lattice)
+            if why is not None:
                 raise NotUnimodular(f"{chart.name}: {why}")
 
     def chart(self, name):

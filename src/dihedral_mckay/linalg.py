@@ -14,12 +14,15 @@ with a positive entry at each pivot.  `solver` and `integer_coordinates`
 answer lattice membership and integer coordinates with it, and the product
 of its pivots gives |det| of a square matrix and the gcd of the maximal
 minors of a wide one (`hnf` of the transpose).  Chart solves and chart
-unimodularity run through it.
+unimodularity run through it.  `solver` builds each echelon once per row
+tuple per process and hands it out read-only, so callers share it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 
 def vector(entries):
@@ -99,13 +102,19 @@ def solver(rows):
 
     Row i enters tagged with a 1 at index len(row) + i, so the part of each
     echelon vector past the row width records which combination of the rows
-    it is.  Raises ValueError for dependent rows.
+    it is.  Raises ValueError for dependent rows.  The echelon is computed
+    once per row tuple per process and handed out read-only.
     """
+    return _solver(tuple(map(tuple, rows)))
+
+
+@lru_cache(maxsize=None)
+def _solver(rows):
     width = len(rows[0])
     echelon = hnf([*row, *(int(i == j) for j in range(len(rows)))] for i, row in enumerate(rows))
     if any(p >= width for p in echelon):
         raise ValueError("rows are linearly dependent")
-    return echelon
+    return MappingProxyType({p: MappingProxyType(b) for p, b in echelon.items()})
 
 
 def integer_coordinates(echelon, target):

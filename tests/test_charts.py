@@ -29,6 +29,7 @@ from dihedral_mckay.hilb import (
     stage_chain,
     surface_atlas,
 )
+from dihedral_mckay.linalg import solver
 from dihedral_mckay.polyring import Poly
 
 X, Y, ONE = Poly.var("x"), Poly.var("y"), Poly.const(1)
@@ -175,6 +176,38 @@ def test_dependent_chart_rows_are_refused_every_time():
             Chart("dep", XY_ATOMS, ((2, 3), (4, 6)), ("u", "v"))
         with pytest.raises(ValueError, match="linearly dependent"):
             Chart("dep", XYZ_ATOMS, ((1, 2, 3), (0, 1, 1), (1, 3, 4)), ("u", "v", "w"))
+
+
+def test_a_shared_chart_echelon_cannot_be_written():
+    """Charts with the same rows share one echelon, also with `solver` given
+    the rows as lists.  Writing into it raises TypeError and changes no solve."""
+    rows = ((2, -3), (-1, 4))  # U2 of X1 for n = 5: u = x^2/y^3, v = y^4/x
+
+    def solves(chart):
+        out = []
+        for mono in ((2, 2), (2, -3), (-1, 4), (1, 1), (5, 0), (1, 0)):
+            try:
+                out.append(express_monomial(chart, mono))
+            except NoIntegerSolution:
+                out.append(None)
+        return out
+
+    chart = Chart("first", XY_ATOMS, rows, ("u", "v"))
+    want = [(2, 2), (1, 0), (0, 1), (1, 1), (4, 3), None]
+    assert solves(chart) == want
+    assert solver([list(r) for r in rows]) is chart._echelon
+    for echelon in (chart._echelon, solver([list(r) for r in rows])):
+        pivot, vec = next(iter(echelon.items()))
+        with pytest.raises(TypeError):
+            echelon[pivot] = {pivot: 1}
+        with pytest.raises(TypeError):
+            del echelon[pivot]
+        with pytest.raises(TypeError):
+            vec[pivot] = 1
+        with pytest.raises(TypeError):
+            del vec[pivot]
+    assert solves(chart) == want
+    assert solves(Chart("second", XY_ATOMS, rows, ("u", "v"))) == want
 
 
 def leibniz_det(m):

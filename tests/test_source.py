@@ -132,6 +132,8 @@ LRU_CACHED = {
     "reps.conjugacy_classes",
     "reps.char_table",
     "hilb.boundary_intersection_numbers",
+    "linalg._solver",
+    "charts._unimodular_failure",
 }
 
 
