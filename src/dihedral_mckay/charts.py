@@ -8,15 +8,14 @@ atom carries its ambient expansion as a Poly so monomial identities can
 be re-verified by exact polynomial cross-multiplication.
 
 Each chart keeps the integer echelon (`linalg.solver`) of its exponent
-rows, so monomial solves, pullbacks and gluings are integer back-substitutions;
-charts with the same rows share that read-only echelon.
+rows, shared read-only by all charts with the same rows, so monomial solves,
+pullbacks and gluings are integer back-substitutions.
 An atlas owns the atom alphabet and a basis of the lattice of allowed exponent
 vectors (the invariant monomials); every chart of the atlas is over the same
 atoms.  Each chart must be unimodular against that lattice: its rows have
 integer coordinates rel in the lattice basis whose maximal minors have gcd 1
-(|det rel| = 1 when square, a primitive embedding otherwise).  The verdict
-depends on the rows and the lattice alone and is reached once per pair per
-process; every atlas that holds a failing chart raises, naming that chart.
+(|det rel| = 1 when square, a primitive embedding otherwise).  That verdict
+is reached once per (rows, lattice) pair per process.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ with a positive entry at each pivot.  `solver` and `integer_coordinates`
 answer lattice membership and integer coordinates with it, and the product
 of its pivots gives |det| of a square matrix and the gcd of the maximal
 minors of a wide one (`hnf` of the transpose).  Chart solves and chart
-unimodularity run through it.  `solver` builds each echelon once per row
-tuple per process and hands it out read-only, so callers share it.
+unimodularity run through it, on echelons that `solver` shares read-only.
 """
 
 from __future__ import annotations
