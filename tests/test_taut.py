@@ -70,6 +70,19 @@ def test_torsion_uses_the_stated_pairings():
     assert t.pair(doubled, "E2") == 0 and t.pair(doubled, "E1") == 0
 
 
+@pytest.mark.parametrize("n", range(3, 46))
+def test_torsion_verdicts_agree_with_a_freshly_built_table(n):
+    """2*cls pairs to 0 with every E_j exactly when torsion_check says torsion,
+    for the stacky twist and each E_i; only the twist is torsion."""
+    t = PairingTable(n)
+    curves = [f"E{j}" for j in range(1, t.m + 1)]
+    classes = [stack_twist_class(n)] + [DivisorClass.make({e: 1}) for e in curves]
+    verdicts = [torsion_check(n, cls) for cls in classes]
+    fresh = [all(t.pair(cls.scale(2), e) == 0 for e in curves) for cls in classes]
+    assert verdicts == fresh
+    assert verdicts == [True] + [False] * t.m
+
+
 def test_build_ledger_stack():
     entries = build_ledger(4, "stack")
     assert entry(entries, "rho2").c1 == DivisorClass.make({"suppB1": Fraction(1, 2)})
