@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .exactnum import (
     CycloElt,
@@ -113,7 +114,7 @@ class Character:
 
 
 class CharTable:
-    """Irreducible characters of a group, in table order.
+    """Irreducible characters of a group in table order, shared read-only by char_table.
 
     ``index`` maps each name to its McKay index j: eps_j -> j; rho0,
     rho0' -> 0; rho_j -> j; rho_(n/2), rho_(n/2)' -> n/2.  Then Res rho_j =
@@ -126,8 +127,8 @@ class CharTable:
         self.group = group
         self.classes = classes
         self.chars = tuple(chars)
-        self.by_name = {c.name: c for c in chars}
-        self.index = index
+        self.by_name = MappingProxyType({c.name: c for c in self.chars})
+        self.index = MappingProxyType(dict(index))
 
     def __iter__(self):
         return iter(self.chars)

@@ -3,16 +3,18 @@ Fourier-Mukai image table.
 
 Classes live in a common rational basis {E_1..E_m, supp B_*, D, D_1..D_m, L}
 on the quotient surface; stacky divisors are half-integer multiples of
-the boundary supports (2 * calB_i = supp B_i).  Pairings against the
-exceptional curves are assembled from the fold (intersect) and the chart
-computations (hilb); the defining relation 2L = -(sum of boundary
-supports) fixes the L column.
+the boundary supports (2 * calB_i = supp B_i).  Their pairings with the
+exceptional curves are read off the fold (intersect) and the chart
+computations (hilb) once per n, by pairing_table, and shared read-only;
+the defining relation 2L = -(sum of boundary supports) fixes the L column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import hilb, intersect
 from .reps import GroupSpec, char_table, decompose, induce, restrict
@@ -66,7 +68,7 @@ class PairingTable:
     """Pairings of the basis divisors with the exceptional curves E_j.
 
     The E and supp<B> rows are read off the fold, whose boundary pairings
-    come from the chart computations in hilb.
+    come from the chart computations in hilb.  Rows are read-only: see pairing_table.
     """
 
     def __init__(self, n):
@@ -74,37 +76,39 @@ class PairingTable:
         self.m = hilb.half_index(n)
         fold = intersect.z2_fold(intersect.an_chain(n - 1), n)
         curves = fold.labels
-        self.rows = {a: {b: fold.pair(a, b) for b in curves} for a in curves}
+        rows = {a: {b: fold.pair(a, b) for b in curves} for a in curves}
         for lab in fold.boundary:
-            self.rows[f"supp{lab}"] = {e: fold.pair(e, lab) for e in curves}
+            rows[f"supp{lab}"] = {e: fold.pair(e, lab) for e in curves}
         # the family D_i, with the distinguished transversal D = D_m
         for i, a in enumerate(curves, 1):
-            self.rows[f"D{i}"] = {e: Fraction(int(e == a)) for e in curves}
-        self.rows["D"] = dict(self.rows[f"D{self.m}"])
+            rows[f"D{i}"] = {e: Fraction(int(e == a)) for e in curves}
         # 2L = -(sum of boundary supports)
-        self.rows["L"] = {
+        rows["L"] = {
             e: -sum((fold.pair(e, b) for b in fold.boundary), Fraction(0)) / 2 for e in curves
         }
+        rows = {lab: MappingProxyType(row) for lab, row in rows.items()}
+        self.rows = MappingProxyType({**rows, "D": rows[f"D{self.m}"]})
 
     def pair(self, cls, curve):
-        total = Fraction(0)
-        for lab, coeff in cls.coeffs:
-            total += coeff * self.rows[lab][curve]
-        return total
+        return sum((coeff * self.rows[lab][curve] for lab, coeff in cls.coeffs), Fraction(0))
 
 
-def torsion_check(n, cls, table=None):
+@lru_cache(maxsize=None)
+def pairing_table(n):
+    """PairingTable(n), once per n per process; a fold failure is raised on every call."""
+    return PairingTable(n)
+
+
+def torsion_check(n, cls):
     """2 * cls pairs to zero with every exceptional curve.
 
     This is the numerical shadow of 2*cls ~ 0; boundary-support
     self-pairings are not defined for the non-compact boundary curves,
-    so the check runs over the exceptional curves.
+    so the check runs over the exceptional curves of ``pairing_table(n)``.
     """
-    table = table or PairingTable(n)
+    table = pairing_table(n)
     doubled = cls.scale(2)
-    return all(
-        table.pair(doubled, f"E{j}") == 0 for j in range(1, table.m + 1)
-    )
+    return all(table.pair(doubled, f"E{j}") == 0 for j in range(1, table.m + 1))
 
 
 def stack_twist_class(n):

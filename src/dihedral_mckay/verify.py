@@ -284,25 +284,25 @@ def _mismatch(n, row, what, want):
 
 
 def criterion_10(n_range=None):
-    """Tautological ledgers, torsion on one PairingTable per n, pushforwards."""
+    """Tautological ledgers, torsion on the shared pairing table of n, pushforwards."""
     for n in _clip(3, 20, n_range):
         for space in ("stack", "coarse"):
             taut.build_ledger(n, space)  # raises on any rank/extension mismatch
-        table = taut.PairingTable(n)
         twist = taut.stack_twist_class(n)
-        if not taut.torsion_check(n, twist, table):
-            return _torsion(n, table, twist, "0 on every E_j")
-        for i in range(1, table.m + 1):
+        if not taut.torsion_check(n, twist):
+            return _torsion(n, twist, "0 on every E_j")
+        for i in range(1, hilb.half_index(n) + 1):
             cls = taut.DivisorClass.make({f"E{i}": 1})
-            if taut.torsion_check(n, cls, table):
-                return _torsion(n, table, cls, "nonzero on some E_j")
+            if taut.torsion_check(n, cls):
+                return _torsion(n, cls, "nonzero on some E_j")
         taut.pushforward_identities(n)
         taut.refdivisor_certify(n)
     return _result(10, True, "tables, torsion and cross-checks exact")
 
 
-def _torsion(n, table, cls, want):
+def _torsion(n, cls, want):
     """Criterion 10 failure of a torsion check: the class and its doubled pairings."""
+    table = taut.pairing_table(n)
     doubled = cls.scale(2)
     got = {f"E{j}": str(table.pair(doubled, f"E{j}")) for j in range(1, table.m + 1)}
     return _differs(10, f"2*({cls.pretty()}) at n={n}", want, got)

@@ -64,3 +64,19 @@ PINNED = {
 def test_index_outputs_are_pinned(n):
     text = json.dumps(_outputs(n))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[n]
+
+
+def test_a_shared_character_table_cannot_be_written():
+    """char_table is one table per group for the process, so a write into its
+    index or by_name must fail and leave every output above as pinned."""
+    n = 6
+    for kind in ("dihedral", "cyclic"):
+        table = reps.char_table(reps.GroupSpec(kind, n))
+        first = table.chars[0].name
+        with pytest.raises(TypeError):
+            table.index[first] = 1
+        with pytest.raises(TypeError):
+            table.by_name[first] = table.chars[1]
+        assert table.index[first] == 0 and table.by_name[first] is table.chars[0]
+    text = json.dumps(_outputs(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[n]

@@ -132,6 +132,7 @@ LRU_CACHED = {
     "reps.conjugacy_classes",
     "reps.char_table",
     "hilb.boundary_intersection_numbers",
+    "taut.pairing_table",
     "linalg._solver",
     "charts._unimodular_failure",
 }

@@ -4,7 +4,8 @@ import pytest
 
 from dihedral_mckay import taut
 from dihedral_mckay.constel import socle_table
-from dihedral_mckay.hilb import boundary_intersection_numbers, half_index
+from dihedral_mckay.hilb import CertificateFailure, boundary_intersection_numbers, half_index
+from dihedral_mckay.intersect import CurveConfig
 from dihedral_mckay.taut import (
     DivisorClass,
     PairingTable,
@@ -12,6 +13,7 @@ from dihedral_mckay.taut import (
     fm_cross_check,
     fm_table,
     ledger_markdown,
+    pairing_table,
     pushforward_identities,
     refdivisor_certify,
     stack_twist_class,
@@ -81,6 +83,34 @@ def test_torsion_verdicts_agree_with_a_freshly_built_table(n):
     fresh = [all(t.pair(cls.scale(2), e) == 0 for e in curves) for cls in classes]
     assert verdicts == fresh
     assert verdicts == [True] + [False] * t.m
+
+
+def test_a_shared_pairing_table_cannot_be_written():
+    """pairing_table shares one table per n, so no write may reach its rows."""
+    t = pairing_table(5)
+    assert pairing_table(5) is t and t.rows["D"] is t.rows["D2"]
+    with pytest.raises(TypeError):
+        t.rows["D"] = {"E1": 0, "E2": 0}
+    with pytest.raises(TypeError):
+        t.rows["D"]["E2"] = 0
+    with pytest.raises(TypeError):
+        t.rows["suppB3"]["E2"] = 1
+    assert t.rows["D2"] == {"E1": 0, "E2": 1} and t.rows["suppB3"] == {"E1": 0, "E2": 2}
+    assert torsion_check(5, stack_twist_class(5))
+    assert not torsion_check(5, DivisorClass.make({"E2": 1}))
+
+
+def test_a_fold_failure_is_raised_on_every_torsion_check(monkeypatch):
+    """A failed fold is not memoised: each check raises, and the real verdict
+    returns once the fold holds again."""
+    twist = stack_twist_class(5)
+    with monkeypatch.context() as patch:
+        patch.setattr(CurveConfig, "adjunction_holds", lambda self: False)
+        pairing_table.cache_clear()
+        for _ in range(2):
+            with pytest.raises(CertificateFailure, match="adjunction fails after the fold"):
+                torsion_check(5, twist)
+    assert torsion_check(5, twist)
 
 
 def test_build_ledger_stack():

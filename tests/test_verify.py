@@ -23,10 +23,13 @@ def _count_calls(monkeypatch, owner, attr):
 
 
 def test_criterion_10_builds_one_pairing_table_per_n(monkeypatch):
+    """Tables come from the per-n memo: two runs over six n build six tables."""
+    taut.pairing_table.cache_clear()
     tables = _count_calls(monkeypatch, taut.PairingTable, "__init__")
     socles = _count_calls(monkeypatch, constel, "socle_table")
-    assert verify.criterion_10(n_range=(3, 8))["passed"]
-    assert len(tables) == 6
+    for _ in range(2):
+        assert verify.criterion_10(n_range=(3, 8))["passed"]
+    assert sorted(args[1] for args in tables) == list(range(3, 9))
     assert socles == []
 
 
