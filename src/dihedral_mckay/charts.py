@@ -85,8 +85,8 @@ class Chart:
 
     def coord_fraction(self, i):
         """(numerator, denominator) ambient polynomials of coordinate i."""
-        num = Poly.const(1, self.atoms[0].poly.nvars)
-        den = Poly.const(1, self.atoms[0].poly.nvars)
+        num = Poly.one(self.atoms[0].poly.nvars)
+        den = Poly.one(self.atoms[0].poly.nvars)
         for e, atom in zip(self.rows[i], self.atoms):
             if e > 0:
                 num = num * atom.poly**e
@@ -162,9 +162,9 @@ def restrict_to_axis(curve, axis_index):
     return res.univariate_in(other)
 
 
-def local_intersection(curve, axis_index):
-    """Total vanishing multiplicity of the curve along the axis (finite part)."""
-    return len(restrict_to_axis(curve, axis_index)) - 1
+def local_intersection(curve):
+    """Total vanishing multiplicity of the curve along the axis {w = 0} (finite part)."""
+    return len(restrict_to_axis(curve, 1)) - 1
 
 
 def axis_root_report(curve, axis_index):
@@ -195,8 +195,8 @@ def _single_inversion(trans):
 
 def _monomial_fraction(chart, alpha):
     """(numerator, denominator) ambient polynomials of prod(coords^alpha)."""
-    num = Poly.const(1, chart.atoms[0].poly.nvars)
-    den = Poly.const(1, chart.atoms[0].poly.nvars)
+    num = Poly.one(chart.atoms[0].poly.nvars)
+    den = Poly.one(chart.atoms[0].poly.nvars)
     for i, e in enumerate(alpha):
         if e:
             c_num, c_den = chart.coord_fraction(i)
@@ -215,7 +215,7 @@ def verify_poly_transition(src, dst, combos):
     """
     nvars = src.atoms[0].poly.nvars
     for j, combo in combos.items():
-        num, den = Poly(nvars), Poly.const(1, nvars)
+        num, den = Poly(nvars), Poly.one(nvars)
         for coeff, alpha in combo:
             a_num, a_den = _monomial_fraction(src, alpha)
             num, den = num * a_den + a_num * den * coeff, den * a_den

@@ -237,7 +237,7 @@ def _count_meetings(label, own, far, far_axis):
     chart (coordinate u), plus its order at the curve's far point: the
     origin of the next chart's strict transform restricted to far_axis."""
     try:
-        near = local_intersection(LocalCurve(own, "own strict transform"), 1)
+        near = local_intersection(LocalCurve(own, "own strict transform"))
         at_far = restrict_to_axis(LocalCurve(far, "far strict transform"), far_axis)
     except ValueError as exc:
         raise CertificateFailure(f"{label}: {exc}") from exc
@@ -399,7 +399,7 @@ def invariant_chart_boundary(n):
             f"n={n}: invariant-chart boundary is {strict}, not t^2 - 4s"
         )
     curve = LocalCurve(strict, "B3")
-    tang = local_intersection(curve, 1)
+    tang = local_intersection(curve)
     report = axis_root_report(curve, 1)
     return {
         "chart": "Ainv",
@@ -813,6 +813,4 @@ def poly_bridges(n, atlas):
         check(f"U{m + 1}'", f"U{m + 2}", "odd-top")
     if n % 2 == 0 and f"U{m - 1}''" in have and f"U{m}''" in have:
         check(f"U{m - 1}''", f"U{m}''", "even-upp")
-    if n % 2 == 0 and f"U{m}'" in have and f"U{m + 1}" in have:
-        check(f"U{m}'", f"U{m + 1}", "even-flopped")
     return out

@@ -3,9 +3,12 @@
 A CurveConfig holds one symmetric rational form on the curve labels, the
 label "K" of the canonical class and the reduced-boundary labels, plus
 discrepancies and the special points (curve/boundary incidences with
-multiplicities).  K and the boundary are updated by the same rule as the
-curves: Q'_xy = Q_xy + Q_xC Q_yC when C is contracted, and
-Q'_xy = Q_xy - m_x m_y when a point is blown up (m_K = -1).  The fold of
+multiplicities).  A config is a value: each operation builds all of its
+data first and then the new config in one call, and nothing writes into
+a config or a point after that, so configs and points are shared freely.
+K and the boundary are updated by the same rank-one rule as the curves,
+Q'_xy = Q_xy + u_x w_y: u = w = Q_.C when C is contracted, and u = m,
+w = -m when a point is blown up (m_K = -1).  The fold of
 the A_(n-1) chain under the Z_2 action comes from the projection
 formula; maximality of the log pair is decided by enumerating blow-up
 centers.
@@ -13,13 +16,13 @@ centers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import hilb
 from .linalg import insert, reduce, vector
 
-ZERO = Fraction(0)  # pair() of two labels that q does not pair, built once
+ZERO = Fraction(0)  # built once: pair() of two labels that q does not pair, stored zeros
 
 
 class NotContractible(ValueError):
@@ -34,32 +37,29 @@ class BoundaryData:
     coefficient = Fraction(1, 2)  # a class constant, not a field
 
 
-@dataclass
+@dataclass(frozen=True)
 class Point:
     """Special point: multiplicities of curves and boundary components."""
 
     label: str
-    curves: dict = field(default_factory=dict)  # curve label -> multiplicity
-    boundary: dict = field(default_factory=dict)  # boundary label -> multiplicity
+    curves: dict  # curve label -> multiplicity
+    boundary: dict  # boundary label -> multiplicity
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurveConfig:
     """Curves of a log pair; q pairs each curve with the curves, "K" and
-    the boundary labels (K.E is pair(E, "K"), B.E is pair(E, B))."""
+    the boundary labels (K.E is pair(E, "K"), B.E is pair(E, B)).  Built
+    once and never written: a changed config is a new one."""
 
     labels: list
     boundary: tuple = ()  # boundary labels
     q: dict = field(default_factory=dict)  # (label, label) -> Fraction, symmetric
     discrepancy: dict = field(default_factory=dict)  # label -> Fraction
-    points: list = field(default_factory=list)
+    points: tuple = ()
 
     def pair(self, a, b):
         return self.q.get((a, b), ZERO)
-
-    def set_pair(self, a, b, v):
-        self.q[(a, b)] = v
-        self.q[(b, a)] = v
 
     def adjunction_holds(self):
         """K.E + E^2 = -2 for every (rational) curve."""
@@ -115,15 +115,32 @@ class CurveConfig:
         }
 
 
+def _symmetric(pairs):
+    """The symmetric form that pairs a with b, and b with a, as v for each ((a, b), v)."""
+    q = {}
+    for (a, b), v in pairs:
+        q[a, b] = q[b, a] = v
+    return q
+
+
+def _rank_one(cfg, labels, u, w):
+    """The pairs ((x, y), Q_xy + u_x w_y) for each x of labels and each y
+    among x and the later labels, "K" and the boundary; u and w map a label
+    to its coordinate, and a label they lack counts as 0."""
+    others = ["K", *cfg.boundary]
+    return [
+        ((x, y), cfg.pair(x, y) + u.get(x, 0) * w.get(y, 0))
+        for i, x in enumerate(labels)
+        for y in labels[i:] + others
+    ]
+
+
 def an_chain(k):
     """A_k chain of (-2)-curves Et_1, ..., Et_k: crepant, no boundary pairings."""
     labels = [f"Et{i}" for i in range(1, k + 1)]
-    cfg = CurveConfig(labels, discrepancy={a: Fraction(0) for a in labels})
-    for i, a in enumerate(labels):
-        cfg.set_pair(a, a, Fraction(-2))
-        if i + 1 < k:
-            cfg.set_pair(a, labels[i + 1], Fraction(1))
-    return cfg
+    pairs = [((a, a), Fraction(-2)) for a in labels]
+    pairs += [((a, b), Fraction(1)) for a, b in zip(labels, labels[1:])]
+    return CurveConfig(labels, q=_symmetric(pairs), discrepancy={a: ZERO for a in labels})
 
 
 def boundary_data(n):
@@ -151,22 +168,18 @@ def z2_fold(chain, n):
             sums[key] = sums.get(key, 0) + v.numerator
     labels = [f"E{i}" for i in range(1, m + 1)]
     bnums = hilb.boundary_intersection_numbers(n)
-    cfg = CurveConfig(labels, tuple(sorted(bnums)), discrepancy={a: Fraction(0) for a in labels})
-    for (a, b), val in sums.items():
-        cfg.set_pair(a, b, Fraction(val, 2))
-    for i in range(1, m + 1):
-        cfg.set_pair(f"E{i}", "K", Fraction(-1) if i == m else Fraction(0))
-        for lab, row in bnums.items():
-            cfg.set_pair(f"E{i}", lab, Fraction(row[f"E{i}"]))
+    boundary = tuple(sorted(bnums))
+    pairs = [(key, Fraction(val, 2)) for key, val in sums.items()]
+    for a in labels:
+        pairs.append(((a, "K"), Fraction(-1) if a == labels[-1] else ZERO))
+        pairs += [((a, lab), Fraction(row[a])) for lab, row in bnums.items()]
+    # special points: chain corners plus boundary incidences on the last curve
+    points = [Point(f"{a}&{b}", {a: 1, b: 1}, {}) for a, b in zip(labels, labels[1:])]
+    points += [Point(f"E{m}&{lab}", {f"E{m}": 1}, {lab: 1}) for lab in boundary]
+    discrepancy = {a: ZERO for a in labels}
+    cfg = CurveConfig(labels, boundary, _symmetric(pairs), discrepancy, tuple(points))
     if not cfg.adjunction_holds():
         raise hilb.CertificateFailure(f"n={n}: adjunction fails after the fold")
-    # special points: chain corners plus boundary incidences on the last curve
-    for i in range(1, m):
-        cfg.points.append(
-            Point(f"E{i}&E{i + 1}", {f"E{i}": 1, f"E{i + 1}": 1}, {})
-        )
-    for lab in cfg.boundary:
-        cfg.points.append(Point(f"E{m}&{lab}", {f"E{m}": 1}, {lab: 1}))
     return cfg
 
 
@@ -180,21 +193,18 @@ def blow_down(cfg, curve):
             f"{curve}: C^2 = {cfg.pair(curve, curve)}, K.C = {cfg.pair(curve, 'K')}"
         )
     labels = [a for a in cfg.labels if a != curve]
-    out = CurveConfig(labels, cfg.boundary, discrepancy={a: cfg.discrepancy[a] for a in labels})
-    for i, x in enumerate(labels):
-        for y in labels[i:] + ["K", *cfg.boundary]:
-            out.set_pair(x, y, cfg.pair(x, y) + cfg.pair(x, curve) * cfg.pair(y, curve))
-    # points away from the contracted curve persist; everything incident
-    # to it lands on one image point with multiplicity = intersection number
-    for p in cfg.points:
-        if curve not in p.curves:
-            out.points.append(Point(p.label, dict(p.curves), dict(p.boundary)))
+    dots = {y: cfg.pair(y, curve) for y in [*labels, "K", *cfg.boundary]}
+    q = _symmetric(_rank_one(cfg, labels, dots, dots))
 
     def meets(xs):
-        return {x: int(cfg.pair(x, curve)) for x in xs if cfg.pair(x, curve)}
+        return {x: int(dots[x]) for x in xs if dots[x]}
 
-    out.points.append(Point(f"image({curve})", meets(labels), meets(cfg.boundary)))
-    return out
+    # points away from the contracted curve persist; everything incident
+    # to it lands on one image point with multiplicity = intersection number
+    points = [p for p in cfg.points if curve not in p.curves]
+    points.append(Point(f"image({curve})", meets(labels), meets(cfg.boundary)))
+    discrepancy = {a: cfg.discrepancy[a] for a in labels}
+    return CurveConfig(labels, cfg.boundary, q, discrepancy, tuple(points))
 
 
 def domination_chain(n):
@@ -241,31 +251,23 @@ def blow_up_at(cfg, boundary, point, new_label="F"):
     and y over the curves, "K" and the boundary.  Used to build the
     one-step-beyond configurations that maximality must reject.
     """
-    a_new = _center_discrepancy(cfg, boundary, point)
-    labels = cfg.labels + [new_label]
-    out = CurveConfig(labels, cfg.boundary, discrepancy={**cfg.discrepancy, new_label: a_new})
     mult = {**point.curves, **point.boundary, "K": -1}
     others = ["K", *cfg.boundary]
-    for i, x in enumerate(cfg.labels):
-        for y in cfg.labels[i:] + others:
-            out.set_pair(x, y, cfg.pair(x, y) - mult.get(x, 0) * mult.get(y, 0))
-    for x in cfg.labels + others:
-        out.set_pair(x, new_label, Fraction(mult.get(x, 0)))
-    out.set_pair(new_label, new_label, Fraction(-1))
-    out.points = [
-        Point(p.label, dict(p.curves), dict(p.boundary))
-        for p in cfg.points
-        if p is not point
-    ]
+    pairs = _rank_one(cfg, cfg.labels, mult, {x: -v for x, v in mult.items()})
+    pairs += [((x, new_label), Fraction(mult.get(x, 0))) for x in cfg.labels + others]
+    pairs.append(((new_label, new_label), Fraction(-1)))
+    q = _symmetric(pairs)
     # the branches part on the new curve unless two still meet (or both are boundary)
-    labels = [*point.curves, *point.boundary]
-    met = any(out.pair(x, y) for i, x in enumerate(labels) for y in labels[i + 1 :])
+    branches = [*point.curves, *point.boundary]
+    met = any(q.get((x, y)) for i, x in enumerate(branches) for y in branches[i + 1 :])
     parts = [(x, {x: m}, {}) for x, m in point.curves.items()]
     parts += [(b, {}, {b: m}) for b, m in point.boundary.items()]
     if len(parts) < 2 or len(point.boundary) > 1 or met:
         parts = [("old", point.curves, point.boundary)]
-    out.points += [Point(f"{new_label}&{x}", {new_label: 1, **c}, dict(b)) for x, c, b in parts]
-    return out
+    points = [p for p in cfg.points if p is not point]
+    points += [Point(f"{new_label}&{x}", {new_label: 1, **c}, b) for x, c, b in parts]
+    discrepancy = {**cfg.discrepancy, new_label: _center_discrepancy(cfg, boundary, point)}
+    return CurveConfig(cfg.labels + [new_label], cfg.boundary, q, discrepancy, tuple(points))
 
 
 def is_maximal(cfg, boundary):
@@ -303,12 +305,8 @@ def is_maximal(cfg, boundary):
 
 def quotient_pair(n):
     """(C^2/G, B-hat) as a configuration: no curves, one singular boundary point."""
-    cfg = CurveConfig([], boundary_data(n).components)
-    if n % 2:
-        cfg.points.append(Point("origin", {}, {"B3": 2}))
-    else:
-        cfg.points.append(Point("origin", {}, {"B1": 1, "B2": 1}))
-    return cfg
+    origin = Point("origin", {}, {"B3": 2} if n % 2 else {"B1": 1, "B2": 1})
+    return CurveConfig([], boundary_data(n).components, points=(origin,))
 
 
 def embedded_resolution_chain(n):
@@ -334,9 +332,8 @@ def embedded_resolution_chain(n):
         cfg = blow_up_at(cfg, bdry, centers[0], new_label=f"E{step}")
         # the boundary strict transform meets the new curve only at the
         # next center
-        cfg.points = []
-        if step < m:
-            cfg.points.append(Point(f"E{step}&" + "&".join(meets), {f"E{step}": 1}, dict(meets)))
+        label = f"E{step}&" + "&".join(meets)
+        cfg = replace(cfg, points=(Point(label, {f"E{step}": 1}, meets),) if step < m else ())
     return cfg
 
 
@@ -351,7 +348,7 @@ def first_difference(a, b):
     return next((e for e in entries if e[1] != e[2]), None)
 
 
-def dual_graph_dot(cfg, name="dual_graph"):
+def dual_graph_dot(cfg, name):
     lines = [f'graph "{name}" {{']
     for a in cfg.labels:
         lines.append(

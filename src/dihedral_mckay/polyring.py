@@ -46,8 +46,8 @@ class Poly:
         self._lead = None
 
     @classmethod
-    def const(cls, value, nvars=2):
-        return cls(nvars, {(0,) * nvars: value})
+    def one(cls, nvars):
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def mono(cls, exps):
@@ -100,7 +100,7 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        out = Poly.const(1, self.nvars)
+        out = Poly.one(self.nvars)
         base = self
         while k:
             if k & 1:

@@ -72,8 +72,6 @@ class PairingTable:
     """
 
     def __init__(self, n):
-        self.n = n
-        self.m = hilb.half_index(n)
         fold = intersect.z2_fold(intersect.an_chain(n - 1), n)
         curves = fold.labels
         rows = {a: {b: fold.pair(a, b) for b in curves} for a in curves}
@@ -87,7 +85,7 @@ class PairingTable:
             e: -sum((fold.pair(e, b) for b in fold.boundary), Fraction(0)) / 2 for e in curves
         }
         rows = {lab: MappingProxyType(row) for lab, row in rows.items()}
-        self.rows = MappingProxyType({**rows, "D": rows[f"D{self.m}"]})
+        self.rows = MappingProxyType({**rows, "D": rows[f"D{hilb.half_index(n)}"]})
 
     def pair(self, cls, curve):
         return sum((coeff * self.rows[lab][curve] for lab, coeff in cls.coeffs), Fraction(0))
@@ -108,7 +106,7 @@ def torsion_check(n, cls):
     """
     table = pairing_table(n)
     doubled = cls.scale(2)
-    return all(table.pair(doubled, f"E{j}") == 0 for j in range(1, table.m + 1))
+    return all(table.pair(doubled, f"E{j}") == 0 for j in range(1, hilb.half_index(n) + 1))
 
 
 def stack_twist_class(n):

@@ -304,7 +304,7 @@ def _torsion(n, cls, want):
     """Criterion 10 failure of a torsion check: the class and its doubled pairings."""
     table = taut.pairing_table(n)
     doubled = cls.scale(2)
-    got = {f"E{j}": str(table.pair(doubled, f"E{j}")) for j in range(1, table.m + 1)}
+    got = {f"E{j}": str(table.pair(doubled, f"E{j}")) for j in range(1, hilb.half_index(n) + 1)}
     return _differs(10, f"2*({cls.pretty()}) at n={n}", want, got)
 
 

@@ -32,7 +32,7 @@ from dihedral_mckay.hilb import (
 from dihedral_mckay.linalg import solver
 from dihedral_mckay.polyring import Poly
 
-X, Y, ONE = Poly.var("x"), Poly.var("y"), Poly.const(1)
+X, Y, ONE = Poly.var("x"), Poly.var("y"), Poly.one(2)
 XY_ATOMS = (Atom("x", X), Atom("y", Y))
 ID2 = ((1, 0), (0, 1))
 
@@ -348,7 +348,7 @@ def test_pullback_axis_monomial():
     c = atlas.chart("U2")
     # xy = u*v on every chart: strict 1, order 1 on each axis
     strict, orders = pullback_orders(c, Poly.mono((1, 1)))
-    assert strict == Poly.const(1)
+    assert strict == Poly.one(2)
     assert orders == {"Et1": 1, "Et2": 1}
 
 
@@ -369,27 +369,27 @@ def test_axis_root_report_cofactor_entry():
     curve = LocalCurve((X + ONE) ** 2 * (X**2 + 2 * ONE) + Y, "B")
     report = axis_root_report(curve, 1)
     assert report == [{"root": -1, "mult": 2}, {"factor_degree": 2, "mult": 1}]
-    assert local_intersection(curve, 1) == 4
+    assert local_intersection(curve) == 4
 
 
 def test_local_intersection_examples():
     sq = LocalCurve(X**2 + 2 * X + ONE, "B1")
-    assert local_intersection(sq, 1) == 2
+    assert local_intersection(sq) == 2
     assert axis_root_report(sq, 1) == [{"root": Fraction(-1), "mult": 2}]
     tang = LocalCurve(X**2 - 4 * Y, "B3")
-    assert local_intersection(tang, 1) == 2
+    assert local_intersection(tang) == 2
     assert axis_root_report(tang, 1) == [{"root": Fraction(0), "mult": 2}]
     line = LocalCurve(X - ONE, "W")
-    assert local_intersection(line, 1) == 1
+    assert local_intersection(line) == 1
     # a strict transform is never divisible by a coordinate, so the axis
     # containment error only guards misuse; bypass the constructor check
     from types import SimpleNamespace
 
-    bad = SimpleNamespace(equation=X * Y + X, label="bad")
+    bad = SimpleNamespace(equation=X * Y + Y, label="bad")
     with pytest.raises(CurveContainsAxis):
-        local_intersection(bad, 0)
+        local_intersection(bad)
     with pytest.raises(ValueError):
-        LocalCurve(X * Y + X, "bad")
+        LocalCurve(X * Y + Y, "bad")
 
 
 def test_verify_gluing_consecutive_and_far():
@@ -433,8 +433,8 @@ def test_pullback_round_trip():
                 assert all(v >= 0 for v in orders.values())
                 for mono in eq.terms:
                     alpha = express_monomial(chart, mono)
-                    num = Poly.const(1)
-                    den = Poly.const(1)
+                    num = Poly.one(2)
+                    den = Poly.one(2)
                     for i, e in enumerate(alpha):
                         cn, cd = chart.coord_fraction(i)
                         if e > 0:

@@ -207,7 +207,7 @@ def test_refdiv_intersections_are_kronecker_deltas():
 
 def test_curve_meeting_count_fails_closed():
     x, y = Poly.var("x"), Poly.var("y")
-    one = Poly.const(1)
+    one = Poly.one(2)
     # a strict transform that contains the curve {w = 0} is no strict transform
     with pytest.raises(CertificateFailure, match="E1: own strict transform"):
         hilb._count_meetings("E1", x * y, one, 0)
@@ -337,6 +337,18 @@ def test_poly_bridges():
         assert bridges and all(b["verified"] for b in bridges)
 
 
+def test_no_even_stage_atlas_holds_the_flopped_pair():
+    """The flopped pair (U_m', U_(m+1)) of even n glues polynomially, and
+    flop_em checks that gluing; no stage atlas of the even chain holds
+    both charts, because stage (i, m - 2 - i) has no plain U_k chart."""
+    for n in range(4, 41, 2):
+        m = half_index(n)
+        for stage in stage_chain(n):
+            names = {c.name for c in build_flop_atlas(n, stage).atlas.charts}
+            assert not {f"U{m}'", f"U{m + 1}"} <= names, (n, stage)
+        assert flop_em(n)["after_glues"], n
+
+
 def test_flop_chart_u1p_definition():
     # U_1' = Spec C[z/f2, f1, xy]: exponents over (x, y, z, f1, f2)
     from dihedral_mckay.hilb import _flop_chart_rows
@@ -366,7 +378,7 @@ def _end_chart_images(n, name):
     by plain Poly arithmetic: xy = (1 - u)w/4 on A_m and (u - 1)w/4 on
     A_(m+1), where f1^2 and f2^2 trade places."""
     m = half_index(n)
-    u, w, one = Poly.var("x"), Poly.var("y"), Poly.const(1)
+    u, w, one = Poly.var("x"), Poly.var("y"), Poly.one(2)
     sign = 1 if name == f"A{m}" else -1
     s = (one - u) * w * Fraction(sign, 4)
     base = s ** (m - 1) * w
@@ -399,7 +411,7 @@ def test_end_chart_pullback_matches_substitution(n, last, terms):
     factor = (
         u ** orders["B1" if last else "B2"]
         * w ** orders[f"E{m}"]
-        * (u - Poly.const(1)) ** orders[f"E{m - 1}"]
+        * (u - Poly.one(2)) ** orders[f"E{m - 1}"]
     )
     assert factor * strict == reference
     assert any(mono[0] == 0 for mono in strict.terms)  # not divisible by u

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -72,10 +74,17 @@ def test_fold_invariants_wide():
             assert f.pair(f"E{i}", f"E{i + 1}") == 1
 
 
+def _with_pairs(cfg, pairs):
+    """A copy of cfg that also pairs a with b, and b with a, as v for each ((a, b), v)."""
+    q = dict(cfg.q)
+    for (a, b), v in pairs:
+        q[a, b] = q[b, a] = v
+    return dataclasses.replace(cfg, q=q)
+
+
 def test_fold_refuses_a_chain_with_fractional_pairings():
     """The fold sums the chain's pairings as integers, so it checks that they are."""
-    chain = an_chain(4)
-    chain.set_pair("Et1", "Et2", Fraction(1, 2))
+    chain = _with_pairs(an_chain(4), [(("Et1", "Et2"), Fraction(1, 2))])
     with pytest.raises(ValueError, match=r"A_\(n-1\) chain"):
         z2_fold(chain, 5)
 
@@ -84,10 +93,26 @@ def test_fold_skips_chain_pairings_with_k_and_the_boundary():
     """The fold reads only the pairings of two chain curves: a chain that
     also pairs a curve with "K" and with a boundary label folds as before."""
     for n in (6, 7):
-        chain = an_chain(n - 1)
-        chain.set_pair("Et1", "K", Fraction(0))
-        chain.set_pair("Et2", "B1", Fraction(1))
+        extra = [(("Et1", "K"), Fraction(0)), (("Et2", "B1"), Fraction(1))]
+        chain = _with_pairs(an_chain(n - 1), extra)
         assert z2_fold(chain, n).to_json() == fold(n).to_json()
+
+
+def test_configs_and_points_are_values():
+    """A built config or point takes no assignment to any field, there is no
+    set_pair, and blowing down or up leaves the input's JSON as it was."""
+    f, bdry = fold(7), boundary_data(7)
+    configs = [f, quotient_pair(7), embedded_resolution_chain(7), an_chain(3)]
+    for obj in configs + [f.points[0], Point("generic", {}, {"B3": 1})]:
+        for name in (fld.name for fld in dataclasses.fields(obj)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+    assert not hasattr(CurveConfig, "set_pair")
+    before = json.dumps(f.to_json())
+    blow_down(f, "E3")
+    for p in [*f.points, Point("generic", {}, {"B3": 1})]:
+        blow_up_at(f, bdry, p)
+    assert json.dumps(f.to_json()) == before
 
 
 def test_pair_of_unpaired_labels_is_one_shared_zero():
@@ -210,7 +235,7 @@ def test_forward_chain_reproduces_fold():
 
 
 def test_dual_graph_dot():
-    dot = dual_graph_dot(fold(5))
+    dot = dual_graph_dot(fold(5), "fold_n5")
     assert '"E2" [label="E2 (0, -1)"]' in dot
     assert '"E1" -- "E2" [label="1"]' in dot
     assert '"E2" -- "B3" [label="2", style=dashed]' in dot

@@ -22,7 +22,7 @@ from dihedral_mckay.polyring import (
 
 X = Poly.var("x")
 Y = Poly.var("y")
-ONE = Poly.const(1)
+ONE = Poly.one(2)
 
 
 def brute_quotient_dim(gens, degree_cap):
@@ -104,7 +104,7 @@ def test_reduction_refuses_a_basis_that_is_not_monic():
     whose leading coefficient is not 1 is refused, naming that coefficient."""
     with pytest.raises(ValueError, match="leading coefficient 2"):
         _reduce(X**2, [2 * X - ONE])
-    assert _reduce(X**2, [X - Poly.const(Fraction(1, 2))]) == Poly.const(Fraction(1, 4))
+    assert _reduce(X**2, [X - Fraction(1, 2) * ONE]) == Fraction(1, 4) * ONE
 
 
 def test_arithmetic_refuses_mixed_variable_counts():

@@ -191,13 +191,19 @@ def test_no_float_enters_the_package_source():
 MAPPING_WRITES = {"pop", "popitem", "update", "setdefault", "clear"}
 
 
+# Mappings held by values that are shared once built: a Poly's terms (it
+# caches its leading term) and a CurveConfig's form and discrepancies and a
+# Point's multiplicities (configs and points are shared between configs).
+FIXED_MAPPINGS = {"terms", "q", "discrepancy", "curves", "boundary"}
+
+
 def _is_terms(node):
-    return isinstance(node, ast.Attribute) and node.attr == "terms"
+    return isinstance(node, ast.Attribute) and node.attr in FIXED_MAPPINGS
 
 
 def test_no_code_writes_into_a_terms_mapping():
-    """A Poly caches its leading term, so its terms are fixed once built:
-    no package code writes into a ``.terms`` mapping by a subscript
+    """No package code writes into a ``.terms``, ``.q``, ``.discrepancy``,
+    ``.curves`` or ``.boundary`` mapping (FIXED_MAPPINGS) by a subscript
     assignment, ``del``, ``pop``, ``popitem``, ``update``, ``setdefault`` or
     ``clear``; each constructor stores a dict built before it is assigned."""
     found = []
@@ -212,7 +218,7 @@ def test_no_code_writes_into_a_terms_mapping():
                 hit = False
             if hit:
                 found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"writes into a .terms mapping: {found}"
+    assert not found, f"writes into a fixed mapping: {found}"
 
 
 def test_each_exact_value_has_one_constructor():

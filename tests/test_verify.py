@@ -1,6 +1,7 @@
 """Each per-n artifact is built once per criterion and passed along, and
 every criterion honours ``--n-range``."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -168,9 +169,7 @@ def test_criterion_7_fails_on_a_fold_without_its_points(monkeypatch):
 
     def pointless(chain, n):
         cfg = real(chain, n)
-        if n == 7:
-            cfg.points = []
-        return cfg
+        return replace(cfg, points=()) if n == 7 else cfg
 
     monkeypatch.setattr(verify.intersect, "z2_fold", pointless)
     res = verify.criterion_7(n_range=(3, 9))
@@ -249,7 +248,7 @@ def test_criterion_10_failure_names_the_torsion_curve(monkeypatch):
     real = taut.PairingTable.pair
 
     def flat(self, cls, curve):
-        return Fraction(0) if self.n == 7 else real(self, cls, curve)
+        return Fraction(0) if self is taut.pairing_table(7) else real(self, cls, curve)
 
     monkeypatch.setattr(taut.PairingTable, "pair", flat)
     res = verify.criterion_10(n_range=(3, 9))
@@ -259,38 +258,46 @@ def test_criterion_10_failure_names_the_torsion_curve(monkeypatch):
     )
 
 
+def _with_pair(cfg, a, b, v):
+    """A copy of cfg that pairs a with b, and b with a, as v."""
+    return replace(cfg, q={**cfg.q, (a, b): v, (b, a): v})
+
+
 def _chain_at_7(spoil):
     def patch(monkeypatch):
         real = verify.intersect.domination_chain
 
         def spoiled(n):
             chain = real(n)
-            if n == 7:
-                spoil(chain)
-            return chain
+            return spoil(chain) if n == 7 else chain
 
         monkeypatch.setattr(verify.intersect, "domination_chain", spoiled)
 
     return patch
 
 
+def _stage_with_pair(k, a, b, v):
+    """Spoil stage k of a chain by one pairing."""
+    return lambda c: [*c[:k], _with_pair(c[k], a, b, v), *c[k + 1 :]]
+
+
 @pytest.mark.parametrize(
     "patch, details",
     [
         (
-            _chain_at_7(lambda c: c.pop()),
+            _chain_at_7(lambda c: c[:-1]),
             "chain length at n=7: expected curves [3, 2, 1, 0], got [3, 2, 1]",
         ),
         (
-            _chain_at_7(lambda c: c[0].set_pair("E2", "E2", Fraction(-3))),
+            _chain_at_7(_stage_with_pair(0, "E2", "E2", Fraction(-3))),
             "E2^2 at n=7: expected -2, got -3",
         ),
         (
-            _chain_at_7(lambda c: c[1].set_pair("E1", "K", Fraction(1))),
+            _chain_at_7(_stage_with_pair(1, "E1", "K", Fraction(1))),
             "adjunction at n=7, stage 1: expected K.E + E^2 = -2, got {'E1': '-1', 'E2': '-2'}",
         ),
         (
-            _chain_at_7(lambda c: c[1].set_pair("E1", "E2", Fraction(3))),
+            _chain_at_7(_stage_with_pair(1, "E1", "E2", Fraction(3))),
             "Q at n=7, stage 1: expected negative definite, got [['-2', '3'], ['3', '-1']]",
         ),
     ],
@@ -320,7 +327,7 @@ def _fold_ledger_at_7(monkeypatch):
     def spoiled(chain, n):
         cfg = real(chain, n)
         if n == 7:
-            cfg.discrepancy["E2"] = Fraction(-1, 2)
+            return replace(cfg, discrepancy={**cfg.discrepancy, "E2": Fraction(-1, 2)})
         return cfg
 
     monkeypatch.setattr(verify.intersect, "z2_fold", spoiled)
@@ -331,22 +338,20 @@ def _forward_chain_at_7(monkeypatch):
 
     def spoiled(n):
         cfg = real(n)
-        if n == 7:
-            cfg.set_pair("E1", "E2", Fraction(2))
-        return cfg
+        return _with_pair(cfg, "E1", "E2", Fraction(2)) if n == 7 else cfg
 
     monkeypatch.setattr(verify.intersect, "embedded_resolution_chain", spoiled)
 
 
 def _maximality_input(spoil):
-    """Spoil the configurations that criterion 7 hands to is_maximal."""
+    """Spoil the configurations that criterion 7 hands to is_maximal:
+    spoil returns the configuration that is_maximal sees instead."""
 
     def patch(monkeypatch):
         real = verify.intersect.is_maximal
 
         def spoiled(cfg, bdry):
-            spoil(cfg)
-            return real(cfg, bdry)
+            return real(spoil(cfg), bdry)
 
         monkeypatch.setattr(verify.intersect, "is_maximal", spoiled)
 
@@ -359,18 +364,20 @@ def _odd_m3(cfg, extra=()):
 
 def _fold_below_minus_one(cfg):
     if _odd_m3(cfg):  # n = 7
-        cfg.discrepancy["E1"] = Fraction(-1)
+        return replace(cfg, discrepancy={**cfg.discrepancy, "E1": Fraction(-1)})
+    return cfg
 
 
 def _smooth_even_origin(cfg):
     if not cfg.labels and cfg.boundary == ("B1", "B2"):  # first at n = 4
-        cfg.points = [verify.intersect.Point("origin", {}, {"B1": 1})]
+        return replace(cfg, points=(verify.intersect.Point("origin", {}, {"B1": 1}),))
+    return cfg
 
 
 def _crepant_beyond(cfg):
     if _odd_m3(cfg, ["F"]):  # n = 7
-        cfg.discrepancy["F"] = Fraction(0)
-        cfg.points = []
+        return replace(cfg, discrepancy={**cfg.discrepancy, "F": Fraction(0)}, points=())
+    return cfg
 
 
 @pytest.mark.parametrize(
@@ -506,7 +513,7 @@ def _strict_transforms_at(at, spoil):
 
 def _shifted_b1(st):
     x = Poly.var("x")
-    st["B1", "U3"]["strict"] = x**2 + 2 * x + Poly.const(2)
+    st["B1", "U3"]["strict"] = x**2 + 2 * x + 2 * Poly.one(2)
 
 
 def _moved_b1_point(st):
