@@ -11,15 +11,17 @@ both, with (-1)^i distinguishing rho_{n/2} from rho_{n/2}'.
 Values are CycloElt over Q[t]/(t^n - 1).  A table builds each distinct
 value once, t^a + t^-a (t^a for Z_n) per exponent a and the constants 1, -1
 and 0, and every row points into those: table values are shared, read-only
-objects, as no code writes into ``.terms``.  ``gram`` pairs a whole table in
-one pass, each unordered pair once as the pairing is Hermitian, and reduces
-each distinct sum once modulo Phi_n (see exactnum).
+objects, as no code writes into ``.terms`` and characters and tables refuse
+attribute writes.  ``gram`` pairs whole lists in one pass (a square's unordered
+pairs once, as the pairing is Hermitian) and reduces each distinct sum once
+modulo Phi_n (see exactnum); ``inner_product`` is its integer-checked matrix,
+one ``gram`` per call, so a McKay quiver pairs all its products in one pass.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -79,15 +81,16 @@ def conjugacy_classes(g):
     return tuple(classes)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Character:
-    """Class function given by one CycloElt value per conjugacy class."""
+    """Class function given by one CycloElt value per conjugacy class; read-only once built."""
 
-    __slots__ = ("group", "name", "values")
+    group: GroupSpec
+    name: str
+    values: tuple
 
-    def __init__(self, group, name, values):
-        self.group = group
-        self.name = name
-        self.values = tuple(values)
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
 
     @property
     def degree(self):
@@ -113,6 +116,7 @@ class Character:
         return f"Character({self.name})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CharTable:
     """Irreducible characters of a group in table order, shared read-only by char_table.
 
@@ -121,14 +125,17 @@ class CharTable:
     eps_j + eps_(-j mod n), and rho_j with j >= 1 belongs to the curve E_j.
     """
 
-    __slots__ = ("group", "classes", "chars", "by_name", "index")
+    group: GroupSpec
+    classes: tuple
+    chars: tuple
+    index: MappingProxyType
+    by_name: MappingProxyType = field(init=False)
 
-    def __init__(self, group, classes, chars, index):
-        self.group = group
-        self.classes = classes
-        self.chars = tuple(chars)
-        self.by_name = MappingProxyType({c.name: c for c in self.chars})
-        self.index = MappingProxyType(dict(index))
+    def __post_init__(self):
+        chars = tuple(self.chars)
+        object.__setattr__(self, "chars", chars)
+        object.__setattr__(self, "by_name", MappingProxyType({c.name: c for c in chars}))
+        object.__setattr__(self, "index", MappingProxyType(dict(self.index)))
 
     def __iter__(self):
         return iter(self.chars)
@@ -217,12 +224,15 @@ def gram(rows, cols):
     return out
 
 
-def inner_product(chi, psi):
-    """<chi, psi>, which must come out a nonnegative integer for genuine characters."""
-    val = gram([chi], [psi])[0][0]
-    if val.denominator != 1 or val < 0:
-        raise NotACharacter(f"<{chi.name},{psi.name}> = {val}")
-    return int(val)
+def inner_product(rows, cols):
+    """Integer-checked matrix of <chi, psi> as ints, from one gram(rows, cols) call."""
+    rows, cols = tuple(rows), tuple(cols)
+    out = gram(rows, cols)
+    for chi, row in zip(rows, out):
+        for psi, val in zip(cols, row):
+            if val.denominator != 1 or val < 0:
+                raise NotACharacter(f"<{chi.name},{psi.name}> = {val}")
+    return [[int(val) for val in row] for row in out]
 
 
 def decompose(chi):
@@ -326,10 +336,7 @@ def mckay_quiver(n):
     table = char_table(g)
     nat = table.by_name["rho1"]
     names = table.names()
-    adj = []
-    for chi in table:
-        prod = nat * chi
-        adj.append([inner_product(prod, psi) for psi in table])
+    adj = inner_product([nat * chi for chi in table], table.chars)
     drawn = _drawn_adjacency(table)
     divergences = []
     for i, a in enumerate(names):

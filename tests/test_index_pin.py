@@ -80,3 +80,22 @@ def test_a_shared_character_table_cannot_be_written():
         assert table.index[first] == 0 and table.by_name[first] is table.chars[0]
     text = json.dumps(_outputs(n))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[n]
+
+
+def test_shared_characters_and_tables_refuse_attribute_writes():
+    """Renaming a shared character would leave by_name and index keyed by the
+    old name, so every attribute of a character or table refuses a write or a
+    delete, and the outputs above stay as pinned."""
+    n = 6
+    table = reps.char_table(reps.GroupSpec("dihedral", n))
+    chi = table.chars[1]
+    writes = [(chi, "name", "spoiled"), (chi, "group", table.group), (chi, "values", ())]
+    writes += [(table, attr, ()) for attr in ("classes", "chars", "by_name", "index")]
+    for obj, attr, value in writes:
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    assert chi.name == "rho0'" and table.by_name["rho0'"] is chi
+    text = json.dumps(_outputs(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[n]

@@ -1,7 +1,9 @@
 import cmath
+from fractions import Fraction
 
 import pytest
 
+from dihedral_mckay import reps
 from dihedral_mckay.exactnum import CycloElt, NotRational, rational_value
 from dihedral_mckay.reps import (
     Character,
@@ -114,7 +116,7 @@ def test_orthonormality_and_numeric_oracle():
         table = char_table(GroupSpec("dihedral", n))
         for i, chi in enumerate(table):
             for j, psi in enumerate(table):
-                exact = inner_product(chi, psi)
+                exact = inner_product([chi], [psi])[0][0]
                 assert exact == (1 if i == j else 0)
                 assert abs(inner_num(chi, psi) - exact) < 1e-9
 
@@ -139,14 +141,14 @@ def test_column_orthogonality():
 
 def test_inner_product_examples():
     t5 = char_table(GroupSpec("dihedral", 5))
-    assert inner_product(t5.by_name["rho1"], t5.by_name["rho1"]) == 1
-    assert inner_product(t5.by_name["rho1"], t5.by_name["rho2"]) == 0
+    assert inner_product([t5.by_name["rho1"]], [t5.by_name["rho1"]]) == [[1]]
+    assert inner_product([t5.by_name["rho1"]], [t5.by_name["rho2"]]) == [[0]]
     for n in (4, 5, 8):
         g = GroupSpec("dihedral", n)
         reg = regular_character(g)
         for chi in char_table(g):
             if int(chi.degree) == 2:
-                assert inner_product(reg, chi) == 2
+                assert inner_product([reg], [chi]) == [[2]]
 
 
 def test_decompose_examples():
@@ -181,6 +183,32 @@ def test_decompose_rejects_non_characters():
     with pytest.raises(NotACharacter):
         decompose(Character(g, "bad2", vals))
 
+
+
+def test_decompose_refuses_a_reconstruction_that_differs(monkeypatch):
+    """A gram row that overcounts rho1 rebuilds 2 * rho1, which differs from
+    rho1 on the identity class by the rational 2."""
+    real = reps.gram
+
+    def bumped(rows, cols):
+        out = real(rows, cols)
+        out[0][[psi.name for psi in cols].index("rho1")] += 1
+        return out
+
+    monkeypatch.setattr(reps, "gram", bumped)
+    rho1 = char_table(GroupSpec("dihedral", 5)).by_name["rho1"]
+    with pytest.raises(NotACharacter, match=r"^reconstruction differs on class 1$"):
+        decompose(rho1)
+
+
+def test_decompose_refuses_an_irrational_difference(monkeypatch):
+    """With every multiplicity zero the reconstruction is 0, and it differs
+    from t at the identity class by an irrational value: not equal either."""
+    monkeypatch.setattr(reps, "gram", lambda rows, cols: [[Fraction(0)] * len(cols)])
+    g = GroupSpec("dihedral", 5)
+    t = CycloElt.root_power(5, 1)
+    with pytest.raises(NotACharacter, match=r"^reconstruction differs on class 1$"):
+        decompose(Character(g, "odd", [t] + [CycloElt.zero(5)] * 3))
 
 def test_restrict_rows():
     for n in (4, 5, 6, 9):
@@ -305,7 +333,7 @@ def test_irrational_inner_product_names_both_class_functions():
     # t at the identity class, 0 elsewhere: the inner product with eps0 is t/5
     chi = Character(g, "odd", [CycloElt.root_power(5, 1)] + [CycloElt.zero(5)] * 4)
     with pytest.raises(NotRational, match=r"<odd,eps0> is irrational"):
-        inner_product(chi, char_table(g).by_name["eps0"])
+        inner_product([chi], [char_table(g).by_name["eps0"]])
 
 
 def test_gram_reads_iterators_once():

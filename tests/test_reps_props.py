@@ -93,17 +93,17 @@ def check_inner_product(chi, psi):
     except NotRational as exc:
         event("irrational")
         with pytest.raises(NotRational) as info:
-            inner_product(chi, psi)
+            inner_product([chi], [psi])
         assert str(info.value) == f"<{chi.name},{psi.name}> is irrational: {exc}"
         return
     if want.denominator != 1 or want < 0:
         event("negative" if want < 0 else "non-integral")
         with pytest.raises(NotACharacter) as info:
-            inner_product(chi, psi)
+            inner_product([chi], [psi])
         assert str(info.value) == f"<{chi.name},{psi.name}> = {want}"
         return
     event("zero" if want == 0 else "positive integer")
-    got = inner_product(chi, psi)
+    got = inner_product([chi], [psi])[0][0]
     assert type(got) is int and got == want
 
 
@@ -114,6 +114,52 @@ def test_inner_product_matches_definition(pair):
     check_inner_product(chi, psi)
     check_inner_product(psi, chi)
     check_inner_product(chi, chi)
+
+
+def genuine(g):
+    """Nonnegative integer combinations of the irreducibles: characters."""
+    r = len(char_table(g).chars)
+    mults = st.lists(st.integers(0, 2), min_size=r, max_size=r)
+    return mults.map(lambda ms: combination(g, ms, Fraction(1)))
+
+
+def named_functions(g, prefix):
+    """One to three class functions, mostly characters, named prefix0, prefix1, ..."""
+    vals = st.one_of(genuine(g), genuine(g), combinations(g), perturbed(g), sparse_values(g))
+    return st.lists(vals, min_size=1, max_size=3).map(
+        lambda vs: [Character(g, f"{prefix}{k}", v) for k, v in enumerate(vs)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(GROUPS.flatmap(lambda g: st.tuples(named_functions(g, "r"), named_functions(g, "c"))))
+def test_inner_product_matrix_matches_definition(sides):
+    """inner_product(rows, cols) is the reference matrix with int entries, or
+    raises for the first bad entry in row-major order; an irrational entry
+    anywhere comes before any entry that is rational but not a nonnegative int."""
+    rows, cols = sides
+    wants = []
+    for chi in rows:
+        for psi in cols:
+            try:
+                wants.append((chi, psi, reference(chi, psi)))
+            except NotRational as exc:
+                event("irrational entry")
+                with pytest.raises(NotRational) as info:
+                    inner_product(rows, cols)
+                assert str(info.value) == f"<{chi.name},{psi.name}> is irrational: {exc}"
+                return
+    for chi, psi, want in wants:
+        if want.denominator != 1 or want < 0:
+            event("negative entry" if want < 0 else "non-integral entry")
+            with pytest.raises(NotACharacter) as info:
+                inner_product(rows, cols)
+            assert str(info.value) == f"<{chi.name},{psi.name}> = {want}"
+            return
+    event("integer matrix")
+    got = inner_product(rows, cols)
+    assert got == [[reference(chi, psi) for psi in cols] for chi in rows]
+    assert all(type(v) is int for row in got for v in row)
 
 
 @settings(max_examples=100, deadline=None)
@@ -140,7 +186,7 @@ def test_pairing_across_groups_is_a_value_error(g, h):
     chi = char_table(g).chars[0]
     psi = char_table(h).chars[-1]
     with pytest.raises(ValueError, match="characters of different groups"):
-        inner_product(chi, psi)
+        inner_product([chi], [psi])
 
 
 def rewritten(vals, q):

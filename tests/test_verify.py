@@ -121,6 +121,19 @@ def test_criterion_1_pairs_each_table_once_without_inner_product(monkeypatch):
     assert singles == []
 
 
+
+def test_criterion_2_pairs_each_quiver_once(monkeypatch):
+    """One inner_product per n: the products rho1 * chi as rows, the table as columns."""
+    calls = _count_calls(monkeypatch, reps, "inner_product")
+    assert verify.criterion_2(n_range=(4, 12))["passed"]
+    assert len(calls) == 9
+    for n, (rows, cols) in zip(range(4, 13), calls):
+        table = reps.char_table(reps.GroupSpec("dihedral", n))
+        nat = table.by_name["rho1"]
+        assert [r.name for r in rows] == [f"rho1*{chi.name}" for chi in table]
+        assert rows == [nat * chi for chi in table]
+        assert cols is table.chars
+
 def _spoil_table(monkeypatch, n, at, k, terms):
     """verify.char_table with the class-k value of irreducible ``at`` replaced at n."""
     real = verify.char_table
