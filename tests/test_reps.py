@@ -184,7 +184,6 @@ def test_decompose_rejects_non_characters():
         decompose(Character(g, "bad2", vals))
 
 
-
 def test_decompose_refuses_a_reconstruction_that_differs(monkeypatch):
     """A gram row that overcounts rho1 rebuilds 2 * rho1, which differs from
     rho1 on the identity class by the rational 2."""
@@ -209,6 +208,7 @@ def test_decompose_refuses_an_irrational_difference(monkeypatch):
     t = CycloElt.root_power(5, 1)
     with pytest.raises(NotACharacter, match=r"^reconstruction differs on class 1$"):
         decompose(Character(g, "odd", [t] + [CycloElt.zero(5)] * 3))
+
 
 def test_restrict_rows():
     for n in (4, 5, 6, 9):

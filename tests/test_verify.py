@@ -121,7 +121,6 @@ def test_criterion_1_pairs_each_table_once_without_inner_product(monkeypatch):
     assert singles == []
 
 
-
 def test_criterion_2_pairs_each_quiver_once(monkeypatch):
     """One inner_product per n: the products rho1 * chi as rows, the table as columns."""
     calls = _count_calls(monkeypatch, reps, "inner_product")
@@ -133,6 +132,7 @@ def test_criterion_2_pairs_each_quiver_once(monkeypatch):
         assert [r.name for r in rows] == [f"rho1*{chi.name}" for chi in table]
         assert rows == [nat * chi for chi in table]
         assert cols is table.chars
+
 
 def _spoil_table(monkeypatch, n, at, k, terms):
     """verify.char_table with the class-k value of irreducible ``at`` replaced at n."""
