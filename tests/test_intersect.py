@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from dihedral_mckay.intersect import (
     quotient_pair,
     z2_fold,
 )
+from dihedral_mckay.linalg import insert, reduce, vector
 
 
 def fold(n):
@@ -282,10 +284,49 @@ _GRAM = _SIZES.flatmap(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(_RAW, _GRAM))
+def _over(m, dens):
+    """m with entry (i, j) and (j, i) divided by the next of dens, row by row above the diagonal."""
+    it = iter(dens)
+    out = [list(row) for row in m]
+    for i in range(len(m)):
+        for j in range(i, len(m)):
+            out[i][j] = out[j][i] = Fraction(m[i][j], next(it))
+    return out
+
+
+def _singular_lead(m, t, s):
+    """m with row and column t - 1 made copies of row and column s < t - 1 inside
+    the t-th leading block (or m[0][0] = 0 when t = 1), so D_t = 0 and the later
+    minors are free."""
+    out = [list(row) for row in m]
+    if t == 1:
+        out[0][0] = 0
+        return out
+    s %= t - 1
+    for j in range(t - 1):
+        out[t - 1][j] = out[j][t - 1] = m[s][j]
+    out[t - 1][t - 1] = out[s][t - 1] = out[t - 1][s] = m[s][s]
+    return out
+
+
+_FRAC = st.one_of(_RAW, _GRAM).flatmap(
+    lambda m: st.lists(
+        st.integers(1, 4), min_size=len(m) * (len(m) + 1) // 2, max_size=len(m) * (len(m) + 1) // 2
+    ).map(lambda dens: _over(m, dens))
+)
+_SINGULAR = st.one_of(_RAW, _GRAM, _FRAC).filter(len).flatmap(
+    lambda m: st.tuples(st.integers(1, len(m)), st.integers(0, 4)).map(
+        lambda ts: _singular_lead(m, *ts)
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_RAW, _GRAM, _FRAC, _SINGULAR))
 def test_negative_definite_matches_leading_minors(m):
-    """Sylvester's criterion through a Leibniz determinant of every leading minor."""
+    """Sylvester's criterion through a Leibniz determinant of every leading minor,
+    on integer forms, on forms with denominators 1 to 4 and on forms whose
+    t-th leading minor is zero."""
     labels = [f"C{i}" for i in range(len(m))]
     q = {(a, b): Fraction(m[i][j]) for i, a in enumerate(labels) for j, b in enumerate(labels)}
     cfg = CurveConfig(labels, q=q)
@@ -293,6 +334,47 @@ def test_negative_definite_matches_leading_minors(m):
         (-1) ** t * leibniz_det([row[:t] for row in m[:t]]) > 0 for t in range(1, len(m) + 1)
     )
     assert cfg.negative_definite() is want
+
+
+def _sylvester_by_echelon(cfg):
+    """Sylvester's criterion from the reduced Q-echelon of linalg: row t of Q,
+    reduced by the echelon of rows 0..t-1, has the pivot D_t / D_(t-1) at t."""
+    echelon = {}
+    for t, a in enumerate(cfg.labels):
+        rest, _ = reduce(echelon, vector([cfg.pair(a, b) for b in cfg.labels]))
+        if rest.get(t, 0) >= 0:
+            return False
+        insert(echelon, rest)
+    return True
+
+
+def _one_entry_changed(cfg, rng):
+    """Three copies of cfg, each with one pairing of two curves (both orders)
+    moved by a small step: on the diagonal, between neighbours, anywhere."""
+    labels = cfg.labels
+    i, j = rng.randrange(len(labels)), rng.randrange(len(labels))
+    picks = [(labels[i], labels[i]), (labels[i - 1], labels[i]), (labels[i], labels[j])]
+    for a, b in picks:
+        step = rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4)])
+        yield _with_pairs(cfg, [((a, b), cfg.pair(a, b) + step)])
+
+
+def test_negative_definite_matches_the_echelon_oracle():
+    """Every stage of the domination chain for n = 3..45, the fold blown up at
+    each recorded point, and copies of both with one entry changed, against
+    Sylvester's criterion on linalg's reduced Q-echelon."""
+    seen = {True: 0, False: 0}
+    for n in range(3, 46):
+        rng = random.Random(n)
+        bdry = boundary_data(n)
+        f = fold(n)
+        configs = domination_chain(n) + [blow_up_at(f, bdry, p) for p in f.points]
+        for cfg in configs:
+            for c in [cfg, *(_one_entry_changed(cfg, rng) if cfg.labels else [])]:
+                want = _sylvester_by_echelon(c)
+                assert c.negative_definite() is want, (n, c.labels, first_difference(c, cfg))
+                seen[want] += 1
+    assert seen == {True: 2066, False: 2101}, seen
 
 
 def test_fold_and_chains_fail_closed(monkeypatch):
