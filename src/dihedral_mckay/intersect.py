@@ -16,11 +16,12 @@ centers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import hilb
-from .linalg import insert, reduce, vector
 
 ZERO = Fraction(0)  # built once: pair() of two labels that q does not pair, stored zeros
 
@@ -39,11 +40,15 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class Point:
-    """Special point: multiplicities of curves and boundary components."""
+    """Special point: multiplicities of curves and boundary components, read-only."""
 
     label: str
     curves: dict  # curve label -> multiplicity
     boundary: dict  # boundary label -> multiplicity
+
+    def __post_init__(self):
+        object.__setattr__(self, "curves", MappingProxyType(dict(self.curves)))
+        object.__setattr__(self, "boundary", MappingProxyType(dict(self.boundary)))
 
 
 @dataclass(frozen=True)
@@ -68,19 +73,23 @@ class CurveConfig:
         )
 
     def negative_definite(self):
-        """Sylvester's criterion from one elimination in row order.
+        """Sylvester's criterion by fraction-free (Bareiss) elimination in row order.
 
-        Row t of Q, reduced by the echelon of rows 0..t-1, has the pivot
-        D_t / D_(t-1) at index t (D_t the t-th leading principal minor,
-        so D_t is the product of the first t pivots).  Q is negative
-        definite exactly when every pivot is negative.
+        On M = d Q, d the least common denominator of Q's entries, each step
+        divides exactly by the previous pivot, and pivot t is the leading minor
+        D_t of M (D_0 = 1; Bareiss, Math. Comp. 22, 1968).  Q is negative
+        definite exactly when (-1)^t D_t > 0, so when each pivot flips the sign.
         """
-        echelon = {}
-        for t, a in enumerate(self.labels):
-            rest, _ = reduce(echelon, vector([self.pair(a, b) for b in self.labels]))
-            if rest.get(t, 0) >= 0:
+        rows = [[self.pair(a, b) for b in self.labels] for a in self.labels]
+        d = math.lcm(*(v.denominator for row in rows for v in row))
+        m = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+        prev = 1
+        while m:
+            (p, *top), *rest = m
+            if p * prev >= 0:
                 return False
-            insert(echelon, rest)
+            m = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], top)] for r in rest]
+            prev = p
         return True
 
     def to_json(self):
@@ -126,10 +135,10 @@ def _symmetric(pairs):
 def _rank_one(cfg, labels, u, w):
     """The pairs ((x, y), Q_xy + u_x w_y) for each x of labels and each y
     among x and the later labels, "K" and the boundary; u and w map a label
-    to its coordinate, and a label they lack counts as 0."""
+    to its coordinate (0 if absent), and Q_xy is kept as stored where u_x w_y = 0."""
     others = ["K", *cfg.boundary]
     return [
-        ((x, y), cfg.pair(x, y) + u.get(x, 0) * w.get(y, 0))
+        ((x, y), cfg.pair(x, y) + u[x] * w[y] if u.get(x) and w.get(y) else cfg.pair(x, y))
         for i, x in enumerate(labels)
         for y in labels[i:] + others
     ]

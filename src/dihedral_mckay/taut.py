@@ -64,12 +64,15 @@ class DivisorClass:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class PairingTable:
     """Pairings of the basis divisors with the exceptional curves E_j.
 
     The E and supp<B> rows are read off the fold, whose boundary pairings
-    come from the chart computations in hilb.  Rows are read-only: see pairing_table.
+    come from the chart computations in hilb.  Table and rows are read-only: see pairing_table.
     """
+
+    rows: MappingProxyType
 
     def __init__(self, n):
         fold = intersect.z2_fold(intersect.an_chain(n - 1), n)
@@ -85,7 +88,8 @@ class PairingTable:
             e: -sum((fold.pair(e, b) for b in fold.boundary), Fraction(0)) / 2 for e in curves
         }
         rows = {lab: MappingProxyType(row) for lab, row in rows.items()}
-        self.rows = MappingProxyType({**rows, "D": rows[f"D{hilb.half_index(n)}"]})
+        rows["D"] = rows[f"D{hilb.half_index(n)}"]
+        object.__setattr__(self, "rows", MappingProxyType(rows))
 
     def pair(self, cls, curve):
         return sum((coeff * self.rows[lab][curve] for lab, coeff in cls.coeffs), Fraction(0))

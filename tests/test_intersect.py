@@ -117,6 +117,23 @@ def test_configs_and_points_are_values():
     assert json.dumps(f.to_json()) == before
 
 
+def test_a_shared_point_cannot_be_written():
+    """A point is shared by every stage that keeps it, so its multiplicities
+    are read-only copies of what it was built from."""
+    c = domination_chain(7)
+    before = json.dumps(c[0].to_json())
+    assert c[1].points[0] is c[0].points[0]
+    with pytest.raises(TypeError):
+        c[1].points[0].curves["E1"] = 5
+    with pytest.raises(TypeError):
+        c[0].points[-1].boundary["B3"] = 2
+    assert json.dumps(c[0].to_json()) == before
+    given = {"E1": 1}
+    p = Point("p", given, {})
+    given["E1"] = 2
+    assert p.curves == {"E1": 1} and p == Point("p", {"E1": 1}, {})
+
+
 def test_pair_of_unpaired_labels_is_one_shared_zero():
     c = an_chain(3)
     assert c.pair("Et1", "Et3") is intersect.ZERO and type(intersect.ZERO) is Fraction

@@ -87,7 +87,7 @@ def test_torsion_verdicts_agree_with_a_freshly_built_table(n):
 
 
 def test_a_shared_pairing_table_cannot_be_written():
-    """pairing_table shares one table per n, so no write may reach its rows."""
+    """pairing_table shares one table per n, so no write may reach it or its rows."""
     t = pairing_table(5)
     assert pairing_table(5) is t and t.rows["D"] is t.rows["D2"]
     with pytest.raises(TypeError):
@@ -96,6 +96,9 @@ def test_a_shared_pairing_table_cannot_be_written():
         t.rows["D"]["E2"] = 0
     with pytest.raises(TypeError):
         t.rows["suppB3"]["E2"] = 1
+    for name, value in (("rows", {}), ("n", 5), ("m", 0)):
+        with pytest.raises(AttributeError):
+            setattr(t, name, value)
     assert t.rows["D2"] == {"E1": 0, "E2": 1} and t.rows["suppB3"] == {"E1": 0, "E2": 2}
     assert torsion_check(5, stack_twist_class(5))
     assert not torsion_check(5, DivisorClass.make({"E2": 1}))
