@@ -7,7 +7,7 @@ vectors each have their smallest index at their own pivot.
 The Q-echelon is reduced: 1 at its own pivot and 0 at every other pivot.
 Coefficients stay ints until a pivot has to be divided out.  `reduce` and
 `insert` maintain it and `nullspace` is built on them; constellation
-subspaces and negative definiteness run through it.
+subspaces run through it.
 
 The Z-echelon, `hnf`, is built from int rows by unimodular row steps only,
 with a positive entry at each pivot.  `solver` and `integer_coordinates`
