@@ -16,6 +16,8 @@ attribute writes.  ``gram`` pairs whole lists in one pass (a square's unordered
 pairs once, as the pairing is Hermitian) and reduces each distinct sum once
 modulo Phi_n (see exactnum); ``inner_product`` is its integer-checked matrix,
 one ``gram`` per call, so a McKay quiver pairs all its products in one pass.
+``decompose`` reads one ``gram`` row and checks an exact reconstruction once
+per distinct class function per process, and hands each caller a fresh dict.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def conjugacy_classes(g):
     return tuple(classes)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class Character:
     """Class function given by one CycloElt value per conjugacy class; read-only once built."""
 
@@ -116,7 +118,7 @@ class Character:
         return f"Character({self.name})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class CharTable:
     """Irreducible characters of a group in table order, shared read-only by char_table.
 
@@ -236,7 +238,17 @@ def inner_product(rows, cols):
 
 
 def decompose(chi):
-    """Multiset of (irreducible name, multiplicity) with exact reconstruction."""
+    """Multiset of (irreducible name, multiplicity) with exact reconstruction.
+
+    Memoised on chi's group and values, not its name (``_decomposition``); each
+    call gets a fresh dict.  A failure is never cached: every call raises it anew.
+    """
+    return dict(_decomposition(chi))
+
+
+@lru_cache(maxsize=None)
+def _decomposition(chi):
+    """decompose's answer as (name, multiplicity) pairs, keyed on chi's group and values."""
     table = char_table(chi.group)
     mults = {}
     recon = [CycloElt.zero(chi.group.n) for _ in table.classes]
@@ -250,7 +262,7 @@ def decompose(chi):
     for r, v, c in zip(recon, chi.values, table.classes):
         if not _same_value(r, v):
             raise NotACharacter(f"reconstruction differs on class {c.label}")
-    return mults
+    return tuple(mults.items())
 
 
 def _same_value(a, b):

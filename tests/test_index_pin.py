@@ -8,6 +8,7 @@ digest is the SHA-256 of the JSON text of those outputs for one n, with
 the strata in socle-table order.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -99,3 +100,15 @@ def test_shared_characters_and_tables_refuse_attribute_writes():
     assert chi.name == "rho0'" and table.by_name["rho0'"] is chi
     text = json.dumps(_outputs(n))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[n]
+
+
+def test_a_new_attribute_on_a_character_or_table_is_refused():
+    """A name that is not a field is refused as a frozen write too, not with the
+    TypeError of a slotted frozen dataclass, which no AttributeError handler catches."""
+    table = reps.char_table(reps.GroupSpec("dihedral", 6))
+    for obj in (table.chars[1], table):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.spoiled = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del obj.spoiled
+        assert not hasattr(obj, "spoiled")

@@ -184,7 +184,52 @@ def test_decompose_rejects_non_characters():
         decompose(Character(g, "bad2", vals))
 
 
-def test_decompose_refuses_a_reconstruction_that_differs(monkeypatch):
+@pytest.fixture
+def fresh_decompositions():
+    """An empty decompose memo before and after, so a planted fault is reached
+    and no answer computed under it outlives the test."""
+    reps._decomposition.cache_clear()
+    yield
+    reps._decomposition.cache_clear()
+
+
+def test_decompose_returns_a_fresh_dict():
+    """Writing into one result must not reach the memo or the next result."""
+    rho1 = char_table(GroupSpec("dihedral", 5)).by_name["rho1"]
+    first = decompose(rho1)
+    first["rho1"] = 7
+    first["rho0"] = 1
+    assert decompose(rho1) == {"rho1": 1}
+    assert decompose(rho1) is not decompose(rho1)
+
+
+def test_a_failed_decomposition_raises_on_every_call_and_is_not_cached():
+    """Value-equal non-characters under two names: each call raises, naming its
+    own character, and the memo gains no entry."""
+    g = GroupSpec("dihedral", 4)
+    table = char_table(g)
+    vals = list(table.by_name["rho1"].values)
+    vals[0] = vals[0] + table.by_name["rho0"].values[0]
+    size = reps._decomposition.cache_info().currsize
+    for name in ("bad", "bad", "worse"):
+        with pytest.raises(NotACharacter, match=rf" in {name} is "):
+            decompose(Character(g, name, vals))
+    assert reps._decomposition.cache_info().currsize == size
+
+
+def test_value_equal_characters_share_one_decomposition():
+    """The memo keys on group and values: a renamed copy is a hit, not a new entry."""
+    g = GroupSpec("dihedral", 7)
+    rho2 = char_table(g).by_name["rho2"]
+    square = Character(g, "square", [v + v for v in rho2.values])
+    assert decompose(square) == {"rho2": 2}
+    before = reps._decomposition.cache_info()
+    assert decompose(Character(g, "twice rho2", square.values)) == {"rho2": 2}
+    after = reps._decomposition.cache_info()
+    assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
+
+
+def test_decompose_refuses_a_reconstruction_that_differs(monkeypatch, fresh_decompositions):
     """A gram row that overcounts rho1 rebuilds 2 * rho1, which differs from
     rho1 on the identity class by the rational 2."""
     real = reps.gram
@@ -200,7 +245,7 @@ def test_decompose_refuses_a_reconstruction_that_differs(monkeypatch):
         decompose(rho1)
 
 
-def test_decompose_refuses_an_irrational_difference(monkeypatch):
+def test_decompose_refuses_an_irrational_difference(monkeypatch, fresh_decompositions):
     """With every multiplicity zero the reconstruction is 0, and it differs
     from t at the identity class by an irrational value: not equal either."""
     monkeypatch.setattr(reps, "gram", lambda rows, cols: [[Fraction(0)] * len(cols)])

@@ -131,6 +131,7 @@ LRU_CACHED = {
     "exactnum._phi_reducer",
     "reps.conjugacy_classes",
     "reps.char_table",
+    "reps._decomposition",
     "hilb.boundary_intersection_numbers",
     "taut.pairing_table",
     "linalg._solver",
