@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedral_mckay import constel, hilb
 from dihedral_mckay.constel import (
     Constellation,
     InvalidConstellation,
@@ -418,3 +419,20 @@ def test_theta_check_finds_planted_socle_destabilizers(n, data):
     assert verdict.value <= 0 and verdict.value == theta.value(verdict.cls)
     graded, cls = submodule_closure(F, verdict.seeds)
     assert 0 < graded.dim() < F.dim and cls == verdict.cls
+
+
+def test_two_row_refuses_a_quotient_of_the_wrong_length():
+    ideal = hilb.cluster_ideal(5, ClusterPoint(1, Fraction(1), Fraction(3)))
+    with pytest.raises(InvalidConstellation, match="^planted: quotient has length 5 != 6$"):
+        constel._two_row(6, (ideal, ideal), "planted")
+
+
+def test_subspace_character_refuses_a_subspace_that_is_not_tau_stable():
+    """At a generic point tau swaps the two rows, so the span of row 0's
+    constant monomial (weight 0) is not tau-stable."""
+    F = constellation_from_cluster(5, ClusterPoint(1, Fraction(1), Fraction(3)))
+    graded = constel._Graded()
+    graded.insert(0, {0: 1})
+    message = r"^I1\(1:3\)\|I4\(1:1/3\): the weight-0 subspace is not tau-stable$"
+    with pytest.raises(InvalidConstellation, match=message):
+        subspace_character(F, graded)

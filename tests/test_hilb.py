@@ -420,3 +420,46 @@ def test_end_chart_pullback_matches_substitution(n, last, terms):
     for (_, j), c in strict.terms.items():
         at_one[j] = at_one.get(j, 0) + c
     assert any(at_one.values())  # not divisible by u - 1
+
+
+def test_boundary_strict_transforms_refuse_a_missing_transform_off_one(monkeypatch):
+    """A strict transform that meets no axis must have constant term 1."""
+    real = hilb._boundary_pullbacks
+
+    def planted(n):
+        out = real(n)
+        chart, strict, orders = out["B3"]["U1"]
+        out["B3"]["U1"] = (chart, strict + Poly.one(2), orders)  # constant term 2
+        return out
+
+    monkeypatch.setattr(hilb, "_boundary_pullbacks", planted)
+    message = "^B3 on U1: strict transform misses the axes with constant term 2 != 1$"
+    with pytest.raises(CertificateFailure, match=message):
+        boundary_strict_transforms(5)
+
+
+def test_invariant_chart_boundary_refuses_another_strict_transform(monkeypatch):
+    real = hilb.pullback_orders
+    b3 = Poly(2, {(0, 2): 1, (5, 0): -4})
+
+    def planted(chart, eq):
+        strict, orders = real(chart, eq)
+        return (strict + strict if eq == b3 else strict), orders
+
+    monkeypatch.setattr(hilb, "pullback_orders", planted)
+    message = r"^n=5: invariant-chart boundary is 2\*x\^2 - 8\*y, not t\^2 - 4s$"
+    with pytest.raises(CertificateFailure, match=message):
+        invariant_chart_boundary(5)
+
+
+def test_refdiv_data_refuses_another_strict_transform_on_ainv(monkeypatch):
+    real = hilb.surface_pullback
+
+    def planted(n, chart, f):
+        out = real(n, chart, f)
+        return (Poly(2, {(1, 0): 1, (0, 0): -2}), *out[1:]) if chart.name == "Ainv" else out
+
+    monkeypatch.setattr(hilb, "surface_pullback", planted)
+    message = "^n=5, k=2: strict transform on Ainv is x - 2, not t - 1$"
+    with pytest.raises(CertificateFailure, match=message):
+        refdiv_data(5, 2)

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from dihedral_mckay import taut
+from dihedral_mckay import reps, taut
 from dihedral_mckay.constel import socle_table
 from dihedral_mckay.hilb import CertificateFailure, boundary_intersection_numbers, half_index
 from dihedral_mckay.intersect import CurveConfig
+from dihedral_mckay.reps import Character, CharTable, GroupSpec, char_table
 from dihedral_mckay.taut import (
     DivisorClass,
     PairingTable,
@@ -168,6 +169,26 @@ def test_identity_violation_fails_closed(monkeypatch):
         pushforward_identities(4)
 
 
+def test_pushforward_identities_refuse_a_wrong_restriction(monkeypatch):
+    """Every restriction planted as Res rho0 passes for rho0 and rho0' and
+    fails at rho1, after every induction has passed."""
+    trivial = char_table(GroupSpec("dihedral", 5)).by_name["rho0"]
+    monkeypatch.setattr(taut, "restrict", lambda chi: reps.restrict(trivial))
+    message = r"^Res rho1 = \{'eps0': 1\}, expected \{'eps1': 1, 'eps4': 1\}$"
+    with pytest.raises(taut.IdentityViolation, match=message):
+        pushforward_identities(5)
+
+
+def test_build_ledger_refuses_a_rank_that_differs_from_the_degree(monkeypatch):
+    g = GroupSpec("dihedral", 5)
+    table = char_table(g)
+    doubled = Character(g, "rho0", [2 * v for v in table.by_name["rho0"].values])
+    planted = CharTable(g, table.classes, [doubled], {"rho0": 0})
+    monkeypatch.setattr(taut, "char_table", lambda group: planted)
+    with pytest.raises(taut.IdentityViolation, match="^rank of rho0 differs from its degree$"):
+        build_ledger(5, "coarse")
+
+
 def test_fm_table_rows():
     t4 = fm_table(4)
     by = {e["rep"]: e for e in t4}
@@ -193,6 +214,27 @@ def test_fm_cross_check_rejects_a_socle_at_the_excluded_point():
     b1["socle"] = {**b1["socle"], "rho2": 1}  # rho2 carries the twist -B1
     with pytest.raises(taut.CrossCheckFailure, match="rho2: should be excluded at B1"):
         fm_cross_check(4, rows)
+
+
+def _socle_rows_spoiled(n, stratum, key, value):
+    rows = socle_table(n)
+    next(r for r in rows if r["stratum"] == stratum)[key] = value
+    return rows
+
+
+@pytest.mark.parametrize(
+    "stratum, key, value, message",
+    [
+        ("E2", "top", {"rho0'": 1}, "rho0: missing from the top on E2"),
+        ("E2", "socle", {"rho1": 1, "rho2": 1}, "rho1: socle appearance off its support at E2"),
+        ("E1", "socle", {}, "rho1: missing from the socle on its generic stratum"),
+    ],
+    ids=["top", "off-support", "generic-stratum"],
+)
+def test_fm_cross_check_rejects_a_spoiled_socle_table(stratum, key, value, message):
+    rows = _socle_rows_spoiled(5, stratum, key, value)
+    with pytest.raises(taut.CrossCheckFailure, match=f"^{message}$"):
+        fm_cross_check(5, rows)
 
 
 def test_refdivisor_certify_fails_closed(monkeypatch):
