@@ -5,12 +5,16 @@ never as floats.  An element is sparse: ``terms`` maps each exponent in
 range(n) whose coefficient is nonzero to that coefficient, an int when
 it is integral and a Fraction otherwise.  Integer characters therefore
 run in int arithmetic with no separate code path, and ``==`` and
-``hash`` compare values because hash(Fraction(2)) == hash(2).  The
-dense ``coeffs`` tuple is a read-only view.  The ring has zero
-divisors; an element's value as a complex number is its image under
-t -> exp(2*pi*i/n), and that value is rational exactly when the element
-is congruent to a constant modulo the n-th cyclotomic polynomial.  Two
-extraction routines are provided:
+``hash`` compare values because hash(Fraction(2)) == hash(2).  An element
+is a read-only value: ``CycloElt(order, terms)`` is its one constructor,
+it refuses attribute writes and its ``terms`` refuse item writes, so
+tables and memos share elements safely.  ``cyc_mul`` is the ring
+product; ``*`` only scales by an int or a Fraction.  The dense
+``coeffs`` tuple is a read-only view.  The ring has zero divisors; an
+element's value as a complex number is its image under t -> exp(2*pi*i/n),
+and that value is rational exactly when the element is congruent to a
+constant modulo the n-th cyclotomic polynomial.  Two extraction routines
+are provided:
 
 * ``expect_rational`` -- strict: the element itself must be constant.
 * ``rational_value`` -- reduces modulo the n-th cyclotomic polynomial
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 
 class OrderMismatch(ValueError):
@@ -81,15 +86,24 @@ def exact_poly_div(num, den):
 
 
 class CycloElt:
-    """Element of Q[t]/(t^n - 1), the carrier for root-of-unity sums."""
+    """Element of Q[t]/(t^n - 1), the carrier for root-of-unity sums; read-only once built.
+
+    Its one constructor is ``CycloElt(order, terms)``; ``*`` scales by an int or
+    a Fraction, and ``cyc_mul`` is the ring product."""
 
     __slots__ = ("order", "terms")
 
     def __init__(self, order, terms):
         """From sparse terms {exponent in range(order): int or Fraction}, trusted:
         zero coefficients are dropped and integral Fractions become ints."""
-        self.order = order
-        self.terms = _normal(terms)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "terms", MappingProxyType(_normal(terms)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CycloElt is read-only: cannot set {name} to {value!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CycloElt is read-only: cannot delete {name}")
 
     @property
     def coeffs(self):
@@ -99,19 +113,6 @@ class CycloElt:
             out[k] = Fraction(c)
         return tuple(out)
 
-    @classmethod
-    def zero(cls, order):
-        return cls(order, {})
-
-    @classmethod
-    def from_rational(cls, order, value):
-        return cls(order, {0: Fraction(value)})
-
-    @classmethod
-    def root_power(cls, order, k):
-        """t^k (exponent reduced mod order)."""
-        return cls(order, {k % order: 1})
-
     def _check(self, other):
         if not isinstance(other, CycloElt):
             raise TypeError("expected CycloElt")
@@ -120,14 +121,14 @@ class CycloElt:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
         return CycloElt(self.order, out)
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) - c
         return CycloElt(self.order, out)
@@ -136,10 +137,9 @@ class CycloElt:
         return CycloElt(self.order, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloElt(self.order, {k: c * other for k, c in self.terms.items()})
-        self._check(other)
-        return cyc_mul(self, other)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return CycloElt(self.order, {k: c * other for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -155,9 +155,6 @@ class CycloElt:
 
     def is_zero(self):
         return not self.terms
-
-    def conjugate(self):
-        return conjugate(self)
 
     def __repr__(self):
         terms = []
@@ -188,12 +185,6 @@ def cyc_mul(a, b):
                 k -= n
             out[k] = out.get(k, 0) + ca * cb
     return CycloElt(n, out)
-
-
-def conjugate(a):
-    """Ring involution t -> t^(n-1), i.e. complex conjugation on values."""
-    n = a.order
-    return CycloElt(n, {-k % n: c for k, c in a.terms.items()})
 
 
 def expect_rational(a):

@@ -11,13 +11,13 @@ both, with (-1)^i distinguishing rho_{n/2} from rho_{n/2}'.
 Values are CycloElt over Q[t]/(t^n - 1).  A table builds each distinct
 value once, t^a + t^-a (t^a for Z_n) per exponent a and the constants 1, -1
 and 0, and every row points into those: table values are shared, read-only
-objects, as no code writes into ``.terms`` and characters and tables refuse
-attribute writes.  ``gram`` pairs whole lists in one pass (a square's unordered
-pairs once, as the pairing is Hermitian) and reduces each distinct sum once
-modulo Phi_n (see exactnum); ``inner_product`` is its integer-checked matrix,
-one ``gram`` per call, so a McKay quiver pairs all its products in one pass.
-``decompose`` reads one ``gram`` row and checks an exact reconstruction once
-per distinct class function per process, and hands each caller a fresh dict.
+objects, as values refuse writes and so do characters and tables.  ``gram``
+pairs whole lists in one pass (a square's unordered pairs once, as the pairing
+is Hermitian) and reduces each distinct sum once modulo Phi_n (see exactnum);
+``inner_product`` is its integer-checked matrix, one ``gram`` per call, so a
+McKay quiver pairs all its products in one pass.  ``decompose`` reads one
+``gram`` row and checks an exact reconstruction once per distinct class
+function per process, and hands each caller a fresh dict.
 """
 
 from __future__ import annotations
@@ -157,12 +157,12 @@ def char_table(g):
         index[name] = j
 
     if g.kind == "cyclic":
-        root = [CycloElt.root_power(n, a) for a in range(n)]  # t^a
+        root = [CycloElt(n, {a: 1}) for a in range(n)]  # t^a
         for j in range(n):
             add(f"eps{j}", j, [root[j * c.power % n] for c in classes])
         return CharTable(g, classes, chars, index)
 
-    const = {q: CycloElt.from_rational(n, q) for q in (1, -1, 0)}
+    const = {q: CycloElt(n, {0: q}) for q in (1, -1, 0)}
     # t^a + t^-a, the two terms merged when a = -a mod n
     rot = [CycloElt(n, {a: 1, -a % n: 1} if 2 * a % n else {a: 2}) for a in range(n)]
     add("rho0", 0, [const[1]] * len(classes))
@@ -251,7 +251,7 @@ def _decomposition(chi):
     """decompose's answer as (name, multiplicity) pairs, keyed on chi's group and values."""
     table = char_table(chi.group)
     mults = {}
-    recon = [CycloElt.zero(chi.group.n) for _ in table.classes]
+    recon = [CycloElt(chi.group.n, {}) for _ in table.classes]
     for irr, m in zip(table, gram([chi], table.chars)[0]):
         if m.denominator != 1 or m < 0:
             raise NotACharacter(f"multiplicity of {irr.name} in {chi.name} is {m}")
@@ -307,7 +307,7 @@ def induce(eps):
     vals = []
     for c in conjugacy_classes(dih):
         if c.kind == "reflection":
-            vals.append(CycloElt.zero(n))
+            vals.append(CycloElt(n, {}))
         else:
             vals.append(eps.values[c.power] + eps.values[(n - c.power) % n])
     return Character(dih, f"Ind({eps.name})", vals)

@@ -352,10 +352,10 @@ def _dense_reference(F, graded=None, indices=None):
                 items.append((w, diag))
     vals = []
     for c in conjugacy_classes(GroupSpec("dihedral", n)):
-        acc = CycloElt.zero(n)
+        acc = CycloElt(n, {})
         for w, diag in items:
             coeff = 1 if c.kind == "rotation" else diag
-            acc = acc + CycloElt.root_power(n, c.power * w) * coeff
+            acc = acc + CycloElt(n, {c.power * w % n: 1}) * coeff
         vals.append(acc)
     return tuple(vals)
 

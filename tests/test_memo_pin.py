@@ -1,4 +1,5 @@
-"""Pin the result of every process-level memo at two small arguments.
+"""Pin the result of every process-level memo at two small arguments, and
+check that nothing reachable from a result accepts a write.
 
 Each digest is the SHA-256 of a canonical text form of one memo result:
 numbers as exact fractions, strings quoted, mappings as their items sorted
@@ -126,3 +127,88 @@ def test_memo_result_is_pinned(name, i):
     first = call(name, i)
     assert digest(first) == PINNED[name, i]
     assert call(name, i) is first
+
+
+ATOMS = (int, str, Fraction, type(None))  # bool is an int
+
+
+def reachable(result):
+    """(path, object) for each non-atom object reachable from result through
+    dataclass fields, slots, tuple and list items and mapping values, once each."""
+    seen, stack, out = set(), [("result", result)], []
+    while stack:
+        path, obj = stack.pop()
+        if isinstance(obj, ATOMS) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        out.append((path, obj))
+        if isinstance(obj, Mapping):
+            stack += [(f"{path}[{k!r}]", v) for k, v in obj.items()]
+        elif isinstance(obj, (tuple, list)):
+            stack += [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
+        else:
+            stack += [(f"{path}.{name}", v) for name, v in attributes(obj)]
+    return out
+
+
+MISSING = object()
+
+
+def _accepts(write, undo):
+    """Whether write() goes through; one that does is undone at once."""
+    try:
+        write()
+    except (AttributeError, TypeError, KeyError, IndexError):
+        return False
+    undo()
+    return True
+
+
+def accepted_writes(path, obj):
+    """The writes obj accepts, each undone so that a failing run spoils no
+    memo: reset an existing attribute, add an attribute ``spoiled``, set an
+    item and delete an item (the first key of a mapping, else index 0)."""
+    key = next(iter(obj), 0) if isinstance(obj, Mapping) else 0
+    try:
+        old = obj[key]
+    except (KeyError, IndexError, TypeError):
+        old = MISSING
+
+    def put_back():
+        if isinstance(obj, list):
+            obj.insert(key, old)
+        elif old is not MISSING:
+            obj[key] = old
+
+    def unset():
+        if old is MISSING:
+            del obj[key]
+        else:
+            obj[key] = old
+
+    writes = [
+        (f"{path}.{name} = ...", lambda n=name, v=value: setattr(obj, n, v), lambda: None)
+        for name, value in attributes(obj)
+    ]
+    writes += [
+        (f"{path}.spoiled = ...", lambda: setattr(obj, "spoiled", 1), lambda: delattr(obj, "spoiled")),
+        (f"{path}[{key!r}] = ...", lambda: obj.__setitem__(key, 1), unset),
+        (f"del {path}[{key!r}]", lambda: obj.__delitem__(key), put_back),
+    ]
+    return [text for text, write, undo in writes if _accepts(write, undo)]
+
+
+@pytest.mark.parametrize("name, i", CASES, ids=[f"{name}-{i}" for name, i in CASES])
+def test_nothing_a_memo_hands_out_accepts_a_write(name, i):
+    first = call(name, i)
+    accepted = []
+    try:
+        for path, obj in reachable(first):
+            accepted += accepted_writes(path, obj)
+    finally:
+        if accepted:  # leave no spoiled result to the tests that follow
+            for memo, _ in MEMOS.values():
+                memo.cache_clear()
+    assert not accepted, f"writes accepted: {accepted}"
+    assert call(name, i) is first
+    assert digest(first) == PINNED[name, i]

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dihedral_mckay.exactnum import CycloElt, NotRational, conjugate, cyc_mul, rational_value
+from cyclo_reference import conjugate
+from dihedral_mckay.exactnum import CycloElt, NotRational, cyc_mul, rational_value
 from dihedral_mckay.reps import (
     Character,
     GroupSpec,
@@ -40,7 +41,7 @@ SCALE = st.sampled_from((Fraction(1), Fraction(1), Fraction(-1), Fraction(1, 2),
 def reference(chi, psi):
     """rational_value of sum over classes of size * chi * conj(psi), over |G|."""
     g = chi.group
-    acc = CycloElt.zero(g.n)
+    acc = CycloElt(g.n, {})
     for c, a, b in zip(conjugacy_classes(g), chi.values, psi.values):
         acc = acc + c.size * cyc_mul(a, conjugate(b))
     return rational_value(acc) / g.order
@@ -59,7 +60,7 @@ def sparse_values(g):
 
 def combination(g, mults, scale):
     """scale * sum of mults[k] times the k-th irreducible, class by class."""
-    vals = [CycloElt.zero(g.n) for _ in conjugacy_classes(g)]
+    vals = [CycloElt(g.n, {}) for _ in conjugacy_classes(g)]
     for m, irr in zip(mults, char_table(g)):
         vals = [v + (scale * m) * w for v, w in zip(vals, irr.values)]
     return vals

@@ -71,7 +71,6 @@ def _defined_names(node):
 # Methods that nothing in the package calls by name, with the reason each stays.
 UNCALLED_METHODS = {
     "cli.py Parser.error": "argparse calls it on a usage error",
-    "exactnum.py CycloElt.conjugate": "the pairing properties use it as the reference",
 }
 
 
