@@ -18,6 +18,7 @@ import pytest
 
 from dihedral_mckay import charts, exactnum, hilb, linalg, reps, taut
 from dihedral_mckay.reps import GroupSpec
+from test_source import LRU_CACHED
 
 
 def canonical(obj):
@@ -112,8 +113,6 @@ PINNED = {
 
 
 def test_every_memo_of_the_package_is_pinned():
-    from test_source import LRU_CACHED
-
     assert set(MEMOS) == LRU_CACHED
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dihedral_mckay import reps
 from cyclo_reference import conjugate
+from dihedral_mckay import reps
 from dihedral_mckay.exactnum import CycloElt, NotRational, cyc_mul, rational_value
 from dihedral_mckay.reps import (
     Character,

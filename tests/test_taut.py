@@ -216,12 +216,6 @@ def test_fm_cross_check_rejects_a_socle_at_the_excluded_point():
         fm_cross_check(4, rows)
 
 
-def _socle_rows_spoiled(n, stratum, key, value):
-    rows = socle_table(n)
-    next(r for r in rows if r["stratum"] == stratum)[key] = value
-    return rows
-
-
 @pytest.mark.parametrize(
     "stratum, key, value, message",
     [
@@ -232,7 +226,8 @@ def _socle_rows_spoiled(n, stratum, key, value):
     ids=["top", "off-support", "generic-stratum"],
 )
 def test_fm_cross_check_rejects_a_spoiled_socle_table(stratum, key, value, message):
-    rows = _socle_rows_spoiled(5, stratum, key, value)
+    rows = socle_table(5)
+    next(r for r in rows if r["stratum"] == stratum)[key] = value
     with pytest.raises(taut.CrossCheckFailure, match=f"^{message}$"):
         fm_cross_check(5, rows)
 
