@@ -50,7 +50,7 @@ TWISTS = ("delta0", "delta1")
 # delta1 carries the pullback action tau.v = v o tau (the convention that
 # reproduces the stated stacky socles); delta0 is its sign flip.  Row r of
 # a fixed-point module carries TWISTS[r], so tau acts on it by _TWIST_SIGNS[r].
-_TWIST_SIGNS = (Fraction(-1), Fraction(1))
+_TWIST_SIGNS = (-1, 1)
 
 
 def _weight(mono, n):
@@ -101,7 +101,7 @@ class Constellation:
     def character(self, indices=None):
         """Character of the submodule spanned by the given basis indices."""
         counts = [0] * self.n
-        diag = [Fraction(0)] * self.n
+        diag = [0] * self.n
         for b in range(self.dim) if indices is None else indices:
             w = self.weights[b]
             counts[w] += 1
@@ -162,7 +162,6 @@ def constellation_from_cluster(n, p, twist=None):
     marking the stacky half.  Generic p: C[x,y]/I (+) C[x,y]/I^g with
     tau swapping the rows; twist must be None.
     """
-    p = p.canonical()
     ideal = hilb.cluster_ideal(n, p)
     q = hilb.z2_image(n, p)
     ideal_g = ideal if q == p else hilb.cluster_ideal(n, q)
@@ -213,23 +212,6 @@ def regular_check(F):
 # --- graded subspaces ------------------------------------------------
 
 
-class _Graded:
-    """Weight-graded subspace: rows[w] is the linalg echelon of weight w."""
-
-    def __init__(self):
-        self.rows = {}  # weight -> {pivot: sparse echelon vector}
-
-    def dim(self):
-        return sum(len(v) for v in self.rows.values())
-
-    def insert(self, w, vec):
-        echelon = self.rows.get(w, {})
-        if linalg.insert(echelon, vec) is None:
-            return False
-        self.rows[w] = echelon
-        return True
-
-
 def _split_by_weight(F, vec):
     out = {}
     for i, c in vec.items():
@@ -241,8 +223,8 @@ def subspace_character(F, graded):
     """Character of a graded, tau-stable subspace."""
     n = F.n
     counts = [0] * n
-    diag = [Fraction(0)] * n
-    for w, vecs in graded.rows.items():
+    diag = [0] * n
+    for w, vecs in graded.items():
         counts[w] = len(vecs)
         if (2 * w) % n != 0:
             continue  # tau maps W_w to W_(-w); no diagonal contribution
@@ -263,17 +245,17 @@ def submodule_closure(F, seeds):
     Seeds are sparse {basis index: coefficient} dicts holding only
     nonzero coefficients, like the columns of the actions.
     """
-    graded = _Graded()
+    graded = {}
     work = []
     for s in seeds:
         for w, comp in _split_by_weight(F, s).items():
-            if graded.insert(w, comp):
+            if linalg.insert(graded.setdefault(w, {}), comp) is not None:
                 work.append(comp)
     while work:
         v = work.pop()
         for cols in (F.x_action, F.y_action, F.tau_action):
             for w, comp in _split_by_weight(F, _apply(cols, v)).items():
-                if graded.insert(w, comp):
+                if linalg.insert(graded.setdefault(w, {}), comp) is not None:
                     work.append(comp)
     cls = decompose(subspace_character(F, graded))
     return graded, cls
@@ -286,11 +268,11 @@ def top(F):
     stack-level half of the doubled fixed-point module).
     """
     idx = _stacky_half(F)
-    graded = _Graded()
+    graded = {}
     for cols in (F.x_action, F.y_action):
         for j in idx:
             for w, comp in _split_by_weight(F, cols[j]).items():
-                graded.insert(w, comp)
+                linalg.insert(graded.setdefault(w, {}), comp)
     total = F.character(idx)
     sub = subspace_character(F, graded)
     diff = Character(total.group, "top", [a - b for a, b in zip(total.values, sub.values)])
@@ -308,7 +290,7 @@ def socle_subspace(F):
     With a twist flag the kernel is computed inside the flagged row.
     """
     idx = _stacky_half(F)
-    graded = _Graded()
+    graded = {}
     by_weight = {}
     for j in idx:
         by_weight.setdefault(F.weights[j], []).append(j)
@@ -321,7 +303,7 @@ def socle_subspace(F):
                 for i, c in action[j].items():
                     rows.setdefault((a, i), {})[local] = c
         for sol in linalg.nullspace(rows.values(), len(cols)):
-            graded.insert(w, {cols[local]: c for local, c in sol.items()})
+            linalg.insert(graded.setdefault(w, {}), {cols[local]: c for local, c in sol.items()})
     return graded
 
 
@@ -337,7 +319,7 @@ def witness_point(i, alpha):
     """Generic rational point on Et_i: I_i(1 - alpha : 1 + alpha)."""
     if alpha in (Fraction(-1), Fraction(0), Fraction(1)):
         raise ValueError("alpha must avoid 0 and +-1")
-    return hilb.ClusterPoint(i, Fraction(1) - alpha, Fraction(1) + alpha).canonical()
+    return hilb.ClusterPoint(i, Fraction(1) - alpha, Fraction(1) + alpha)
 
 
 def socle_table(n, alpha=Fraction(1, 2)):
@@ -440,13 +422,12 @@ class ThetaVerdict:
 
 def default_family(F):
     """Closures of single basis vectors and matching-weight pair sums."""
-    one = Fraction(1)
-    fam = [[{i: one}] for i in range(F.dim)]
+    fam = [[{i: 1}] for i in range(F.dim)]
     for i in range(F.dim):
         for j in range(i + 1, F.dim):
             if F.weights[i] == F.weights[j]:
-                fam.append([{i: one, j: one}])
-                fam.append([{i: one, j: -one}])
+                fam.append([{i: 1, j: 1}])
+                fam.append([{i: 1, j: -1}])
     return fam
 
 
@@ -461,7 +442,7 @@ def theta_check(F, theta, family=None):
         family = default_family(F)
     for seeds in family:
         graded, cls = submodule_closure(F, seeds)
-        d = graded.dim()
+        d = sum(map(len, graded.values()))
         if 0 < d < F.dim:
             val = theta.value(cls)
             if val <= 0:

@@ -19,8 +19,8 @@ are provided:
 * ``expect_rational`` -- strict: the element itself must be constant.
 * ``rational_value`` -- reduces modulo the n-th cyclotomic polynomial
   (computed by exact division, no factoring) and accepts a constant
-  remainder.  Character inner products use this one; it is the one
-  Phi_n reduction in the package.
+  remainder.  It and ``reps.gram``'s dense pairing sums share
+  ``_dense_rational``, the one Phi_n reduction in the package.
 """
 
 from __future__ import annotations
@@ -208,17 +208,21 @@ def rational_value(a):
     when it is constant.  Phi_n is monic with integer coefficients, so
     integral input stays in int arithmetic.
     """
+    return _dense_rational(a.order, [a.terms.get(k, 0) for k in range(a.order)])
+
+
+def _dense_rational(n, coeffs):
+    """``rational_value`` of the element with dense coefficients ``coeffs``
+    (length n, exponent 0 first), which is left unchanged."""
     # Phi_n is monic, so subtracting q * t^(i - deg) * Phi_n clears t^i;
     # only its lower nonzero terms are applied, as work[i] is not read again
-    deg, low = _phi_reducer(a.order)
-    work = [0] * a.order
-    for k, c in a.terms.items():
-        work[k] = c
-    for i in range(a.order - 1, deg - 1, -1):
+    deg, low = _phi_reducer(n)
+    work = list(coeffs)
+    for i in range(n - 1, deg - 1, -1):
         q = work[i]
         if q:
             for j, pj in low:
                 work[i + j] -= q * pj
     if any(work[1:deg]):
-        raise NotRational(f"irrational value: {a!r}")
+        raise NotRational(f"irrational value: {CycloElt(n, dict(enumerate(coeffs)))!r}")
     return Fraction(work[0])

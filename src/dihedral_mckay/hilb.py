@@ -57,7 +57,9 @@ def half_index(n):
 
 @dataclass(frozen=True)
 class ClusterPoint:
-    """Point I_i(a:b) on the exceptional locus of Z_n-Hilb(C^2)."""
+    """Point I_i(a:b) on the exceptional locus of Z_n-Hilb(C^2), canonical once built:
+    (a:b) is kept as Fractions with first nonzero coordinate 1, so proportional
+    pairs give equal points, with equal hashes and labels."""
 
     i: int
     a: Fraction
@@ -66,16 +68,13 @@ class ClusterPoint:
     def __post_init__(self):
         if self.a == 0 and self.b == 0:
             raise ValueError("(a:b) must be a projective pair")
-
-    def canonical(self):
-        a, b = Fraction(self.a), Fraction(self.b)
-        lead = a if a != 0 else b
-        return ClusterPoint(self.i, a / lead, b / lead)
+        lead = Fraction(self.a or self.b)
+        object.__setattr__(self, "a", self.a / lead)
+        object.__setattr__(self, "b", self.b / lead)
 
     @property
     def label(self):
-        p = self.canonical()
-        return f"I{p.i}({p.a}:{p.b})"
+        return f"I{self.i}({self.a}:{self.b})"
 
 
 def cluster_ideal(n, p):
@@ -97,7 +96,7 @@ def cluster_dimension(n, p):
 
 
 def z2_image(n, p):
-    return ClusterPoint(n - p.i, p.b, p.a).canonical()
+    return ClusterPoint(n - p.i, p.b, p.a)
 
 
 def swap_xy(f):
@@ -128,12 +127,12 @@ def fixed_points(n):
         image = Ideal([swap_xy(g) for g in ideal.generators])
         if ideal == image:
             cert = {
-                "point": p.canonical().label,
+                "point": p.label,
                 "groebner": [str(g) for g in ideal.groebner],
                 "image_equals": True,
                 "quotient_dim": len(staircase(ideal)),
             }
-            out.append((p.canonical(), cert))
+            out.append((p, cert))
     return out
 
 
@@ -174,8 +173,8 @@ def axis_point(chart_index, axis_index, root):
     """Cluster point of a root on an exceptional axis of chart U_i."""
     i = chart_index
     if axis_index == 1:  # {v = 0} = Et_i, coordinate u
-        return ClusterPoint(i, Fraction(1), Fraction(root)).canonical()
-    return ClusterPoint(i - 1, Fraction(root), Fraction(1)).canonical()
+        return ClusterPoint(i, Fraction(1), Fraction(root))
+    return ClusterPoint(i - 1, Fraction(root), Fraction(1))
 
 
 def boundary_equations(n):

@@ -230,7 +230,8 @@ def groebner_basis(gens):
 
 
 class Ideal:
-    """Bivariate polynomial ideal with a lazily computed reduced Groebner basis."""
+    """Bivariate polynomial ideal; ``groebner``, its reduced Groebner basis, is
+    computed once, when the ideal is built."""
 
     def __init__(self, generators):
         gens = [g for g in generators if not g.is_zero()]
@@ -238,13 +239,7 @@ class Ideal:
             raise ValueError("ideal needs a nonzero generator")
         _bivariate(gens)
         self.generators = tuple(gens)
-        self._groebner = None
-
-    @property
-    def groebner(self):
-        if self._groebner is None:
-            self._groebner = tuple(groebner_basis(self.generators))
-        return self._groebner
+        self.groebner = tuple(groebner_basis(self.generators))
 
     def normal_form(self, f):
         _bivariate([f])

@@ -30,6 +30,7 @@ from types import MappingProxyType
 from .exactnum import (
     CycloElt,
     NotRational,
+    _dense_rational,
     cyc_mul,
     expect_rational,
     rational_value,
@@ -218,7 +219,7 @@ def gram(rows, cols):
             key = tuple(acc)
             if key not in reduced:
                 try:
-                    reduced[key] = rational_value(CycloElt(n, dict(enumerate(acc)))) / g.order
+                    reduced[key] = _dense_rational(n, acc) / g.order
                 except NotRational as exc:
                     raise NotRational(f"<{chi.name},{psi.name}> is irrational: {exc}") from None
             row.append(reduced[key])
