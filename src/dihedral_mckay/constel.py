@@ -16,13 +16,13 @@ sigma is never a matrix: basis vectors carry integer weights mod n
 sigma-traces are assembled in the group ring.
 
 ``Constellation`` takes x, y and tau as sparse columns only: column j is
-a dict {row index: int or Fraction} holding the nonzero entries of the
-image of basis vector j (a few per column, never a dense dim x dim matrix).
-Subspaces are spanned by sparse {index: int or Fraction} vectors, kept in a
-per-weight echelon form.  A character is computed in one pass per
-conjugacy class: rotation classes add integer multiplicities at exponent
-power*w mod n, reflection classes add the tau-diagonal traces of the
-weights fixed by negation, and one CycloElt is built per class at the end.
+a dict {row index: coefficient} of the nonzero entries of the image of basis
+vector j (never a dense matrix); integral coefficients are ints, as in Poly.
+A graded subspace is a plain dict {weight: linalg echelon} of sparse
+vectors.  A character is computed in one pass per conjugacy class:
+rotation classes add integer multiplicities at exponent power*w mod n,
+reflection classes add the tau-diagonal traces of the weights fixed by
+negation, and one CycloElt is built per class at the end.
 """
 
 from __future__ import annotations
