@@ -250,6 +250,26 @@ def test_family_file_is_loaded_once(capsys, tmp_path, monkeypatch):
     assert out.encode("utf-8") == (GOLDEN / "socle-table_n5_family.json").read_bytes()
 
 
+def test_a_family_with_no_proper_closure_finds_no_violation(capsys, tmp_path):
+    """Basis vector 0 generates every generic module at n = 5 (tau swaps its
+    rows), so that one-seed family finds no destabilizer on E1, E2 or E1&E2;
+    in the fixed-point module E2&B3 it spans one row only."""
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps([[[1] + [0] * 9]]))
+    code, out, _ = run(
+        capsys, "socle-table", "--n", "5", "--theta=3,1,-3,1", "--family", str(family)
+    )
+    assert code == 0
+    verdicts = {row["stratum"]: row["theta"]["verdict"] for row in json.loads(out)["payload"]
+                if "theta" in row}
+    assert verdicts == {
+        "E1": "no-violation-found",
+        "E2": "no-violation-found",
+        "E1&E2": "no-violation-found",
+        "E2&B3": "destabilized-by",
+    }
+
+
 def test_verify_fails_closed_on_a_raising_criterion(capsys, monkeypatch):
     def raising(n_range=None):
         raise taut.CrossCheckFailure("W_2 pairings differ")

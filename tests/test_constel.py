@@ -440,3 +440,38 @@ def test_subspace_character_refuses_a_subspace_that_is_not_tau_stable():
     message = r"^I1\(1:3\)\|I4\(1:1/3\): the weight-0 subspace is not tau-stable$"
     with pytest.raises(InvalidConstellation, match=message):
         subspace_character(F, graded)
+
+
+def test_theta_check_reports_no_destabilizer_when_every_closure_is_everything():
+    """At the generic E1 witness for n = 5, tau swaps the rows, so basis
+    vector 0 generates all 10 dimensions: the one-seed family has no proper
+    closure to test and the verdict is ThetaVerdict(False)."""
+    F = constellation_from_cluster(5, witness_point(1, Fraction(1, 2)))
+    graded, _ = submodule_closure(F, [{0: 1}])
+    assert _dim(graded) == F.dim == 10
+    theta = StabilityParam.make(5, {"rho0": -2, "rho0'": 2})
+    assert theta_check(F, theta, [[{0: 1}]]) == constel.ThetaVerdict(False)
+
+
+def _coefficients_are_normal(values):
+    """Every value is nonzero, an int when it is integral and a Fraction
+    otherwise (as ``tests/test_polyring.py`` asks of polynomial terms)."""
+    return all(c != 0 and type(c) is (int if c.denominator == 1 else Fraction) for c in values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(3, 8), data=st.data())
+def test_module_coefficients_and_default_seeds_are_normal(n, data):
+    """The x, y and tau columns of fixed-point modules (both twists) and of
+    generic modules, and every default_family seed, hold ints where integral."""
+    i = data.draw(st.integers(1, half_index(n)), label="curve")
+    generic = constellation_from_cluster(n, witness_point(i, data.draw(_ALPHAS)))
+    fixed_point = cp(n // 2, 1, data.draw(st.sampled_from([1, -1]))) if n % 2 == 0 else (
+        cp(half_index(n), 0, 1)
+    )
+    modules = [generic] + [constellation_from_cluster(n, fixed_point, t) for t in constel.TWISTS]
+    for F in modules:
+        columns = [col for action in (F.x_action, F.y_action, F.tau_action) for col in action]
+        assert _coefficients_are_normal(c for col in columns for c in col.values()), F.label
+        seeds = constel.default_family(F)
+        assert _coefficients_are_normal(c for fam in seeds for s in fam for c in s.values())

@@ -72,6 +72,26 @@ def test_z2_image():
     assert cluster_ideal(5, cp(2, 0, 1)) == cluster_ideal(5, cp(3, 1, 0))
 
 
+_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_NONZERO = _RATIONALS.filter(lambda q: q != 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 12), st.data())
+def test_a_cluster_point_is_canonical_once_built(n, data):
+    """Proportional pairs give one point: equal, with one hash, label and
+    cluster dimension, and z2_image is an involution on it."""
+    i = data.draw(st.integers(1, n - 1), label="i")
+    a, b = data.draw(_RATIONALS, label="a"), data.draw(_RATIONALS, label="b")
+    assume(a or b)
+    k = data.draw(_NONZERO, label="k")
+    p, q = ClusterPoint(i, a, b), ClusterPoint(i, k * a, k * b)
+    assert p == q and hash(p) == hash(q) and p.label == q.label
+    assert (p.a if p.a else p.b) == 1 and type(p.a) is type(p.b) is Fraction
+    assert cluster_dimension(n, p) == cluster_dimension(n, q) == n
+    assert z2_image(n, z2_image(n, q)) == p
+
+
 def test_z2_image_is_ideal_level_involution():
     rng = random.Random(3)
     for n in (3, 4, 5, 8):

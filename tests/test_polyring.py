@@ -243,6 +243,12 @@ def test_rational_roots_of_int_coefficients():
     assert rational_roots([1, 2, 1]) == ([(Fraction(-1), 2)], [1])
 
 
+def test_rational_roots_strips_trailing_zero_coefficients():
+    """A zero leading coefficient does not raise the degree: -1 + t + 0 t^2 has
+    the one root 1."""
+    assert rational_roots([-1, 1, 0]) == ([(Fraction(1), 1)], [1])
+
+
 def _times(a, b):
     """Product of two coefficient lists, low degree first."""
     out = [0] * (len(a) + len(b) - 1)

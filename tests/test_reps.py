@@ -450,3 +450,7 @@ def test_each_distinct_table_value_is_built_once():
         for n in ns:
             table = char_table(GroupSpec(kind, n))
             assert len({id(v) for chi in table for v in chi.values}) <= n + bound, (kind, n)
+
+
+def test_a_character_is_shown_by_its_name():
+    assert repr(char_table(GroupSpec("dihedral", 5)).by_name["rho1"]) == "Character(rho1)"
