@@ -471,7 +471,7 @@ def test_module_coefficients_and_default_seeds_are_normal(n, data):
     )
     modules = [generic] + [constellation_from_cluster(n, fixed_point, t) for t in constel.TWISTS]
     for F in modules:
-        columns = [col for action in (F.x_action, F.y_action, F.tau_action) for col in action]
-        assert _coefficients_are_normal(c for col in columns for c in col.values()), F.label
-        seeds = constel.default_family(F)
-        assert _coefficients_are_normal(c for fam in seeds for s in fam for c in s.values())
+        cols = [col for action in (F.x_action, F.y_action, F.tau_action) for col in action]
+        assert _coefficients_are_normal(c for col in cols for c in col.values()), F.label
+        family = constel.default_family(F)
+        assert _coefficients_are_normal(c for seeds in family for s in seeds for c in s.values())
