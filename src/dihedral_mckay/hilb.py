@@ -401,7 +401,6 @@ def invariant_chart_boundary(n):
     tang = local_intersection(curve)
     report = axis_root_report(curve, 1)
     return {
-        "chart": "Ainv",
         "strict": strict,
         "orders": orders,
         "tangency": tang,
@@ -693,8 +692,6 @@ def _flop_atlas(n, label, names):
 
 @dataclass
 class FlopAtlas:
-    n: int
-    stage: tuple
     atlas: Atlas
     curve_tags: list  # [{"curve", "coords", "charts"}]
     floppable: dict  # tag of the curve flopped at this stage
@@ -744,7 +741,7 @@ def build_flop_atlas(n, stage):
             f"((xy)^{i}*z : f2)" if n % 2 else f"((xy)^{i}*z : f1*f2)"
         ),
     }
-    return FlopAtlas(n, tuple(stage), atlas, tags, floppable)
+    return FlopAtlas(atlas, tags, floppable)
 
 
 def displayed_gluing(n):

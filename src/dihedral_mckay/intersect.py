@@ -3,15 +3,16 @@
 A CurveConfig holds one symmetric rational form on the curve labels, the
 label "K" of the canonical class and the reduced-boundary labels, plus
 discrepancies and the special points (curve/boundary incidences with
-multiplicities).  A config is a value: each operation builds all of its
+multiplicities); the boundary of the log pair is those labels, each with
+coefficient 1/2.  A config is a value: each operation builds all of its
 data first and then the new config in one call, and nothing writes into
 a config or a point after that, so configs and points are shared freely.
 K and the boundary are updated by the same rank-one rule as the curves,
 Q'_xy = Q_xy + u_x w_y: u = w = Q_.C when C is contracted, and u = m,
-w = -m when a point is blown up (m_K = -1).  The fold of
-the A_(n-1) chain under the Z_2 action comes from the projection
-formula; maximality of the log pair is decided by enumerating blow-up
-centers.
+w = -m when a point is blown up (m_K = -1).  The fold of the A_(n-1)
+chain under the Z_2 action comes from the projection formula.  One rule,
+center_discrepancy, scores every blow-up center: the forward chain's,
+blow_up_at's new curve and each candidate of the maximality test.
 """
 
 from __future__ import annotations
@@ -24,18 +25,11 @@ from types import MappingProxyType
 from . import hilb
 
 ZERO = Fraction(0)  # built once: pair() of two labels that q does not pair, stored zeros
+BOUNDARY_COEFFICIENT = Fraction(1, 2)  # (m_j - 1)/m_j: each reflection line of D_2n has m_j = 2
 
 
 class NotContractible(ValueError):
     """Castelnuovo preconditions (C^2 = -1, K.C = -1) fail."""
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Reduced boundary components, each with coefficient (m_j - 1)/m_j = 1/2."""
-
-    components: tuple  # labels
-    coefficient = Fraction(1, 2)  # a class constant, not a field
 
 
 @dataclass(frozen=True)
@@ -153,7 +147,7 @@ def an_chain(k):
 
 
 def boundary_data(n):
-    return BoundaryData(("B1", "B2") if n % 2 == 0 else ("B3",))
+    return ("B1", "B2") if n % 2 == 0 else ("B3",)
 
 
 def z2_fold(chain, n):
@@ -240,19 +234,14 @@ def domination_chain(n):
     return out
 
 
-def blowup_discrepancy(boundary, mult, prior_discrepancies_at_center):
-    """a = 1 + sum(prior a_i at the center) - coefficient * boundary multiplicity."""
-    total = Fraction(1) + sum(prior_discrepancies_at_center, Fraction(0))
-    return total - boundary.coefficient * Fraction(mult)
+def center_discrepancy(cfg, point):
+    """Discrepancy of the curve that blowing up point creates:
+    1 + sum of a_C m_C over its curves - 1/2 * sum of its boundary multiplicities."""
+    total = sum((cfg.discrepancy[c] * m for c, m in point.curves.items()), Fraction(1))
+    return total - BOUNDARY_COEFFICIENT * sum(point.boundary.values())
 
 
-def _center_discrepancy(cfg, boundary, point):
-    """Discrepancy of the curve that blowing up a recorded point creates."""
-    priors = [cfg.discrepancy[c] * Fraction(mult) for c, mult in point.curves.items()]
-    return blowup_discrepancy(boundary, sum(point.boundary.values()), priors)
-
-
-def blow_up_at(cfg, boundary, point, new_label="F"):
+def blow_up_at(cfg, point, new_label="F"):
     """Blow up a recorded point to the new curve F; returns the new configuration.
 
     With m_x the multiplicity of x at the point and m_K = -1 (K' = K + F):
@@ -275,7 +264,7 @@ def blow_up_at(cfg, boundary, point, new_label="F"):
         parts = [("old", point.curves, point.boundary)]
     points = [p for p in cfg.points if p is not point]
     points += [Point(f"{new_label}&{x}", {new_label: 1, **c}, b) for x, c, b in parts]
-    discrepancy = {**cfg.discrepancy, new_label: _center_discrepancy(cfg, boundary, point)}
+    discrepancy = {**cfg.discrepancy, new_label: center_discrepancy(cfg, point)}
     return CurveConfig(cfg.labels + [new_label], cfg.boundary, q, discrepancy, tuple(points))
 
 
@@ -284,26 +273,19 @@ def is_maximal(cfg, boundary):
     further blow-up center has positive discrepancy.
 
     Candidate centers: a generic point of each curve, a generic point of
-    each boundary component, a generic surface point, and every recorded
-    special point.
+    each boundary label, a generic surface point, and every recorded
+    special point, each scored by center_discrepancy.
     """
     cert = {"discrepancies": {a: str(cfg.discrepancy[a]) for a in cfg.labels}}
     for a in cfg.labels:
         if not (Fraction(-1) < cfg.discrepancy[a] <= 0):
             cert["violation"] = f"{a}: discrepancy {cfg.discrepancy[a]} outside (-1, 0]"
             return False, cert
-    candidates = []
-    for a in cfg.labels:
-        candidates.append(
-            (f"generic point of {a}", blowup_discrepancy(boundary, 0, [cfg.discrepancy[a]]))
-        )
-    for lab in boundary.components:
-        candidates.append(
-            (f"generic point of {lab}", blowup_discrepancy(boundary, 1, []))
-        )
-    candidates.append(("generic surface point", blowup_discrepancy(boundary, 0, [])))
-    for p in cfg.points:
-        candidates.append((f"point {p.label}", _center_discrepancy(cfg, boundary, p)))
+    generic = [Point(f"generic point of {a}", {a: 1}, {}) for a in cfg.labels]
+    generic += [Point(f"generic point of {lab}", {}, {lab: 1}) for lab in boundary]
+    generic.append(Point("generic surface point", {}, {}))
+    candidates = [(p.label, center_discrepancy(cfg, p)) for p in generic]
+    candidates += [(f"point {p.label}", center_discrepancy(cfg, p)) for p in cfg.points]
     cert["candidates"] = [(name, str(v)) for name, v in candidates]
     bad = [name for name, v in candidates if v <= 0]
     if bad:
@@ -315,7 +297,7 @@ def is_maximal(cfg, boundary):
 def quotient_pair(n):
     """(C^2/G, B-hat) as a configuration: no curves, one singular boundary point."""
     origin = Point("origin", {}, {"B3": 2} if n % 2 else {"B1": 1, "B2": 1})
-    return CurveConfig([], boundary_data(n).components, points=(origin,))
+    return CurveConfig([], boundary_data(n), points=(origin,))
 
 
 def embedded_resolution_chain(n):
@@ -329,16 +311,15 @@ def embedded_resolution_chain(n):
     points, and ``first_difference`` does not compare them; verify criterion
     7 checks the fold's points against the incidences its pairings imply.
     """
-    bdry = boundary_data(n)
     cfg = quotient_pair(n)
     meets = cfg.points[0].boundary  # the boundary through the origin, with multiplicities
     m = hilb.half_index(n)
     for step in range(1, m + 1):
         # the unique candidate center with non-positive discrepancy
-        centers = [p for p in cfg.points if _center_discrepancy(cfg, bdry, p) <= 0]
+        centers = [p for p in cfg.points if center_discrepancy(cfg, p) <= 0]
         if len(centers) != 1:
             raise hilb.CertificateFailure(f"n={n}: {len(centers)} forced centers, not one")
-        cfg = blow_up_at(cfg, bdry, centers[0], new_label=f"E{step}")
+        cfg = blow_up_at(cfg, centers[0], new_label=f"E{step}")
         # the boundary strict transform meets the new curve only at the
         # next center
         label = f"E{step}&" + "&".join(meets)

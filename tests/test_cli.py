@@ -198,6 +198,20 @@ def test_verify_exit_codes(capsys, monkeypatch, tmp_path):
     assert doc["payload"][0]["passed"] is False
 
 
+def test_verify_fails_a_range_outside_every_published_range(capsys):
+    """No criterion meets 101..110, so each is a FAIL line naming the
+    requested range and its own published range, and the run exits 2."""
+    code = cli.main(["verify", "--n-range", "101..110"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("FAIL") == 11 and "0/11 criteria passed" in out
+    assert (
+        "FAIL criterion 1: character tables - raised ValueError: "
+        "requested n range 101..110 misses the published range 3..100"
+    ) in out
+    assert "requested n range 101..110 misses the published range 3..10\n" in out
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "quiver.json"
     code = cli.main(["quiver", "--n", "6", "--out", str(target)])

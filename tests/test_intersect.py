@@ -18,8 +18,8 @@ from dihedral_mckay.intersect import (
     an_chain,
     blow_down,
     blow_up_at,
-    blowup_discrepancy,
     boundary_data,
+    center_discrepancy,
     domination_chain,
     dual_graph_dot,
     embedded_resolution_chain,
@@ -103,7 +103,7 @@ def test_fold_skips_chain_pairings_with_k_and_the_boundary():
 def test_configs_and_points_are_values():
     """A built config or point takes no assignment to any field, there is no
     set_pair, and blowing down or up leaves the input's JSON as it was."""
-    f, bdry = fold(7), boundary_data(7)
+    f = fold(7)
     configs = [f, quotient_pair(7), embedded_resolution_chain(7), an_chain(3)]
     for obj in configs + [f.points[0], Point("generic", {}, {"B3": 1})]:
         for name in (fld.name for fld in dataclasses.fields(obj)):
@@ -113,7 +113,7 @@ def test_configs_and_points_are_values():
     before = json.dumps(f.to_json())
     blow_down(f, "E3")
     for p in [*f.points, Point("generic", {}, {"B3": 1})]:
-        blow_up_at(f, bdry, p)
+        blow_up_at(f, p)
     assert json.dumps(f.to_json()) == before
 
 
@@ -177,10 +177,10 @@ def test_blow_up_then_down_is_identity():
         bdry = boundary_data(n)
         for cfg in domination_chain(n)[:-1]:
             centers = list(cfg.points)
-            centers += [Point(f"generic {lab}", {}, {lab: 1}) for lab in bdry.components]
+            centers += [Point(f"generic {lab}", {}, {lab: 1}) for lab in bdry]
             centers += [Point(f"generic {a}", {a: 1}, {}) for a in cfg.labels]
             for p in centers:
-                up = blow_up_at(cfg, bdry, p, "F")
+                up = blow_up_at(cfg, p, "F")
                 assert up.pair("F", "F") == -1 and up.pair("F", "K") == -1, (n, p)
                 assert up.adjunction_holds(), (n, p)
                 assert first_difference(blow_down(up, "F"), cfg) is None, (n, p)
@@ -193,27 +193,80 @@ def test_blowing_up_a_corner_parts_its_branches_on_the_new_curve():
     the new pairings imply; a tangency whose branches still meet stays one point."""
     from dihedral_mckay.verify import _implied_points, _incidences
 
-    f, bdry = fold(7), boundary_data(7)
+    f = fold(7)
     points = {p.label: p for p in f.points}
     for corner in ("E1&E2", "E2&E3"):
-        up = blow_up_at(f, bdry, points[corner])
+        up = blow_up_at(f, points[corner])
         assert _incidences((p.curves, p.boundary) for p in up.points) == _implied_points(up)
         a, b = corner.split("&")
         assert up.pair(a, b) == 0
         assert [p.label for p in up.points[-2:]] == [f"F&{a}", f"F&{b}"]
-    up = blow_up_at(f, bdry, points["E3&B3"])
+    up = blow_up_at(f, points["E3&B3"])
     assert up.pair("E3", "B3") == 1
     assert [(p.label, p.curves, p.boundary) for p in up.points if "F" in p.curves] == [
         ("F&old", {"F": 1, "E3": 1}, {"B3": 1})
     ]
 
 
-def test_blowup_discrepancy_examples():
-    b_odd = boundary_data(5)
-    assert blowup_discrepancy(b_odd, 1, []) == Fraction(1, 2)
-    assert blowup_discrepancy(b_odd, 0, []) == 1
-    assert blowup_discrepancy(b_odd, 2, []) == 0
-    assert blowup_discrepancy(b_odd, 1, [Fraction(0)]) == Fraction(1, 2)
+def test_center_discrepancy_examples():
+    q, f = quotient_pair(5), fold(5)
+    assert center_discrepancy(q, Point("p", {}, {"B3": 1})) == Fraction(1, 2)
+    assert center_discrepancy(q, Point("p", {}, {})) == 1
+    assert center_discrepancy(q, Point("p", {}, {"B3": 2})) == 0
+    assert center_discrepancy(f, Point("p", {"E1": 1}, {"B3": 1})) == Fraction(1, 2)
+
+
+def _reference_discrepancy(cfg, curves, boundary):
+    """The log discrepancy of the curve that blowing up a center creates,
+    written out: 1 + a_C m_C for each curve C through it, minus m_B / 2 for
+    each boundary component B (coefficient (m_j - 1)/m_j with m_j = 2)."""
+    value = Fraction(1)
+    for c, m in curves.items():
+        value += cfg.discrepancy[c] * m
+    for m in boundary.values():
+        value -= Fraction(m, 2)
+    return value
+
+
+_STAGES = [(n, k) for n in range(3, 13) for k in range(half_index(n) + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_center_is_scored_by_one_rule(data):
+    """On the fold and its blow-down stages, with discrepancies drawn in
+    (-1, 0], a drawn center's blow-up gives the new curve the value that
+    center_discrepancy and the written-out rule give it, and every
+    candidate of is_maximal, the drawn center among them, scores by that rule."""
+    n, k = data.draw(st.sampled_from(_STAGES))
+    stage = domination_chain(n)[k]
+    above_minus_one = st.fractions(-1, 0, max_denominator=6).filter(lambda a: a > -1)
+    discrepancy = {a: data.draw(above_minus_one) for a in stage.labels}
+    cfg = dataclasses.replace(stage, discrepancy=discrepancy)
+    labels = st.sampled_from(cfg.labels) if cfg.labels else st.nothing()
+    curves = data.draw(st.dictionaries(labels, st.integers(0, 3)))
+    boundary = data.draw(st.dictionaries(st.sampled_from(cfg.boundary), st.integers(0, 2)))
+    p = Point("drawn", curves, boundary)
+    want = _reference_discrepancy(cfg, curves, boundary)
+    assert blow_up_at(cfg, p).discrepancy["F"] == center_discrepancy(cfg, p) == want
+
+    with_p = dataclasses.replace(cfg, points=(*cfg.points, p))
+    centers = {f"generic point of {a}": ({a: 1}, {}) for a in cfg.labels}
+    centers |= {f"generic point of {b}": ({}, {b: 1}) for b in cfg.boundary}
+    centers["generic surface point"] = ({}, {})
+    centers |= {f"point {q.label}": (q.curves, q.boundary) for q in with_p.points}
+    values = {name: _reference_discrepancy(cfg, *c) for name, c in centers.items()}
+    ok, cert = is_maximal(with_p, cfg.boundary)
+    assert cert["candidates"] == [(name, str(v)) for name, v in values.items()]
+    assert ok is all(v > 0 for v in values.values())
+
+
+def test_the_fold_and_the_quotient_carry_the_boundary_labels_of_n():
+    """The boundary of every log pair is its config's labels: the fold and
+    the quotient pair both carry boundary_data(n)."""
+    for n in range(3, 46):
+        want = ("B1", "B2") if n % 2 == 0 else ("B3",)
+        assert fold(n).boundary == boundary_data(n) == quotient_pair(n).boundary == want, n
 
 
 def test_is_maximal_accepts_fold():
@@ -234,13 +287,13 @@ def test_is_maximal_rejects_one_beyond():
         f = fold(n)
         bdry = boundary_data(n)
         blab = "B3" if n % 2 else "B1"
-        beyond = blow_up_at(f, bdry, Point("generic", {}, {blab: 1}))
+        beyond = blow_up_at(f, Point("generic", {}, {blab: 1}))
         assert beyond.discrepancy["F"] == Fraction(1, 2)
         ok, cert = is_maximal(beyond, bdry)
         assert not ok and "outside (-1, 0]" in cert["violation"]
         # blow-up at the tangency/crossing point also lands at 1/2
         pt = next(p for p in f.points if blab in p.boundary)
-        beyond2 = blow_up_at(f, bdry, pt)
+        beyond2 = blow_up_at(f, pt)
         assert beyond2.discrepancy["F"] == Fraction(1, 2)
         ok2, _ = is_maximal(beyond2, bdry)
         assert not ok2
@@ -383,9 +436,8 @@ def test_negative_definite_matches_the_echelon_oracle():
     seen = {True: 0, False: 0}
     for n in range(3, 46):
         rng = random.Random(n)
-        bdry = boundary_data(n)
         f = fold(n)
-        configs = domination_chain(n) + [blow_up_at(f, bdry, p) for p in f.points]
+        configs = domination_chain(n) + [blow_up_at(f, p) for p in f.points]
         for cfg in configs:
             for c in [cfg, *(_one_entry_changed(cfg, rng) if cfg.labels else [])]:
                 want = _sylvester_by_echelon(c)
@@ -407,6 +459,6 @@ def test_fold_and_chains_fail_closed(monkeypatch):
         with pytest.raises(CertificateFailure, match=r"exactly one \(-1\)-curve, found \[\]"):
             domination_chain(5)
     with monkeypatch.context() as patch:
-        patch.setattr(intersect, "blowup_discrepancy", lambda *args: Fraction(1))
+        patch.setattr(intersect, "center_discrepancy", lambda *args: Fraction(1))
         with pytest.raises(CertificateFailure, match="0 forced centers, not one"):
             embedded_resolution_chain(5)

@@ -27,10 +27,7 @@ def _verdicts(n):
     """is_maximal of the fold, the quotient pair, then each one-step blow-up."""
     fold = intersect.z2_fold(intersect.an_chain(n - 1), n)
     generic = intersect.Point("generic", {}, {fold.boundary[0]: 1})
-    beyond = [
-        intersect.blow_up_at(fold, intersect.boundary_data(n), p)
-        for p in [*fold.points, generic]
-    ]
+    beyond = [intersect.blow_up_at(fold, p) for p in [*fold.points, generic]]
     configs = [fold, intersect.quotient_pair(n), *beyond]
     return [intersect.is_maximal(cfg, intersect.boundary_data(n)) for cfg in configs]
 

@@ -50,9 +50,21 @@ def test_criterion_11_draws_n_inside_the_range(monkeypatch):
 
 
 def test_criterion_11_runs_no_trial_on_an_empty_range(monkeypatch):
+    """A range that misses 3..10 is a FAIL line for criterion 11, which
+    builds no constellation."""
     built = _count_calls(monkeypatch, constel, "constellation_from_cluster")
-    assert verify.criterion_11(n_range=(11, 20))["passed"]
-    assert built == []
+
+    def skipped(n_range=None):
+        return verify._result(1, True)
+
+    monkeypatch.setattr(verify, "CRITERIA", [skipped] * 10 + [verify.criterion_11])
+    lines = []
+    *_, res = verify.run_all(lines.append, n_range=(11, 20))
+    assert not res["passed"] and built == []
+    assert lines[-1] == (
+        "FAIL criterion 11: theta soundness - raised ValueError: "
+        "requested n range 11..20 misses the published range 3..10"
+    )
 
 
 def _spoil_socle(monkeypatch):
@@ -322,16 +334,16 @@ def test_criterion_6_failure_names_n_and_the_values(monkeypatch, patch, details)
     assert res["details"] == details
 
 
-class _ThirdBoundary:
-    components = ("B3",)
-    coefficient = Fraction(1, 3)
-
-
 def _third_coefficient_at_7(monkeypatch):
-    real = verify.intersect.boundary_data
-    monkeypatch.setattr(
-        verify.intersect, "boundary_data", lambda n: _ThirdBoundary() if n == 7 else real(n)
-    )
+    """Score the centers of the n = 7 fold with boundary coefficient 1/3."""
+    real = verify.intersect.center_discrepancy
+
+    def spoiled(cfg, point):
+        if _odd_m3(cfg):  # n = 7
+            return real(cfg, point) + (Fraction(1, 2) - Fraction(1, 3)) * sum(point.boundary.values())
+        return real(cfg, point)
+
+    monkeypatch.setattr(verify.intersect, "center_discrepancy", spoiled)
 
 
 def _fold_ledger_at_7(monkeypatch):
