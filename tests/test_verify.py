@@ -339,8 +339,8 @@ def _third_coefficient_at_7(monkeypatch):
     real = verify.intersect.center_discrepancy
 
     def spoiled(cfg, point):
-        if _odd_m3(cfg):  # n = 7
-            return real(cfg, point) + (Fraction(1, 2) - Fraction(1, 3)) * sum(point.boundary.values())
+        if _odd_m3(cfg):  # n = 7: 1/3, not 1/2, off per boundary multiplicity
+            return real(cfg, point) + Fraction(1, 6) * sum(point.boundary.values())
         return real(cfg, point)
 
     monkeypatch.setattr(verify.intersect, "center_discrepancy", spoiled)
