@@ -5,6 +5,9 @@ Every subcommand emits a deterministic artifact: JSON envelopes are
 output is canonical, and table output is plain text.  Exit codes: 0 on
 success, 1 on a usage error, 2 on a verification failure or an internal
 error.
+
+An artifact subcommand's formats, renderers and envelope are declared
+once, in ARTIFACTS: its --format choices are the keys of its entry.
 """
 
 from __future__ import annotations
@@ -64,103 +67,28 @@ def _emit(args, text):
         raise UsageError(f"--out: {exc}") from exc
 
 
-def _emit_json(args, kind, n, payload):
-    doc = {"kind": kind, "n": n, "payload": payload}
-    _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _chartable_text(args):
+    table = char_table(GroupSpec("dihedral", args.n))
+    classes = [c.label for c in table.classes]
+    lines = ["\t".join(["rep"] + classes)]
+    for chi in table:
+        lines.append(
+            "\t".join([chi.name] + [repr(v) for v in chi.values])
+        )
+    return "\n".join(lines) + "\n"
 
 
-def build_parser():
-    p = Parser(prog="dimckay", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(name, text, formats=("json",)):
-        sp = sub.add_parser(name, help=text)
-        sp.add_argument("--n", type=int, required=True, help="group parameter (n >= 3)")
-        sp.add_argument("--format", choices=formats, default="json")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        return sp
-
-    common("chartable", "character table of D_2n", ("json", "table"))
-    common("quiver", "McKay quiver", ("json", "dot"))
-    common("hilb-atlas", "chart atlas of the order-n Hilbert scheme", ("json", "dot"))
-    common("fixed-points", "Z_2-fixed cluster points with certificates")
-    common("strict-transforms", "boundary strict transforms per chart")
-    common("fold", "folded intersection configuration", ("json", "dot"))
-    common("chain", "blow-down chain from the fold")
-    sp = common("socle-table", "socle/top table with witnesses")
-    sp.add_argument("--alpha", default="1/2", help="generic-stratum witness parameter")
-    sp.add_argument("--theta", default=None, help="csv of rationals, one per irreducible")
-    sp.add_argument(
-        "--family", default="default", help="'default' or a JSON seeds file"
-    )
-    common("taut-table", "tautological ledgers (stack and coarse)", ("json", "table"))
-    common("fm-table", "Fourier-Mukai image table")
-    sp = common("refdiv", "transversal-divisor certificate")
-    sp.add_argument("--k", type=int, default=None, help="curve index (default m)")
-    sp = sub.add_parser("verify", help="run the acceptance suite")
-    sp.add_argument("--n-range", default=None, help="clip ranges to A..B")
-    sp.add_argument("--format", choices=("json", "table"), default="table")
-    sp.add_argument("--out", default=None)
-    return p
+def _atlas_dot(args):
+    atlas = hilb.hilb_atlas(args.n)
+    lines = [f'graph "{atlas.name}" {{']
+    for a, b in atlas.adjacency():
+        lines.append(f'  "{a}" -- "{b}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
-def _need_n(args):
-    if args.n < 3:
-        raise UsageError("--n must be at least 3")
-    return args.n
-
-
-def cmd_chartable(args):
-    n = _need_n(args)
-    table = char_table(GroupSpec("dihedral", n))
-    if args.format == "json":
-        _emit_json(args, "chartable", n, table_to_json(table))
-    else:
-        classes = [c.label for c in table.classes]
-        lines = ["\t".join(["rep"] + classes)]
-        for chi in table:
-            lines.append(
-                "\t".join([chi.name] + [repr(v) for v in chi.values])
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
-
-
-def cmd_quiver(args):
-    n = _need_n(args)
-    q = mckay_quiver(n)
-    if args.format == "dot":
-        _emit(args, quiver_to_dot(q))
-    else:
-        _emit_json(args, "quiver", n, quiver_to_json(q))
-    return 0
-
-
-def cmd_hilb_atlas(args):
-    n = _need_n(args)
-    atlas = hilb.hilb_atlas(n)
-    if args.format == "dot":
-        lines = [f'graph "{atlas.name}" {{']
-        for a, b in atlas.adjacency():
-            lines.append(f'  "{a}" -- "{b}";')
-        lines.append("}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, "hilb-atlas", n, atlas.to_json())
-    return 0
-
-
-def cmd_fixed_points(args):
-    n = _need_n(args)
-    payload = [
-        {"point": p.label, "certificate": cert} for p, cert in hilb.fixed_points(n)
-    ]
-    _emit_json(args, "fixed-points", n, payload)
-    return 0
-
-
-def cmd_strict_transforms(args):
-    n = _need_n(args)
+def _strict_transforms(args):
+    n = args.n
     st = hilb.boundary_strict_transforms(n)
     payload = [
         {
@@ -186,25 +114,7 @@ def cmd_strict_transforms(args):
                 },
             }
         )
-    _emit_json(args, "strict-transforms", n, payload)
-    return 0
-
-
-def cmd_fold(args):
-    n = _need_n(args)
-    fold = z2_fold(an_chain(n - 1), n)
-    if args.format == "dot":
-        _emit(args, dual_graph_dot(fold, name=f"fold_n{n}"))
-    else:
-        _emit_json(args, "fold", n, fold.to_json())
-    return 0
-
-
-def cmd_chain(args):
-    n = _need_n(args)
-    chain = domination_chain(n)
-    _emit_json(args, "chain", n, [cfg.to_json() for cfg in chain])
-    return 0
+    return payload
 
 
 def _parse_theta(n, text):
@@ -256,8 +166,8 @@ def _check_family(family, F, stratum):
     return [[{i: c for i, c in enumerate(vec) if c} for vec in seeds] for seeds in family]
 
 
-def cmd_socle_table(args):
-    n = _need_n(args)
+def _socle_table(args):
+    n = args.n
     alpha = _fraction("--alpha", args.alpha)
     if alpha in (-1, 0, 1):
         raise UsageError("--alpha must avoid 0 and +-1")
@@ -290,53 +200,119 @@ def cmd_socle_table(args):
             )
         payload.append(item)
     payload.append({"stratum": "off-exceptional", **constel.off_exceptional_report(n)})
-    _emit_json(args, "socle-table", n, payload)
-    return 0
+    return payload
 
 
-def cmd_taut_table(args):
-    n = _need_n(args)
+def _taut_text(args):
+    n = args.n
     stack = taut.build_ledger(n, "stack")
     coarse = taut.build_ledger(n, "coarse")
-    if args.format == "table":
-        text = taut.ledger_markdown(n, stack, "stack") + "\n" + taut.ledger_markdown(
-            n, coarse, "coarse"
-        )
-        _emit(args, text)
-    else:
-        _emit_json(
-            args,
-            "taut-table",
-            n,
-            {
-                "stack": taut.ledger_to_json(stack),
-                "coarse": taut.ledger_to_json(coarse),
-                "torsion_twist": {
-                    "class": {k: str(v) for k, v in taut.stack_twist_class(n).coeffs},
-                    "order_two": taut.torsion_check(n, taut.stack_twist_class(n)),
-                },
-            },
-        )
-    return 0
+    return taut.ledger_markdown(n, stack, "stack") + "\n" + taut.ledger_markdown(
+        n, coarse, "coarse"
+    )
 
 
-def cmd_fm_table(args):
-    n = _need_n(args)
-    payload = {
-        "table": taut.fm_table(n),
-        "socle_cross_check": taut.fm_cross_check(n, constel.socle_table(n)),
+def _taut_json(args):
+    n = args.n
+    stack = taut.build_ledger(n, "stack")
+    coarse = taut.build_ledger(n, "coarse")
+    return {
+        "stack": taut.ledger_to_json(stack),
+        "coarse": taut.ledger_to_json(coarse),
+        "torsion_twist": {
+            "class": {k: str(v) for k, v in taut.stack_twist_class(n).coeffs},
+            "order_two": taut.torsion_check(n, taut.stack_twist_class(n)),
+        },
     }
-    _emit_json(args, "fm-table", n, payload)
-    return 0
 
 
-def cmd_refdiv(args):
-    n = _need_n(args)
+def _refdiv(args):
+    n = args.n
     m = hilb.half_index(n)
     if args.k is not None and not 1 <= args.k <= m:
         raise UsageError(f"--k must lie in 1..{m} for n = {n}")
-    cert = taut.refdivisor_certify(n, args.k)
-    _emit_json(args, "refdiv", n, cert)
+    return taut.refdivisor_certify(n, args.k)
+
+
+# Each artifact subcommand: its help text and its renderers, "json" first.
+# A "json" renderer returns the payload of the subcommand's envelope, and any
+# other renderer returns the text to emit.
+ARTIFACTS = {
+    "chartable": ("character table of D_2n", {
+        "json": lambda args: table_to_json(char_table(GroupSpec("dihedral", args.n))),
+        "table": _chartable_text,
+    }),
+    "quiver": ("McKay quiver", {
+        "json": lambda args: quiver_to_json(mckay_quiver(args.n)),
+        "dot": lambda args: quiver_to_dot(mckay_quiver(args.n)),
+    }),
+    "hilb-atlas": ("chart atlas of the order-n Hilbert scheme", {
+        "json": lambda args: hilb.hilb_atlas(args.n).to_json(),
+        "dot": _atlas_dot,
+    }),
+    "fixed-points": ("Z_2-fixed cluster points with certificates", {
+        "json": lambda args: [
+            {"point": p.label, "certificate": cert} for p, cert in hilb.fixed_points(args.n)
+        ],
+    }),
+    "strict-transforms": ("boundary strict transforms per chart", {"json": _strict_transforms}),
+    "fold": ("folded intersection configuration", {
+        "json": lambda args: z2_fold(an_chain(args.n - 1), args.n).to_json(),
+        "dot": lambda args: dual_graph_dot(
+            z2_fold(an_chain(args.n - 1), args.n), name=f"fold_n{args.n}"
+        ),
+    }),
+    "chain": ("blow-down chain from the fold", {
+        "json": lambda args: [cfg.to_json() for cfg in domination_chain(args.n)],
+    }),
+    "socle-table": ("socle/top table with witnesses", {"json": _socle_table}),
+    "taut-table": ("tautological ledgers (stack and coarse)", {
+        "json": _taut_json,
+        "table": _taut_text,
+    }),
+    "fm-table": ("Fourier-Mukai image table", {
+        "json": lambda args: {
+            "table": taut.fm_table(args.n),
+            "socle_cross_check": taut.fm_cross_check(args.n, constel.socle_table(args.n)),
+        },
+    }),
+    "refdiv": ("transversal-divisor certificate", {"json": _refdiv}),
+}
+
+
+def build_parser():
+    # the docstring's last paragraph is for readers of the code, not of --help
+    p = Parser(prog="dimckay", description=__doc__.rsplit("\n\n", 1)[0])
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (text, renderers) in ARTIFACTS.items():
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--n", type=int, required=True, help="group parameter (n >= 3)")
+        sp.add_argument("--format", choices=tuple(renderers), default="json")
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
+    sp = sub.choices["socle-table"]
+    sp.add_argument("--alpha", default="1/2", help="generic-stratum witness parameter")
+    sp.add_argument("--theta", default=None, help="csv of rationals, one per irreducible")
+    sp.add_argument(
+        "--family", default="default", help="'default' or a JSON seeds file"
+    )
+    sp = sub.choices["refdiv"]
+    sp.add_argument("--k", type=int, default=None, help="curve index (default m)")
+    sp = sub.add_parser("verify", help="run the acceptance suite")
+    sp.add_argument("--n-range", default=None, help="clip ranges to A..B")
+    sp.add_argument("--format", choices=("json", "table"), default="table")
+    sp.add_argument("--out", default=None)
+    return p
+
+
+def _artifact(args):
+    """Render the requested artifact; a "json" one goes in its envelope."""
+    if args.n < 3:
+        raise UsageError("--n must be at least 3")
+    out = ARTIFACTS[args.command][1][args.format](args)
+    if args.format == "json":
+        doc = {"kind": args.command, "n": args.n, "payload": out}
+        out = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    _emit(args, out)
     return 0
 
 
@@ -353,27 +329,11 @@ def cmd_verify(args):
     return 0 if passed == len(results) else 2
 
 
-HANDLERS = {
-    "chartable": cmd_chartable,
-    "quiver": cmd_quiver,
-    "hilb-atlas": cmd_hilb_atlas,
-    "fixed-points": cmd_fixed_points,
-    "strict-transforms": cmd_strict_transforms,
-    "fold": cmd_fold,
-    "chain": cmd_chain,
-    "socle-table": cmd_socle_table,
-    "taut-table": cmd_taut_table,
-    "fm-table": cmd_fm_table,
-    "refdiv": cmd_refdiv,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return HANDLERS[args.command](args)
+        return cmd_verify(args) if args.command == "verify" else _artifact(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

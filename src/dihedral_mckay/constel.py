@@ -396,7 +396,7 @@ def off_exceptional_report(n):
 
 @dataclass(frozen=True)
 class StabilityParam:
-    theta: dict  # irreducible name -> Fraction
+    theta: tuple  # sorted (irreducible name, Fraction) pairs
 
     @classmethod
     def make(cls, n, values):

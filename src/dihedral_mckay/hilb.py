@@ -399,12 +399,10 @@ def invariant_chart_boundary(n):
         )
     curve = LocalCurve(strict, "B3")
     tang = local_intersection(curve)
-    report = axis_root_report(curve, 1)
     return {
         "strict": strict,
         "orders": orders,
         "tangency": tang,
-        "report": report,
     }
 
 

@@ -158,7 +158,6 @@ def test_invariant_chart_and_master_identity():
         assert master_identity_holds(n)
         inv = invariant_chart_boundary(n)
         assert inv["tangency"] == 2
-        assert inv["report"] == [{"root": Fraction(0), "mult": 2}]
     assert master_identity_holds(4) and master_identity_holds(10)
 
 
