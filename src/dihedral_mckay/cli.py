@@ -132,10 +132,12 @@ def _parse_theta(n, text):
         raise UsageError(str(exc)) from exc
 
 
-def _load_family(spec):
-    """Seed-vector lists from a JSON file, or None for the default family.
+def _load_family(spec, dim):
+    """Sparse seed-vector lists from a JSON file, or None for the default family.
 
-    Every level must be a JSON list: a string or object reads as its keys."""
+    Every level must be a JSON list: a string or object reads as its keys.
+    Every vector must have dim entries: each module of the socle table has
+    dimension 2n."""
     if spec == "default":
         return None
     try:
@@ -149,19 +151,13 @@ def _load_family(spec):
         and all(isinstance(vec, list) for seeds in raw for vec in seeds)
     ):
         raise UsageError("--family must be a JSON list of seed-vector lists")
-    return [[[_fraction("--family", str(c)) for c in vec] for vec in seeds] for seeds in raw]
-
-
-def _check_family(family, F, stratum):
-    """The family as sparse seeds of F; every seed vector must have length F.dim."""
-    if family is None:
-        return None
+    family = [[[_fraction("--family", str(c)) for c in vec] for vec in seeds] for seeds in raw]
     for seeds in family:
         for vec in seeds:
-            if len(vec) != F.dim:
+            if len(vec) != dim:
                 raise UsageError(
-                    f"--family: a seed vector has {len(vec)} entries, but the module "
-                    f"on stratum {stratum} has dimension {F.dim}"
+                    f"--family: a seed vector has {len(vec)} entries, but every module "
+                    f"of the socle table has dimension {dim}"
                 )
     return [[{i: c for i, c in enumerate(vec) if c} for vec in seeds] for seeds in family]
 
@@ -174,7 +170,7 @@ def _socle_table(args):
     if args.family != "default" and not args.theta:
         raise UsageError("--family needs --theta")
     theta = _parse_theta(n, args.theta) if args.theta else None
-    family = _load_family(args.family)
+    family = _load_family(args.family, 2 * n)
     rows = constel.socle_table(n, alpha=alpha)
     payload = []
     for row in rows:
@@ -187,8 +183,7 @@ def _socle_table(args):
             "regular": row["regular"],
         }
         if theta is not None:
-            seeds = _check_family(family, row["constellation"], row["stratum"])
-            verdict = constel.theta_check(row["constellation"], theta, seeds)
+            verdict = constel.theta_check(row["constellation"], theta, family)
             item["theta"] = (
                 {
                     "verdict": "destabilized-by",

@@ -10,8 +10,10 @@ I_i(a:b) to I_(n-i)(b:a).  On the quotient surface the curves are
 E_i (1 <= i <= m) with m = (n-1)/2 (odd) or n/2 (even).
 
 The binomials f1, f2 are x^n +- y^n for odd n and x^(n/2) +- y^(n/2) for
-even n; the master identity f1^2 - f2^2 = 4(xy)^n (odd) or 4(xy)^(n/2)
-(even) is re-verified by polynomial arithmetic wherever it is used.
+even n; the boundary equations are their squares, B1 = f1^2 and B2 = f2^2
+(even n) or B3 = f2^2 (odd n).  ``surface_atlas``, which every computation
+on the quotient surface builds first, re-verifies the master identity
+f1^2 - f2^2 = 4(xy)^n (odd) or 4(xy)^(n/2) (even) by polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -179,13 +181,10 @@ def axis_point(chart_index, axis_index, root):
 
 def boundary_equations(n):
     """The squared boundary equations on C^2/G, as polynomials in x, y."""
+    f1, f2, _ = _binomials(n)
     if n % 2 == 0:
-        h = n // 2
-        return {
-            "B1": Poly(2, {(n, 0): 1, (h, h): 2, (0, n): 1}),
-            "B2": Poly(2, {(n, 0): 1, (h, h): -2, (0, n): 1}),
-        }
-    return {"B3": Poly(2, {(2 * n, 0): 1, (n, n): -2, (0, 2 * n): 1})}
+        return {"B1": f1 * f1, "B2": f2 * f2}
+    return {"B3": f2 * f2}
 
 
 def _boundary_pullbacks(n):
@@ -243,45 +242,28 @@ def _count_meetings(label, own, far, far_axis):
     return near + next(k for k, c in enumerate(at_far) if c != 0)
 
 
-def _x1_reduced_boundary_restrictions(n, per_chart):
-    """B~ . Et_j for the reduced boundary curve, by canonical counting.
-
-    per_chart is one label's entry of ``_boundary_pullbacks(n)``; Et_j is
-    {v = 0} on U_j and its far point is the origin of U_(j+1).
-    """
-    counts = {}
-    for j in range(1, n):
-        total = _count_meetings(
-            f"Et{j}", per_chart[f"U{j}"][1], per_chart[f"U{j + 1}"][1], 0
-        )
-        if total % 2 != 0:
-            raise CertificateFailure(
-                f"squared boundary meets Et{j} with odd multiplicity {total}"
-            )
-        counts[f"Et{j}"] = total // 2
-    return counts
-
-
 @lru_cache(maxsize=None)
 def boundary_intersection_numbers(n):
     """supp(B_k) . E_i on the quotient surface, via the projection formula.
 
-    p* supp(B_k) = 2 B~_k (ramification), p* E_i = Et_i + Et_(n-i) for
-    i < n/2 and p* E_(n/2) = Et_(n/2); the pairing halves the X1-side
-    product.  For odd n the invariant-chart tangency is computed as well
-    and must agree.  Memoised per n for the process and read-only (mapping
-    proxies); a CertificateFailure is raised on every call, never memoised.
+    p* supp(B_k) = 2 B~_k (ramification), so the squared boundary meets
+    each Et_j with even multiplicity, and Et_j adds half of it to its Z_2
+    image E_min(j, n-j), as ``intersect.z2_fold`` maps the chain.  For odd
+    n the invariant-chart tangency is computed as well and must agree.
+    Memoised per n for the process and read-only (mapping proxies); a
+    CertificateFailure is raised on every call, never memoised.
     """
     m = half_index(n)
     out = {}
     for label, per_chart in _boundary_pullbacks(n).items():
-        tilde = _x1_reduced_boundary_restrictions(n, per_chart)
-        row = {}
-        for i in range(1, m + 1):
-            if n % 2 == 0 and i == n // 2:
-                row[f"E{i}"] = tilde[f"Et{i}"]
-            else:
-                row[f"E{i}"] = tilde[f"Et{i}"] + tilde[f"Et{n - i}"]
+        row = dict.fromkeys((f"E{i}" for i in range(1, m + 1)), 0)
+        for j in range(1, n):
+            total = _count_meetings(f"Et{j}", per_chart[f"U{j}"][1], per_chart[f"U{j + 1}"][1], 0)
+            if total % 2:
+                raise CertificateFailure(
+                    f"squared boundary meets Et{j} with odd multiplicity {total}"
+                )
+            row[f"E{min(j, n - j)}"] += total // 2
         out[label] = row
     if n % 2:
         inv = invariant_chart_boundary(n)
@@ -323,10 +305,13 @@ def surface_atlas(n):
     atoms (xy, f1^2, f2^2); charts A_i for i <= m-1 like the odd ones
     with f1^2, then Am = (f2^2/f1^2, f1^2/(xy)^(m-1)) and
     Am1 = (f1^2/f2^2, f2^2/(xy)^(m-1)).  On Am and Am1 the curve E_(m-1)
-    is the non-axis locus {first coordinate = 1}.
+    is the non-axis locus {first coordinate = 1}.  The charts rest on the
+    master identity, which is checked here first.
     """
     m = half_index(n)
-    f1, f2, _ = _binomials(n)
+    f1, f2, power = _binomials(n)
+    if not master_identity_holds(n):
+        raise CertificateFailure(f"n={n}: master identity f1^2 - f2^2 = 4(xy)^{power} fails")
     xy = Atom("xy", Poly.var("x") * Poly.var("y"))
     if n % 2:
         atoms, pc, pad, last = (xy, Atom("f1", f1)), "f1", (), m
@@ -378,14 +363,11 @@ def surface_atlas(n):
 def invariant_chart_boundary(n):
     """Odd n: boundary on the invariant chart (f1/(xy)^m, xy).
 
-    Verifies the master identity, pulls the squared boundary back, and
-    certifies the strict transform t^2 - 4s with its order-2 tangency to
-    E_m at t = 0.
+    Pulls the squared boundary back and certifies the strict transform
+    t^2 - 4s with its order-2 tangency to E_m at t = 0.
     """
     if n % 2 == 0:
         raise ValueError("odd n only")
-    if not master_identity_holds(n):
-        raise CertificateFailure(f"n={n}: master identity f1^2 - f2^2 = 4(xy)^n fails")
     m = half_index(n)
     atlas = surface_atlas(n)
     chart = atlas.chart("Ainv")
@@ -742,69 +724,57 @@ def build_flop_atlas(n, stage):
     return FlopAtlas(atlas, tags, floppable)
 
 
-def displayed_gluing(n):
-    """The transition displayed for (U_m'', U_{m+1}'): (c1c2, c2^-1, c2c3)."""
-    m = half_index(n)
-    src, dst = _flop_atlas(n, "displayed", (f"U{m}''", f"U{m + 1}'")).charts
-    trans = transition_exponents(src, dst)
-    ok = trans == [(1, 1, 0), (0, -1, 0), (0, 1, 1)] and verify_gluing(src, dst)
-    return {"pair": (src.name, dst.name), "transition": trans, "verified": ok}
+# the known non-monomial wall crossings: (U_(m+1)', U_(m+2)) for odd n,
+# (U_(m-1)'', U_m'') for even n, and the flopped pair (U_m', U_(m+1)) of even n
+_ODD_TOP = {
+    0: [(1, (2, 2, 0)), (-4, (2, 0, 1))],
+    1: [(1, (0, 1, 0))],
+    2: [(1, (-1, 0, 0))],
+}
+_EVEN_UPP = {
+    0: [(1, (1, 0, 0))],
+    1: [(1, (0, 0, 0)), (-4, (0, 2, 1))],
+    2: [(1, (0, -1, 0))],
+}
+_EVEN_FLOPPED = {
+    0: [(1, (1, 1, 0)), (-4, (1, 0, 1))],
+    1: [(1, (-1, 0, 0))],
+    2: [(1, (1, 1, 0))],
+}
 
 
 def flop_em(n):
-    """The E_m flop replaces the chart pair (U_m'', U_{m+1}') by (U_m', U_{m+1})."""
+    """The E_m flop replaces the chart pair (U_m'', U_{m+1}') by (U_m', U_{m+1}).
+
+    The pair before the flop is the gluing the paper displays; "displayed"
+    says that its transition is (c1c2, c2^-1, c2c3).
+    """
     m = half_index(n)
     charts = _flop_atlas(n, "flop", (f"U{m}''", f"U{m + 1}'", f"U{m}'", f"U{m + 1}")).charts
     before, after = tuple(charts[:2]), tuple(charts[2:])
     if n % 2:
         after_ok = verify_gluing(*after)
     else:
-        # for even n the flopped pair glues polynomially:
-        # zf2/f1 = c1 c2 - 4 c1 c3 on U_m'
-        after_ok = verify_poly_transition(*after, _BRIDGE_COMBOS["even-flopped"])
+        # even n: the flopped pair glues polynomially, zf2/f1 = c1 c2 - 4 c1 c3 on U_m'
+        after_ok = verify_poly_transition(*after, _EVEN_FLOPPED)
     return {
         "before": (before[0].name, before[1].name),
         "after": (after[0].name, after[1].name),
+        "displayed": transition_exponents(*before) == [(1, 1, 0), (0, -1, 0), (0, 1, 1)],
         "before_glues": verify_gluing(*before),
         "after_glues": after_ok,
     }
 
 
-# the known non-monomial wall crossings, per parity
-_BRIDGE_COMBOS = {
-    "odd-top": {
-        0: [(1, (2, 2, 0)), (-4, (2, 0, 1))],
-        1: [(1, (0, 1, 0))],
-        2: [(1, (-1, 0, 0))],
-    },
-    "even-upp": {
-        0: [(1, (1, 0, 0))],
-        1: [(1, (0, 0, 0)), (-4, (0, 2, 1))],
-        2: [(1, (0, -1, 0))],
-    },
-    "even-flopped": {
-        0: [(1, (1, 1, 0)), (-4, (1, 0, 1))],
-        1: [(1, (-1, 0, 0))],
-        2: [(1, (1, 1, 0))],
-    },
-}
-
-
 def poly_bridges(n, atlas):
-    """Verify the known non-monomial gluings as exact Poly identities."""
+    """Verify the known non-monomial gluing of n's parity as an exact Poly
+    identity, when the atlas holds both of its charts."""
     m = half_index(n)
-    out = []
-    have = {c.name for c in atlas.charts}
-
-    def check(src_name, dst_name, key):
-        pair = (src_name, dst_name)
-        ok = verify_poly_transition(
-            atlas.chart(src_name), atlas.chart(dst_name), _BRIDGE_COMBOS[key]
-        )
-        out.append({"pair": pair, "verified": ok})
-
-    if n % 2 and f"U{m + 1}'" in have and f"U{m + 2}" in have:
-        check(f"U{m + 1}'", f"U{m + 2}", "odd-top")
-    if n % 2 == 0 and f"U{m - 1}''" in have and f"U{m}''" in have:
-        check(f"U{m - 1}''", f"U{m}''", "even-upp")
-    return out
+    if n % 2:
+        src, dst, combos = f"U{m + 1}'", f"U{m + 2}", _ODD_TOP
+    else:
+        src, dst, combos = f"U{m - 1}''", f"U{m}''", _EVEN_UPP
+    if not {src, dst} <= {c.name for c in atlas.charts}:
+        return []
+    ok = verify_poly_transition(atlas.chart(src), atlas.chart(dst), combos)
+    return [{"pair": (src, dst), "verified": ok}]

@@ -241,8 +241,8 @@ def _implied_points(cfg):
 def criterion_8(n_range=None):
     """Flop-atlas gluings and per-stage exceptional-curve counts."""
     for n in _clip(3, 15, n_range):
-        d, f = hilb.displayed_gluing(n), hilb.flop_em(n)
-        checks = [(f"displayed gluing {'-'.join(d['pair'])}", d["verified"])]
+        f = hilb.flop_em(n)
+        checks = [(f"displayed gluing {'-'.join(f['before'])}", f["displayed"])]
         sides = ("before", "after")
         checks += [(f"charts {'-'.join(f[s])} {s} the flop", f[f"{s}_glues"]) for s in sides]
         counts = []

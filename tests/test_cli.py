@@ -230,7 +230,7 @@ def test_family_seed_length_is_checked(capsys, tmp_path, vec):
     )
     assert code == 1 and out == ""
     assert f"has {len(vec)} entries" in err
-    assert "stratum E1 has dimension 6" in err
+    assert "every module of the socle table has dimension 6" in err
 
 
 # dense seeds of length 2n = 10; golden stdout generated before the file

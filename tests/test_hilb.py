@@ -15,7 +15,6 @@ from dihedral_mckay.hilb import (
     build_flop_atlas,
     cluster_dimension,
     cluster_ideal,
-    displayed_gluing,
     fixed_points,
     flop_em,
     half_index,
@@ -162,10 +161,14 @@ def test_invariant_chart_and_master_identity():
 
 
 def test_invariant_chart_fails_closed(monkeypatch):
+    """Every surface chart rests on the master identity: the odd invariant
+    chart, and the even end charts and f2^2 elimination that refdiv uses."""
     assert not issubclass(CertificateFailure, (AssertionError, ValueError))
     monkeypatch.setattr(hilb, "master_identity_holds", lambda n: False)
     with pytest.raises(CertificateFailure, match="master identity"):
         invariant_chart_boundary(5)
+    with pytest.raises(CertificateFailure, match="n=6: master identity"):
+        refdiv_data(6, 3)
 
 
 def test_boundary_intersection_numbers():
@@ -224,7 +227,7 @@ def test_refdiv_intersections_are_kronecker_deltas():
             assert refdiv_data(n, k)["intersections"] == want, (n, k)
 
 
-def test_curve_meeting_count_fails_closed():
+def test_curve_meeting_count_fails_closed(monkeypatch):
     x, y = Poly.var("x"), Poly.var("y")
     one = Poly.one(2)
     # a strict transform that contains the curve {w = 0} is no strict transform
@@ -234,8 +237,9 @@ def test_curve_meeting_count_fails_closed():
         hilb._count_meetings("E1", one, x, 0)
     # a squared boundary meets each Et_j with even multiplicity
     per_chart = {"U1": (None, x - one, None), "U2": (None, one, None)}
+    monkeypatch.setattr(hilb, "_boundary_pullbacks", lambda n: {"B1": per_chart})
     with pytest.raises(CertificateFailure, match="odd multiplicity 1"):
-        hilb._x1_reduced_boundary_restrictions(2, per_chart)
+        boundary_intersection_numbers.__wrapped__(2)
     assert hilb._count_meetings("E1", (x - one) ** 2, y ** 3 + x, 0) == 5
 
 
@@ -324,10 +328,8 @@ def test_flop_atlas_even():
 
 def test_displayed_gluing_and_flop():
     for n in (3, 4, 5, 6, 7, 8, 9, 10):
-        d = displayed_gluing(n)
-        assert d["verified"], (n, d)
         f = flop_em(n)
-        assert f["before_glues"] and f["after_glues"]
+        assert f["displayed"] and f["before_glues"] and f["after_glues"], (n, f)
         assert f["before"] == (f"U{half_index(n)}''", f"U{half_index(n) + 1}'")
         assert f["after"] == (f"U{half_index(n)}'", f"U{half_index(n) + 1}")
 

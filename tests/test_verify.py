@@ -623,7 +623,7 @@ def _one_curve_less_in_stage_1(fa, stage):
     "patch, details",
     [
         (
-            _at_7("displayed_gluing", lambda d: {**d, "verified": False}),
+            _at_7("flop_em", lambda f: {**f, "displayed": False}),
             "displayed gluing U3''-U4' at n=7: expected verified, got not verified",
         ),
         (
