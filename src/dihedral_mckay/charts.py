@@ -7,9 +7,10 @@ Hilbert-scheme atlas uses x, y) or designated polynomial expressions
 atom carries its ambient expansion as a Poly so monomial identities can
 be re-verified by exact polynomial cross-multiplication.
 
-Each chart keeps the integer echelon (`linalg.solver`) of its exponent
-rows, shared read-only by all charts with the same rows, so monomial solves,
-pullbacks and gluings are integer back-substitutions.
+Monomial solves, pullbacks, gluings and unimodularity verdicts all ask
+`linalg.integer_coordinates` for integer coordinates in a chart's exponent
+rows; `linalg` answers every such solve on the one echelon of those rows
+that it shares read-only, and checks each answer exactly.
 An atlas owns the atom alphabet and a basis of the lattice of allowed exponent
 vectors (the invariant monomials); every chart of the atlas is over the same
 atoms.  Each chart must be unimodular against that lattice: its rows have
@@ -51,22 +52,6 @@ class Atom:
     poly: Poly  # ambient expansion
 
 
-def _solve_int(rows, solved, target):
-    """Integer alpha with sum(alpha_i * rows_i) = target, or None.
-
-    ``solved`` is ``linalg.solver(rows)``; the rows are linearly
-    independent, so the solution is unique when it exists.
-    """
-    alpha = integer_coordinates(solved, target)
-    if alpha is None:
-        return None
-    # paranoid exact check
-    for j in range(len(target)):
-        if sum(a * rows[i][j] for i, a in enumerate(alpha)) != target[j]:
-            return None
-    return alpha
-
-
 @dataclass
 class Chart:
     """Smooth affine chart with Laurent-monomial coordinates over atoms."""
@@ -81,7 +66,7 @@ class Chart:
         self.rows = tuple(tuple(r) for r in self.rows)
         if len(self.coord_names) != len(self.rows):
             raise ValueError("coordinate name count mismatch")
-        self._echelon = solver(self.rows)
+        solver(self.rows)  # dependent rows raise ValueError
 
     def coord_fraction(self, i):
         """(numerator, denominator) ambient polynomials of coordinate i."""
@@ -117,7 +102,7 @@ def express_monomial(chart, mono):
     The solution may have negative entries (Laurent); the caller decides
     whether that is acceptable.
     """
-    alpha = _solve_int(chart.rows, chart._echelon, tuple(mono))
+    alpha = integer_coordinates(chart.rows, mono)
     if alpha is None:
         raise NoIntegerSolution(f"{chart.name}: {mono} not in the chart lattice")
     return tuple(alpha)
@@ -181,7 +166,7 @@ def transition_exponents(src, dst):
     """Per-coordinate exponent vectors of dst in terms of src, or None."""
     out = []
     for row in dst.rows:
-        alpha = _solve_int(src.rows, src._echelon, row)
+        alpha = integer_coordinates(src.rows, row)
         if alpha is None:
             return None
         out.append(tuple(alpha))
@@ -251,10 +236,9 @@ def verify_gluing(a, b):
 @lru_cache(maxsize=None)
 def _unimodular_failure(rows, lattice):
     """Why the int-tuple chart rows are not unimodular against the lattice, or None."""
-    basis = solver(lattice)
     rel = []
     for row in rows:
-        alpha = _solve_int(lattice, basis, row)
+        alpha = integer_coordinates(lattice, row)
         if alpha is None:
             return f"coordinate {row} is outside the atlas lattice"
         rel.append(alpha)

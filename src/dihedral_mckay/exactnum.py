@@ -38,7 +38,6 @@ class NotRational(ValueError):
     """Raised when a CycloElt is expected to be rational but is not."""
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
     """Coefficients (low degree first) of the n-th cyclotomic polynomial.
 
@@ -60,7 +59,9 @@ def cyclotomic_polynomial(n):
 
 @lru_cache(maxsize=None)
 def _phi_reducer(n):
-    """deg Phi_n and the nonzero lower terms of Phi_n as (j - deg, p_j)."""
+    """deg Phi_n and the nonzero lower terms of Phi_n as (j - deg, p_j).
+
+    The one memo of Phi_n: ``cyclotomic_polynomial`` is computed afresh."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     return deg, tuple((j - deg, pj) for j, pj in enumerate(phi[:-1]) if pj)

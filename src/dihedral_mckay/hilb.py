@@ -410,51 +410,45 @@ def _split_monomial(f):
 def _pullback_even_end(n, chart, f):
     """Pull an atom-polynomial back to the even-n end charts Am, Am1.
 
-    The chart coordinates (u, w) are not monomial in the atoms, but in
-    (v, w) with v = 1 - u the master identity makes every atom a
-    monomial up to a power of 1 - v:
-      on Am:  xy = vw/4,   f1^2 = (vw/4)^(m-1) w,   f2^2 = (1 - v) f1^2
-      on Am1: xy = -vw/4,  f2^2 = (-vw/4)^(m-1) w,  f1^2 = (1 - v) f2^2
-    The order along the non-axis divisor E_(m-1) = {u = 1} is the least
-    v-exponent.  Returns (strict, orders) with strict in (u, w), so that
+    Their coordinates (u, w) are not monomial in the atoms.  Let p = f1^2 on
+    Am and p = f2^2 on Am1.  The chart (v, w) with v = (xy)^m/p and
+    w = p/(xy)^(m-1) is monomial over (xy, p): xy = vw, p = v^(m-1) w^m.  The
+    master identity f1^2 - f2^2 = 4(xy)^m gives u = 1 - 4v on Am and
+    u = 1 + 4v on Am1.  So f loses the other atom (``_eliminate``), is pulled
+    back to (v, w), and v = +-(1 - u)/4 is substituted; the v-order is the
+    order along the non-axis divisor E_(m-1) = {u = 1}.  Returns
+    (strict, orders) with strict in (u, w), so that
     f = u^(boundary order) w^(E_m order) (u - 1)^(E_(m-1) order) strict,
     the boundary {u = 0} being B2 on Am and B1 on Am1.
     """
     m = half_index(n)
     if chart.name == f"A{m}":
-        sign, unit, boundary = 1, 2, "B2"  # the atom carrying the factor 1 - v: f2^2
-    elif chart.name == f"A{m + 1}":
-        sign, unit, boundary = -1, 1, "B1"  # f1^2
-    else:
-        raise ValueError("not an end chart")
-    total = Poly(2)
-    for mono, coeff in f.terms.items():
-        e = mono[0] + (m - 1) * (mono[1] + mono[2])
-        total = total + _reflect(Poly.mono((mono[unit], 0))).mul_term(
-            (e, e + mono[1] + mono[2]), coeff * Fraction(sign, 4) ** e
-        )
-    if total.is_zero():
-        raise ValueError("zero pullback")
-    (shift_ord, axis_ord), rest = _split_monomial(total)
-    # v^k = (-1)^k (u - 1)^k, so the sign keeps strict's (u - 1)-factorisation
-    (boundary_ord, _), strict = _split_monomial(_reflect(rest) * (-1) ** shift_ord)
-    return strict, {
-        chart.exceptional_axes[1]: axis_ord, boundary: boundary_ord, f"E{m - 1}": shift_ord
-    }
+        sign, other, boundary, rows = 1, 2, "B2", ((m, -1, 0), (1 - m, 1, 0))
+    else:  # A(m+1)
+        sign, other, boundary, rows = -1, 1, "B1", ((m, 0, -1), (1 - m, 0, 1))
+    vw = Chart(f"{chart.name}(v, w)", chart.atoms, rows, ("v", "w"), {0: f"E{m - 1}", 1: f"E{m}"})
+    strict, orders = pullback_orders(vw, _eliminate(n, f, other))
+    # v = sign (1 - u)/4, and v^k = (-sign/4)^k (u - 1)^k keeps strict's
+    # (u - 1)-factorisation
+    norm = Fraction(-sign, 4) ** orders[f"E{m - 1}"]
+    scaled = {(i, j): c * Fraction(sign, 4) ** i * norm for (i, j), c in strict.terms.items()}
+    (orders[boundary], _), strict = _split_monomial(_reflect(Poly(2, scaled)))
+    return strict, orders
 
 
-def _eliminate_f2sq(n, f):
-    """Rewrite an (xy, f1^2, f2^2) atom-polynomial without f2^2 terms.
-
-    Uses the master identity f2^2 = f1^2 - 4(xy)^(n/2); needed on the
-    regular even-n surface charts whose coordinates only involve xy and
-    f1^2.
-    """
+def _eliminate(n, f, atom):
+    """Rewrite an (xy, f1^2, f2^2) atom-polynomial without the atom of index
+    atom (1 for f1^2, 2 for f2^2), by the master identity
+    f1^2 - f2^2 = 4(xy)^(n/2)."""
     m = half_index(n)
-    sub = Poly(3, {(0, 1, 0): 1, (m, 0, 0): -4})
+    if atom == 1:
+        sub = Poly(3, {(0, 0, 1): 1, (m, 0, 0): 4})  # f1^2 = f2^2 + 4(xy)^m
+    else:
+        sub = Poly(3, {(0, 1, 0): 1, (m, 0, 0): -4})  # f2^2 = f1^2 - 4(xy)^m
     out = Poly(3)
-    for (a, b, c), coeff in f.terms.items():
-        out = out + coeff * Poly.mono((a, b, 0)) * sub**c
+    for mono, coeff in f.terms.items():
+        rest = tuple(0 if i == atom else e for i, e in enumerate(mono))
+        out = out + coeff * Poly.mono(rest) * sub ** mono[atom]
     return out
 
 
@@ -464,7 +458,7 @@ def surface_pullback(n, chart, f):
     if n % 2 == 0 and chart.name in (f"A{m}", f"A{m + 1}"):
         return _pullback_even_end(n, chart, f)
     if n % 2 == 0:
-        f = _eliminate_f2sq(n, f)
+        f = _eliminate(n, f, 2)
     return pullback_orders(chart, f)
 
 

@@ -10,11 +10,13 @@ Coefficients stay ints until a pivot has to be divided out.  `reduce` and
 subspaces run through it.
 
 The Z-echelon, `hnf`, is built from int rows by unimodular row steps only,
-with a positive entry at each pivot.  `solver` and `integer_coordinates`
-answer lattice membership and integer coordinates with it, and the product
-of its pivots gives |det| of a square matrix and the gcd of the maximal
-minors of a wide one (`hnf` of the transpose).  Chart solves and chart
-unimodularity run through it, on echelons that `solver` shares read-only.
+with a positive entry at each pivot.  The product of its pivots gives |det|
+of a square matrix and the gcd of the maximal minors of a wide one (`hnf` of
+the transpose).  `integer_coordinates(rows, target)` is the one integer
+solve: it answers lattice membership and integer coordinates on the echelon
+`solver(rows)`, which is built once per row tuple and shared read-only, and
+checks every answer against the rows exactly.  Every chart solve, gluing and
+unimodularity verdict runs through it.
 """
 
 from __future__ import annotations
@@ -96,19 +98,16 @@ def hnf(rows):
     return dict(sorted(echelon.items()))
 
 
-def solver(rows):
-    """Integer echelon of linearly independent dense int rows, for `integer_coordinates`.
-
-    Row i enters tagged with a 1 at index len(row) + i, so the part of each
-    echelon vector past the row width records which combination of the rows
-    it is.  Raises ValueError for dependent rows.  The echelon is computed
-    once per row tuple per process and handed out read-only.
-    """
-    return _solver(tuple(map(tuple, rows)))
-
-
 @lru_cache(maxsize=None)
-def _solver(rows):
+def solver(rows):
+    """Integer echelon of linearly independent int rows, for `integer_coordinates`.
+
+    rows is a tuple of int tuples.  Row i enters tagged with a 1 at index
+    len(row) + i, so the part of each echelon vector past the row width
+    records which combination of the rows it is.  Raises ValueError for
+    dependent rows.  The echelon is computed once per row tuple per process
+    and handed out read-only.
+    """
     width = len(rows[0])
     echelon = hnf([*row, *(int(i == j) for j in range(len(rows)))] for i, row in enumerate(rows))
     if any(p >= width for p in echelon):
@@ -116,22 +115,27 @@ def _solver(rows):
     return MappingProxyType({p: MappingProxyType(b) for p, b in echelon.items()})
 
 
-def integer_coordinates(echelon, target):
+def integer_coordinates(rows, target):
     """Integer alpha with sum(alpha[i] * rows[i]) == target, or None if there is none.
 
-    ``echelon`` is ``solver(rows)``; target is a dense int vector of the row width.
-    One back-substitution in pivot order takes the floor quotient by each pivot,
-    so the target is reached exactly when nothing is left below the row width.
+    rows is a tuple of linearly independent int tuples and target a dense int
+    vector of their width.  One back-substitution on ``solver(rows)`` in pivot
+    order takes the floor quotient by each pivot, so the target is reached
+    exactly when nothing is left below the row width.  alpha is then checked
+    against the rows themselves, so a wrong echelon gives None, never a wrong
+    alpha.
     """
     width = len(target)
     rest = vector(target)
-    for p, b in echelon.items():
+    for p, b in solver(rows).items():
         _axpy(rest, -(rest.get(p, 0) // b[p]), b)
     if any(i < width for i in rest):
         return None
-    alpha = [0] * len(echelon)
+    alpha = [0] * len(rows)
     for i, c in rest.items():
         alpha[i - width] = -c
+    if any(sum(a * row[j] for a, row in zip(alpha, rows)) != t for j, t in enumerate(target)):
+        return None
     return alpha
 
 

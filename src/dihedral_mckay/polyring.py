@@ -109,14 +109,6 @@ class Poly:
             k >>= 1
         return out
 
-    def mul_term(self, mono, coeff):
-        if len(mono) != self.nvars or min(mono) < 0:
-            raise ValueError(f"bad exponent tuple {mono}")
-        return Poly(
-            self.nvars,
-            {tuple(a + b for a, b in zip(m, mono)): c * coeff for m, c in self.terms.items()},
-        )
-
     def leading(self):
         if self._lead is None:
             if not self.terms:

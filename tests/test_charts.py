@@ -29,7 +29,8 @@ from dihedral_mckay.hilb import (
     stage_chain,
     surface_atlas,
 )
-from dihedral_mckay.linalg import solver
+from dihedral_mckay import linalg
+from dihedral_mckay.linalg import integer_coordinates, solver
 from dihedral_mckay.polyring import Poly
 
 X, Y, ONE = Poly.var("x"), Poly.var("y"), Poly.one(2)
@@ -179,8 +180,9 @@ def test_dependent_chart_rows_are_refused_every_time():
 
 
 def test_a_shared_chart_echelon_cannot_be_written():
-    """Charts with the same rows share one echelon, also with `solver` given
-    the rows as lists.  Writing into it raises TypeError and changes no solve."""
+    """Charts with equal rows share one echelon `solver(rows)`, also when one
+    is given its rows as lists.  Writing into it raises TypeError and changes
+    no solve."""
     rows = ((2, -3), (-1, 4))  # U2 of X1 for n = 5: u = x^2/y^3, v = y^4/x
 
     def solves(chart):
@@ -193,10 +195,11 @@ def test_a_shared_chart_echelon_cannot_be_written():
         return out
 
     chart = Chart("first", XY_ATOMS, rows, ("u", "v"))
+    twin = Chart("second", XY_ATOMS, [list(r) for r in rows], ("u", "v"))
     want = [(2, 2), (1, 0), (0, 1), (1, 1), (4, 3), None]
     assert solves(chart) == want
-    echelon = solver([list(r) for r in rows])
-    assert echelon is chart._echelon
+    echelon = solver(chart.rows)
+    assert solver(twin.rows) is echelon
     pivot, vec = next(iter(echelon.items()))
     with pytest.raises(TypeError):
         echelon[pivot] = {pivot: 1}
@@ -207,7 +210,29 @@ def test_a_shared_chart_echelon_cannot_be_written():
     with pytest.raises(TypeError):
         del vec[pivot]
     assert solves(chart) == want
-    assert solves(Chart("second", XY_ATOMS, rows, ("u", "v"))) == want
+    assert solves(twin) == want
+
+
+def test_a_wrong_echelon_gives_no_solve(monkeypatch):
+    """`integer_coordinates` checks its answer against the rows: an echelon
+    whose first vector has its tag part off by one gives None, and
+    `express_monomial` raises, never a wrong alpha."""
+    rows = ((2, -3), (-1, 4))
+    chart = Chart("U2", XY_ATOMS, rows, ("u", "v"))
+    targets = ((2, 2), (2, -3), (-1, 4), (1, 1), (5, 0))
+    assert all(integer_coordinates(rows, t) is not None for t in targets)
+    real = linalg.solver
+
+    def off_by_one(rows):
+        width = len(rows[0])
+        (p, b), *rest = real(rows).items()
+        return {p: {i: c + (i >= width) for i, c in b.items()}, **dict(rest)}
+
+    monkeypatch.setattr(linalg, "solver", off_by_one)
+    for target in targets:
+        assert integer_coordinates(rows, target) is None
+        with pytest.raises(NoIntegerSolution):
+            express_monomial(chart, target)
 
 
 def leibniz_det(m):

@@ -120,7 +120,7 @@ def test_det_matches_cofactor_expansion(m):
 def test_coordinates_round_trip(rows, data):
     """The integer solve returns the unique integer alpha as ints, and None
     when the rational solution is not integral or the target is outside the span."""
-    k = len(rows)
+    rows, k = tuple(map(tuple, rows)), len(rows)
     alpha = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
     target = combine(alpha, rows)
     if rank(rows) < k:
@@ -129,14 +129,14 @@ def test_coordinates_round_trip(rows, data):
         return
     echelon = solver(rows)
     assert all(type(c) is int for b in echelon.values() for c in b.values())
-    got = integer_coordinates(echelon, target)
+    got = integer_coordinates(rows, target)
     assert got == alpha  # independent rows: the solution is unique
     assert all(type(a) is int for a in got)
     # scaling row j by d makes the rational solution alpha[j] / d
     j, d = data.draw(st.integers(0, k - 1)), data.draw(st.integers(2, 3))
-    scaled = [[d * c for c in row] if i == j else row for i, row in enumerate(rows)]
+    scaled = tuple(tuple(d * c for c in row) if i == j else row for i, row in enumerate(rows))
     want = None if alpha[j] % d else [a // d if i == j else a for i, a in enumerate(alpha)]
-    got = integer_coordinates(solver(scaled), target)
+    got = integer_coordinates(scaled, target)
     assert got == want
     assert got is None or all(type(a) is int for a in got)
     # a kernel vector u of the rows is orthogonal to their span and to
@@ -144,7 +144,7 @@ def test_coordinates_round_trip(rows, data):
     for u in nullspace([vector(r) for r in rows], len(target)):
         scale = math.lcm(*(Fraction(c).denominator for c in u.values()))
         outside = [t + int(scale * u.get(j, 0)) for j, t in enumerate(target)]
-        assert integer_coordinates(solver(rows), outside) is None
+        assert integer_coordinates(rows, outside) is None
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -161,8 +161,8 @@ def test_coordinates_match_cramer_on_any_target(rows, data):
         target = data.draw(st.lists(st.integers(-6, 6), min_size=w, max_size=w))
     # scaling row j by d keeps the target's span but makes its coordinate alpha[j] / d
     j, d = data.draw(st.integers(0, k - 1)), data.draw(st.integers(1, 3))
-    rows = [[d * c for c in row] if i == j else row for i, row in enumerate(rows)]
-    assert integer_coordinates(solver(rows), target) == cramer_coordinates(rows, target)
+    rows = tuple(tuple(d * c for c in row) if i == j else tuple(row) for i, row in enumerate(rows))
+    assert integer_coordinates(rows, target) == cramer_coordinates(rows, target)
 
 
 def int_matrices(k, w):

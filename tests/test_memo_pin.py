@@ -56,7 +56,6 @@ INDEX2_ROWS = ((2, 2), (0, 5))  # twice the first lattice row: |det| = 2
 
 # memo name -> (the memo, two argument tuples)
 MEMOS = {
-    "exactnum.cyclotomic_polynomial": (exactnum.cyclotomic_polynomial, [(6,), (12,)]),
     "exactnum._phi_reducer": (exactnum._phi_reducer, [(6,), (12,)]),
     "reps.conjugacy_classes": (
         reps.conjugacy_classes,
@@ -69,7 +68,7 @@ MEMOS = {
     "reps._decomposition": (reps._decomposition, [(_rho1_squared(5),), (_rho1_squared(6),)]),
     "hilb.boundary_intersection_numbers": (hilb.boundary_intersection_numbers, [(5,), (6,)]),
     "taut.pairing_table": (taut.pairing_table, [(5,), (6,)]),
-    "linalg._solver": (linalg._solver, [(HILB5_ROWS,), (INDEX2_ROWS,)]),
+    "linalg.solver": (linalg.solver, [(HILB5_ROWS,), (INDEX2_ROWS,)]),
     "charts._unimodular_failure": (
         charts._unimodular_failure,
         [(HILB5_ROWS, HILB5_LATTICE), (INDEX2_ROWS, HILB5_LATTICE)],
@@ -89,8 +88,6 @@ def digest(obj):
 
 
 PINNED = {
-    ("exactnum.cyclotomic_polynomial", 0): "54d72d66b95894720caa9b40fdba3a26001df2963fc84d87eb8c879fe5d3b7b4",
-    ("exactnum.cyclotomic_polynomial", 1): "75c9d771812eec7566490974f561bb6b3e40f1b93ff76e307f70ec5fda026ee5",
     ("exactnum._phi_reducer", 0): "cbf69ebb0e7d7048abad0ab25747bf696acb7eb332ad589d1e097998472c5262",
     ("exactnum._phi_reducer", 1): "4d0421034987a6f87c50bf3e148a395f0447d0f062abab566eeee4ec3fc9b00e",
     ("reps.conjugacy_classes", 0): "5707572d7a529816738e4346b489f9307abe2fa0e6604a7fe2a38b735157ae33",
@@ -105,8 +102,8 @@ PINNED = {
     ("hilb.boundary_intersection_numbers", 1): "ca2bf88c6cd6235b018cdf2158e629268f91ee0bf3f4d2d0debd589a8ac17924",
     ("taut.pairing_table", 0): "e49683eb27ba606404553ea63b942d8b5271752145d22bab0341f41fefa04840",
     ("taut.pairing_table", 1): "1f375e25b3b789733495d00a6e732924b82ae8eaf3761fbbec85bc87b1e0def8",
-    ("linalg._solver", 0): "d28b4d67d40094fcb4b2a771ad4a2a6c00730110a04d3258b25d6f8f0904c08e",
-    ("linalg._solver", 1): "afccca813f85b5c119f527d6e8f302ea78d1f4e75f154fa4872224ad1e97a9bc",
+    ("linalg.solver", 0): "d28b4d67d40094fcb4b2a771ad4a2a6c00730110a04d3258b25d6f8f0904c08e",
+    ("linalg.solver", 1): "afccca813f85b5c119f527d6e8f302ea78d1f4e75f154fa4872224ad1e97a9bc",
     ("charts._unimodular_failure", 0): "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
     ("charts._unimodular_failure", 1): "6d143d1f8e87cfc9ad4ded68c6d8c6cb75641917712dc117057c9c1661c79bc4",
 }

@@ -126,14 +126,13 @@ def test_no_line_in_the_package_is_longer_than_99_characters():
 # arguments alone and is shared by every caller, so it must be immutable or
 # never handed out for writing; a new memo joins this list on purpose.
 LRU_CACHED = {
-    "exactnum.cyclotomic_polynomial",
     "exactnum._phi_reducer",
     "reps.conjugacy_classes",
     "reps.char_table",
     "reps._decomposition",
     "hilb.boundary_intersection_numbers",
     "taut.pairing_table",
-    "linalg._solver",
+    "linalg.solver",
     "charts._unimodular_failure",
 }
 
