@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dihedral_mckay import constel, hilb
@@ -29,6 +29,7 @@ from dihedral_mckay.constel import (
 )
 from dihedral_mckay.exactnum import CycloElt
 from dihedral_mckay.hilb import ClusterPoint, half_index
+from dihedral_mckay.polyring import Poly, staircase
 from dihedral_mckay.reps import GroupSpec, char_table, conjugacy_classes
 
 
@@ -475,3 +476,52 @@ def test_module_coefficients_and_default_seeds_are_normal(n, data):
         assert _coefficients_are_normal(c for col in cols for c in col.values()), F.label
         family = constel.default_family(F)
         assert _coefficients_are_normal(c for seeds in family for s in seeds for c in s.values())
+
+
+# (a:b) with first nonzero coordinate 1, as a ClusterPoint keeps it
+_RATIO = st.one_of(
+    st.tuples(st.just(1), st.fractions(min_value=-4, max_value=4, max_denominator=5)),
+    st.just((0, 1)),
+)
+
+
+def _normal_form_columns(n, p, basis):
+    """The x, y and tau columns of the module at p, each the normal form of
+    its image monomial by Ideal.normal_form, on the staircase basis of the
+    row the image lies in: tau goes to the other row at a generic point, and
+    keeps row r at a Z_2-fixed point with sign -1 on row 0 (delta0) and +1
+    on row 1 (delta1)."""
+    ideals = [hilb.cluster_ideal(n, p), hilb.cluster_ideal(n, hilb.z2_image(n, p))]
+    fixed = ideals[0] == ideals[1]
+    position = {rm: j for j, rm in enumerate(basis)}
+
+    def column(row, mono, sign=1):
+        form = ideals[row].normal_form(Poly.mono(mono)).terms
+        return {position[(row, m)]: sign * c for m, c in form.items()}
+
+    x, y, t = [], [], []
+    for r, (a, b) in basis:
+        x.append(column(r, (a + 1, b)))
+        y.append(column(r, (a, b + 1)))
+        t.append(column(r, (b, a), (-1, 1)[r]) if fixed else column(1 - r, (b, a)))
+    return fixed, x, y, t
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 10), data=st.data())
+def test_module_columns_are_normal_forms(n, data):
+    """At random generic and Z_2-fixed cluster points, with both twists, every
+    x, y and tau column of the module equals the normal form of its image."""
+    if data.draw(st.booleans(), label="fixed"):
+        p = data.draw(st.sampled_from([p for p, _ in hilb.fixed_points(n)]), label="point")
+    else:
+        i = data.draw(st.integers(1, n - 1), label="i")
+        a, b = data.draw(_RATIO, label="(a:b)")
+        p = ClusterPoint(i, Fraction(a), Fraction(b))
+    ideal = hilb.cluster_ideal(n, p)
+    fixed = ideal == hilb.cluster_ideal(n, hilb.z2_image(n, p))
+    twist = data.draw(st.sampled_from(constel.TWISTS), label="twist") if fixed else None
+    event(twist or "generic")
+    F = constellation_from_cluster(n, p, twist)
+    assert [m for r, m in F.basis if r == 0] == list(staircase(ideal))
+    assert _normal_form_columns(n, p, F.basis) == (fixed, F.x_action, F.y_action, F.tau_action)

@@ -6,6 +6,11 @@ possibly scaled by a proper fraction, possibly with one class value
 replaced) and sparse arbitrary values per class.  The draws therefore
 cover integral, negative, non-integral and irrational pairings, and the
 properties pin the exception types and messages of each.
+
+Real class functions (every value v = conj v) are drawn too: symmetrised
+values v + conj v, possibly irrational, and in Z_n the restrictions of D_2n
+class functions, next to the non-real eps_j.  So a call may be real on both
+sides, mixed, or non-real, and each case is tagged with an event.
 """
 
 from fractions import Fraction
@@ -25,6 +30,7 @@ from dihedral_mckay.reps import (
     decompose,
     gram,
     inner_product,
+    restrict,
 )
 
 GROUPS = st.builds(GroupSpec, st.sampled_from(("cyclic", "dihedral")), st.integers(3, 12))
@@ -82,13 +88,43 @@ def perturbed(g):
     return st.builds(swap, combinations(g), st.integers(0, k - 1), elements(g.n))
 
 
+def real_values(g):
+    """Symmetrised values v + conj v, one per class: real, possibly irrational,
+    possibly with Fraction coefficients."""
+    k = len(conjugacy_classes(g))
+    return st.lists(elements(g.n).map(lambda v: v + conjugate(v)), min_size=k, max_size=k)
+
+
+def restricted(g):
+    """Values of Res f in Z_n for a D_2n class function f, real or a
+    combination of the irreducibles: real class functions of Z_n."""
+    d = GroupSpec("dihedral", g.n)
+    vals = st.one_of(real_values(d), combinations(d))
+    return vals.map(lambda v: list(restrict(Character(d, "f", v)).values))
+
+
+def real_or_eps(g):
+    """Real values of g; for Z_n also restrictions and the irreducibles eps_j,
+    which are not real unless 2j = 0 mod n."""
+    if g.kind == "dihedral":
+        return real_values(g)
+    eps = st.sampled_from(char_table(g).chars).map(lambda f: list(f.values))
+    return st.one_of(real_values(g), restricted(g), eps)
+
+
+def tag_reality(functions):
+    real = [all(v == conjugate(v) for v in f.values) for f in functions]
+    event("real input" if all(real) else "mixed input" if any(real) else "non-real input")
+
+
 def class_functions(g, name):
-    vals = st.one_of(combinations(g), perturbed(g), sparse_values(g))
+    vals = st.one_of(combinations(g), perturbed(g), sparse_values(g), real_or_eps(g))
     return vals.map(lambda v: Character(g, name, v))
 
 
 def check_inner_product(chi, psi):
     """inner_product agrees with the reference value, type and message."""
+    tag_reality((chi, psi))
     try:
         want = reference(chi, psi)
     except NotRational as exc:
@@ -126,7 +162,9 @@ def genuine(g):
 
 def named_functions(g, prefix):
     """One to three class functions, mostly characters, named prefix0, prefix1, ..."""
-    vals = st.one_of(genuine(g), genuine(g), combinations(g), perturbed(g), sparse_values(g))
+    vals = st.one_of(
+        genuine(g), genuine(g), combinations(g), perturbed(g), sparse_values(g), real_or_eps(g)
+    )
     return st.lists(vals, min_size=1, max_size=3).map(
         lambda vs: [Character(g, f"{prefix}{k}", v) for k, v in enumerate(vs)]
     )
@@ -139,6 +177,7 @@ def test_inner_product_matrix_matches_definition(sides):
     raises for the first bad entry in row-major order; an irrational entry
     anywhere comes before any entry that is rational but not a nonnegative int."""
     rows, cols = sides
+    tag_reality((*rows, *cols))
     wants = []
     for chi in rows:
         for psi in cols:
@@ -203,8 +242,10 @@ def rewritten(vals, q):
 
 def pools(g):
     """One to four class functions, the first repeated under another name
-    and once more rewritten."""
-    vals = st.one_of(combinations(g), combinations(g), perturbed(g), sparse_values(g))
+    and once more rewritten (which keeps a real function real)."""
+    vals = st.one_of(
+        combinations(g), perturbed(g), sparse_values(g), real_or_eps(g), real_or_eps(g)
+    )
     return st.builds(
         lambda vs, q: [
             Character(g, f"f{k}", v) for k, v in enumerate(vs + vs[:1] + [rewritten(vs[0], q)])
@@ -217,6 +258,7 @@ def pools(g):
 def check_gram(rows, cols):
     """gram agrees with the reference entrywise, or raises NotRational naming
     the first irrational pair in row-major order."""
+    tag_reality((*rows, *cols))
     for chi in rows:
         for psi in cols:
             try:
