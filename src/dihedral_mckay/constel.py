@@ -146,8 +146,11 @@ def _compose(a, b):
 def _expand(ideal, mono, index, forms):
     """Sparse coefficients of the normal form of a monomial in a staircase basis.
 
-    ``forms`` is one build's memo: x.x^a y^b = y.x^(a+1) y^(b-1), and the
-    two rows at a Z_2-fixed point share one ideal."""
+    A staircase monomial is its own normal form, as no leading monomial divides it:
+    in ``index`` it is its basis vector.  ``forms`` memoises the others for one build
+    (x.x^a y^b = y.x^(a+1) y^(b-1); the rows at a Z_2-fixed point share one ideal)."""
+    if mono in index:
+        return {index[mono]: 1}
     key = (id(ideal), mono)
     if key not in forms:
         forms[key] = ideal.normal_form(Poly.mono(mono)).terms

@@ -11,13 +11,13 @@ both, with (-1)^i distinguishing rho_{n/2} from rho_{n/2}'.
 Values are CycloElt over Q[t]/(t^n - 1).  A table builds each distinct
 value once, t^a + t^-a (t^a for Z_n) per exponent a and the constants 1, -1
 and 0, and every row points into those: table values are shared, read-only
-objects, as values refuse writes and so do characters and tables.  ``gram``
-pairs whole lists in one pass (a square's unordered pairs once, as the pairing
-is Hermitian) and reduces each distinct sum once modulo Phi_n (see exactnum);
-``inner_product`` is its integer-checked matrix, one ``gram`` per call, so a
-McKay quiver pairs all its products in one pass.  ``decompose`` reads one
-``gram`` row and checks an exact reconstruction once per distinct class
-function per process, and hands each caller a fresh dict.
+objects, as values refuse writes and so do characters and tables.  ``gram`` pairs
+whole lists in one pass (a square's unordered pairs once, as the pairing is Hermitian;
+real class functions, as D_2n characters are, on palindromic sums folded in half) and
+reduces each distinct sum once modulo Phi_n (see exactnum); ``inner_product`` is its
+integer-checked matrix, one ``gram`` per call, so a McKay quiver pairs all its products
+in one pass.  ``decompose`` reads one ``gram`` row and checks an exact reconstruction
+once per distinct class function per process, and hands each caller a fresh dict.
 """
 
 from __future__ import annotations
@@ -187,6 +187,11 @@ def gram(rows, cols):
     Sum(psi, chi) = conj Sum(chi, psi), and conj fixes (Phi_n) as Phi_n is
     self-reciprocal: if cols equal rows, entries below the diagonal copy their
     mirrors, and the first irrational pair in row-major order is on or above it.
+    If every value is real (v = conj v, as in a D_2n table; tested once per value
+    object), the products of terms i, j and of their mirrors -i, -j agree, so Sum is
+    palindromic: rows read exponents i <= n/2 at weight 2 (1 at 0 and n/2), products
+    land at min(d, n - d), and a new folded key is expanded, off-mirror entries halved
+    exactly, to the Sum the reduction and its message see.  Else: no fold, weight 1.
     """
     rows, cols = tuple(rows), tuple(cols)
     groups = {f.group for f in (*rows, *cols)}
@@ -198,28 +203,37 @@ def gram(rows, cols):
     n = g.n
     classes = conjugacy_classes(g)
     square = len(rows) > 1 and rows == cols  # a 1 x 1 square has nothing to mirror
-    col_terms = [[] for _ in classes]  # per class: (column, exponent, coefficient)
+    values = {id(v): v.terms for f in (*rows, *cols) for v in f.values}  # once per object
+    if all(t.get(-i % n) == a for t in values.values() for i, a in t.items()):
+        fold = [*range(n // 2 + 1), *range((n - 1) // 2, 0, -1)]  # d -> min(d, n - d)
+        weight = [1, *[2] * ((n - 1) // 2), *[1] * (1 - n % 2)]  # 1 at 0 and at n/2
+    else:
+        fold, weight = list(range(n)), [1] * n
+    rot = [fold[i:] + fold[:i] for i in range(len(weight))]  # t^i * t^k lands at rot[i][k]
+    col_terms = [[] for _ in classes]  # per class: (column, -exponent mod n, coefficient)
     for q, psi in enumerate(cols):
         for terms, v in zip(col_terms, psi.values):
-            terms.extend((q, j, b) for j, b in v.terms.items())
-    reduced = {}  # sum before the reduction -> <chi, psi>, for this call only
+            terms.extend((q, -j % n, b) for j, b in v.terms.items())  # conj(t^j) = t^(n - j)
+    reduced = {}  # folded sum before the reduction -> <chi, psi>, for this call only
     out = []
     for p, chi in enumerate(rows):
         first = p if square else 0  # the first column this row computes
-        accs = [None] * first + [[0] * n for _ in cols[first:]]
+        accs = [None] * first + [[0] * len(weight) for _ in cols[first:]]
         for c, v, terms in zip(classes, chi.values, col_terms):
             # terms are in column order, so column `first` begins where bisect finds it
             suffix = terms[bisect_left(terms, (first,)):] if first else terms
             for i, a in v.terms.items():
-                sa = c.size * a
-                for q, j, b in suffix:
-                    accs[q][i - j] += sa * b  # conj(t^j) = t^(n - j); i - j < 0 wraps
+                if i < len(weight):
+                    sa, r = c.size * a * weight[i], rot[i]
+                    for q, k, b in suffix:
+                        accs[q][r[k]] += sa * b
         row = [out[q][p] for q in range(first)]
         for psi, acc in zip(cols[first:], accs[first:]):
             key = tuple(acc)
             if key not in reduced:
+                half = [a // w if type(a) is int else a / w for a, w in zip(acc, weight)]
                 try:
-                    reduced[key] = _dense_rational(n, acc) / g.order
+                    reduced[key] = _dense_rational(n, [half[e] for e in fold]) / g.order
                 except NotRational as exc:
                     raise NotRational(f"<{chi.name},{psi.name}> is irrational: {exc}") from None
             row.append(reduced[key])
