@@ -504,7 +504,7 @@ def _normal_form_columns(n, p, basis):
         x.append(column(r, (a + 1, b)))
         y.append(column(r, (a, b + 1)))
         t.append(column(r, (b, a), (-1, 1)[r]) if fixed else column(1 - r, (b, a)))
-    return fixed, x, y, t
+    return x, y, t
 
 
 @settings(max_examples=80, deadline=None)
@@ -524,4 +524,4 @@ def test_module_columns_are_normal_forms(n, data):
     event(twist or "generic")
     F = constellation_from_cluster(n, p, twist)
     assert [m for r, m in F.basis if r == 0] == list(staircase(ideal))
-    assert _normal_form_columns(n, p, F.basis) == (fixed, F.x_action, F.y_action, F.tau_action)
+    assert _normal_form_columns(n, p, F.basis) == (F.x_action, F.y_action, F.tau_action)
