@@ -70,14 +70,19 @@ class Chart:
 
     def coord_fraction(self, i):
         """(numerator, denominator) ambient polynomials of coordinate i."""
-        num = Poly.one(self.atoms[0].poly.nvars)
-        den = Poly.one(self.atoms[0].poly.nvars)
-        for e, atom in zip(self.rows[i], self.atoms):
-            if e > 0:
-                num = num * atom.poly**e
-            elif e < 0:
-                den = den * atom.poly ** (-e)
-        return num, den
+        return _atom_fraction(self.atoms, self.rows[i])
+
+
+def _atom_fraction(atoms, exponents):
+    """(numerator, denominator) ambient polynomials of prod(atoms^exponents)."""
+    num = Poly.one(atoms[0].poly.nvars)
+    den = Poly.one(atoms[0].poly.nvars)
+    for e, atom in zip(exponents, atoms):
+        if e > 0:
+            num = num * atom.poly**e
+        elif e < 0:
+            den = den * atom.poly ** (-e)
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -178,31 +183,21 @@ def _single_inversion(trans):
     return len(inverted) <= 1
 
 
-def _monomial_fraction(chart, alpha):
-    """(numerator, denominator) ambient polynomials of prod(coords^alpha)."""
-    num = Poly.one(chart.atoms[0].poly.nvars)
-    den = Poly.one(chart.atoms[0].poly.nvars)
-    for i, e in enumerate(alpha):
-        if e:
-            c_num, c_den = chart.coord_fraction(i)
-            if e < 0:
-                c_num, c_den, e = c_den, c_num, -e
-            num, den = num * c_num**e, den * c_den**e
-    return num, den
-
-
 def verify_poly_transition(src, dst, combos):
     """Check dst coordinates against polynomial combinations of src monomials.
 
     combos maps each dst coordinate index to a list of (coeff, alpha)
     meaning sum(coeff * prod(src_coords^alpha)); equality is verified by
-    exact cross-multiplication of the ambient expansions.
+    exact cross-multiplication of the ambient expansions.  Each monomial is
+    expanded from its atom exponents sum(alpha_i * rows_i), so that common
+    atom factors cancel before any power is formed.
     """
     nvars = src.atoms[0].poly.nvars
     for j, combo in combos.items():
         num, den = Poly(nvars), Poly.one(nvars)
         for coeff, alpha in combo:
-            a_num, a_den = _monomial_fraction(src, alpha)
+            exponents = [sum(a * e for a, e in zip(alpha, col)) for col in zip(*src.rows)]
+            a_num, a_den = _atom_fraction(src.atoms, exponents)
             num, den = num * a_den + a_num * den * coeff, den * a_den
         b_num, b_den = dst.coord_fraction(j)
         if num * b_den != b_num * den:

@@ -357,6 +357,14 @@ def socle_table(n, alpha=Fraction(1, 2)):
     return rows
 
 
+def stratum_curves(n, stratum):
+    """Indices of the curves a socle stratum touches: i on E_i, i and i + 1 on
+    E_i&E_(i+1), and m on each stacky point (B1, B2, E_m&B3)."""
+    if stratum in ("B1", "B2"):
+        return {hilb.half_index(n)}
+    return {int(part[1:]) for part in stratum.split("&") if part.startswith("E")}
+
+
 def expected_socle(n, stratum):
     """The published case list for the socle on each stratum.
 
@@ -369,7 +377,7 @@ def expected_socle(n, stratum):
     stacky = {"B1": {f"rho{m}'": 1}, "B2": {f"rho{m}": 1}, f"E{m}&B3": {f"rho{m}": 1}}
     if stratum in stacky:
         return stacky[stratum]
-    curves = {int(part[1:]) for part in stratum.split("&")}
+    curves = stratum_curves(n, stratum)
     table = char_table(GroupSpec("dihedral", n))
     return {c.name: 1 for c in table if table.index[c.name] in curves}
 

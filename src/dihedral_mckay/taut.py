@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from . import hilb, intersect
+from . import constel, hilb, intersect
 from .reps import GroupSpec, char_table, decompose, induce, restrict
 
 
@@ -259,14 +259,7 @@ def fm_cross_check(n, rows):
     twists -B1/-B2 match the exclusion of the representation from the
     socle at the opposite stacky point.
     """
-    strata_curves = {}
-    for row in rows:
-        s = row["stratum"]
-        if s in ("B1", "B2"):
-            curves = {f"E{hilb.half_index(n)}"}
-        else:
-            curves = {part for part in s.split("&") if part.startswith("E")}
-        strata_curves[s] = curves
+    strata_curves = {row["stratum"]: constel.stratum_curves(n, row["stratum"]) for row in rows}
     table = fm_table(n)
     for entry in table:
         rep, support = entry["rep"], entry["support"]
@@ -279,7 +272,7 @@ def fm_cross_check(n, rows):
             continue
         for row in rows:
             present = rep in row["socle"]
-            touches = support in strata_curves[row["stratum"]]
+            touches = int(support[1:]) in strata_curves[row["stratum"]]
             if present and not touches:
                 raise CrossCheckFailure(
                     f"{rep}: socle appearance off its support at {row['stratum']}"

@@ -12,18 +12,11 @@ spaces) for one n:
   ``refdiv_data(n, k)``.
 """
 
-import hashlib
-import json
-
 import pytest
 
 from dihedral_mckay import hilb
 from dihedral_mckay.charts import transition_exponents
-
-
-def _digest(obj):
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+from pin import canonical_json, check
 
 
 def _gluings(atlas):
@@ -160,15 +153,15 @@ REFDIVS = {
 
 
 @pytest.mark.parametrize("n", sorted(ATLASES))
-def test_atlas_gluings_are_pinned(n):
-    assert _digest(_atlases(n)) == ATLASES[n]
+def test_atlas_gluings_are_pinned(n, tmp_path):
+    check(canonical_json(_atlases(n)), ATLASES[n], f"ATLASES[{n}]", tmp_path)
 
 
 @pytest.mark.parametrize("n", sorted(FLOP_ATLASES))
-def test_flop_atlas_gluings_are_pinned(n):
-    assert _digest(_flop_atlases(n)) == FLOP_ATLASES[n]
+def test_flop_atlas_gluings_are_pinned(n, tmp_path):
+    check(canonical_json(_flop_atlases(n)), FLOP_ATLASES[n], f"FLOP_ATLASES[{n}]", tmp_path)
 
 
 @pytest.mark.parametrize("n", sorted(REFDIVS))
-def test_surface_pullbacks_and_refdiv_data_are_pinned(n):
-    assert _digest(_refdivs(n)) == REFDIVS[n]
+def test_surface_pullbacks_and_refdiv_data_are_pinned(n, tmp_path):
+    check(canonical_json(_refdivs(n)), REFDIVS[n], f"REFDIVS[{n}]", tmp_path)

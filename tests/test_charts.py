@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -32,6 +31,7 @@ from dihedral_mckay.hilb import (
 from dihedral_mckay import linalg
 from dihedral_mckay.linalg import integer_coordinates, solver
 from dihedral_mckay.polyring import Poly
+from reference import leibniz_det
 
 X, Y, ONE = Poly.var("x"), Poly.var("y"), Poly.one(2)
 XY_ATOMS = (Atom("x", X), Atom("y", Y))
@@ -233,15 +233,6 @@ def test_a_wrong_echelon_gives_no_solve(monkeypatch):
         assert integer_coordinates(rows, target) is None
         with pytest.raises(NoIntegerSolution):
             express_monomial(chart, target)
-
-
-def leibniz_det(m):
-    """Reference determinant of an integer matrix, independent of linalg."""
-    total = 0
-    for perm in itertools.permutations(range(len(m))):
-        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
-        total += sign * math.prod(m[r][c] for r, c in enumerate(perm))
-    return total
 
 
 def matmul(a, b):

@@ -10,11 +10,10 @@ argparse wraps help to the terminal width, so the help is taken at
 help digests are those of Python 3.11.
 """
 
-import hashlib
-
 import pytest
 
 from dihedral_mckay import cli
+from pin import check
 
 HELP = {
     "": "2fca4ab3d9e45eab41bbdb9b1cf93f7f3b6161b29f4c4e2e253f9065152251fd",
@@ -83,24 +82,20 @@ OUTPUTS = {
 }
 
 
-def _digest(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 @pytest.mark.parametrize("name", sorted(HELP))
-def test_help_is_pinned(capsys, monkeypatch, name):
+def test_help_is_pinned(capsys, monkeypatch, tmp_path, name):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         cli.main([name, "--help"] if name else ["--help"])
     assert exc.value.code == 0
-    assert _digest(capsys.readouterr().out) == HELP[name]
+    check(capsys.readouterr().out, HELP[name], f"HELP[{name!r}]", tmp_path)
 
 
 @pytest.mark.parametrize("case", sorted(OUTPUTS), ids=lambda c: "-".join(map(str, c)))
-def test_artifact_is_pinned(capsys, case):
+def test_artifact_is_pinned(capsys, tmp_path, case):
     name, fmt, n = case
     assert cli.main([name, "--n", str(n), "--format", fmt]) == 0
-    assert _digest(capsys.readouterr().out) == OUTPUTS[case]
+    check(capsys.readouterr().out, OUTPUTS[case], f"OUTPUTS[{case!r}]", tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted({name for name, _, _ in OUTPUTS}))

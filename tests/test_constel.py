@@ -28,13 +28,10 @@ from dihedral_mckay.constel import (
     witness_point,
 )
 from dihedral_mckay.exactnum import CycloElt
-from dihedral_mckay.hilb import ClusterPoint, half_index
+from dihedral_mckay.hilb import half_index
 from dihedral_mckay.polyring import Poly, staircase
 from dihedral_mckay.reps import GroupSpec, char_table, conjugacy_classes
-
-
-def cp(i, a, b):
-    return ClusterPoint(i, Fraction(a), Fraction(b))
+from reference import coefficients_are_normal, cp
 
 
 def _dim(graded):
@@ -428,7 +425,7 @@ def test_theta_check_finds_planted_socle_destabilizers(n, data):
 
 
 def test_two_row_refuses_a_quotient_of_the_wrong_length():
-    ideal = hilb.cluster_ideal(5, ClusterPoint(1, Fraction(1), Fraction(3)))
+    ideal = hilb.cluster_ideal(5, cp(1, 1, 3))
     with pytest.raises(InvalidConstellation, match="^planted: quotient has length 5 != 6$"):
         constel._two_row(6, (ideal, ideal), "planted")
 
@@ -436,7 +433,7 @@ def test_two_row_refuses_a_quotient_of_the_wrong_length():
 def test_subspace_character_refuses_a_subspace_that_is_not_tau_stable():
     """At a generic point tau swaps the two rows, so the span of row 0's
     constant monomial (weight 0) is not tau-stable."""
-    F = constellation_from_cluster(5, ClusterPoint(1, Fraction(1), Fraction(3)))
+    F = constellation_from_cluster(5, cp(1, 1, 3))
     graded = {0: {0: {0: 1}}}  # weight 0: the echelon {pivot 0: basis vector 0}
     message = r"^I1\(1:3\)\|I4\(1:1/3\): the weight-0 subspace is not tau-stable$"
     with pytest.raises(InvalidConstellation, match=message):
@@ -454,12 +451,6 @@ def test_theta_check_reports_no_destabilizer_when_every_closure_is_everything():
     assert theta_check(F, theta, [[{0: 1}]]) == constel.ThetaVerdict(False)
 
 
-def _coefficients_are_normal(values):
-    """Every value is nonzero, an int when it is integral and a Fraction
-    otherwise (as ``tests/test_polyring.py`` asks of polynomial terms)."""
-    return all(c != 0 and type(c) is (int if c.denominator == 1 else Fraction) for c in values)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(3, 8), data=st.data())
 def test_module_coefficients_and_default_seeds_are_normal(n, data):
@@ -473,9 +464,9 @@ def test_module_coefficients_and_default_seeds_are_normal(n, data):
     modules = [generic] + [constellation_from_cluster(n, fixed_point, t) for t in constel.TWISTS]
     for F in modules:
         cols = [col for action in (F.x_action, F.y_action, F.tau_action) for col in action]
-        assert _coefficients_are_normal(c for col in cols for c in col.values()), F.label
+        assert coefficients_are_normal(c for col in cols for c in col.values()), F.label
         family = constel.default_family(F)
-        assert _coefficients_are_normal(c for seeds in family for s in seeds for c in s.values())
+        assert coefficients_are_normal(c for seeds in family for s in seeds for c in s.values())
 
 
 # (a:b) with first nonzero coordinate 1, as a ClusterPoint keeps it
@@ -517,7 +508,7 @@ def test_module_columns_are_normal_forms(n, data):
     else:
         i = data.draw(st.integers(1, n - 1), label="i")
         a, b = data.draw(_RATIO, label="(a:b)")
-        p = ClusterPoint(i, Fraction(a), Fraction(b))
+        p = cp(i, a, b)
     ideal = hilb.cluster_ideal(n, p)
     fixed = ideal == hilb.cluster_ideal(n, hilb.z2_image(n, p))
     twist = data.draw(st.sampled_from(constel.TWISTS), label="twist") if fixed else None

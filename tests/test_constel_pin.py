@@ -5,13 +5,13 @@ n: label, twist, basis, and the x, y and tau columns, with every column's
 entries sorted by row index and every value written as an exact fraction.
 """
 
-import hashlib
 from fractions import Fraction
 
 import pytest
 
 from dihedral_mckay import constel
 from dihedral_mckay.hilb import ClusterPoint, half_index
+from pin import check
 
 
 def _canonical(F):
@@ -67,6 +67,6 @@ PINNED = {
 
 
 @pytest.mark.parametrize("n", sorted(PINNED))
-def test_witness_modules_are_pinned(n, monkeypatch):
+def test_witness_modules_are_pinned(n, monkeypatch, tmp_path):
     text = "\n".join(_canonical(F) for F in _modules(n, monkeypatch))
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[n]
+    check(text, PINNED[n], f"PINNED[{n}]", tmp_path)

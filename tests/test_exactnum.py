@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from cyclo_reference import conjugate
 from dihedral_mckay.exactnum import (
     CycloElt,
     NotRational,
@@ -14,6 +13,7 @@ from dihedral_mckay.exactnum import (
     expect_rational,
     rational_value,
 )
+from reference import conjugate
 
 
 def t_power(n, k):

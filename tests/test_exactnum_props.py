@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclo_reference import conjugate
 from dihedral_mckay.exactnum import (
     CycloElt,
     NotRational,
@@ -19,6 +18,7 @@ from dihedral_mckay.exactnum import (
     cyclotomic_polynomial,
     rational_value,
 )
+from reference import conjugate
 
 ORDERS = st.integers(1, 12)
 

@@ -29,10 +29,7 @@ from dihedral_mckay.hilb import (
 )
 from dihedral_mckay.intersect import an_chain, z2_fold
 from dihedral_mckay.polyring import Ideal, Poly, staircase
-
-
-def cp(i, a, b):
-    return ClusterPoint(i, Fraction(a), Fraction(b))
+from reference import cp
 
 
 def test_cluster_ideal_n4_matches_explicit_generators():

@@ -8,17 +8,10 @@ spaces) for one n:
   with an exceptional axis, with the label of its cluster point.
 """
 
-import hashlib
-import json
-
 import pytest
 
 from dihedral_mckay import hilb
-
-
-def _digest(obj):
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+from pin import canonical_json, check
 
 
 def _fixed(n):
@@ -107,10 +100,10 @@ MEETINGS = {
 
 
 @pytest.mark.parametrize("n", sorted(FIXED))
-def test_fixed_points_are_pinned(n):
-    assert _digest(_fixed(n)) == FIXED[n]
+def test_fixed_points_are_pinned(n, tmp_path):
+    check(canonical_json(_fixed(n)), FIXED[n], f"FIXED[{n}]", tmp_path)
 
 
 @pytest.mark.parametrize("n", sorted(MEETINGS))
-def test_boundary_meeting_points_are_pinned(n):
-    assert _digest(_meetings(n)) == MEETINGS[n]
+def test_boundary_meeting_points_are_pinned(n, tmp_path):
+    check(canonical_json(_meetings(n)), MEETINGS[n], f"MEETINGS[{n}]", tmp_path)

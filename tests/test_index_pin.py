@@ -9,13 +9,13 @@ the strata in socle-table order.
 """
 
 import dataclasses
-import hashlib
 import json
 
 import pytest
 
 from dihedral_mckay import constel, reps, taut
 from dihedral_mckay.hilb import half_index
+from pin import check
 
 
 def _strata(n):
@@ -61,13 +61,16 @@ PINNED = {
 }
 
 
+def _check_outputs(n, tmp_path):
+    check(json.dumps(_outputs(n)), PINNED[n], f"PINNED[{n}]", tmp_path)
+
+
 @pytest.mark.parametrize("n", sorted(PINNED))
-def test_index_outputs_are_pinned(n):
-    text = json.dumps(_outputs(n))
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[n]
+def test_index_outputs_are_pinned(n, tmp_path):
+    _check_outputs(n, tmp_path)
 
 
-def test_a_shared_character_table_cannot_be_written():
+def test_a_shared_character_table_cannot_be_written(tmp_path):
     """char_table is one table per group for the process, so a write into its
     index or by_name must fail and leave every output above as pinned."""
     n = 6
@@ -79,11 +82,10 @@ def test_a_shared_character_table_cannot_be_written():
         with pytest.raises(TypeError):
             table.by_name[first] = table.chars[1]
         assert table.index[first] == 0 and table.by_name[first] is table.chars[0]
-    text = json.dumps(_outputs(n))
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[n]
+    _check_outputs(n, tmp_path)
 
 
-def test_shared_characters_and_tables_refuse_attribute_writes():
+def test_shared_characters_and_tables_refuse_attribute_writes(tmp_path):
     """Renaming a shared character would leave by_name and index keyed by the
     old name, so every attribute of a character or table refuses a write or a
     delete, and the outputs above stay as pinned."""
@@ -98,8 +100,7 @@ def test_shared_characters_and_tables_refuse_attribute_writes():
         with pytest.raises(AttributeError):
             delattr(obj, attr)
     assert chi.name == "rho0'" and table.by_name["rho0'"] is chi
-    text = json.dumps(_outputs(n))
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[n]
+    _check_outputs(n, tmp_path)
 
 
 def test_a_new_attribute_on_a_character_or_table_is_refused():

@@ -1,7 +1,5 @@
 import dataclasses
-import itertools
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -29,6 +27,7 @@ from dihedral_mckay.intersect import (
     z2_fold,
 )
 from dihedral_mckay.linalg import insert, reduce, vector
+from reference import leibniz_det
 
 
 def fold(n):
@@ -329,15 +328,6 @@ def _gram_negated(a, shift):
         [-sum(a[r][i] * a[r][j] for r in range(k)) - (shift if i == j else 0) for j in range(k)]
         for i in range(k)
     ]
-
-
-def leibniz_det(m):
-    """Reference determinant by the Leibniz sum over permutations, independent of linalg."""
-    total = 0
-    for perm in itertools.permutations(range(len(m))):
-        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
-        total += sign * math.prod(m[r][c] for r, c in enumerate(perm))
-    return total
 
 
 _SIZES = st.integers(0, 5)

@@ -10,17 +10,10 @@ Each digest is the SHA-256 of the canonical JSON text (sorted keys, no
 spaces) of one n's list of ``(verdict, certificate)`` pairs.
 """
 
-import hashlib
-import json
-
 import pytest
 
 from dihedral_mckay import intersect, verify
-
-
-def _digest(obj):
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+from pin import canonical_json, check
 
 
 def _verdicts(n):
@@ -82,9 +75,11 @@ CRITERION_7_PINNED = "855f4bb5d99440dcf8f000204cbea5a3e05c9942c9d17a6a09e1b976fc
 
 
 @pytest.mark.parametrize("n", range(3, 46))
-def test_maximality_certificates_are_pinned(n):
-    assert _digest(_verdicts(n)) == MAXIMALITY_PINNED[n]
+def test_maximality_certificates_are_pinned(n, tmp_path):
+    text = canonical_json(_verdicts(n))
+    check(text, MAXIMALITY_PINNED[n], f"MAXIMALITY_PINNED[{n}]", tmp_path)
 
 
-def test_criterion_7_result_is_pinned():
-    assert _digest(verify.criterion_7(n_range=(3, 20))) == CRITERION_7_PINNED
+def test_criterion_7_result_is_pinned(tmp_path):
+    text = canonical_json(verify.criterion_7(n_range=(3, 20)))
+    check(text, CRITERION_7_PINNED, "CRITERION_7_PINNED", tmp_path)

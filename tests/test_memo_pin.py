@@ -10,7 +10,6 @@ not how it is stored.
 """
 
 import dataclasses
-import hashlib
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ import pytest
 
 from dihedral_mckay import charts, exactnum, hilb, linalg, reps, taut
 from dihedral_mckay.reps import GroupSpec
+from pin import check
 from test_source import LRU_CACHED
 
 
@@ -83,10 +83,6 @@ def call(name, i):
     return memo(*args[i])
 
 
-def digest(obj):
-    return hashlib.sha256(canonical(obj).encode()).hexdigest()
-
-
 PINNED = {
     ("exactnum._phi_reducer", 0): "cbf69ebb0e7d7048abad0ab25747bf696acb7eb332ad589d1e097998472c5262",
     ("exactnum._phi_reducer", 1): "4d0421034987a6f87c50bf3e148a395f0447d0f062abab566eeee4ec3fc9b00e",
@@ -119,9 +115,9 @@ def test_the_failing_row_set_fails():
 
 
 @pytest.mark.parametrize("name, i", CASES, ids=[f"{name}-{i}" for name, i in CASES])
-def test_memo_result_is_pinned(name, i):
+def test_memo_result_is_pinned(name, i, tmp_path):
     first = call(name, i)
-    assert digest(first) == PINNED[name, i]
+    check(canonical(first), PINNED[name, i], f"PINNED[{(name, i)!r}]", tmp_path)
     assert call(name, i) is first
 
 
@@ -195,7 +191,7 @@ def accepted_writes(path, obj):
 
 
 @pytest.mark.parametrize("name, i", CASES, ids=[f"{name}-{i}" for name, i in CASES])
-def test_nothing_a_memo_hands_out_accepts_a_write(name, i):
+def test_nothing_a_memo_hands_out_accepts_a_write(name, i, tmp_path):
     first = call(name, i)
     accepted = []
     try:
@@ -207,4 +203,4 @@ def test_nothing_a_memo_hands_out_accepts_a_write(name, i):
                 memo.cache_clear()
     assert not accepted, f"writes accepted: {accepted}"
     assert call(name, i) is first
-    assert digest(first) == PINNED[name, i]
+    check(canonical(first), PINNED[name, i], f"PINNED[{(name, i)!r}]", tmp_path)

@@ -19,6 +19,7 @@ from dihedral_mckay.polyring import (
     rational_roots,
     staircase,
 )
+from reference import coefficients_are_normal
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -310,14 +311,9 @@ def generator_lists(draw):
     return gens + [X**3, Y**3]
 
 
-def _coefficients_are_normal(polys):
-    """Every stored coefficient is nonzero, an int when it is integral and a
-    Fraction otherwise."""
-    return all(
-        c != 0 and type(c) is (int if c.denominator == 1 else Fraction)
-        for p in polys
-        for c in p.terms.values()
-    )
+def _coefficients(polys):
+    """Every stored coefficient of the polynomials."""
+    return [c for p in polys for c in p.terms.values()]
 
 
 @settings(max_examples=100, deadline=None)
@@ -332,7 +328,7 @@ def test_spoly_is_the_difference_of_the_shifted_inputs(fg):
     shift = [tuple(a - b for a, b in zip(lcm, m)) for m in (mf, mg)]
     want = Poly.mono(shift[0]) * f - Poly.mono(shift[1]) * g
     got = _spoly(f, g)
-    assert got == want and _coefficients_are_normal([got])
+    assert got == want and coefficients_are_normal(_coefficients([got]))
     assert _spoly(f, f).is_zero()
 
 
@@ -358,7 +354,7 @@ def test_reduced_basis_ignores_order_and_scaling(gens, rng, data):
             if h is not g:
                 lead = h.leading()[0]
                 assert not any(all(map(int.__le__, lead, m)) for m in g.terms)
-    assert _coefficients_are_normal(base)
+    assert coefficients_are_normal(_coefficients(base))
 
 
 @settings(max_examples=60, deadline=None)
@@ -392,7 +388,7 @@ def test_normal_form_is_linear_and_kills_the_generators(gens, data):
     mono = data.draw(SMALL_MONOS[2])
     for gen in gens:
         assert nf(Poly.mono(mono) * gen * data.draw(NONZERO)).is_zero()
-    assert _coefficients_are_normal([nf(f), nf(g), nf(f * a + g * b)])
+    assert coefficients_are_normal(_coefficients([nf(f), nf(g), nf(f * a + g * b)]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,7 +404,7 @@ def test_cluster_quotient_has_length_n(ni, a, b):
         a = Fraction(1)
     ideal = hilb.cluster_ideal(n, hilb.ClusterPoint(i, a, b))
     assert len(staircase(ideal)) == n
-    assert _coefficients_are_normal(ideal.groebner)
+    assert coefficients_are_normal(_coefficients(ideal.groebner))
 
 
 INT_OR_FRACTION = st.one_of(st.integers(-4, 4), NONZERO)
@@ -439,7 +435,7 @@ def test_every_result_stores_integral_coefficients_as_ints(pqm, c, e):
         ideal = Ideal([p, q, X**3, Y**3])
         results += [ideal.normal_form(p * q + ONE), *ideal.groebner]
         results += groebner_basis([p * Fraction(2, 3), X**3 - Y, Y**3])
-    assert _coefficients_are_normal(results)
+    assert coefficients_are_normal(_coefficients(results))
 
 
 @settings(max_examples=100, deadline=None)
@@ -454,7 +450,7 @@ def test_public_results_store_no_zero_and_only_exact_coefficients(pq, c):
     for z in (p - p, p + (-p), p * 0, p * Fraction(0), Poly.mono(mono) * p * 0):
         assert z.is_zero() and z == zero
     results = [p + q, p - q, -p, p * q, p * c, Poly.mono(mono) * p * c, p**2, q.monic()]
-    assert _coefficients_are_normal(results)
+    assert coefficients_are_normal(_coefficients(results))
     if not p.is_zero():
         assert type(p.leading()[1]) in (int, Fraction)
         assert p.monic().leading()[1] == 1

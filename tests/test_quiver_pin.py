@@ -8,12 +8,12 @@ rendering byte-identical.  Each digest is the SHA-256 of the JSON text of
 ``{"json": quiver_to_json(q), "dot": quiver_to_dot(q)}`` for one n.
 """
 
-import hashlib
 import json
 
 import pytest
 
 from dihedral_mckay import reps
+from pin import check
 
 PINNED = {
     3: "56e36f37290bc38743f7fd96c37b52f60d79a415e0aa28f39494fc2897385cd7",
@@ -58,7 +58,7 @@ PINNED = {
 
 
 @pytest.mark.parametrize("n", sorted(PINNED))
-def test_quiver_outputs_are_pinned(n):
+def test_quiver_outputs_are_pinned(n, tmp_path):
     q = reps.mckay_quiver(n)
     text = json.dumps({"json": reps.quiver_to_json(q), "dot": reps.quiver_to_dot(q)})
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[n]
+    check(text, PINNED[n], f"PINNED[{n}]", tmp_path)

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from cyclo_reference import conjugate
 from dihedral_mckay import reps
 from dihedral_mckay.exactnum import CycloElt, NotRational, cyc_mul, rational_value
 from dihedral_mckay.reps import (
@@ -19,6 +18,7 @@ from dihedral_mckay.reps import (
     mckay_quiver,
     restrict,
 )
+from reference import conjugate
 
 
 def regular_character(g):

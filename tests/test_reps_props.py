@@ -19,7 +19,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from cyclo_reference import conjugate
 from dihedral_mckay.exactnum import CycloElt, NotRational, cyc_mul, rational_value
 from dihedral_mckay.reps import (
     Character,
@@ -32,6 +31,7 @@ from dihedral_mckay.reps import (
     inner_product,
     restrict,
 )
+from reference import conjugate
 
 GROUPS = st.builds(GroupSpec, st.sampled_from(("cyclic", "dihedral")), st.integers(3, 12))
 

@@ -9,11 +9,10 @@ Each is computed twice in one process, and the second run must equal the
 first.
 """
 
-import hashlib
-
 import pytest
 
 from dihedral_mckay import cli, constel, verify
+from pin import check
 
 
 def _cli_text(capsys, *argv):
@@ -44,10 +43,6 @@ def _criterion_11_text(monkeypatch):
     return "\n".join(seen)
 
 
-def _digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 PINNED = {
     3: "945f50e147869970600f233a33d76d8c1f7afdc56b7d5a599b2b020d04711084",
     4: "87eaa5542da4126d94ab91e9adcd9060112f90bf351af041318c81c96c4833a7",
@@ -75,13 +70,13 @@ CRITERION_11 = "f9e14b8b793791fdc6ca7866c4b4ffb8b435797d13a25fad3ec2d44dc865b69b
 
 
 @pytest.mark.parametrize("n", sorted(PINNED))
-def test_socle_and_fm_tables_are_pinned(n, capsys):
+def test_socle_and_fm_tables_are_pinned(n, capsys, tmp_path):
     first = _tables_text(n, capsys)
-    assert _digest(first) == PINNED[n]
+    check(first, PINNED[n], f"PINNED[{n}]", tmp_path)
     assert _tables_text(n, capsys) == first
 
 
-def test_criterion_11_verdicts_are_pinned(monkeypatch):
+def test_criterion_11_verdicts_are_pinned(monkeypatch, tmp_path):
     first = _criterion_11_text(monkeypatch)
-    assert _digest(first) == CRITERION_11
+    check(first, CRITERION_11, "CRITERION_11", tmp_path)
     assert _criterion_11_text(monkeypatch) == first

@@ -1,14 +1,15 @@
-"""Rules on the package source itself."""
+"""Rules on the package source itself, and two on the tests."""
 
 import ast
 import importlib
 import inspect
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import dihedral_mckay
 
 MODULES = sorted(Path(dihedral_mckay.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_no_assert_statements_in_package():
@@ -270,3 +271,35 @@ def test_every_parameter_is_read():
                 if p not in read
             ]
     assert not unread, f"parameters their function never reads: {unread}"
+
+
+def test_only_the_pin_helper_imports_a_hash_module():
+    """Every pin decides through ``tests/pin.py``, so that each failing pin
+    reports its table, its key and its canonical text in one way: no other
+    test module imports a module that provides sha256."""
+    found = set()
+    for path in TESTS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if any(hasattr(importlib.import_module(name), "sha256") for name in names):
+                found.add(path.name)
+    assert found == {"pin.py"}, f"test modules importing a hash module: {sorted(found)}"
+
+
+def test_no_function_body_is_copied_between_test_modules():
+    """A helper that two test modules need lives once, in ``tests/reference.py``
+    or ``tests/pin.py``: no top-level function body, its docstring left out,
+    has the same ``ast.dump`` in two modules under ``tests/``."""
+    where = defaultdict(dict)  # body -> {module: function}
+    for path in TESTS:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                where["\n".join(map(ast.dump, body))][path.name] = node.name
+    copies = [names for names in where.values() if len(names) > 1]
+    assert not copies, f"function bodies in two test modules: {copies}"

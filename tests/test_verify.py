@@ -475,12 +475,17 @@ def test_criterion_1_failure_names_n_and_the_counts(monkeypatch, patch, details)
     assert res["details"] == details
 
 
-def _fixed_points_at_6(spoil):
+def _hilb_at(at, name, spoil):
+    """Patch hilb.<name> so that its result at n = at passes through spoil."""
+
     def patch(monkeypatch):
-        real = verify.hilb.fixed_points
-        monkeypatch.setattr(
-            verify.hilb, "fixed_points", lambda n: spoil(real(n)) if n == 6 else real(n)
-        )
+        real = getattr(verify.hilb, name)
+
+        def spoiled(n, *args):
+            out = real(n, *args)
+            return spoil(out, *args) if n == at else out
+
+        monkeypatch.setattr(verify.hilb, name, spoiled)
 
     return patch
 
@@ -494,11 +499,11 @@ def _short_quotient(pts):
     "patch, details",
     [
         (
-            _fixed_points_at_6(lambda pts: pts[1:]),
+            _hilb_at(6, "fixed_points", lambda pts: pts[1:]),
             "fixed points at n=6: expected 2, got ['I3(1:-1)']",
         ),
         (
-            _fixed_points_at_6(_short_quotient),
+            _hilb_at(6, "fixed_points", _short_quotient),
             "certificate of I3(1:1) at n=6: expected {'image_equals': True, 'quotient_dim': 6}, "
             "got {'image_equals': True, 'quotient_dim': 5}",
         ),
@@ -521,36 +526,25 @@ def test_criterion_4_failure_names_n_and_the_cluster(monkeypatch):
     assert res["details"] == "length of I2(1/3:-1/9) at n=5: expected 5, got 4"
 
 
-def _strict_transforms_at(at, spoil):
-    def patch(monkeypatch):
-        real = verify.hilb.boundary_strict_transforms
-
-        def spoiled(n):
-            st = real(n)
-            if n == at:
-                spoil(st)
-            return st
-
-        monkeypatch.setattr(verify.hilb, "boundary_strict_transforms", spoiled)
-
-    return patch
-
-
 def _shifted_b1(st):
     x = Poly.var("x")
     st["B1", "U3"]["strict"] = x**2 + 2 * x + 2 * Poly.one(2)
+    return st
 
 
 def _moved_b1_point(st):
     st["B1", "U3"]["certificate"]["meetings"][0]["point"] = "I3(1:1)"
+    return st
 
 
 def _transversal_b3(st):
     st["B3", "U4"]["certificate"]["meetings"][0]["mult"] = 1
+    return st
 
 
 def _b1_meets_u1(st):
     st["B1", "U1"]["certificate"]["type"] = "meets-axes"
+    return st
 
 
 def _flat_invariant_chart(monkeypatch):
@@ -566,20 +560,20 @@ def _flat_invariant_chart(monkeypatch):
     "patch, details",
     [
         (
-            _strict_transforms_at(6, _shifted_b1),
+            _hilb_at(6, "boundary_strict_transforms", _shifted_b1),
             "strict transform B1 on U3 at n=6: expected x^2 + 2*x + 1, got x^2 + 2*x + 2",
         ),
         (
-            _strict_transforms_at(6, _moved_b1_point),
+            _hilb_at(6, "boundary_strict_transforms", _moved_b1_point),
             "B1 points on U3 at n=6: expected ['I3(1:-1)'], got ['I3(1:1)']",
         ),
         (
-            _strict_transforms_at(7, _transversal_b3),
+            _hilb_at(7, "boundary_strict_transforms", _transversal_b3),
             "B3 multiplicities on U4 at n=7: expected all 2, got [1, 2]",
         ),
         (_flat_invariant_chart, "invariant chart tangency at n=7: expected 2, got 1"),
         (
-            _strict_transforms_at(6, _b1_meets_u1),
+            _hilb_at(6, "boundary_strict_transforms", _b1_meets_u1),
             "B1 on U1 at n=6: expected misses-axes, got meets-axes",
         ),
     ],
@@ -592,25 +586,10 @@ def test_criterion_5_failure_names_n_the_chart_and_the_values(monkeypatch, patch
 
 
 def test_criterion_5_failure_names_n_and_the_chart(monkeypatch):
-    _strict_transforms_at(6, _shifted_b1)(monkeypatch)
+    _hilb_at(6, "boundary_strict_transforms", _shifted_b1)(monkeypatch)
     res = verify.criterion_5(n_range=(6, 6))
     assert not res["passed"]
     assert "n=6" in res["details"] and "U3" in res["details"]
-
-
-def _at_7(name, spoil):
-    """Patch hilb.<name> so that its result at n = 7 passes through spoil."""
-
-    def patch(monkeypatch):
-        real = getattr(verify.hilb, name)
-
-        def spoiled(n, *args):
-            out = real(n, *args)
-            return spoil(out, *args) if n == 7 else out
-
-        monkeypatch.setattr(verify.hilb, name, spoiled)
-
-    return patch
 
 
 def _one_curve_less_in_stage_1(fa, stage):
@@ -623,23 +602,23 @@ def _one_curve_less_in_stage_1(fa, stage):
     "patch, details",
     [
         (
-            _at_7("flop_em", lambda f: {**f, "displayed": False}),
+            _hilb_at(7, "flop_em", lambda f: {**f, "displayed": False}),
             "displayed gluing U3''-U4' at n=7: expected verified, got not verified",
         ),
         (
-            _at_7("flop_em", lambda f: {**f, "before_glues": False}),
+            _hilb_at(7, "flop_em", lambda f: {**f, "before_glues": False}),
             "charts U3''-U4' before the flop at n=7: expected verified, got not verified",
         ),
         (
-            _at_7("flop_em", lambda f: {**f, "after_glues": False}),
+            _hilb_at(7, "flop_em", lambda f: {**f, "after_glues": False}),
             "charts U3'-U4 after the flop at n=7: expected verified, got not verified",
         ),
         (
-            _at_7("poly_bridges", lambda bs, atlas: [{**b, "verified": False} for b in bs]),
+            _hilb_at(7, "poly_bridges", lambda bs, atlas: [{**b, "verified": False} for b in bs]),
             "bridge U4'-U5 in stage (2,) at n=7: expected verified, got not verified",
         ),
         (
-            _at_7("build_flop_atlas", _one_curve_less_in_stage_1),
+            _hilb_at(7, "build_flop_atlas", _one_curve_less_in_stage_1),
             "curve counts per stage at n=7: expected [3, 2, 1], got [3, 1, 1]",
         ),
     ],
