@@ -68,6 +68,22 @@ def test_z2_image():
     assert cluster_ideal(5, cp(2, 0, 1)) == cluster_ideal(5, cp(3, 1, 0))
 
 
+def test_ideal_equality_on_fixed_cases():
+    """The corner I_i(0:1) is the ideal I_(i+1)(1:0) of another point; at even n
+    the ideals I_h(1:1) and I_h(1:-1), h = n/2, share their leading-term ideal
+    and differ; and an ideal equals the ideal of its own reduced basis."""
+    for n in range(3, 13):
+        for i in range(1, n - 1):
+            assert cluster_ideal(n, cp(i, 0, 1)) == cluster_ideal(n, cp(i + 1, 1, 0))
+        if n % 2 == 0:
+            plus, minus = (cluster_ideal(n, cp(n // 2, 1, b)) for b in (1, -1))
+            leads = [[g.leading()[0] for g in I.groebner] for I in (plus, minus)]
+            assert leads[0] == leads[1] and plus != minus and minus != plus
+        for p in (cp(1, 2, 3), cp(n - 1, 0, 1), cp(n // 2, 1, -1)):
+            ideal = cluster_ideal(n, p)
+            assert ideal == Ideal(ideal.groebner) and Ideal(ideal.groebner) == ideal
+
+
 _RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 _NONZERO = _RATIONALS.filter(lambda q: q != 0)
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from dihedral_mckay import hilb
@@ -316,6 +316,26 @@ def _coefficients(polys):
     return [c for p in polys for c in p.terms.values()]
 
 
+def _an_s_polynomial_survives(gens):
+    """Buchberger appends a reduced S-polynomial exactly when some leading
+    monomial of the reduced basis is divided by no generator's leading monomial."""
+    leads = [g.leading()[0] for g in gens]
+    return any(
+        not any(all(map(int.__le__, lm, g.leading()[0])) for lm in leads)
+        for g in groebner_basis(gens)
+    )
+
+
+def test_generator_lists_run_buchbergers_append_branch():
+    """No S-polynomial survives on the product's ideals: the monic generators
+    of every cluster ideal are already a Groebner basis.  The drawn lists do
+    run that branch, so the properties below compare a basis that is not
+    reduced with the reduced one."""
+    unshrunk = settings(database=None, phases=[Phase.generate])
+    gens = find(generator_lists(), _an_s_polynomial_survives, settings=unshrunk)
+    assert _an_s_polynomial_survives(gens)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(_polys(2, 1), _polys(2, 1)))
 def test_spoly_is_the_difference_of_the_shifted_inputs(fg):
@@ -362,7 +382,7 @@ def test_reduced_basis_ignores_order_and_scaling(gens, rng, data):
 def test_staircase_is_the_box_filtered_by_the_leading_monomials(gens):
     """The staircase walks each x exponent below the least pure power of x up
     to its least y bound; the reference filters the whole pure-power box,
-    monomial by monomial, against every leading monomial."""
+    monomial by monomial, against every leading monomial of the reduced basis."""
     ideal = Ideal(gens)
     leads = [g.leading()[0] for g in ideal.groebner]
     bounds = [min(m[v] for m in leads if sum(m) == m[v]) for v in range(2)]
@@ -389,6 +409,35 @@ def test_normal_form_is_linear_and_kills_the_generators(gens, data):
     for gen in gens:
         assert nf(Poly.mono(mono) * gen * data.draw(NONZERO)).is_zero()
     assert coefficients_are_normal(_coefficients([nf(f), nf(g), nf(f * a + g * b)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists(), st.data())
+def test_normal_form_is_the_remainder_on_the_reduced_basis(gens, data):
+    """A normal form is unique modulo any Groebner basis (Cox, Little and
+    O'Shea, ch. 2 par. 6): normal_form gives the remainder on the reduced
+    basis, the same terms in the same order."""
+    ideal = Ideal(gens)
+    f = data.draw(_polys(2, max_size=4)) * data.draw(_polys(2, max_size=4))
+    got, want = ideal.normal_form(f), _reduce(f, ideal.groebner)
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists(), generator_lists(), st.randoms(use_true_random=False), st.data())
+def test_ideals_are_equal_exactly_when_their_reduced_bases_are(gens, unrelated, rng, data):
+    """Equality of ideals is equality of reduced bases: a shuffled copy of the
+    generators, each scaled by a nonzero rational, gives an equal ideal, and an
+    unrelated list gives an equal one exactly when the reduced bases agree."""
+    copy = list(gens)
+    rng.shuffle(copy)
+    scales = data.draw(st.lists(NONZERO, min_size=len(copy), max_size=len(copy)))
+    copy = [g * c for g, c in zip(copy, scales)]
+    ideal = Ideal(gens)
+    assert ideal == Ideal(copy) and Ideal(copy) == ideal
+    for other in (copy, unrelated):
+        same = groebner_basis(gens) == groebner_basis(other)
+        assert (ideal == Ideal(other)) is (Ideal(other) == ideal) is same
 
 
 @settings(max_examples=60, deadline=None)
