@@ -3,9 +3,10 @@
 Monomial order is graded lexicographic with z > x > y for the tie break
 (x > y with two variables).  `Ideal` and `groebner_basis` take bivariate
 polynomials only, on exponent pairs (a, b); 3-variable arithmetic serves the
-chart atoms of `hilb`.  A reduced basis is unique for the order, so staircases
-and normal forms are reproducible.  ``poly_str`` is the one text form of a
-polynomial; it is output only, and there is no parser.
+chart atoms of `hilb`.  Any Groebner basis gives the leading-term ideal and the one
+normal form (Cox, Little and O'Shea, ch. 2 par. 5-7), so staircases and normal forms
+read Buchberger's S-pair closure; the reduced basis serves equality and printing.
+``poly_str`` is the one text form of a polynomial: output only, with no parser.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .exactnum import _normal, exact_poly_div
 
@@ -194,8 +196,8 @@ def _spoly(f, g):
     return Poly(f.nvars, out)
 
 
-def groebner_basis(gens):
-    """Reduced grlex Groebner basis (monic, mutually reduced, sorted)."""
+def _closure(gens):
+    """Buchberger's S-pair closure: a monic grlex Groebner basis, not reduced."""
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("no nonzero generators")
@@ -211,41 +213,54 @@ def groebner_basis(gens):
         if not s.is_zero():
             basis.append(s.monic())
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    # minimalize: in grlex order, a leading monomial divides only later ones
+    return basis
+
+
+def _minimal(basis):
+    """The elements that no earlier leading monomial divides, in grlex order."""
     keep = []
     for g in sorted(basis, key=lambda g: _key(g.leading()[0])):
         if not any(_divides(h.leading()[0], g.leading()[0]) for h in keep):
             keep.append(g)
+    return keep
+
+
+def groebner_basis(gens):
+    """Reduced grlex Groebner basis (monic, mutually reduced, sorted)."""
+    keep = _minimal(_closure(gens))
     # inter-reduce tails: no other leading monomial divides g's, so g keeps
     # its monic leading term and its place in the order
     return [_reduce(g, keep[:i] + keep[i + 1 :]) for i, g in enumerate(keep)]
 
 
 class Ideal:
-    """Bivariate polynomial ideal; ``groebner``, its reduced Groebner basis, is
-    computed once, when the ideal is built."""
+    """Bivariate polynomial ideal.  Staircases and normal forms read ``closure``,
+    built with the ideal; ``groebner``, the reduced basis, is built on first read."""
 
     def __init__(self, generators):
-        gens = [g for g in generators if not g.is_zero()]
-        if not gens:
-            raise ValueError("ideal needs a nonzero generator")
-        _bivariate(gens)
-        self.generators = tuple(gens)
-        self.groebner = tuple(groebner_basis(self.generators))
+        self.generators = tuple(generators)
+        self.closure = tuple(_closure(self.generators))
+
+    @cached_property
+    def groebner(self):
+        return tuple(groebner_basis(self.closure))
 
     def normal_form(self, f):
         _bivariate([f])
-        return _reduce(f, self.groebner)
+        return _reduce(f, self.closure)
 
     def __eq__(self, other):
-        return isinstance(other, Ideal) and self.groebner == other.groebner
+        if self is other or not isinstance(other, Ideal):
+            return self is other
+        leads = [[g.leading()[0] for g in _minimal(I.closure)] for I in (self, other)]
+        return leads[0] == leads[1] and self.groebner == other.groebner
 
 
 def staircase(ideal):
     """Sorted tuple of the standard monomials of a zero-dimensional ideal: each
     (a, b) with a below the least pure power of x and b < f for every leading
     (q, f) with q <= a."""
-    leads = [g.leading()[0] for g in ideal.groebner]
+    leads = [g.leading()[0] for g in ideal.closure]
     for v in (0, 1):
         if all(m[1 - v] for m in leads):
             raise InfiniteDimensional(

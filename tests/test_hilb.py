@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dihedral_mckay import hilb
+from dihedral_mckay import hilb, polyring
 from dihedral_mckay.charts import verify_gluing
 from dihedral_mckay.hilb import (
     CertificateFailure,
@@ -28,7 +28,7 @@ from dihedral_mckay.hilb import (
     z2_image,
 )
 from dihedral_mckay.intersect import an_chain, z2_fold
-from dihedral_mckay.polyring import Ideal, Poly, staircase
+from dihedral_mckay.polyring import Ideal, Poly, groebner_basis, staircase
 from reference import cp
 
 
@@ -64,8 +64,6 @@ def test_cluster_dimension_randomized():
 def test_z2_image():
     assert z2_image(4, cp(2, 1, -1)) == cp(2, 1, -1)
     assert z2_image(5, cp(1, 1, 3)) == cp(4, 3, 1) == cp(4, 1, Fraction(1, 3))
-    # I_2(0:1) and I_3(1:0) are the same ideal for n = 5
-    assert cluster_ideal(5, cp(2, 0, 1)) == cluster_ideal(5, cp(3, 1, 0))
 
 
 def test_ideal_equality_on_fixed_cases():
@@ -82,6 +80,29 @@ def test_ideal_equality_on_fixed_cases():
         for p in (cp(1, 2, 3), cp(n - 1, 0, 1), cp(n // 2, 1, -1)):
             ideal = cluster_ideal(n, p)
             assert ideal == Ideal(ideal.groebner) and Ideal(ideal.groebner) == ideal
+
+
+def test_only_ideal_equality_and_printing_build_a_reduced_basis(monkeypatch):
+    """Staircases and normal forms read the S-pair closure and build no reduced
+    basis.  fixed_points builds one for a candidate and one for its image only
+    when their leading-term ideals agree: for the one fixed point at n = 5 and
+    the two at n = 6, against one per ideal, 8 and 14, when every ideal built it."""
+    calls = []
+
+    def counted(gens):
+        calls.append(len(gens))
+        return groebner_basis(gens)
+
+    monkeypatch.setattr(polyring, "groebner_basis", counted)
+    for n, p in ((5, cp(2, 1, 1)), (6, cp(3, 1, -1)), (7, cp(6, 0, 1)), (9, cp(2, 3, -2))):
+        assert cluster_dimension(n, p) == n
+        ideal = cluster_ideal(n, p)
+        y = Poly.var("y")
+        assert ideal.normal_form(Poly.mono((n, 0)) + y) == ideal.normal_form(y)
+    assert calls == []
+    for n, fixed in ((5, 1), (6, 2)):
+        calls.clear()
+        assert len(fixed_points(n)) == fixed and len(calls) == 2 * fixed
 
 
 _RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9)

@@ -130,6 +130,12 @@ def test_groebner_refuses_polynomials_that_are_not_bivariate():
         Ideal([X, Y]).normal_form(z)
 
 
+def test_an_ideal_needs_a_nonzero_generator():
+    for gens in ([], [Poly(2)], [Poly(2), Poly(3)]):
+        with pytest.raises(ValueError, match="no nonzero generators"):
+            Ideal(gens)
+
+
 def test_staircase_examples():
     assert staircase(Ideal([X, Y])) == ((0, 0),)
     ideal = Ideal([X**2 - Y**3, X**3, X * Y, Y**4])
