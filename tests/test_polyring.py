@@ -434,14 +434,22 @@ def test_normal_form_is_the_remainder_on_the_reduced_basis(gens, data):
 def test_ideals_are_equal_exactly_when_their_reduced_bases_are(gens, unrelated, rng, data):
     """Equality of ideals is equality of reduced bases: a shuffled copy of the
     generators, each scaled by a nonzero rational, gives an equal ideal, and an
-    unrelated list gives an equal one exactly when the reduced bases agree."""
+    unrelated list, or the reduced basis with a standard monomial below its
+    leading term added to one element, gives an equal one exactly when the
+    reduced bases agree.  The second keeps the leading terms, so the leading-term
+    ideals often agree while the ideals differ."""
     copy = list(gens)
     rng.shuffle(copy)
     scales = data.draw(st.lists(NONZERO, min_size=len(copy), max_size=len(copy)))
     copy = [g * c for g, c in zip(copy, scales)]
     ideal = Ideal(gens)
     assert ideal == Ideal(copy) and Ideal(copy) == ideal
-    for other in (copy, unrelated):
+    moved = list(ideal.groebner)
+    k = data.draw(st.integers(0, len(moved) - 1))
+    below = [m for m in staircase(ideal) if _key(m) < _key(moved[k].leading()[0])]
+    if below:
+        moved[k] += Poly.mono(data.draw(st.sampled_from(below))) * data.draw(NONZERO)
+    for other in (copy, unrelated, moved):
         same = groebner_basis(gens) == groebner_basis(other)
         assert (ideal == Ideal(other)) is (Ideal(other) == ideal) is same
 
