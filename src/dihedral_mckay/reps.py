@@ -8,16 +8,18 @@ tau column; for even n the reflections split into two classes
 (tau*sigma^even, tau*sigma^odd) and the listed values are expanded onto
 both, with (-1)^i distinguishing rho_{n/2} from rho_{n/2}'.
 
-Values are CycloElt over Q[t]/(t^n - 1).  A table builds each distinct
-value once, t^a + t^-a (t^a for Z_n) per exponent a and the constants 1, -1
-and 0, and every row points into those: table values are shared, read-only
-objects, as values refuse writes and so do characters and tables.  ``gram`` pairs
-whole lists in one pass (a square's unordered pairs once, as the pairing is Hermitian;
-real class functions, as D_2n characters are, on palindromic sums folded in half) and
-reduces each distinct sum once modulo Phi_n (see exactnum); ``inner_product`` is its
-integer-checked matrix, one ``gram`` per call, so a McKay quiver pairs all its products
-in one pass.  ``decompose`` reads one ``gram`` row and checks an exact reconstruction
-once per distinct class function per process, and hands each caller a fresh dict.
+Values are CycloElt over Q[t]/(t^n - 1).  ``build_char_table`` builds a fresh table,
+each distinct value once, t^a + t^-a (t^a for Z_n) per exponent a and the constants 1,
+-1 and 0, and every row points into those: table values are shared, read-only objects,
+as values refuse writes and so do characters and tables.  ``char_table`` is the one
+table per group that serves the process; criterion 1 pairs fresh tables and keeps none.
+``gram`` pairs whole lists in one pass (a square's unordered pairs once, as the pairing
+is Hermitian; real class functions, as D_2n characters are, on palindromic sums folded
+in half) and reduces each distinct sum once modulo Phi_n (see exactnum);
+``inner_product`` is its integer-checked matrix, one ``gram`` per call, so a McKay quiver
+pairs all its products in one pass.  ``decompose`` reads one ``gram`` row and checks an
+exact reconstruction once per distinct class function per process, and hands each
+caller a fresh dict.
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ class CharTable:
         return [c.name for c in self.chars]
 
 
-@lru_cache(maxsize=None)
-def char_table(g):
+def build_char_table(g):
+    """A fresh CharTable of g on every call; ``char_table`` is the process memo over it."""
     n = g.n
     classes = conjugacy_classes(g)
     chars, index = [], {}
@@ -177,6 +179,11 @@ def char_table(g):
             kind_sign = {"rotation": 1, "reflection": refl_sign}
             add(name, h, [const[kind_sign[c.kind] * (-1) ** c.power] for c in classes])
     return CharTable(g, classes, chars, index)
+
+
+@lru_cache(maxsize=None)
+def char_table(g):
+    return build_char_table(g)
 
 
 def gram(rows, cols):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import constel, hilb, intersect, taut
 from .reps import (
     GroupSpec,
+    build_char_table,
     char_table,
     gram,
     mckay_quiver,
@@ -60,7 +61,7 @@ def _clip(lo, hi, n_range):
 def criterion_1(n_range=None):
     """Character tables: orthonormality, degree sums, irreducible counts."""
     for n in _clip(3, 100, n_range):
-        table = char_table(GroupSpec("dihedral", n))
+        table = build_char_table(GroupSpec("dihedral", n))
         want = (n + 3) // 2 if n % 2 else n // 2 + 3
         if len(table.chars) != want:
             return _differs(1, f"irreducible count at n={n}", want, len(table.chars))

@@ -190,17 +190,45 @@ def accepted_writes(path, obj):
     return [text for text, write, undo in writes if _accepts(write, undo)]
 
 
+def writes_accepted_under(result):
+    """The writes that anything reachable from result accepts.  If there are
+    any, every memo is cleared, to leave no spoiled result to the tests that
+    follow (a fresh table shares its classes with the memos)."""
+    accepted = []
+    try:
+        for path, obj in reachable(result):
+            accepted += accepted_writes(path, obj)
+    finally:
+        if accepted:
+            for memo, _ in MEMOS.values():
+                memo.cache_clear()
+    return accepted
+
+
 @pytest.mark.parametrize("name, i", CASES, ids=[f"{name}-{i}" for name, i in CASES])
 def test_nothing_a_memo_hands_out_accepts_a_write(name, i, tmp_path):
     first = call(name, i)
-    accepted = []
-    try:
-        for path, obj in reachable(first):
-            accepted += accepted_writes(path, obj)
-    finally:
-        if accepted:  # leave no spoiled result to the tests that follow
-            for memo, _ in MEMOS.values():
-                memo.cache_clear()
+    accepted = writes_accepted_under(first)
     assert not accepted, f"writes accepted: {accepted}"
     assert call(name, i) is first
     check(canonical(first), PINNED[name, i], f"PINNED[{(name, i)!r}]", tmp_path)
+
+
+TABLE_ARGS = MEMOS["reps.char_table"][1]
+
+
+@pytest.mark.parametrize(
+    "i", range(len(TABLE_ARGS)), ids=[f"{g.kind}-{g.n}" for (g,) in TABLE_ARGS]
+)
+def test_a_fresh_table_is_the_pinned_table(i, tmp_path):
+    """build_char_table hands out a new table, equal in text to the memo's pinned
+    one, refusing every write, with D_2n rows sharing their values as the memo's do."""
+    (g,) = TABLE_ARGS[i]
+    fresh = reps.build_char_table(g)
+    assert fresh is not reps.char_table(g)
+    accepted = writes_accepted_under(fresh)
+    assert not accepted, f"writes accepted: {accepted}"
+    label = f"PINNED[{('reps.char_table', i)!r}]"
+    check(canonical(fresh), PINNED["reps.char_table", i], label, tmp_path)
+    if g.kind == "dihedral":
+        assert len({id(v) for chi in fresh for v in chi.values}) <= g.n + 3

@@ -1,6 +1,8 @@
 """Each per-n artifact is built once per criterion and passed along, and
 every criterion honours ``--n-range``."""
 
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -133,6 +135,32 @@ def test_criterion_1_pairs_each_table_once_without_inner_product(monkeypatch):
     assert singles == []
 
 
+def test_criterion_1_neither_reads_nor_fills_the_table_memo():
+    """Criterion 1 pairs fresh tables over its full range: the process's table
+    memo is untouched, and later callers still share one table per group."""
+    before = reps.char_table.cache_info()
+    assert verify.criterion_1()["passed"]
+    assert reps.char_table.cache_info() == before
+    g = reps.GroupSpec("dihedral", 41)
+    assert reps.char_table(g) is reps.char_table(g)
+
+
+def test_criterion_1_keeps_no_table(monkeypatch):
+    """Every table criterion 1 builds is freed once it returns."""
+    built = []
+    real = verify.build_char_table
+
+    def tracked(g):
+        table = real(g)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(verify, "build_char_table", tracked)
+    assert verify.criterion_1(n_range=(3, 12))["passed"]
+    gc.collect()
+    assert len(built) == 10 and all(ref() is None for ref in built)
+
+
 def test_criterion_2_pairs_each_quiver_once(monkeypatch):
     """One inner_product per n: the products rho1 * chi as rows, the table as columns."""
     calls = _count_calls(monkeypatch, reps, "inner_product")
@@ -147,8 +175,8 @@ def test_criterion_2_pairs_each_quiver_once(monkeypatch):
 
 
 def _spoil_table(monkeypatch, n, at, k, terms):
-    """verify.char_table with the class-k value of irreducible ``at`` replaced at n."""
-    real = verify.char_table
+    """verify.build_char_table with the class-k value of irreducible ``at`` replaced at n."""
+    real = verify.build_char_table
     table = real(reps.GroupSpec("dihedral", n))
     chi = table.chars[at]
     vals = list(chi.values)
@@ -156,7 +184,7 @@ def _spoil_table(monkeypatch, n, at, k, terms):
     chars = list(table.chars)
     chars[at] = reps.Character(chi.group, chi.name, vals)
     spoiled = reps.CharTable(table.group, table.classes, chars, table.index)
-    monkeypatch.setattr(verify, "char_table", lambda g: spoiled if g.n == n else real(g))
+    monkeypatch.setattr(verify, "build_char_table", lambda g: spoiled if g.n == n else real(g))
 
 
 @pytest.mark.parametrize(
@@ -443,13 +471,13 @@ def test_criterion_7_failure_names_n_and_the_values(monkeypatch, patch, details)
 
 def _table_at_7(spoil):
     def patch(monkeypatch):
-        real = verify.char_table
+        real = verify.build_char_table
 
         def spoiled(g):
             t = real(g)
             return reps.CharTable(t.group, t.classes, spoil(t.chars), t.index) if g.n == 7 else t
 
-        monkeypatch.setattr(verify, "char_table", spoiled)
+        monkeypatch.setattr(verify, "build_char_table", spoiled)
 
     return patch
 
