@@ -178,9 +178,12 @@ def transition_exponents(src, dst):
     return out
 
 
-def _single_inversion(trans):
-    inverted = {i for alpha in trans for i, e in enumerate(alpha) if e < 0}
-    return len(inverted) <= 1
+def wall_exponents(src, dst):
+    """transition_exponents(src, dst) if its negative exponents fall on one src-coordinate
+    at most (a gluing along a wall), else None."""
+    trans = transition_exponents(src, dst)
+    if trans is not None and len({i for a in trans for i, e in enumerate(a) if e < 0}) <= 1:
+        return trans
 
 
 def verify_poly_transition(src, dst, combos):
@@ -216,11 +219,9 @@ def verify_gluing(a, b):
     """
     if a.atoms != b.atoms:
         raise ValueError("charts over different atom alphabets")
-    t_ab = transition_exponents(a, b)
-    if t_ab is None or not _single_inversion(t_ab):
-        return False
-    t_ba = transition_exponents(b, a)
-    if t_ba is None or not _single_inversion(t_ba):
+    t_ab = wall_exponents(a, b)
+    t_ba = t_ab and wall_exponents(b, a)
+    if not t_ba:
         return False
     return all(
         verify_poly_transition(src, dst, {j: [(1, alpha)] for j, alpha in enumerate(t)})

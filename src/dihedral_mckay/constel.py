@@ -33,7 +33,7 @@ from fractions import Fraction
 from . import hilb, linalg
 from .exactnum import CycloElt, NotRational, rational_value
 from .polyring import Ideal, Poly, staircase
-from .reps import Character, GroupSpec, char_table, conjugacy_classes, decompose
+from .reps import Character, GroupSpec, char_table, decompose
 
 
 class InvalidConstellation(Exception):
@@ -118,9 +118,9 @@ def _class_character(n, name, counts, diag):
     The class of sigma^k takes sum_w counts[w] t^(kw); the class of
     sigma^k tau takes sum_w diag[w] t^(kw).
     """
-    g = GroupSpec("dihedral", n)
+    g = char_table(GroupSpec("dihedral", n)).group  # the shared group and its classes
     vals = []
-    for c in conjugacy_classes(g):
+    for c in g.classes:
         acc = [0] * n
         for w, v in enumerate(counts if c.kind == "rotation" else diag):
             if v:

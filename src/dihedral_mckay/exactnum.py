@@ -20,7 +20,8 @@ are provided:
 * ``rational_value`` -- reduces modulo the n-th cyclotomic polynomial
   (computed by exact division, no factoring) and accepts a constant
   remainder.  It and ``reps.gram``'s dense pairing sums share
-  ``_dense_rational``, the one Phi_n reduction in the package.
+  ``_dense_rational``, the one Phi_n reduction in the package; it reads
+  ``_phi_terms(n)`` from the memo ``_phi_reducer`` or, in ``gram``, the group.
 """
 
 from __future__ import annotations
@@ -57,14 +58,14 @@ def cyclotomic_polynomial(n):
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
-def _phi_reducer(n):
-    """deg Phi_n and the nonzero lower terms of Phi_n as (j - deg, p_j).
-
-    The one memo of Phi_n: ``cyclotomic_polynomial`` is computed afresh."""
+def _phi_terms(n):
+    """deg Phi_n and the nonzero lower terms of Phi_n as (j - deg, p_j), built afresh."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     return deg, tuple((j - deg, pj) for j, pj in enumerate(phi[:-1]) if pj)
+
+
+_phi_reducer = lru_cache(maxsize=None)(_phi_terms)  # the one memo of Phi_n
 
 
 def exact_poly_div(num, den):
@@ -209,15 +210,15 @@ def rational_value(a):
     when it is constant.  Phi_n is monic with integer coefficients, so
     integral input stays in int arithmetic.
     """
-    return _dense_rational(a.order, [a.terms.get(k, 0) for k in range(a.order)])
+    return _dense_rational(_phi_reducer(a.order), [a.terms.get(k, 0) for k in range(a.order)])
 
 
-def _dense_rational(n, coeffs):
-    """``rational_value`` of the element with dense coefficients ``coeffs``
-    (length n, exponent 0 first), which is left unchanged."""
+def _dense_rational(phi, coeffs):
+    """``rational_value`` of the element with dense coefficients ``coeffs`` (length
+    n, exponent 0 first, left unchanged), by phi = ``_phi_terms(n)``."""
     # Phi_n is monic, so subtracting q * t^(i - deg) * Phi_n clears t^i;
     # only its lower nonzero terms are applied, as work[i] is not read again
-    deg, low = _phi_reducer(n)
+    n, (deg, low) = len(coeffs), phi
     work = list(coeffs)
     for i in range(n - 1, deg - 1, -1):
         q = work[i]

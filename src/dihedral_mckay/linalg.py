@@ -14,8 +14,8 @@ with a positive entry at each pivot.  The product of its pivots gives |det|
 of a square matrix and the gcd of the maximal minors of a wide one (`hnf` of
 the transpose).  `integer_coordinates(rows, target)` is the one integer
 solve: it answers lattice membership and integer coordinates on the echelon
-`solver(rows)`, which is built once per row tuple and shared read-only, and
-checks every answer against the rows exactly.  Every chart solve, gluing and
+`solver(rows)`, which is built once per row tuple and shared as dense tuples,
+and checks every answer against the rows exactly.  Every chart solve, gluing and
 unimodularity verdict runs through it.
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 
 def vector(entries):
@@ -106,34 +105,36 @@ def solver(rows):
     len(row) + i, so the part of each echelon vector past the row width
     records which combination of the rows it is.  Raises ValueError for
     dependent rows.  The echelon is computed once per row tuple per process
-    and handed out read-only.
+    and handed out as a tuple of (pivot, the vector's dense entries from the
+    pivot to the last tag index), in pivot order.
     """
-    width = len(rows[0])
+    width, size = len(rows[0]), len(rows[0]) + len(rows)
     echelon = hnf([*row, *(int(i == j) for j in range(len(rows)))] for i, row in enumerate(rows))
     if any(p >= width for p in echelon):
         raise ValueError("rows are linearly dependent")
-    return MappingProxyType({p: MappingProxyType(b) for p, b in echelon.items()})
+    return tuple((p, tuple(b.get(i, 0) for i in range(p, size))) for p, b in echelon.items())
 
 
 def integer_coordinates(rows, target):
     """Integer alpha with sum(alpha[i] * rows[i]) == target, or None if there is none.
 
     rows is a tuple of linearly independent int tuples and target a dense int
-    vector of their width.  One back-substitution on ``solver(rows)`` in pivot
-    order takes the floor quotient by each pivot, so the target is reached
-    exactly when nothing is left below the row width.  alpha is then checked
-    against the rows themselves, so a wrong echelon gives None, never a wrong
-    alpha.
+    vector of their width.  One dense back-substitution on ``solver(rows)`` in
+    pivot order takes the floor quotient by each pivot, skipping a quotient of
+    0, so the target is reached exactly when nothing is left below the row
+    width.  alpha is then checked against the rows themselves, so a wrong
+    echelon gives None, never a wrong alpha.
     """
     width = len(target)
-    rest = vector(target)
-    for p, b in solver(rows).items():
-        _axpy(rest, -(rest.get(p, 0) // b[p]), b)
-    if any(i < width for i in rest):
+    rest = [*target, *[0] * len(rows)]
+    for p, b in solver(rows):
+        q = rest[p] // b[0]
+        if q:
+            for i, c in enumerate(b, p):
+                rest[i] -= q * c
+    if any(rest[:width]):
         return None
-    alpha = [0] * len(rows)
-    for i, c in rest.items():
-        alpha[i - width] = -c
+    alpha = [-c for c in rest[width:]]
     if any(sum(a * row[j] for a, row in zip(alpha, rows)) != t for j, t in enumerate(target)):
         return None
     return alpha

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .exactnum import (
     CycloElt,
     NotRational,
     _dense_rational,
+    _phi_terms,
     cyc_mul,
     expect_rational,
     rational_value,
@@ -41,6 +42,32 @@ from .exactnum import (
 
 class NotACharacter(ValueError):
     """Decomposition produced a negative or non-integral multiplicity."""
+
+
+@dataclass(frozen=True)
+class ConjClass:
+    label: str  # "1", "sigma^k", "tau", "tau*sigma^even", "tau*sigma^odd"
+    size: int
+    kind: str  # "rotation" | "reflection"
+    power: int  # rotation: exponent k; reflection: parity of sigma-power
+
+
+def conjugacy_classes(g):
+    n = g.n
+    if g.kind == "cyclic":
+        return tuple(
+            ConjClass("1" if k == 0 else f"sigma^{k}", 1, "rotation", k) for k in range(n)
+        )
+    classes = [ConjClass("1", 1, "rotation", 0)]
+    for k in range(1, (n - 1) // 2 + 1):
+        classes.append(ConjClass(f"sigma^{k}", 2, "rotation", k))
+    if n % 2 == 0:
+        classes.append(ConjClass(f"sigma^{n // 2}", 1, "rotation", n // 2))
+        classes.append(ConjClass("tau*sigma^even", n // 2, "reflection", 0))
+        classes.append(ConjClass("tau*sigma^odd", n // 2, "reflection", 1))
+    else:
+        classes.append(ConjClass("tau", n, "reflection", 0))
+    return tuple(classes)
 
 
 @dataclass(frozen=True)
@@ -58,32 +85,9 @@ class GroupSpec:
     def order(self):
         return self.n if self.kind == "cyclic" else 2 * self.n
 
-
-@dataclass(frozen=True)
-class ConjClass:
-    label: str  # "1", "sigma^k", "tau", "tau*sigma^even", "tau*sigma^odd"
-    size: int
-    kind: str  # "rotation" | "reflection"
-    power: int  # rotation: exponent k; reflection: parity of sigma-power
-
-
-@lru_cache(maxsize=None)
-def conjugacy_classes(g):
-    n = g.n
-    if g.kind == "cyclic":
-        return tuple(
-            ConjClass("1" if k == 0 else f"sigma^{k}", 1, "rotation", k) for k in range(n)
-        )
-    classes = [ConjClass("1", 1, "rotation", 0)]
-    for k in range(1, (n - 1) // 2 + 1):
-        classes.append(ConjClass(f"sigma^{k}", 2, "rotation", k))
-    if n % 2 == 0:
-        classes.append(ConjClass(f"sigma^{n // 2}", 1, "rotation", n // 2))
-        classes.append(ConjClass("tau*sigma^even", n // 2, "reflection", 0))
-        classes.append(ConjClass("tau*sigma^odd", n // 2, "reflection", 1))
-    else:
-        classes.append(ConjClass("tau", n, "reflection", 0))
-    return tuple(classes)
+    # built on first read and freed with the group, so a fresh table's go with it
+    classes = cached_property(conjugacy_classes)
+    phi = cached_property(lambda g: _phi_terms(g.n))  # gram's Phi_n reducer
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +156,7 @@ class CharTable:
 def build_char_table(g):
     """A fresh CharTable of g on every call; ``char_table`` is the process memo over it."""
     n = g.n
-    classes = conjugacy_classes(g)
+    classes = g.classes
     chars, index = [], {}
 
     def add(name, j, vals):
@@ -208,7 +212,7 @@ def gram(rows, cols):
         return []
     (g,) = groups
     n = g.n
-    classes = conjugacy_classes(g)
+    classes = g.classes
     square = len(rows) > 1 and rows == cols  # a 1 x 1 square has nothing to mirror
     values = {id(v): v.terms for f in (*rows, *cols) for v in f.values}  # once per object
     if all(t.get(-i % n) == a for t in values.values() for i, a in t.items()):
@@ -240,7 +244,7 @@ def gram(rows, cols):
             if key not in reduced:
                 half = [a // w if type(a) is int else a / w for a, w in zip(acc, weight)]
                 try:
-                    reduced[key] = _dense_rational(n, [half[e] for e in fold]) / g.order
+                    reduced[key] = _dense_rational(g.phi, [half[e] for e in fold]) / g.order
                 except NotRational as exc:
                     raise NotRational(f"<{chi.name},{psi.name}> is irrational: {exc}") from None
             row.append(reduced[key])
@@ -303,13 +307,9 @@ def restrict(chi):
     if g.kind != "dihedral":
         raise ValueError("restrict expects a dihedral character")
     n = g.n
-    cyc = GroupSpec("cyclic", n)
-    dclasses = conjugacy_classes(g)
-    lookup = {}
-    for c, v in zip(dclasses, chi.values):
-        if c.kind == "rotation":
-            lookup[c.power] = v
-            lookup[(n - c.power) % n] = v
+    cyc = char_table(GroupSpec("cyclic", n)).group  # the shared group and its classes
+    pairs = zip(g.classes, chi.values)
+    lookup = {k % n: v for c, v in pairs if c.kind == "rotation" for k in (c.power, -c.power)}
     vals = [lookup[k] for k in range(n)]
     return Character(cyc, f"Res({chi.name})", vals)
 
@@ -325,9 +325,9 @@ def induce(eps):
     if g.kind != "cyclic":
         raise ValueError("induce expects a cyclic character")
     n = g.n
-    dih = GroupSpec("dihedral", n)
+    dih = char_table(GroupSpec("dihedral", n)).group  # the shared group and its classes
     vals = []
-    for c in conjugacy_classes(dih):
+    for c in dih.classes:
         if c.kind == "reflection":
             vals.append(CycloElt(n, {}))
         else:

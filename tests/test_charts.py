@@ -200,15 +200,15 @@ def test_a_shared_chart_echelon_cannot_be_written():
     assert solves(chart) == want
     echelon = solver(chart.rows)
     assert solver(twin.rows) is echelon
-    pivot, vec = next(iter(echelon.items()))
+    pivot, vec = echelon[0]
     with pytest.raises(TypeError):
-        echelon[pivot] = {pivot: 1}
+        echelon[0] = (pivot, (1,))
     with pytest.raises(TypeError):
-        del echelon[pivot]
+        del echelon[0]
     with pytest.raises(TypeError):
-        vec[pivot] = 1
+        vec[0] = 1
     with pytest.raises(TypeError):
-        del vec[pivot]
+        del vec[0]
     assert solves(chart) == want
     assert solves(twin) == want
 
@@ -225,8 +225,8 @@ def test_a_wrong_echelon_gives_no_solve(monkeypatch):
 
     def off_by_one(rows):
         width = len(rows[0])
-        (p, b), *rest = real(rows).items()
-        return {p: {i: c + (i >= width) for i, c in b.items()}, **dict(rest)}
+        (p, b), *rest = real(rows)
+        return ((p, tuple(c + (i >= width) for i, c in enumerate(b, p))), *rest)
 
     monkeypatch.setattr(linalg, "solver", off_by_one)
     for target in targets:

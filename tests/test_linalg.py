@@ -128,7 +128,7 @@ def test_coordinates_round_trip(rows, data):
             solver(rows)
         return
     echelon = solver(rows)
-    assert all(type(c) is int for b in echelon.values() for c in b.values())
+    assert all(type(c) is int for _, b in echelon for c in b)
     got = integer_coordinates(rows, target)
     assert got == alpha  # independent rows: the solution is unique
     assert all(type(a) is int for a in got)
@@ -163,6 +163,48 @@ def test_coordinates_match_cramer_on_any_target(rows, data):
     j, d = data.draw(st.integers(0, k - 1)), data.draw(st.integers(1, 3))
     rows = tuple(tuple(d * c for c in row) if i == j else tuple(row) for i, row in enumerate(rows))
     assert integer_coordinates(rows, target) == cramer_coordinates(rows, target)
+
+
+def dict_coordinates(rows, target):
+    """Reference integer solve on the dict echelon that `solver` stores as
+    tuples: the same back-substitution on `hnf` of the tagged rows, sparse."""
+    width, k = len(target), len(rows)
+    echelon = hnf([*row, *(int(i == j) for j in range(k))] for i, row in enumerate(rows))
+    rest = vector(target)
+    for p, b in echelon.items():
+        q = rest.get(p, 0) // b[p]
+        for i, c in b.items():
+            rest[i] = rest.get(i, 0) - q * c
+    if any(c for i, c in rest.items() if i < width):
+        return None
+    alpha = [-rest.get(width + i, 0) for i in range(k)]
+    return alpha if combine(alpha, rows) == list(target) else None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=matrices(entry=INT_ENTRY), data=st.data())
+def test_tuple_echelon_is_the_tagged_hnf(rows, data):
+    """On independent integer rows, `solver`'s (pivot, dense entries) tuples
+    expand to exactly `hnf` of the rows tagged with the identity, and
+    `integer_coordinates` answers as the dict echelon's back-substitution does,
+    on targets in the lattice, in the span off it and outside the span."""
+    k, w = len(rows), len(rows[0])
+    assume(rank(rows) == k)
+    rows = tuple(map(tuple, rows))
+    tagged = hnf([*row, *(int(i == j) for j in range(k))] for i, row in enumerate(rows))
+    echelon = solver(rows)
+    assert [p for p, _ in echelon] == list(tagged)
+    for p, b in echelon:
+        assert len(b) == w + k - p and b[0] > 0
+        assert {i: c for i, c in enumerate(b, p) if c} == tagged[p]
+    alpha = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    d = data.draw(st.integers(1, 3))
+    other = data.draw(st.lists(st.integers(-6, 6), min_size=w, max_size=w))
+    for target in (combine(alpha, rows), [d * c for c in combine(alpha, rows)], other):
+        assert integer_coordinates(rows, target) == dict_coordinates(rows, target)
+    scaled = tuple(tuple(d * c for c in row) for row in rows)
+    target = combine(alpha, rows)
+    assert integer_coordinates(scaled, target) == dict_coordinates(scaled, target)
 
 
 def int_matrices(k, w):

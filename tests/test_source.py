@@ -128,7 +128,6 @@ def test_no_line_in_the_package_is_longer_than_99_characters():
 # never handed out for writing; a new memo joins this list on purpose.
 LRU_CACHED = {
     "exactnum._phi_reducer",
-    "reps.conjugacy_classes",
     "reps.char_table",
     "reps._decomposition",
     "hilb.boundary_intersection_numbers",

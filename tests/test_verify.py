@@ -2,15 +2,17 @@
 every criterion honours ``--n-range``."""
 
 import gc
+import importlib
 import weakref
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from dihedral_mckay import constel, reps, taut, verify
+from dihedral_mckay import cli, constel, reps, taut, verify
 from dihedral_mckay.exactnum import CycloElt
 from dihedral_mckay.polyring import Poly
+from test_source import LRU_CACHED
 
 
 def _count_calls(monkeypatch, owner, attr):
@@ -159,6 +161,29 @@ def test_criterion_1_keeps_no_table(monkeypatch):
     assert verify.criterion_1(n_range=(3, 12))["passed"]
     gc.collect()
     assert len(built) == 10 and all(ref() is None for ref in built)
+
+
+def test_criterion_1_leaves_no_classes_or_phi_terms_behind(monkeypatch):
+    """Over criterion 1's full range no process memo gains an entry, and every
+    group it builds is freed with the conjugacy classes and Phi_n terms it held,
+    those of n = 41..100 among them."""
+    memos = []
+    for name in sorted(LRU_CACHED):
+        module, attr = name.split(".")
+        memos.append(getattr(importlib.import_module(f"dihedral_mckay.{module}"), attr))
+    sizes = [memo.cache_info().currsize for memo in memos]
+    groups = []
+    real = verify.build_char_table
+
+    def tracked(g):
+        groups.append(weakref.ref(g))
+        return real(g)
+
+    monkeypatch.setattr(verify, "build_char_table", tracked)
+    assert verify.criterion_1()["passed"]
+    gc.collect()
+    assert [memo.cache_info().currsize for memo in memos] == sizes
+    assert len(groups) == 98 and all(ref() is None for ref in groups)
 
 
 def test_criterion_2_pairs_each_quiver_once(monkeypatch):
@@ -621,9 +646,31 @@ def test_criterion_5_failure_names_n_and_the_chart(monkeypatch):
 
 
 def _one_curve_less_in_stage_1(fa, stage):
+    """Stage (1,) without its first chart, U1'': its tags still list two curves."""
     if stage == (1,):
-        fa.curve_tags = fa.curve_tags[1:]
+        fa.atlas.charts = fa.atlas.charts[1:]
     return fa
+
+
+def test_criterion_8_counts_curves_from_the_charts_not_the_tags(monkeypatch, capsys):
+    """A stage atlas that lost a chart is a FAIL line of `dimckay verify` and exit 2,
+    although its curve tags are untouched; tags that lost a curve change nothing."""
+    _hilb_at(7, "build_flop_atlas", _one_curve_less_in_stage_1)(monkeypatch)
+    assert cli.main(["verify", "--n-range", "7..7"]) == 2
+    out = capsys.readouterr().out
+    assert (
+        "FAIL criterion 8: flop atlases - "
+        "curve counts per stage at n=7: expected [3, 2, 1], got [3, 1, 1]"
+    ) in out
+    assert out.count("FAIL") == 1
+    monkeypatch.undo()
+
+    def fewer_tags(fa, stage):
+        fa.curve_tags = fa.curve_tags[1:]
+        return fa
+
+    _hilb_at(7, "build_flop_atlas", fewer_tags)(monkeypatch)
+    assert verify.criterion_8(n_range=(7, 7))["passed"]
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,11 @@ and its peak while it ran, both above the baseline taken once the package
 is imported.  Then it lists every memo of the package, found as
 tests/test_source.py finds them: each module attribute with ``cache_info``,
 in the module that defines it.  For each memo it prints the entries, the
-hits and the MB freed by clearing that memo alone; the last line frees all
+hits and the MB freed by clearing that memo alone; the next line frees all
 of them at once.  Each clearing runs in a forked child, so every memo is
 measured on the same state and an object that two memos share is freed by
-neither alone.  MB are 2**20 bytes.
+neither alone.  The closing line names the run's highest peak and the
+criterion it occurred in.  MB are 2**20 bytes.
 
 Standard library only (POSIX, for ``os.fork``) and opt-in; tier-1 runs it
 on 3..4 only.  The published ranges take about fifteen seconds.  It writes no
@@ -92,7 +93,7 @@ def main(argv=None):
     base = _held()
     print("MB above the import baseline")
     print(f"{'criterion':<28}{'held after':>11}{'peak':>9}")
-    failed = False
+    failed, peaks = False, []
     for cid, criterion in enumerate(verify.CRITERIA, 1):
         tracemalloc.reset_peak()
         try:
@@ -104,6 +105,7 @@ def main(argv=None):
         failed |= not passed
         label = f"{cid:>2} {verify.NAMES[cid - 1]}"
         print(f"{label:<28}{(_held() - base) / MB:>11.3f}{(peak - base) / MB:>9.3f}{status}")
+        peaks.append(peak)
     print()
     print(f"{'memo':<38}{'entries':>8}{'hits':>8}{'freed MB':>10}")
     for name, memo in memos:
@@ -112,6 +114,9 @@ def main(argv=None):
         print(f"{name:<38}{info.currsize:>8}{info.hits:>8}{freed:>10.3f}")
     total = freed_by_clearing([memo for _, memo in memos]) / MB
     print(f"{f'all {len(memos)} memos':<54}{total:>10.3f}")
+    top = max(range(len(peaks)), key=peaks.__getitem__)  # the first, on a tie
+    name = f"criterion {top + 1} ({verify.NAMES[top]})"
+    print(f"highest peak {(peaks[top] - base) / MB:.3f} MB, in {name}")
     return 1 if failed else 0
 
 
