@@ -6,6 +6,8 @@ polynomials only, on exponent pairs (a, b); 3-variable arithmetic serves the
 chart atoms of `hilb`.  Any Groebner basis gives the leading-term ideal and the one
 normal form (Cox, Little and O'Shea, ch. 2 par. 5-7), so staircases and normal forms
 read Buchberger's S-pair closure; the reduced basis serves equality and printing.
+The closure reduces no pair whose S-polynomial is known: two monomials give lcm - lcm
+= 0, and coprime leading monomials reduce to zero (Buchberger's first criterion).
 ``poly_str`` is the one text form of a polynomial: output only, with no parser.
 """
 
@@ -156,15 +158,19 @@ def _bivariate(polys):
 
 
 def _reduce(f, basis):
-    """Full normal form of f against monic polynomials: a step cancels a term
-    c*m by subtracting c * (m / lm) * g, where lm is g's leading monomial, and
-    divides by nothing.  A basis element that is not monic raises ValueError."""
+    """Full normal form of f against monic polynomials, by ``_remainder``.  A
+    basis element that is not monic raises ValueError."""
     for g in basis:
         if g.leading()[1] != 1:
             raise ValueError(f"{g} is not monic: leading coefficient {g.leading()[1]}")
-    lts = [(g.leading()[0], g.terms) for g in basis]
+    return Poly(f.nvars, _remainder(dict(f.terms), [(g.leading()[0], g.terms) for g in basis]))
+
+
+def _remainder(work, lts):
+    """Reduce the term dict work (no zero values) in place against monic (lm, terms)
+    pairs, and return the remainder's terms: a step cancels a term c*m by subtracting
+    c * (m / lm) * g for the first g whose leading monomial lm divides m."""
     rem = {}
-    work = dict(f.terms)
     while work:
         m = max(work, key=_key)
         c = work[m]
@@ -182,36 +188,41 @@ def _reduce(f, basis):
                 break
         else:
             rem[m] = work.pop(m)
-    return Poly(f.nvars, rem)
+    return rem
 
 
 def _spoly(f, g):
-    """S-polynomial of two monic polynomials, shifted to their leading lcm."""
+    """S-polynomial of two monic polynomials, shifted to their leading lcm, as a
+    term dict with the cancelled terms dropped (``exactnum._normal``)."""
     (fa, fb), (ga, gb) = f.leading()[0], g.leading()[0]
     la, lb = max(fa, ga), max(fb, gb)
     out = {(p + la - fa, q + lb - fb): c for (p, q), c in f.terms.items()}
     for (p, q), c in g.terms.items():
         t = (p + la - ga, q + lb - gb)
         out[t] = out.get(t, 0) - c
-    return Poly(f.nvars, out)
+    return _normal(out)
 
 
 def _closure(gens):
-    """Buchberger's S-pair closure: a monic grlex Groebner basis, not reduced."""
+    """Buchberger's S-pair closure: a monic grlex Groebner basis, not reduced.
+    It skips the pairs whose S-polynomial is zero or reduces to zero, so the result
+    is the same: two monomials (lcm - lcm) and coprime leading monomials (Buchberger's
+    first criterion).  The rest reduce as term dicts; only a remainder is a Poly."""
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("no nonzero generators")
     _bivariate(basis)
+    lts = [(g.leading()[0], g.terms) for g in basis]
     pairs = list(itertools.combinations(range(len(basis)), 2))
     while pairs:
         i, j = pairs.pop()
-        (a, b), (c, d) = basis[i].leading()[0], basis[j].leading()[0]
-        # Buchberger's first criterion: coprime leading monomials.
-        if (a == 0 or c == 0) and (b == 0 or d == 0):
+        ((a, b), fterms), ((c, d), gterms) = lts[i], lts[j]
+        if len(fterms) == len(gterms) == 1 or (a == 0 or c == 0) and (b == 0 or d == 0):
             continue
-        s = _reduce(_spoly(basis[i], basis[j]), basis)
-        if not s.is_zero():
-            basis.append(s.monic())
+        s = _remainder(_spoly(basis[i], basis[j]), lts)
+        if s:
+            basis.append(Poly(2, s).monic())
+            lts.append((basis[-1].leading()[0], basis[-1].terms))
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     return basis
 

@@ -11,6 +11,7 @@ from dihedral_mckay.polyring import (
     Ideal,
     InfiniteDimensional,
     Poly,
+    _closure,
     _key,
     _reduce,
     _spoly,
@@ -19,7 +20,7 @@ from dihedral_mckay.polyring import (
     rational_roots,
     staircase,
 )
-from reference import coefficients_are_normal
+from reference import coefficients_are_normal, criterion_4_points, reference_closure
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -343,19 +344,55 @@ def test_generator_lists_run_buchbergers_append_branch():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.tuples(_polys(2, 1), _polys(2, 1)))
-def test_spoly_is_the_difference_of_the_shifted_inputs(fg):
+@given(st.tuples(_polys(2, 1), _polys(2, 1)), st.tuples(SMALL_MONOS[2], SMALL_MONOS[2]))
+def test_spoly_is_the_difference_of_the_shifted_inputs(fg, monos):
     """_spoly copies each input shifted to the leading lcm and subtracts;
     the reference multiplies each by its shift monomial and subtracts.  A pair
-    that cancels completely, such as f and itself, gives the zero polynomial."""
+    that cancels completely, such as f and itself or two monomials, gives no
+    term."""
     f, g = (p.monic() for p in fg)
     mf, mg = f.leading()[0], g.leading()[0]
     lcm = tuple(max(a, b) for a, b in zip(mf, mg))
     shift = [tuple(a - b for a, b in zip(lcm, m)) for m in (mf, mg)]
     want = Poly.mono(shift[0]) * f - Poly.mono(shift[1]) * g
     got = _spoly(f, g)
-    assert got == want and coefficients_are_normal(_coefficients([got]))
-    assert _spoly(f, f).is_zero()
+    assert got == want.terms and coefficients_are_normal(got.values())
+    assert _spoly(f, f) == {}
+    assert _spoly(*map(Poly.mono, monos)) == {}
+
+
+def _two_monomials_share_a_variable(gens):
+    """_closure's monomial rule skips a pair that the coprime rule keeps."""
+    monos = [g.leading()[0] for g in gens if len(g.terms) == 1]
+    return any(
+        not ((a == 0 or c == 0) and (b == 0 or d == 0))
+        for (a, b), (c, d) in itertools.combinations(monos, 2)
+    )
+
+
+def test_generator_lists_reach_the_monomial_pair_rule():
+    """The drawn lists run the two-monomial skip, so the closure properties
+    below compare it with a reference that reduces those pairs."""
+    unshrunk = settings(database=None, phases=[Phase.generate])
+    gens = find(generator_lists(), _two_monomials_share_a_variable, settings=unshrunk)
+    assert _two_monomials_share_a_variable(gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_lists(), st.lists(_polys(2, 1, 1), min_size=1, max_size=2))
+def test_closure_is_the_reference_closure(gens, monomials):
+    """Skipping the pairs of two monomials leaves the closure as it is, element
+    for element and in order: on the drawn lists, and with one or two scaled
+    monomials added, so that three or four generators are monomials."""
+    for drawn in (gens, monomials + gens):
+        assert _closure(drawn) == reference_closure(drawn)
+
+
+def test_closure_is_the_reference_closure_on_criterion_4s_ideals():
+    """Criterion 4's seed-7 cluster ideals for n <= 12, three monomials each."""
+    for n, p in criterion_4_points(12):
+        gens = hilb.cluster_ideal(n, p).generators
+        assert _closure(gens) == reference_closure(gens), (n, p)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,13 +19,13 @@ The oracle shares no code with Buchberger.  Tier-1 checks a seeded subset;
 n <= 20 (seed 7) and every `fixed_points` candidate for n <= 50.
 """
 
-import random
 import time
 from fractions import Fraction
 
 from dihedral_mckay import linalg
 from dihedral_mckay.hilb import ClusterPoint, cluster_ideal, swap_xy
 from dihedral_mckay.polyring import Ideal, Poly, staircase
+from reference import criterion_4_points
 
 
 def j_standard(n):
@@ -70,19 +70,6 @@ def check_point(n, p):
     same = check_ideal(n, ideal) == check_ideal(n, image)
     assert (ideal == image) == same, (n, p)
     return same
-
-
-def criterion_4_points(n_max, seed=7):
-    """The points criterion 4 draws: 200 per n, as it draws them."""
-    rng = random.Random(seed)
-    for n in range(3, n_max + 1):
-        for _ in range(200):
-            i = rng.randint(1, n - 1)
-            a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            if a == 0 and b == 0:
-                a = Fraction(1)
-            yield n, ClusterPoint(i, a, b)
 
 
 def fixed_point_candidates(n_max):
