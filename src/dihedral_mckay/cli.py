@@ -171,7 +171,7 @@ def _socle_table(args):
         raise UsageError("--family needs --theta")
     theta = _parse_theta(n, args.theta) if args.theta else None
     family = _load_family(args.family, 2 * n)
-    rows = constel.socle_table(n, alpha=alpha)
+    rows = constel.socle_table(n, alpha=alpha, theta=theta, family=family)
     payload = []
     for row in rows:
         item = {
@@ -183,7 +183,7 @@ def _socle_table(args):
             "regular": row["regular"],
         }
         if theta is not None:
-            verdict = constel.theta_check(row["constellation"], theta, family)
+            verdict = row["theta"]
             item["theta"] = (
                 {
                     "verdict": "destabilized-by",

@@ -23,6 +23,9 @@ vectors.  A character is computed in one pass per conjugacy class:
 rotation classes add integer multiplicities at exponent power*w mod n,
 reflection classes add the tau-diagonal traces of the weights fixed by
 negation, and one CycloElt is built per class at the end.
+
+A ``socle_table`` row holds what was read off its witness, never the module:
+the table builds, reads and drops one module at a time.
 """
 
 from __future__ import annotations
@@ -325,24 +328,26 @@ def witness_point(i, alpha):
     return hilb.ClusterPoint(i, Fraction(1) - alpha, Fraction(1) + alpha)
 
 
-def socle_table(n, alpha=Fraction(1, 2)):
-    """Witness constellation per stratum with its socle and top."""
+def socle_table(n, alpha=Fraction(1, 2), theta=None, family=None):
+    """Per stratum, a witness constellation's socle, top and regular check.
+
+    With ``theta`` a row also holds ``"theta"``, ``theta_check(F, theta, family)``."""
     m = hilb.half_index(n)
     rows = []
 
     def add(stratum, point, twist=None):
         F = constellation_from_cluster(n, point, twist=twist)
-        rows.append(
-            {
-                "stratum": stratum,
-                "witness": point.label,
-                "twist": twist,
-                "socle": socle(F),
-                "top": top(F),
-                "regular": regular_check(F),
-                "constellation": F,
-            }
-        )
+        row = {
+            "stratum": stratum,
+            "witness": point.label,
+            "twist": twist,
+            "socle": socle(F),
+            "top": top(F),
+            "regular": regular_check(F),
+        }
+        if theta is not None:
+            row["theta"] = theta_check(F, theta, family)
+        rows.append(row)
 
     for i in range(1, m + 1):
         add(f"E{i}", witness_point(i, alpha))

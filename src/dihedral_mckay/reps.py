@@ -366,8 +366,7 @@ def _drawn_adjacency(table):
 def mckay_quiver(n):
     if n < 3:
         raise ValueError("need n >= 3 for a 2-dimensional rho1")
-    g = GroupSpec("dihedral", n)
-    table = char_table(g)
+    table = build_char_table(GroupSpec("dihedral", n))
     nat = table.by_name["rho1"]
     names = table.names()
     adj = inner_product([nat * chi for chi in table], table.chars)

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,6 +103,32 @@ def test_socle_table_matches_theorem():
                 assert row["top"] == {"rho0": 1, "rho0'": 1}
             else:
                 assert row["top"] == {"rho0": 1}
+
+
+@pytest.mark.parametrize("with_theta", [False, True], ids=["plain", "theta"])
+def test_socle_table_keeps_no_module(monkeypatch, with_theta):
+    """No row holds its witness, and every module the table built is freed
+    once it returns; with theta each row holds its verdict instead."""
+    n = 6
+    built = []
+    build = constel.constellation_from_cluster
+
+    def spy(*args, **kwargs):
+        F = build(*args, **kwargs)
+        built.append(weakref.ref(F))
+        return F
+
+    monkeypatch.setattr(constel, "constellation_from_cluster", spy)
+    kwargs = {}
+    if with_theta:
+        kwargs = {"theta": StabilityParam.make(n, {"rho0": -2, "rho0'": 2}), "family": [[{0: 1}]]}
+    rows = socle_table(n, **kwargs)
+    gc.collect()
+    assert all("constellation" not in row for row in rows)
+    assert len(built) == len(rows) and all(ref() is None for ref in built)
+    assert all(("theta" in row) == with_theta for row in rows)
+    if with_theta:
+        assert all(isinstance(row["theta"], constel.ThetaVerdict) for row in rows)
 
 
 def test_regular_check_rejects_fake():

@@ -45,9 +45,19 @@ def _orbit_module(n, monkeypatch):
 
 
 def _modules(n, monkeypatch):
-    out = [row["constellation"] for row in constel.socle_table(n)]
+    """The socle table's witnesses, caught as they are built, then the
+    fixed-point modules of both twists and the orbit module."""
+    out = []
+    build = constel.constellation_from_cluster
+
+    def spy(*args, **kwargs):
+        out.append(build(*args, **kwargs))
+        return out[-1]
+
+    monkeypatch.setattr(constel, "constellation_from_cluster", spy)
+    constel.socle_table(n)
     for p in _fixed_points(n):
-        out += [constel.constellation_from_cluster(n, p, twist=t) for t in constel.TWISTS]
+        out += [build(n, p, twist=t) for t in constel.TWISTS]
     out.append(_orbit_module(n, monkeypatch))
     return out
 

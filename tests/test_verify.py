@@ -163,27 +163,50 @@ def test_criterion_1_keeps_no_table(monkeypatch):
     assert len(built) == 10 and all(ref() is None for ref in built)
 
 
-def test_criterion_1_leaves_no_classes_or_phi_terms_behind(monkeypatch):
-    """Over criterion 1's full range no process memo gains an entry, and every
-    group it builds is freed with the conjugacy classes and Phi_n terms it held,
-    those of n = 41..100 among them."""
-    memos = []
+def _memo_sizes():
+    """currsize of every lru_cache in the package, in LRU_CACHED's sorted order."""
+    sizes = []
     for name in sorted(LRU_CACHED):
         module, attr = name.split(".")
-        memos.append(getattr(importlib.import_module(f"dihedral_mckay.{module}"), attr))
-    sizes = [memo.cache_info().currsize for memo in memos]
+        memo = getattr(importlib.import_module(f"dihedral_mckay.{module}"), attr)
+        sizes.append(memo.cache_info().currsize)
+    return sizes
+
+
+def _track_groups(monkeypatch, owner):
+    """Weak references to the group of every table ``owner.build_char_table`` builds."""
     groups = []
-    real = verify.build_char_table
+    real = owner.build_char_table
 
     def tracked(g):
         groups.append(weakref.ref(g))
         return real(g)
 
-    monkeypatch.setattr(verify, "build_char_table", tracked)
+    monkeypatch.setattr(owner, "build_char_table", tracked)
+    return groups
+
+
+def test_criterion_1_leaves_no_classes_or_phi_terms_behind(monkeypatch):
+    """Over criterion 1's full range no process memo gains an entry, and every
+    group it builds is freed with the conjugacy classes and Phi_n terms it held,
+    those of n = 41..100 among them."""
+    sizes = _memo_sizes()
+    groups = _track_groups(monkeypatch, verify)
     assert verify.criterion_1()["passed"]
     gc.collect()
-    assert [memo.cache_info().currsize for memo in memos] == sizes
+    assert _memo_sizes() == sizes
     assert len(groups) == 98 and all(ref() is None for ref in groups)
+
+
+def test_criterion_2_keeps_no_table(monkeypatch):
+    """Each quiver of criterion 2's full range pairs a fresh table: no process
+    memo gains an entry, and every group it builds is freed once it returns."""
+    sizes = _memo_sizes()
+    groups = _track_groups(monkeypatch, reps)
+    assert verify.criterion_2()["passed"]
+    gc.collect()
+    assert _memo_sizes() == sizes
+    assert len(groups) == 37 and all(ref() is None for ref in groups)
 
 
 def test_criterion_2_pairs_each_quiver_once(monkeypatch):
@@ -196,7 +219,7 @@ def test_criterion_2_pairs_each_quiver_once(monkeypatch):
         nat = table.by_name["rho1"]
         assert [r.name for r in rows] == [f"rho1*{chi.name}" for chi in table]
         assert rows == [nat * chi for chi in table]
-        assert cols is table.chars
+        assert cols == table.chars
 
 
 def _spoil_table(monkeypatch, n, at, k, terms):
