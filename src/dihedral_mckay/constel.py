@@ -329,9 +329,8 @@ def witness_point(i, alpha):
 
 
 def socle_table(n, alpha=Fraction(1, 2), theta=None, family=None):
-    """Per stratum, a witness constellation's socle, top and regular check.
-
-    With ``theta`` a row also holds ``"theta"``, ``theta_check(F, theta, family)``."""
+    """Per stratum, a witness F's socle, top and regular check, and given
+    ``theta`` its verdict ``theta_check(F, theta, family)``; never F itself."""
     m = hilb.half_index(n)
     rows = []
 
