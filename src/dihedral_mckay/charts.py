@@ -22,9 +22,9 @@ is reached once per (rows, lattice) pair per process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .exactnum import ReadOnly
 from .linalg import hnf, integer_coordinates, solver
 from .polyring import Poly, rational_roots
 
@@ -46,26 +46,29 @@ class NotUnimodular(ValueError):
     or the chart is over other atoms than its atlas."""
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    poly: Poly  # ambient expansion
+class Atom(ReadOnly):
+    __slots__ = ("name", "poly")
+
+    def __init__(self, name, poly):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "poly", poly)  # ambient expansion
+
+    def __eq__(self, other):
+        return isinstance(other, Atom) and self.name == other.name and self.poly == other.poly
 
 
-@dataclass
 class Chart:
     """Smooth affine chart with Laurent-monomial coordinates over atoms."""
 
-    name: str
-    atoms: tuple  # tuple[Atom]
-    rows: tuple  # one exponent vector per coordinate
-    coord_names: tuple
-    exceptional_axes: dict = field(default_factory=dict)  # coord index -> label
-
-    def __post_init__(self):
-        self.rows = tuple(tuple(r) for r in self.rows)
-        if len(self.coord_names) != len(self.rows):
+    def __init__(self, name, atoms, rows, coord_names, exceptional_axes=None):
+        self.name = name
+        self.atoms = atoms  # tuple[Atom]
+        self.rows = tuple(tuple(r) for r in rows)  # one exponent vector per coordinate
+        self.coord_names = coord_names
+        if len(coord_names) != len(self.rows):
             raise ValueError("coordinate name count mismatch")
+        # coord index -> label
+        self.exceptional_axes = {} if exceptional_axes is None else exceptional_axes
         solver(self.rows)  # dependent rows raise ValueError
 
     def coord_fraction(self, i):
@@ -85,20 +88,17 @@ def _atom_fraction(atoms, exponents):
     return num, den
 
 
-@dataclass(frozen=True)
-class LocalCurve:
-    equation: Poly  # in chart coordinates
-    label: str
+class LocalCurve(ReadOnly):
+    __slots__ = ("equation", "label")
 
-    def __post_init__(self):
-        for i in range(self.equation.nvars):
-            if not self.equation.is_zero() and all(
-                m[i] > 0 for m in self.equation.terms
-            ):
+    def __init__(self, equation, label):
+        for i in range(equation.nvars):
+            if not equation.is_zero() and all(m[i] > 0 for m in equation.terms):
                 raise ValueError(
-                    f"{self.label}: equation divisible by coordinate {i}, "
-                    "not a strict transform"
+                    f"{label}: equation divisible by coordinate {i}, not a strict transform"
                 )
+        object.__setattr__(self, "equation", equation)  # in chart coordinates
+        object.__setattr__(self, "label", label)
 
 
 def express_monomial(chart, mono):
@@ -245,18 +245,15 @@ def _unimodular_failure(rows, lattice):
         return f"|det| = {g} != 1" if len(rel) == len(lattice) else "embedding not primitive"
 
 
-@dataclass
 class Atlas:
     """Charts over one atom alphabet, each unimodular against one lattice."""
 
-    name: str
-    atoms: tuple
-    lattice: tuple  # lattice basis rows over atom exponents
-    charts: list
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.lattice = tuple(tuple(r) for r in self.lattice)
+    def __init__(self, name, atoms, lattice, charts, meta=None):
+        self.name = name
+        self.atoms = atoms
+        self.lattice = tuple(tuple(r) for r in lattice)  # basis rows over atom exponents
+        self.charts = charts
+        self.meta = {} if meta is None else meta
         self.validate_unimodular()
 
     def validate_unimodular(self):

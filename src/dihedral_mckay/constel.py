@@ -30,11 +30,10 @@ the table builds, reads and drops one module at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hilb, linalg
-from .exactnum import CycloElt, NotRational, rational_value
+from .exactnum import CycloElt, NotRational, ReadOnly, rational_value
 from .polyring import Ideal, Poly, staircase
 from .reps import Character, GroupSpec, char_table, decompose
 
@@ -409,9 +408,11 @@ def off_exceptional_report(n):
 # --- theta stability ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityParam:
-    theta: tuple  # sorted (irreducible name, Fraction) pairs
+class StabilityParam(ReadOnly):
+    __slots__ = ("theta",)
+
+    def __init__(self, theta):
+        object.__setattr__(self, "theta", theta)  # sorted (irreducible name, Fraction) pairs
 
     @classmethod
     def make(cls, n, values):
@@ -427,12 +428,15 @@ class StabilityParam:
         return sum((theta[k] * v for k, v in cls_dict.items()), Fraction(0))
 
 
-@dataclass
 class ThetaVerdict:
-    destabilized: bool
-    seeds: list = None  # the destabilizing family entry, as given
-    cls: dict = None
-    value: Fraction = None
+    def __init__(self, destabilized, seeds=None, cls=None, value=None):
+        self.destabilized = destabilized
+        self.seeds = seeds  # the destabilizing family entry, as given
+        self.cls = cls
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, ThetaVerdict) and vars(self) == vars(other)
 
 
 def default_family(F):

@@ -87,7 +87,21 @@ def exact_poly_div(num, den):
     return out
 
 
-class CycloElt:
+class ReadOnly:
+    """Base of the package's read-only values: each subclass names its fields in
+    ``__slots__`` and sets them in ``__init__`` by ``object.__setattr__``; after
+    that every attribute write and delete is refused."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name} to {value!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name}")
+
+
+class CycloElt(ReadOnly):
     """Element of Q[t]/(t^n - 1), the carrier for root-of-unity sums; read-only once built.
 
     Its one constructor is ``CycloElt(order, terms)``; ``*`` scales by an int or
@@ -100,12 +114,6 @@ class CycloElt:
         zero coefficients are dropped and integral Fractions become ints."""
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", MappingProxyType(_normal(terms)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CycloElt is read-only: cannot set {name} to {value!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"CycloElt is read-only: cannot delete {name}")
 
     @property
     def coeffs(self):

@@ -18,7 +18,6 @@ f1^2 - f2^2 = 4(xy)^n (odd) or 4(xy)^(n/2) (even) by polynomial arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -37,6 +36,7 @@ from .charts import (
     verify_gluing,
     verify_poly_transition,
 )
+from .exactnum import ReadOnly
 from .polyring import Ideal, Poly, staircase
 
 
@@ -57,22 +57,28 @@ def half_index(n):
 # --- cluster points -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClusterPoint:
+class ClusterPoint(ReadOnly):
     """Point I_i(a:b) on the exceptional locus of Z_n-Hilb(C^2), canonical once built:
     (a:b) is kept as Fractions with first nonzero coordinate 1, so proportional
     pairs give equal points, with equal hashes and labels."""
 
-    i: int
-    a: Fraction
-    b: Fraction
+    __slots__ = ("i", "a", "b")
 
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0:
+    def __init__(self, i, a, b):
+        if a == 0 and b == 0:
             raise ValueError("(a:b) must be a projective pair")
-        lead = Fraction(self.a or self.b)
-        object.__setattr__(self, "a", self.a / lead)
-        object.__setattr__(self, "b", self.b / lead)
+        lead = Fraction(a or b)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "a", a / lead)
+        object.__setattr__(self, "b", b / lead)
+
+    def __eq__(self, other):
+        if not isinstance(other, ClusterPoint):
+            return NotImplemented
+        return (self.i, self.a, self.b) == (other.i, other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.i, self.a, self.b))
 
     @property
     def label(self):
@@ -664,11 +670,11 @@ def _flop_atlas(n, label, names):
     return Atlas(f"{label}(n={n})", atoms, _flop_lattice(n), charts)
 
 
-@dataclass
 class FlopAtlas:
-    atlas: Atlas
-    curve_tags: list  # [{"curve", "coords", "charts"}]
-    floppable: dict  # tag of the curve flopped at this stage
+    def __init__(self, atlas, curve_tags, floppable):
+        self.atlas = atlas
+        self.curve_tags = curve_tags  # [{"curve", "coords", "charts"}]
+        self.floppable = floppable  # tag of the curve flopped at this stage
 
 
 def stage_chain(n):

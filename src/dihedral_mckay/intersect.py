@@ -18,11 +18,11 @@ blow_up_at's new curve and each candidate of the maximality test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
 
 from . import hilb
+from .exactnum import ReadOnly
 
 ZERO = Fraction(0)  # built once: pair() of two labels that q does not pair, stored zeros
 BOUNDARY_COEFFICIENT = Fraction(1, 2)  # (m_j - 1)/m_j: each reflection line of D_2n has m_j = 2
@@ -32,30 +32,40 @@ class NotContractible(ValueError):
     """Castelnuovo preconditions (C^2 = -1, K.C = -1) fail."""
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(ReadOnly):
     """Special point: multiplicities of curves and boundary components, read-only."""
 
-    label: str
-    curves: dict  # curve label -> multiplicity
-    boundary: dict  # boundary label -> multiplicity
+    __slots__ = ("label", "curves", "boundary")
 
-    def __post_init__(self):
-        object.__setattr__(self, "curves", MappingProxyType(dict(self.curves)))
-        object.__setattr__(self, "boundary", MappingProxyType(dict(self.boundary)))
+    def __init__(self, label, curves, boundary):
+        object.__setattr__(self, "label", label)
+        # curve label -> multiplicity, boundary label -> multiplicity
+        object.__setattr__(self, "curves", MappingProxyType(dict(curves)))
+        object.__setattr__(self, "boundary", MappingProxyType(dict(boundary)))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Point)
+            and self.label == other.label
+            and self.curves == other.curves
+            and self.boundary == other.boundary
+        )
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(ReadOnly):
     """Curves of a log pair; q pairs each curve with the curves, "K" and
     the boundary labels (K.E is pair(E, "K"), B.E is pair(E, B)).  Built
     once and never written: a changed config is a new one."""
 
-    labels: list
-    boundary: tuple = ()  # boundary labels
-    q: dict = field(default_factory=dict)  # (label, label) -> Fraction, symmetric
-    discrepancy: dict = field(default_factory=dict)  # label -> Fraction
-    points: tuple = ()
+    __slots__ = ("labels", "boundary", "q", "discrepancy", "points")
+
+    def __init__(self, labels, boundary=(), q=None, discrepancy=None, points=()):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "boundary", boundary)  # boundary labels
+        # q: (label, label) -> Fraction, symmetric; discrepancy: label -> Fraction
+        object.__setattr__(self, "q", {} if q is None else q)
+        object.__setattr__(self, "discrepancy", {} if discrepancy is None else discrepancy)
+        object.__setattr__(self, "points", points)
 
     def pair(self, a, b):
         return self.q.get((a, b), ZERO)
@@ -323,7 +333,8 @@ def embedded_resolution_chain(n):
         # the boundary strict transform meets the new curve only at the
         # next center
         label = f"E{step}&" + "&".join(meets)
-        cfg = replace(cfg, points=(Point(label, {f"E{step}": 1}, meets),) if step < m else ())
+        points = (Point(label, {f"E{step}": 1}, meets),) if step < m else ()
+        cfg = CurveConfig(cfg.labels, cfg.boundary, cfg.q, cfg.discrepancy, points)
     return cfg
 
 

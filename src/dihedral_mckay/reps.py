@@ -25,13 +25,13 @@ caller a fresh dict.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .exactnum import (
     CycloElt,
     NotRational,
+    ReadOnly,
     _dense_rational,
     _phi_terms,
     cyc_mul,
@@ -44,12 +44,16 @@ class NotACharacter(ValueError):
     """Decomposition produced a negative or non-integral multiplicity."""
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    label: str  # "1", "sigma^k", "tau", "tau*sigma^even", "tau*sigma^odd"
-    size: int
-    kind: str  # "rotation" | "reflection"
-    power: int  # rotation: exponent k; reflection: parity of sigma-power
+class ConjClass(ReadOnly):
+    __slots__ = ("label", "size", "kind", "power")
+
+    def __init__(self, label, size, kind, power):
+        # label "1", "sigma^k", "tau", "tau*sigma^even" or "tau*sigma^odd"; kind "rotation" or
+        # "reflection"; power: a rotation's exponent k, a reflection's parity of sigma-power
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "power", power)
 
 
 def conjugacy_classes(g):
@@ -70,16 +74,22 @@ def conjugacy_classes(g):
     return tuple(classes)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    kind: str  # "cyclic" | "dihedral"
-    n: int
+class GroupSpec(ReadOnly):
+    __slots__ = ("kind", "n", "__dict__", "__weakref__")  # __dict__ holds the cached values
 
-    def __post_init__(self):
-        if self.kind not in ("cyclic", "dihedral"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.n < 2:
+    def __init__(self, kind, n):
+        if kind not in ("cyclic", "dihedral"):
+            raise ValueError(f"unknown kind {kind!r}")
+        if n < 2:
             raise ValueError("n must be at least 2")
+        object.__setattr__(self, "kind", kind)  # "cyclic" | "dihedral"
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        return isinstance(other, GroupSpec) and self.kind == other.kind and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.kind, self.n))
 
     @property
     def order(self):
@@ -90,16 +100,15 @@ class GroupSpec:
     phi = cached_property(lambda g: _phi_terms(g.n))  # gram's Phi_n reducer
 
 
-@dataclass(frozen=True, eq=False)
-class Character:
+class Character(ReadOnly):
     """Class function given by one CycloElt value per conjugacy class; read-only once built."""
 
-    group: GroupSpec
-    name: str
-    values: tuple
+    __slots__ = ("group", "name", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, group, name, values):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "values", tuple(values))
 
     @property
     def degree(self):
@@ -125,8 +134,7 @@ class Character:
         return f"Character({self.name})"
 
 
-@dataclass(frozen=True, eq=False)
-class CharTable:
+class CharTable(ReadOnly):
     """Irreducible characters of a group in table order, shared read-only by char_table.
 
     ``index`` maps each name to its McKay index j: eps_j -> j; rho0,
@@ -134,17 +142,15 @@ class CharTable:
     eps_j + eps_(-j mod n), and rho_j with j >= 1 belongs to the curve E_j.
     """
 
-    group: GroupSpec
-    classes: tuple
-    chars: tuple
-    index: MappingProxyType
-    by_name: MappingProxyType = field(init=False)
+    __slots__ = ("group", "classes", "chars", "index", "by_name", "__weakref__")
 
-    def __post_init__(self):
-        chars = tuple(self.chars)
+    def __init__(self, group, classes, chars, index):
+        chars = tuple(chars)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "chars", chars)
+        object.__setattr__(self, "index", MappingProxyType(dict(index)))
         object.__setattr__(self, "by_name", MappingProxyType({c.name: c for c in chars}))
-        object.__setattr__(self, "index", MappingProxyType(dict(self.index)))
 
     def __iter__(self):
         return iter(self.chars)

@@ -11,12 +11,12 @@ the defining relation 2L = -(sum of boundary supports) fixes the L column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
 from . import constel, hilb, intersect
+from .exactnum import ReadOnly
 from .reps import GroupSpec, char_table, decompose, induce, restrict
 
 
@@ -30,9 +30,14 @@ class CrossCheckFailure(Exception):
     not an AssertionError or a ValueError (see hilb.CertificateFailure)."""
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    coeffs: tuple  # sorted (label, Fraction) pairs
+class DivisorClass(ReadOnly):
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", coeffs)  # sorted (label, Fraction) pairs
+
+    def __eq__(self, other):
+        return isinstance(other, DivisorClass) and self.coeffs == other.coeffs
 
     @classmethod
     def make(cls, d):
@@ -64,15 +69,14 @@ class DivisorClass:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class PairingTable:
+class PairingTable(ReadOnly):
     """Pairings of the basis divisors with the exceptional curves E_j.
 
     The E and supp<B> rows are read off the fold, whose boundary pairings
     come from the chart computations in hilb.  Table and rows are read-only: see pairing_table.
     """
 
-    rows: MappingProxyType
+    __slots__ = ("rows",)
 
     def __init__(self, n):
         fold = intersect.z2_fold(intersect.an_chain(n - 1), n)
@@ -120,13 +124,13 @@ def stack_twist_class(n):
     return DivisorClass.make({"suppB1": Fraction(1, 2), "suppB2": Fraction(-1, 2)})
 
 
-@dataclass
 class LedgerEntry:
-    name: str
-    rank: int
-    c1: DivisorClass
-    description: str
-    extension: str  # "line", "split", "unique-nontrivial"
+    def __init__(self, name, rank, c1, description, extension):
+        self.name = name
+        self.rank = rank
+        self.c1 = c1
+        self.description = description
+        self.extension = extension  # "line", "split", "unique-nontrivial"
 
 
 def build_ledger(n, space):

@@ -2,12 +2,16 @@
 needs: ``reps.gram`` conjugates inline, and the properties check it against
 ``conjugate``; ``leibniz_det`` is independent of ``linalg``;
 ``reference_closure`` builds Buchberger's closure with ``Poly`` arithmetic and
-one pair rule; ``criterion_4_points`` draws criterion 4's points."""
+one pair rule; ``criterion_4_points`` draws criterion 4's points;
+``with_fields`` builds a changed copy of a read-only value and
+``check_read_only`` tries every write on one."""
 
 import itertools
 import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from dihedral_mckay.exactnum import CycloElt
 from dihedral_mckay.hilb import ClusterPoint
@@ -27,6 +31,27 @@ def leibniz_det(m):
         sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
         total += sign * math.prod(m[r][c] for r, c in enumerate(perm))
     return total
+
+
+def with_fields(value, **changes):
+    """A new value of value's type, built by its constructor from its slots
+    with the named ones changed; the package changes a config by building a new one."""
+    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    return type(value)(**{**fields, **changes})
+
+
+def check_read_only(value):
+    """Setting or deleting each slot of value, or a new name, raises an
+    AttributeError that says read-only, and each slot keeps its value."""
+    slots = type(value).__slots__
+    before = {name: getattr(value, name, None) for name in slots}
+    for name in (*slots, "spoiled"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(value, name, before.get(name, 1))
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(value, name)
+    assert all(getattr(value, name, None) is v for name, v in before.items())
+    assert not hasattr(value, "spoiled")
 
 
 def cp(i, a, b):

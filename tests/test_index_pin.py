@@ -8,14 +8,16 @@ digest is the SHA-256 of the JSON text of those outputs for one n, with
 the strata in socle-table order.
 """
 
-import dataclasses
 import json
 
 import pytest
 
-from dihedral_mckay import constel, reps, taut
+from dihedral_mckay import charts, constel, intersect, reps, taut
+from dihedral_mckay.exactnum import CycloElt, ReadOnly
 from dihedral_mckay.hilb import half_index
+from dihedral_mckay.polyring import Poly
 from pin import check
+from reference import check_read_only, cp
 
 
 def _strata(n):
@@ -104,12 +106,31 @@ def test_shared_characters_and_tables_refuse_attribute_writes(tmp_path):
 
 
 def test_a_new_attribute_on_a_character_or_table_is_refused():
-    """A name that is not a field is refused as a frozen write too, not with the
-    TypeError of a slotted frozen dataclass, which no AttributeError handler catches."""
+    """A name that is not a field is refused as a read-only write too, and so
+    is every field, on a character, a table and every other read-only value:
+    a value of each subclass of exactnum.ReadOnly, and CycloElt."""
     table = reps.char_table(reps.GroupSpec("dihedral", 6))
     for obj in (table.chars[1], table):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="read-only"):
             obj.spoiled = 1
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="read-only"):
             del obj.spoiled
         assert not hasattr(obj, "spoiled")
+    x = Poly.mono((1, 0))
+    values = [
+        CycloElt(6, {0: 1, 2: 3}),
+        table.classes[1],
+        table.group,
+        table.chars[1],
+        table,
+        charts.Atom("x", x),
+        charts.LocalCurve(x + Poly.mono((0, 1)), "C"),
+        constel.StabilityParam.make(6, {"rho0": -2, "rho0'": 2}),
+        cp(2, 3, 6),
+        taut.stack_twist_class(6),
+        taut.pairing_table(6),
+    ]
+    for value in values:
+        check_read_only(value)
+    configs = {intersect.Point, intersect.CurveConfig}  # test_intersect checks these
+    assert {type(v) for v in values} | configs == {CycloElt, *ReadOnly.__subclasses__()}

@@ -4,12 +4,11 @@ check that nothing reachable from a result accepts a write.
 Each digest is the SHA-256 of a canonical text form of one memo result:
 numbers as exact fractions, strings quoted, mappings as their items sorted
 by the text of the key, sequences as lists, and any other object as its type
-name with its dataclass fields or slots in declaration order.  The text reads
-values only, never a container's type, so it pins what a memo hands out and
-not how it is stored.
+name with its slots in declaration order, dunder slots left out.  The text
+reads values only, never a container's type, so it pins what a memo hands out
+and not how it is stored.
 """
 
-import dataclasses
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -36,12 +35,9 @@ def canonical(obj):
 
 
 def attributes(obj):
-    """(name, value) of obj's dataclass fields, or else of its slots."""
-    if dataclasses.is_dataclass(obj):
-        names = [f.name for f in dataclasses.fields(obj)]
-    else:
-        names = [s for cls in type(obj).__mro__ for s in getattr(cls, "__slots__", ())]
-    return [(name, getattr(obj, name)) for name in names]
+    """(name, value) of obj's slots, the dunder ones (__dict__, __weakref__) left out."""
+    names = [s for cls in type(obj).__mro__ for s in getattr(cls, "__slots__", ())]
+    return [(name, getattr(obj, name)) for name in names if not name.startswith("__")]
 
 
 def _rho1_squared(n):
@@ -137,7 +133,7 @@ ATOMS = (int, str, Fraction, type(None))  # bool is an int
 
 def reachable(result):
     """(path, object) for each non-atom object reachable from result through
-    dataclass fields, slots, tuple and list items and mapping values, once each."""
+    slots, tuple and list items and mapping values, once each."""
     seen, stack, out = set(), [("result", result)], []
     while stack:
         path, obj = stack.pop()

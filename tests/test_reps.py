@@ -90,6 +90,18 @@ def test_class_data():
     assert sum(c.size for c in cyc) == 6
 
 
+def test_equal_groups_are_one_key():
+    """Groups compare and hash by kind and n, so a group built afresh finds
+    the memo's table, and the other kind or order is another group."""
+    g, h = GroupSpec("dihedral", 7), GroupSpec("dihedral", 7)
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert char_table(h) is char_table(g)
+    assert g != GroupSpec("cyclic", 7) and g != GroupSpec("dihedral", 8) and g != ("dihedral", 7)
+    for kind, n in (("quaternion", 7), ("dihedral", 1)):
+        with pytest.raises(ValueError):
+            GroupSpec(kind, n)
+
+
 def test_char_table_counts():
     assert char_table(GroupSpec("dihedral", 4)).names() == [
         "rho0",

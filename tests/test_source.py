@@ -3,6 +3,8 @@
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -110,6 +112,22 @@ def test_every_definition_is_used_in_the_package():
                 if total[method.name] - _references(method)[method.name] == 0:
                     unused.append(f"{name}:{method.lineno} {node.name}.{method.name}")
     assert not unused, f"definitions nothing in the package uses: {unused}"
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """The package's records are plain classes, so a fresh interpreter, with no
+    site module to import anything first, imports every package module and
+    still has neither ``dataclasses`` nor ``inspect`` (which it imports) loaded."""
+    src = str(Path(dihedral_mckay.__file__).parents[1])
+    names = [f"dihedral_mckay.{path.stem}" for path in MODULES if path.stem != "__main__"]
+    code = (
+        f"import importlib, sys; sys.path.insert(0, {src!r})\n"
+        f"for name in {names!r}: importlib.import_module(name)\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]", f"loaded by the package imports: {run.stdout.strip()}"
 
 
 def test_no_line_in_the_package_is_longer_than_99_characters():

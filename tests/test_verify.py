@@ -4,7 +4,6 @@ every criterion honours ``--n-range``."""
 import gc
 import importlib
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +11,7 @@ import pytest
 from dihedral_mckay import cli, constel, reps, taut, verify
 from dihedral_mckay.exactnum import CycloElt
 from dihedral_mckay.polyring import Poly
+from reference import with_fields
 from test_source import LRU_CACHED
 
 
@@ -270,7 +270,7 @@ def test_criterion_7_fails_on_a_fold_without_its_points(monkeypatch):
 
     def pointless(chain, n):
         cfg = real(chain, n)
-        return replace(cfg, points=()) if n == 7 else cfg
+        return with_fields(cfg, points=()) if n == 7 else cfg
 
     monkeypatch.setattr(verify.intersect, "z2_fold", pointless)
     res = verify.criterion_7(n_range=(3, 9))
@@ -361,7 +361,7 @@ def test_criterion_10_failure_names_the_torsion_curve(monkeypatch):
 
 def _with_pair(cfg, a, b, v):
     """A copy of cfg that pairs a with b, and b with a, as v."""
-    return replace(cfg, q={**cfg.q, (a, b): v, (b, a): v})
+    return with_fields(cfg, q={**cfg.q, (a, b): v, (b, a): v})
 
 
 def _chain_at_7(spoil):
@@ -428,7 +428,7 @@ def _fold_ledger_at_7(monkeypatch):
     def spoiled(chain, n):
         cfg = real(chain, n)
         if n == 7:
-            return replace(cfg, discrepancy={**cfg.discrepancy, "E2": Fraction(-1, 2)})
+            return with_fields(cfg, discrepancy={**cfg.discrepancy, "E2": Fraction(-1, 2)})
         return cfg
 
     monkeypatch.setattr(verify.intersect, "z2_fold", spoiled)
@@ -465,19 +465,19 @@ def _odd_m3(cfg, extra=()):
 
 def _fold_below_minus_one(cfg):
     if _odd_m3(cfg):  # n = 7
-        return replace(cfg, discrepancy={**cfg.discrepancy, "E1": Fraction(-1)})
+        return with_fields(cfg, discrepancy={**cfg.discrepancy, "E1": Fraction(-1)})
     return cfg
 
 
 def _smooth_even_origin(cfg):
     if not cfg.labels and cfg.boundary == ("B1", "B2"):  # first at n = 4
-        return replace(cfg, points=(verify.intersect.Point("origin", {}, {"B1": 1}),))
+        return with_fields(cfg, points=(verify.intersect.Point("origin", {}, {"B1": 1}),))
     return cfg
 
 
 def _crepant_beyond(cfg):
     if _odd_m3(cfg, ["F"]):  # n = 7
-        return replace(cfg, discrepancy={**cfg.discrepancy, "F": Fraction(0)}, points=())
+        return with_fields(cfg, discrepancy={**cfg.discrepancy, "F": Fraction(0)}, points=())
     return cfg
 
 
