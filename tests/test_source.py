@@ -117,7 +117,8 @@ def test_every_definition_is_used_in_the_package():
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     """The package's records are plain classes, so a fresh interpreter, with no
     site module to import anything first, imports every package module and
-    still has neither ``dataclasses`` nor ``inspect`` (which it imports) loaded."""
+    still has neither ``dataclasses`` nor ``inspect``, which ``dataclasses``
+    imports, loaded."""
     src = str(Path(dihedral_mckay.__file__).parents[1])
     names = [f"dihedral_mckay.{path.stem}" for path in MODULES if path.stem != "__main__"]
     code = (
