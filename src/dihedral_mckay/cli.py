@@ -69,7 +69,7 @@ def _emit(args, text):
 
 def _chartable_text(args):
     table = char_table(GroupSpec("dihedral", args.n))
-    classes = [c.label for c in table.classes]
+    classes = [c.label for c in table.group.classes]
     lines = ["\t".join(["rep"] + classes)]
     for chi in table:
         lines.append(

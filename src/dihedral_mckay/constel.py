@@ -60,7 +60,7 @@ def _weight(mono, n):
 
 
 class Constellation:
-    def __init__(self, n, basis, x_action, y_action, tau_action, twist=None, label=""):
+    def __init__(self, n, basis, x_action, y_action, tau_action, label, twist=None):
         """x, y and tau as sparse columns: column j holds the nonzero entries
         of the image of basis vector j as {row index: int or Fraction}."""
         self.n = n
@@ -108,7 +108,7 @@ class Constellation:
             w = self.weights[b]
             counts[w] += 1
             diag[w] += self.tau_action[b].get(b, 0)
-        return _class_character(self.n, self.label or "F", counts, diag)
+        return _class_character(self.n, self.label, counts, diag)
 
     def row_indices(self, row):
         return [i for i, (r, _) in enumerate(self.basis) if r == row]
@@ -202,7 +202,7 @@ def _two_row(n, ideals, label, signs=None, twist=None):
             y.append(_expand(I, (a, b + 1), index, forms))
             img = _expand(J, (b, a), index_t, forms)
             t.append(img if signs is None else {i: signs[r] * c for i, c in img.items()})
-    return Constellation(n, basis, x, y, t, twist=twist, label=label)
+    return Constellation(n, basis, x, y, t, label, twist=twist)
 
 
 def regular_check(F):

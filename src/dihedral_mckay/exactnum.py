@@ -9,12 +9,11 @@ run in int arithmetic with no separate code path, and ``==`` and
 is a read-only value: ``CycloElt(order, terms)`` is its one constructor,
 it refuses attribute writes and its ``terms`` refuse item writes, so
 tables and memos share elements safely.  ``cyc_mul`` is the ring
-product; ``*`` only scales by an int or a Fraction.  The dense
-``coeffs`` tuple is a read-only view.  The ring has zero divisors; an
-element's value as a complex number is its image under t -> exp(2*pi*i/n),
-and that value is rational exactly when the element is congruent to a
-constant modulo the n-th cyclotomic polynomial.  Two extraction routines
-are provided:
+product; ``*`` only scales by an int or a Fraction.  The ring has zero
+divisors; an element's value as a complex number is its image under
+t -> exp(2*pi*i/n), and that value is rational exactly when the element
+is congruent to a constant modulo the n-th cyclotomic polynomial.  Two
+extraction routines are provided:
 
 * ``expect_rational`` -- strict: the element itself must be constant.
 * ``rational_value`` -- reduces modulo the n-th cyclotomic polynomial
@@ -114,14 +113,6 @@ class CycloElt(ReadOnly):
         zero coefficients are dropped and integral Fractions become ints."""
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", MappingProxyType(_normal(terms)))
-
-    @property
-    def coeffs(self):
-        """Dense coefficient tuple of Fractions, exponent 0 first."""
-        out = [Fraction(0)] * self.order
-        for k, c in self.terms.items():
-            out[k] = Fraction(c)
-        return tuple(out)
 
     def _check(self, other):
         if not isinstance(other, CycloElt):

@@ -136,18 +136,18 @@ class Character(ReadOnly):
 
 class CharTable(ReadOnly):
     """Irreducible characters of a group in table order, shared read-only by char_table.
+    Each row's values follow ``group.classes``; the table keeps no classes of its own.
 
     ``index`` maps each name to its McKay index j: eps_j -> j; rho0,
     rho0' -> 0; rho_j -> j; rho_(n/2), rho_(n/2)' -> n/2.  Then Res rho_j =
     eps_j + eps_(-j mod n), and rho_j with j >= 1 belongs to the curve E_j.
     """
 
-    __slots__ = ("group", "classes", "chars", "index", "by_name", "__weakref__")
+    __slots__ = ("group", "chars", "index", "by_name", "__weakref__")
 
-    def __init__(self, group, classes, chars, index):
+    def __init__(self, group, chars, index):
         chars = tuple(chars)
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "chars", chars)
         object.__setattr__(self, "index", MappingProxyType(dict(index)))
         object.__setattr__(self, "by_name", MappingProxyType({c.name: c for c in chars}))
@@ -173,7 +173,7 @@ def build_char_table(g):
         root = [CycloElt(n, {a: 1}) for a in range(n)]  # t^a
         for j in range(n):
             add(f"eps{j}", j, [root[j * c.power % n] for c in classes])
-        return CharTable(g, classes, chars, index)
+        return CharTable(g, chars, index)
 
     const = {q: CycloElt(n, {0: q}) for q in (1, -1, 0)}
     # t^a + t^-a, the two terms merged when a = -a mod n
@@ -188,7 +188,7 @@ def build_char_table(g):
         for name, refl_sign in ((f"rho{h}", 1), (f"rho{h}'", -1)):
             kind_sign = {"rotation": 1, "reflection": refl_sign}
             add(name, h, [const[kind_sign[c.kind] * (-1) ** c.power] for c in classes])
-    return CharTable(g, classes, chars, index)
+    return CharTable(g, chars, index)
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +283,7 @@ def _decomposition(chi):
     """decompose's answer as (name, multiplicity) pairs, keyed on chi's group and values."""
     table = char_table(chi.group)
     mults = {}
-    recon = [CycloElt(chi.group.n, {}) for _ in table.classes]
+    recon = [CycloElt(chi.group.n, {}) for _ in table.group.classes]
     for irr, m in zip(table, gram([chi], table.chars)[0]):
         if m.denominator != 1 or m < 0:
             raise NotACharacter(f"multiplicity of {irr.name} in {chi.name} is {m}")
@@ -291,7 +291,7 @@ def _decomposition(chi):
         if m:
             mults[irr.name] = m
             recon = [r + m * v for r, v in zip(recon, irr.values)]
-    for r, v, c in zip(recon, chi.values, table.classes):
+    for r, v, c in zip(recon, chi.values, table.group.classes):
         if not _same_value(r, v):
             raise NotACharacter(f"reconstruction differs on class {c.label}")
     return tuple(mults.items())
@@ -417,16 +417,12 @@ def quiver_to_json(q):
 def table_to_json(table):
     return {
         "group": {"kind": table.group.kind, "n": table.group.n},
-        "classes": [
-            {"label": c.label, "size": c.size} for c in table.classes
-        ],
+        "classes": [{"label": c.label, "size": c.size} for c in table.group.classes],
         "characters": [
             {
                 "name": chi.name,
                 "degree": int(chi.degree),
-                "values": [
-                    [str(q) for q in v.coeffs] for v in chi.values
-                ],
+                "values": [[str(v.terms.get(k, 0)) for k in range(v.order)] for v in chi.values],
             }
             for chi in table
         ],

@@ -43,11 +43,8 @@ class DivisorClass(ReadOnly):
     def make(cls, d):
         return cls(tuple(sorted((k, Fraction(v)) for k, v in d.items() if v != 0)))
 
-    def as_dict(self):
-        return dict(self.coeffs)
-
     def __add__(self, other):
-        out = self.as_dict()
+        out = dict(self.coeffs)
         for k, v in other.coeffs:
             out[k] = out.get(k, Fraction(0)) + v
         return DivisorClass.make(out)

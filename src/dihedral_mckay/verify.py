@@ -39,7 +39,7 @@ NAMES = (
 )
 
 
-def _result(cid, passed, details=""):
+def _result(cid, passed, details):
     return {"id": cid, "name": NAMES[cid - 1], "passed": bool(passed), "details": details}
 
 

@@ -23,7 +23,7 @@ def t_power(n, k):
 def to_complex(a):
     """Independent evaluation at exp(2*pi*i/n)."""
     z = cmath.exp(2j * cmath.pi / a.order)
-    return sum(float(c) * z**k for k, c in enumerate(a.coeffs))
+    return sum(float(c) * z**k for k, c in a.terms.items())
 
 
 def rand_elt(rng, n, span=3):

@@ -43,7 +43,7 @@ def reference_value(a):
     """Dense synthetic division by Phi_n; (remainder constant, constant)."""
     phi = cyclotomic_polynomial(a.order)
     deg = len(phi) - 1
-    work = [Fraction(c) for c in a.coeffs]
+    work = [Fraction(a.terms.get(k, 0)) for k in range(a.order)]
     for i in range(len(work) - 1, deg - 1, -1):
         q = work[i]
         for j in range(deg + 1):

@@ -96,9 +96,9 @@ PINNED = {
     ("reps.conjugacy_classes", 2): "6eae35e8ca236fddb37d0a1708d02c64088dc8635da116d5a6d0c42f962787c0",
     ("exactnum._phi_terms", 0): "cbf69ebb0e7d7048abad0ab25747bf696acb7eb332ad589d1e097998472c5262",
     ("exactnum._phi_terms", 1): "4d0421034987a6f87c50bf3e148a395f0447d0f062abab566eeee4ec3fc9b00e",
-    ("reps.char_table", 0): "0138bee16ff95057b86d9bb7aa2eb50d8472ced49752227efaa41978e07a26fc",
-    ("reps.char_table", 1): "473c371f32aa76bff81faed2e241e7b929a9d097714fa519880700ebbae05b42",
-    ("reps.char_table", 2): "303c4ef2309f926b3d309a706097f55ddfe09eb04b6536c7cc4fbf7bc4456843",
+    ("reps.char_table", 0): "e876b2c97815308ec4c5bd25c69d612e0b808185a7dd6c519aa915c864f2b88b",
+    ("reps.char_table", 1): "1b60e8a88b2721a64b7c3ace08dc0b992633d68b4f8c051fd27a86357b0590ba",
+    ("reps.char_table", 2): "c86c3c5835693101b852c7522a84656c7c39217fe2d4f5c1bd3546f17a754143",
     ("reps._decomposition", 0): "9f0a94ab23d99e48bcd546263d67e0c3f0ca4be18e460fb79bbe090806178759",
     ("reps._decomposition", 1): "9f0a94ab23d99e48bcd546263d67e0c3f0ca4be18e460fb79bbe090806178759",
     ("hilb.boundary_intersection_numbers", 0): "6ca19170acc22d0e88f577a12a9c816c489681a2540fbf8efc71c1cb4df80357",

@@ -65,7 +65,7 @@ def value_num(chi, g):
     labels = [c.label for c in conjugacy_classes(chi.group)]
     v = chi.values[labels.index(class_of(n, g))]
     z = cmath.exp(2j * cmath.pi / n)
-    return sum(float(c) * z**k for k, c in enumerate(v.coeffs))
+    return sum(float(c) * z**k for k, c in v.terms.items())
 
 
 def inner_num(chi, psi):
@@ -138,7 +138,7 @@ def test_column_orthogonality():
     for n in (3, 4, 7, 10):
         g = GroupSpec("dihedral", n)
         table = char_table(g)
-        classes = table.classes
+        classes = table.group.classes
         for a, ca in enumerate(classes):
             for b, cb in enumerate(classes):
                 acc = None
@@ -450,7 +450,7 @@ def test_every_table_value_matches_its_definition(kind, ns):
         assert table.names() == [name for name, _ in expected]
         for chi, (name, vals) in zip(table, expected):
             assert len(chi.values) == len(vals)
-            for c, v, terms in zip(table.classes, chi.values, vals):
+            for c, v, terms in zip(table.group.classes, chi.values, vals):
                 assert v.order == n, (n, name, c.label)
                 assert v.terms == terms, (n, name, c.label)
 

@@ -183,7 +183,7 @@ def test_build_ledger_refuses_a_rank_that_differs_from_the_degree(monkeypatch):
     g = GroupSpec("dihedral", 5)
     table = char_table(g)
     doubled = Character(g, "rho0", [2 * v for v in table.by_name["rho0"].values])
-    planted = CharTable(g, table.classes, [doubled], {"rho0": 0})
+    planted = CharTable(g, [doubled], {"rho0": 0})
     monkeypatch.setattr(taut, "char_table", lambda group: planted)
     with pytest.raises(taut.IdentityViolation, match="^rank of rho0 differs from its degree$"):
         build_ledger(5, "coarse")

@@ -59,7 +59,7 @@ def test_criterion_11_runs_no_trial_on_an_empty_range(monkeypatch):
     built = _count_calls(monkeypatch, constel, "constellation_from_cluster")
 
     def skipped(n_range=None):
-        return verify._result(1, True)
+        return verify._result(1, True, "")
 
     monkeypatch.setattr(verify, "CRITERIA", [skipped] * 10 + [verify.criterion_11])
     lines = []
@@ -231,7 +231,7 @@ def _spoil_table(monkeypatch, n, at, k, terms):
     vals[k] = CycloElt(n, terms)
     chars = list(table.chars)
     chars[at] = reps.Character(chi.group, chi.name, vals)
-    spoiled = reps.CharTable(table.group, table.classes, chars, table.index)
+    spoiled = reps.CharTable(table.group, chars, table.index)
     monkeypatch.setattr(verify, "build_char_table", lambda g: spoiled if g.n == n else real(g))
 
 
@@ -523,7 +523,7 @@ def _table_at_7(spoil):
 
         def spoiled(g):
             t = real(g)
-            return reps.CharTable(t.group, t.classes, spoil(t.chars), t.index) if g.n == 7 else t
+            return reps.CharTable(t.group, spoil(t.chars), t.index) if g.n == 7 else t
 
         monkeypatch.setattr(verify, "build_char_table", spoiled)
 
