@@ -19,10 +19,13 @@ sigma-traces are assembled in the group ring.
 a dict {row index: coefficient} of the nonzero entries of the image of basis
 vector j (never a dense matrix); integral coefficients are ints, as in Poly.
 A graded subspace is a plain dict {weight: linalg echelon} of sparse
-vectors.  A character is computed in one pass per conjugacy class:
-rotation classes add integer multiplicities at exponent power*w mod n,
-reflection classes add the tau-diagonal traces of the weights fixed by
-negation, and one CycloElt is built per class at the end.
+vectors.  Its character is linear in its integer weight data: counts[w],
+its dimension in weight w, and diag[w], the trace of tau on a tau-stable
+weight space (zero unless 2w = 0 mod n).  Rotation classes add counts[w]
+at exponent power*w mod n, reflection classes add diag[w], and one
+CycloElt is built per class at the end.  Socle, top and closures are
+decomposed from the weight data, once per distinct (n, counts, diag) per
+process (``_weight_decomposition``); only a new vector builds a character.
 
 A ``socle_table`` row holds what was read off its witness, never the module:
 the table builds, reads and drops one module at a time.
@@ -31,11 +34,12 @@ the table builds, reads and drops one module at a time.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import hilb, linalg
 from .exactnum import CycloElt, NotRational, ReadOnly, rational_value
 from .polyring import Ideal, Poly, staircase
-from .reps import Character, GroupSpec, char_table, decompose
+from .reps import Character, GroupSpec, NotACharacter, char_table, decompose
 
 
 class InvalidConstellation(Exception):
@@ -100,15 +104,20 @@ class Constellation:
 
     # --- characters --------------------------------------------------
 
-    def character(self, indices=None):
-        """Character of the submodule spanned by the given basis indices."""
+    def weight_data(self, indices):
+        """(counts, diag) of the span of the given basis indices: per weight,
+        its dimension and the trace of tau on it."""
         counts = [0] * self.n
         diag = [0] * self.n
-        for b in range(self.dim) if indices is None else indices:
+        for b in indices:
             w = self.weights[b]
             counts[w] += 1
             diag[w] += self.tau_action[b].get(b, 0)
-        return _class_character(self.n, self.label, counts, diag)
+        return counts, diag
+
+    def character(self):
+        """Character of the whole module."""
+        return _class_character(self.n, self.label, *self.weight_data(range(self.dim)))
 
     def row_indices(self, row):
         return [i for i, (r, _) in enumerate(self.basis) if r == row]
@@ -224,8 +233,8 @@ def _split_by_weight(F, vec):
     return out
 
 
-def subspace_character(F, graded):
-    """Character of a graded, tau-stable subspace."""
+def subspace_weights(F, graded):
+    """(counts, diag) of a graded, tau-stable subspace, as Constellation.weight_data."""
     n = F.n
     counts = [0] * n
     diag = [0] * n
@@ -241,7 +250,25 @@ def subspace_character(F, graded):
                     f"{F.label}: the weight-{w} subspace is not tau-stable"
                 )
             diag[w] += coords.get(piv, 0)
-    return _class_character(n, "sub", counts, diag)
+    return counts, diag
+
+
+def _decompose_weights(F, name, counts, diag):
+    """Decomposition of the subspace ``name`` of F from its weight data, as a
+    fresh dict; a NotACharacter names F and the subspace."""
+    try:
+        return dict(_weight_decomposition(F.n, *counts, *diag))
+    except NotACharacter as err:
+        raise NotACharacter(f"{F.label}: {name}: {err}") from err
+
+
+@lru_cache(maxsize=None)
+def _weight_decomposition(n, *weights):
+    """decompose's (name, multiplicity) pairs for the character with weight data
+    counts = weights[:n], diag = weights[n:]; keyed on those ints alone, so a
+    subspace seen before builds no character.  A failure is never cached."""
+    chi = _class_character(n, "the weight data", weights[:n], weights[n:])
+    return tuple(decompose(chi).items())
 
 
 def submodule_closure(F, seeds):
@@ -262,7 +289,7 @@ def submodule_closure(F, seeds):
             for w, comp in _split_by_weight(F, _apply(cols, v)).items():
                 if linalg.insert(graded.setdefault(w, {}), comp) is not None:
                     work.append(comp)
-    cls = decompose(subspace_character(F, graded))
+    cls = _decompose_weights(F, "closure", *subspace_weights(F, graded))
     return graded, cls
 
 
@@ -278,10 +305,9 @@ def top(F):
         for j in idx:
             for w, comp in _split_by_weight(F, cols[j]).items():
                 linalg.insert(graded.setdefault(w, {}), comp)
-    total = F.character(idx)
-    sub = subspace_character(F, graded)
-    diff = Character(total.group, "top", [a - b for a, b in zip(total.values, sub.values)])
-    return decompose(diff)
+    total, sub = F.weight_data(idx), subspace_weights(F, graded)
+    counts, diag = ([a - b for a, b in zip(t, s)] for t, s in zip(total, sub))
+    return _decompose_weights(F, "top", counts, diag)
 
 
 def _stacky_half(F):
@@ -314,7 +340,7 @@ def socle_subspace(F):
 
 def socle(F):
     """Joint kernel of the x and y actions, decomposed into irreducibles."""
-    return decompose(subspace_character(F, socle_subspace(F)))
+    return _decompose_weights(F, "socle", *subspace_weights(F, socle_subspace(F)))
 
 
 # --- the socle table --------------------------------------------------

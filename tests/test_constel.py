@@ -23,8 +23,8 @@ from dihedral_mckay.constel import (
     socle,
     socle_subspace,
     socle_table,
-    subspace_character,
     submodule_closure,
+    subspace_weights,
     theta_check,
     top,
     witness_point,
@@ -32,7 +32,7 @@ from dihedral_mckay.constel import (
 from dihedral_mckay.exactnum import CycloElt
 from dihedral_mckay.hilb import half_index
 from dihedral_mckay.polyring import Poly, staircase
-from dihedral_mckay.reps import GroupSpec, char_table, conjugacy_classes
+from dihedral_mckay.reps import GroupSpec, NotACharacter, char_table, conjugacy_classes
 from reference import coefficients_are_normal, cp
 
 
@@ -411,9 +411,11 @@ def test_characters_match_dense_reference(n, data):
     for F in (generic, fixed):
         assert F.character().values == _dense_reference(F)
         row = F.row_indices(1)  # one row alone: the twist signs do not cancel
-        assert F.character(row).values == _dense_reference(F, indices=row)
+        chi = constel._class_character(n, "row", *F.weight_data(row))
+        assert chi.values == _dense_reference(F, indices=row)
         graded = socle_subspace(F)
-        assert subspace_character(F, graded).values == _dense_reference(F, graded)
+        chi = constel._class_character(n, "socle", *subspace_weights(F, graded))
+        assert chi.values == _dense_reference(F, graded)
 
 
 _POSITIVE = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
@@ -458,14 +460,65 @@ def test_two_row_refuses_a_quotient_of_the_wrong_length():
         constel._two_row(6, (ideal, ideal), "planted")
 
 
-def test_subspace_character_refuses_a_subspace_that_is_not_tau_stable():
+def test_subspace_weights_refuses_a_subspace_that_is_not_tau_stable():
     """At a generic point tau swaps the two rows, so the span of row 0's
     constant monomial (weight 0) is not tau-stable."""
     F = constellation_from_cluster(5, cp(1, 1, 3))
     graded = {0: {0: {0: 1}}}  # weight 0: the echelon {pivot 0: basis vector 0}
     message = r"^I1\(1:3\)\|I4\(1:1/3\): the weight-0 subspace is not tau-stable$"
     with pytest.raises(InvalidConstellation, match=message):
-        subspace_character(F, graded)
+        subspace_weights(F, graded)
+
+
+# --- the weight-data memo ------------------------------------------------
+
+HALF_RHO0 = ([1, 0, 0, 0, 0], [0] * 5)  # weight data with rho0 and rho0' at 1/2 each
+
+
+def test_weight_data_of_no_character_raises_on_every_call_and_is_not_kept():
+    memo = constel._weight_decomposition
+    before = memo.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(NotACharacter, match="^multiplicity of rho0 in .* is 1/2$"):
+            memo(5, *HALF_RHO0[0], *HALF_RHO0[1])
+    assert memo.cache_info().currsize == before
+
+
+def test_each_caller_gets_a_fresh_decomposition():
+    F = constellation_from_cluster(5, witness_point(1, Fraction(1, 2)))
+    first = socle(F)
+    first.clear()
+    first["rho0"] = 99
+    assert socle(F) == {"rho1": 1}
+
+
+def test_list_and_tuple_weight_data_share_one_entry():
+    """The memo key is the flat ints (n, *counts, *diag), whatever sequences
+    hold them: after a call with lists, the same data as tuples is a hit."""
+    F = constellation_from_cluster(5, witness_point(1, Fraction(1, 2)))
+    memo = constel._weight_decomposition
+    counts, diag = [2] * 5, [0] * 5
+    answer = constel._decompose_weights(F, "all", counts, diag)
+    before = memo.cache_info()
+    assert constel._decompose_weights(F, "all", tuple(counts), tuple(diag)) == answer
+    after = memo.cache_info()
+    assert (after.currsize, after.misses, after.hits) == (
+        before.currsize, before.misses, before.hits + 1
+    )
+    assert answer == {"rho0": 1, "rho0'": 1, "rho1": 2, "rho2": 2}
+
+
+@pytest.mark.parametrize("name", ["socle", "top", "closure"])
+def test_a_decomposition_failure_names_the_witness_and_the_subspace(name, monkeypatch):
+    """Weight data planted by a spoiled subspace_weights (for top, the whole
+    module's less the planted data) is no character, and the error names F's
+    label and which subspace it was."""
+    F = constellation_from_cluster(5, witness_point(1, Fraction(1, 2)))
+    monkeypatch.setattr(constel, "subspace_weights", lambda F, graded: HALF_RHO0)
+    run = {"socle": socle, "top": top, "closure": lambda F: submodule_closure(F, [{0: 1}])}
+    label = r"I1\(1:3\)\|I4\(1:1/3\)"
+    with pytest.raises(NotACharacter, match=f"^{label}: {name}: multiplicity of rho0 in "):
+        run[name](F)
 
 
 def test_theta_check_reports_no_destabilizer_when_every_closure_is_everything():

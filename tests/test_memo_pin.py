@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from dihedral_mckay import charts, exactnum, hilb, linalg, reps, taut
+from dihedral_mckay import charts, constel, exactnum, hilb, linalg, reps, taut
 from dihedral_mckay.reps import GroupSpec
 from pin import check
 from test_source import LRU_CACHED
@@ -49,6 +49,9 @@ ID2 = ((1, 0), (0, 1))
 HILB5_LATTICE = ((1, 1), (0, 5))  # hilb_atlas(5).lattice
 HILB5_ROWS = ((2, -3), (-1, 4))  # the rows of its second chart
 INDEX2_ROWS = ((2, 2), (0, 5))  # twice the first lattice row: |det| = 2
+# (n, counts, diag): a generic n = 5 module, and the socle of the B1 witness for n = 6
+REGULAR5 = (5, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0)
+B1_SOCLE6 = (6, 0, 0, 0, 1, 0, 0, 0, 0, 0, -1, 0, 0)
 
 # memo name -> (the memo, two argument tuples)
 MEMOS = {
@@ -58,6 +61,7 @@ MEMOS = {
         [(GroupSpec("dihedral", 5),), (GroupSpec("dihedral", 6),), (GroupSpec("cyclic", 6),)],
     ),
     "reps._decomposition": (reps._decomposition, [(_rho1_squared(5),), (_rho1_squared(6),)]),
+    "constel._weight_decomposition": (constel._weight_decomposition, [REGULAR5, B1_SOCLE6]),
     "hilb.boundary_intersection_numbers": (hilb.boundary_intersection_numbers, [(5,), (6,)]),
     "taut.pairing_table": (taut.pairing_table, [(5,), (6,)]),
     "linalg.solver": (linalg.solver, [(HILB5_ROWS,), (INDEX2_ROWS,)]),
@@ -101,6 +105,8 @@ PINNED = {
     ("reps.char_table", 2): "c86c3c5835693101b852c7522a84656c7c39217fe2d4f5c1bd3546f17a754143",
     ("reps._decomposition", 0): "9f0a94ab23d99e48bcd546263d67e0c3f0ca4be18e460fb79bbe090806178759",
     ("reps._decomposition", 1): "9f0a94ab23d99e48bcd546263d67e0c3f0ca4be18e460fb79bbe090806178759",
+    ("constel._weight_decomposition", 0): "fc50ce3b302f680905a9709b73613facaf19c43511711a72699d98783f50f9f4",
+    ("constel._weight_decomposition", 1): "721c732dfa0106bf414e370200a8b51ea65e0354bbf407f1bd1c1db4b18d3bbe",
     ("hilb.boundary_intersection_numbers", 0): "6ca19170acc22d0e88f577a12a9c816c489681a2540fbf8efc71c1cb4df80357",
     ("hilb.boundary_intersection_numbers", 1): "ca2bf88c6cd6235b018cdf2158e629268f91ee0bf3f4d2d0debd589a8ac17924",
     ("taut.pairing_table", 0): "e49683eb27ba606404553ea63b942d8b5271752145d22bab0341f41fefa04840",

@@ -149,6 +149,7 @@ LRU_CACHED = {
     "exactnum._phi_reducer",
     "reps.char_table",
     "reps._decomposition",
+    "constel._weight_decomposition",
     "hilb.boundary_intersection_numbers",
     "taut.pairing_table",
     "linalg.solver",
