@@ -53,9 +53,6 @@ class Atom(ReadOnly):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "poly", poly)  # ambient expansion
 
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self.name == other.name and self.poly == other.poly
-
 
 class Chart:
     """Smooth affine chart with Laurent-monomial coordinates over atoms."""

@@ -25,7 +25,8 @@ weight space (zero unless 2w = 0 mod n).  Rotation classes add counts[w]
 at exponent power*w mod n, reflection classes add diag[w], and one
 CycloElt is built per class at the end.  Socle, top and closures are
 decomposed from the weight data, once per distinct (n, counts, diag) per
-process (``_weight_decomposition``); only a new vector builds a character.
+process (``_weight_decomposition``, the package's one memo of decompositions,
+which also serves taut's inductions); only a new vector builds a character.
 
 A ``socle_table`` row holds what was read off its witness, never the module:
 the table builds, reads and drops one module at a time.
@@ -460,9 +461,6 @@ class ThetaVerdict:
         self.seeds = seeds  # the destabilizing family entry, as given
         self.cls = cls
         self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, ThetaVerdict) and vars(self) == vars(other)
 
 
 def default_family(F):

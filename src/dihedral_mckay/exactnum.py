@@ -4,8 +4,8 @@ Sums of n-th roots of unity are carried in the group ring Q[t]/(t^n - 1),
 never as floats.  An element is sparse: ``terms`` maps each exponent in
 range(n) whose coefficient is nonzero to that coefficient, an int when
 it is integral and a Fraction otherwise.  Integer characters therefore
-run in int arithmetic with no separate code path, and ``==`` and
-``hash`` compare values because hash(Fraction(2)) == hash(2).  An element
+run in int arithmetic with no separate code path, and ``==`` compares
+values, since Fraction(2) == 2.  An element
 is a read-only value: ``CycloElt(order, terms)`` is its one constructor,
 it refuses attribute writes and its ``terms`` refuse item writes, so
 tables and memos share elements safely.  ``cyc_mul`` is the ring
@@ -150,9 +150,6 @@ class CycloElt(ReadOnly):
             and self.order == other.order
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.order, frozenset(self.terms.items())))
 
     def is_zero(self):
         return not self.terms

@@ -60,7 +60,7 @@ def half_index(n):
 class ClusterPoint(ReadOnly):
     """Point I_i(a:b) on the exceptional locus of Z_n-Hilb(C^2), canonical once built:
     (a:b) is kept as Fractions with first nonzero coordinate 1, so proportional
-    pairs give equal points, with equal hashes and labels."""
+    pairs give equal points, with equal labels."""
 
     __slots__ = ("i", "a", "b")
 
@@ -76,9 +76,6 @@ class ClusterPoint(ReadOnly):
         if not isinstance(other, ClusterPoint):
             return NotImplemented
         return (self.i, self.a, self.b) == (other.i, other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.i, self.a, self.b))
 
     @property
     def label(self):

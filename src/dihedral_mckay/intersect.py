@@ -43,14 +43,6 @@ class Point(ReadOnly):
         object.__setattr__(self, "curves", MappingProxyType(dict(curves)))
         object.__setattr__(self, "boundary", MappingProxyType(dict(boundary)))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Point)
-            and self.label == other.label
-            and self.curves == other.curves
-            and self.boundary == other.boundary
-        )
-
 
 class CurveConfig(ReadOnly):
     """Curves of a log pair; q pairs each curve with the curves, "K" and

@@ -17,9 +17,9 @@ table per group that serves the process; criterion 1 pairs fresh tables and keep
 is Hermitian; real class functions, as D_2n characters are, on palindromic sums folded
 in half) and reduces each distinct sum once modulo Phi_n (see exactnum);
 ``inner_product`` is its integer-checked matrix, one ``gram`` per call, so a McKay quiver
-pairs all its products in one pass.  ``decompose`` reads one ``gram`` row and checks an
-exact reconstruction once per distinct class function per process, and hands each
-caller a fresh dict.
+pairs all its products in one pass.  ``decompose`` reads one ``gram`` row, checks an
+exact reconstruction and keeps no answer: the process memo of decompositions is
+``constel._weight_decomposition``, keyed on integer weight data.
 """
 
 from __future__ import annotations
@@ -121,17 +121,11 @@ class Character(ReadOnly):
             and self.values == other.values
         )
 
-    def __hash__(self):
-        return hash((self.group, self.values))
-
     def __mul__(self, other):
         if self.group != other.group:
             raise ValueError("characters of different groups")
         vals = [cyc_mul(a, b) for a, b in zip(self.values, other.values)]
         return Character(self.group, f"{self.name}*{other.name}", vals)
-
-    def __repr__(self):
-        return f"Character({self.name})"
 
 
 class CharTable(ReadOnly):
@@ -270,17 +264,8 @@ def inner_product(rows, cols):
 
 
 def decompose(chi):
-    """Multiset of (irreducible name, multiplicity) with exact reconstruction.
-
-    Memoised on chi's group and values, not its name (``_decomposition``); each
-    call gets a fresh dict.  A failure is never cached: every call raises it anew.
-    """
-    return dict(_decomposition(chi))
-
-
-@lru_cache(maxsize=None)
-def _decomposition(chi):
-    """decompose's answer as (name, multiplicity) pairs, keyed on chi's group and values."""
+    """Multiset of (irreducible name, multiplicity) with exact reconstruction,
+    as a fresh dict; nothing is kept, so a failure is raised on every call."""
     table = char_table(chi.group)
     mults = {}
     recon = [CycloElt(chi.group.n, {}) for _ in table.group.classes]
@@ -294,7 +279,7 @@ def _decomposition(chi):
     for r, v, c in zip(recon, chi.values, table.group.classes):
         if not _same_value(r, v):
             raise NotACharacter(f"reconstruction differs on class {c.label}")
-    return tuple(mults.items())
+    return mults
 
 
 def _same_value(a, b):
@@ -318,27 +303,6 @@ def restrict(chi):
     lookup = {k % n: v for c, v in pairs if c.kind == "rotation" for k in (c.power, -c.power)}
     vals = [lookup[k] for k in range(n)]
     return Character(cyc, f"Res({chi.name})", vals)
-
-
-def induce(eps):
-    """Frobenius induction of a Z_n character to D_2n.
-
-    Ind eps_0 = rho0 + rho0'; Ind eps_{n/2} = rho_{n/2} + rho_{n/2}';
-    Ind eps_j = rho_j otherwise (with rho_j meaning rho_{n-j} for
-    j > n/2 since those coincide).
-    """
-    g = eps.group
-    if g.kind != "cyclic":
-        raise ValueError("induce expects a cyclic character")
-    n = g.n
-    dih = char_table(GroupSpec("dihedral", n)).group  # the shared group and its classes
-    vals = []
-    for c in dih.classes:
-        if c.kind == "reflection":
-            vals.append(CycloElt(n, {}))
-        else:
-            vals.append(eps.values[c.power] + eps.values[(n - c.power) % n])
-    return Character(dih, f"Ind({eps.name})", vals)
 
 
 class Quiver:

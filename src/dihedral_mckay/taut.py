@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from . import constel, hilb, intersect
 from .exactnum import ReadOnly
-from .reps import GroupSpec, char_table, decompose, induce, restrict
+from .reps import GroupSpec, char_table, decompose, restrict
 
 
 class IdentityViolation(Exception):
@@ -35,9 +35,6 @@ class DivisorClass(ReadOnly):
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", coeffs)  # sorted (label, Fraction) pairs
-
-    def __eq__(self, other):
-        return isinstance(other, DivisorClass) and self.coeffs == other.coeffs
 
     @classmethod
     def make(cls, d):
@@ -204,13 +201,20 @@ def pushforward_identities(n):
     sum of the dihedral irreducibles of index min(i, n - i) (rho0 + rho0'
     for i = 0, rho_(n/2) + rho_(n/2)' for i = n/2, rho_i otherwise), and
     Res rho_j = eps_j + eps_(n-j), a single eps_j when j = 0 or n/2.
+
+    Ind eps_i is the module C.v + C.tau(v) with v of weight i, so it is
+    decomposed from its weight data, counts 1 at i and at -i mod n and
+    every tau trace 0, through constel's memo of weight decompositions.
     """
     cyc = char_table(GroupSpec("cyclic", n))
     dih = char_table(GroupSpec("dihedral", n))
     report = []
     for eps in cyc:
         i = cyc.index[eps.name]
-        ind = decompose(induce(eps))
+        counts = [0] * n
+        counts[i] += 1
+        counts[-i % n] += 1
+        ind = dict(constel._weight_decomposition(n, *counts, *[0] * n))
         want = {c.name: 1 for c in dih if dih.index[c.name] == min(i, n - i)}
         if ind != want:
             raise IdentityViolation(f"Ind {eps.name} = {ind}, expected {want}")

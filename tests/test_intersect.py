@@ -128,7 +128,7 @@ def test_a_shared_point_cannot_be_written():
     given = {"E1": 1}
     p = Point("p", given, {})
     given["E1"] = 2
-    assert p.curves == {"E1": 1} and p == Point("p", {"E1": 1}, {})
+    assert (p.label, p.curves, p.boundary) == ("p", {"E1": 1}, {})
 
 
 def test_pair_of_unpaired_labels_is_one_shared_zero():

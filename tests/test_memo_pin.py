@@ -40,11 +40,6 @@ def attributes(obj):
     return [(name, getattr(obj, name)) for name in names if not name.startswith("__")]
 
 
-def _rho1_squared(n):
-    rho1 = reps.char_table(GroupSpec("dihedral", n)).by_name["rho1"]
-    return rho1 * rho1
-
-
 ID2 = ((1, 0), (0, 1))
 HILB5_LATTICE = ((1, 1), (0, 5))  # hilb_atlas(5).lattice
 HILB5_ROWS = ((2, -3), (-1, 4))  # the rows of its second chart
@@ -60,7 +55,6 @@ MEMOS = {
         reps.char_table,
         [(GroupSpec("dihedral", 5),), (GroupSpec("dihedral", 6),), (GroupSpec("cyclic", 6),)],
     ),
-    "reps._decomposition": (reps._decomposition, [(_rho1_squared(5),), (_rho1_squared(6),)]),
     "constel._weight_decomposition": (constel._weight_decomposition, [REGULAR5, B1_SOCLE6]),
     "hilb.boundary_intersection_numbers": (hilb.boundary_intersection_numbers, [(5,), (6,)]),
     "taut.pairing_table": (taut.pairing_table, [(5,), (6,)]),
@@ -103,8 +97,6 @@ PINNED = {
     ("reps.char_table", 0): "e876b2c97815308ec4c5bd25c69d612e0b808185a7dd6c519aa915c864f2b88b",
     ("reps.char_table", 1): "1b60e8a88b2721a64b7c3ace08dc0b992633d68b4f8c051fd27a86357b0590ba",
     ("reps.char_table", 2): "c86c3c5835693101b852c7522a84656c7c39217fe2d4f5c1bd3546f17a754143",
-    ("reps._decomposition", 0): "9f0a94ab23d99e48bcd546263d67e0c3f0ca4be18e460fb79bbe090806178759",
-    ("reps._decomposition", 1): "9f0a94ab23d99e48bcd546263d67e0c3f0ca4be18e460fb79bbe090806178759",
     ("constel._weight_decomposition", 0): "fc50ce3b302f680905a9709b73613facaf19c43511711a72699d98783f50f9f4",
     ("constel._weight_decomposition", 1): "721c732dfa0106bf414e370200a8b51ea65e0354bbf407f1bd1c1db4b18d3bbe",
     ("hilb.boundary_intersection_numbers", 0): "6ca19170acc22d0e88f577a12a9c816c489681a2540fbf8efc71c1cb4df80357",

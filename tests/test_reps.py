@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dihedral_mckay import reps
+from dihedral_mckay import constel, reps
 from dihedral_mckay.exactnum import CycloElt, NotRational, cyc_mul, rational_value
 from dihedral_mckay.reps import (
     Character,
@@ -13,7 +13,6 @@ from dihedral_mckay.reps import (
     conjugacy_classes,
     decompose,
     gram,
-    induce,
     inner_product,
     mckay_quiver,
     restrict,
@@ -197,17 +196,8 @@ def test_decompose_rejects_non_characters():
         decompose(Character(g, "bad2", vals))
 
 
-@pytest.fixture
-def fresh_decompositions():
-    """An empty decompose memo before and after, so a planted fault is reached
-    and no answer computed under it outlives the test."""
-    reps._decomposition.cache_clear()
-    yield
-    reps._decomposition.cache_clear()
-
-
 def test_decompose_returns_a_fresh_dict():
-    """Writing into one result must not reach the memo or the next result."""
+    """Writing into one result must not reach the next result."""
     rho1 = char_table(GroupSpec("dihedral", 5)).by_name["rho1"]
     first = decompose(rho1)
     first["rho1"] = 7
@@ -218,31 +208,17 @@ def test_decompose_returns_a_fresh_dict():
 
 def test_a_failed_decomposition_raises_on_every_call_and_is_not_cached():
     """Value-equal non-characters under two names: each call raises, naming its
-    own character, and the memo gains no entry."""
+    own character."""
     g = GroupSpec("dihedral", 4)
     table = char_table(g)
     vals = list(table.by_name["rho1"].values)
     vals[0] = vals[0] + table.by_name["rho0"].values[0]
-    size = reps._decomposition.cache_info().currsize
     for name in ("bad", "bad", "worse"):
         with pytest.raises(NotACharacter, match=rf" in {name} is "):
             decompose(Character(g, name, vals))
-    assert reps._decomposition.cache_info().currsize == size
 
 
-def test_value_equal_characters_share_one_decomposition():
-    """The memo keys on group and values: a renamed copy is a hit, not a new entry."""
-    g = GroupSpec("dihedral", 7)
-    rho2 = char_table(g).by_name["rho2"]
-    square = Character(g, "square", [v + v for v in rho2.values])
-    assert decompose(square) == {"rho2": 2}
-    before = reps._decomposition.cache_info()
-    assert decompose(Character(g, "twice rho2", square.values)) == {"rho2": 2}
-    after = reps._decomposition.cache_info()
-    assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
-
-
-def test_decompose_refuses_a_reconstruction_that_differs(monkeypatch, fresh_decompositions):
+def test_decompose_refuses_a_reconstruction_that_differs(monkeypatch):
     """A gram row that overcounts rho1 rebuilds 2 * rho1, which differs from
     rho1 on the identity class by the rational 2."""
     real = reps.gram
@@ -258,7 +234,7 @@ def test_decompose_refuses_a_reconstruction_that_differs(monkeypatch, fresh_deco
         decompose(rho1)
 
 
-def test_decompose_refuses_an_irrational_difference(monkeypatch, fresh_decompositions):
+def test_decompose_refuses_an_irrational_difference(monkeypatch):
     """With every multiplicity zero the reconstruction is 0, and it differs
     from t at the identity class by an irrational value: not equal either."""
     monkeypatch.setattr(reps, "gram", lambda rows, cols: [[Fraction(0)] * len(cols)])
@@ -295,35 +271,42 @@ def frobenius_oracle(n, j, g):
     return total / n
 
 
+def induced_character(n, i):
+    """Ind eps_i from its weight data, as taut's identities decompose it: the
+    module C.v + C.tau(v) with v of weight i, so counts 1 at i and at -i mod n
+    (2 when they agree) and every tau trace 0."""
+    counts = [0] * n
+    counts[i] += 1
+    counts[-i % n] += 1
+    return constel._class_character(n, f"Ind(eps{i})", counts, [0] * n)
+
+
 def test_induce_rows_and_frobenius_oracle():
     for n in (4, 5, 6):
-        cyc = char_table(GroupSpec("cyclic", n))
-        dih = char_table(GroupSpec("dihedral", n))
-        ind0 = induce(cyc.by_name["eps0"])
-        assert decompose(ind0) == {"rho0": 1, "rho0'": 1}
+        assert decompose(induced_character(n, 0)) == {"rho0": 1, "rho0'": 1}
         if n % 2 == 0:
-            indh = induce(cyc.by_name[f"eps{n // 2}"])
+            indh = induced_character(n, n // 2)
             assert decompose(indh) == {f"rho{n // 2}": 1, f"rho{n // 2}'": 1}
-        ind1 = induce(cyc.by_name["eps1"])
-        assert decompose(ind1) == {"rho1": 1}
+        assert decompose(induced_character(n, 1)) == {"rho1": 1}
         # numeric Frobenius-over-cosets oracle agrees on every class rep
         labels = [c.label for c in conjugacy_classes(GroupSpec("dihedral", n))]
         reps_by_label = {}
         for g in dihedral_elements(n):
             reps_by_label.setdefault(class_of(n, g), g)
-        for lab in labels:
-            got = value_num(ind1, reps_by_label[lab])
-            want = frobenius_oracle(n, 1, reps_by_label[lab])
-            assert abs(got - want) < 1e-9
+        for i in range(n):
+            ind = induced_character(n, i)
+            for lab in labels:
+                got = value_num(ind, reps_by_label[lab])
+                want = frobenius_oracle(n, i, reps_by_label[lab])
+                assert abs(got - want) < 1e-9, (n, i, lab)
 
 
 def test_mackey_check():
     for n in (5, 6, 8):
-        cyc = char_table(GroupSpec("cyclic", n))
         for i in range(1, n):
             if i == 0 or (n % 2 == 0 and i == n // 2):
                 continue
-            back = restrict(induce(cyc.by_name[f"eps{i}"]))
+            back = restrict(induced_character(n, i))
             assert decompose(back) == (
                 {f"eps{i}": 2}
                 if (2 * i) % n == 0
@@ -462,7 +445,3 @@ def test_each_distinct_table_value_is_built_once():
         for n in ns:
             table = char_table(GroupSpec(kind, n))
             assert len({id(v) for chi in table for v in chi.values}) <= n + bound, (kind, n)
-
-
-def test_a_character_is_shown_by_its_name():
-    assert repr(char_table(GroupSpec("dihedral", 5)).by_name["rho1"]) == "Character(rho1)"

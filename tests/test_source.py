@@ -148,7 +148,6 @@ def test_no_line_in_the_package_is_longer_than_99_characters():
 LRU_CACHED = {
     "exactnum._phi_reducer",
     "reps.char_table",
-    "reps._decomposition",
     "constel._weight_decomposition",
     "hilb.boundary_intersection_numbers",
     "taut.pairing_table",

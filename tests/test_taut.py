@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dihedral_mckay import reps, taut
+from dihedral_mckay import constel, reps, taut
 from dihedral_mckay.constel import socle_table
 from dihedral_mckay.hilb import CertificateFailure, boundary_intersection_numbers, half_index
 from dihedral_mckay.intersect import CurveConfig
@@ -120,26 +120,27 @@ def test_a_fold_failure_is_raised_on_every_torsion_check(monkeypatch):
 
 def test_build_ledger_stack():
     entries = build_ledger(4, "stack")
-    assert entry(entries, "rho2").c1 == DivisorClass.make({"suppB1": Fraction(1, 2)})
-    assert entry(entries, "rho2'").c1 == DivisorClass.make({"suppB2": Fraction(1, 2)})
+    half = Fraction(1, 2)
+    assert entry(entries, "rho2").c1.coeffs == DivisorClass.make({"suppB1": half}).coeffs
+    assert entry(entries, "rho2'").c1.coeffs == DivisorClass.make({"suppB2": half}).coeffs
     assert entry(entries, "rho1").rank == 2
     assert entry(entries, "rho1").extension == "unique-nontrivial"
     odd = build_ledger(5, "stack")
-    assert entry(odd, "rho0'").c1 == DivisorClass.make(
+    assert entry(odd, "rho0'").c1.coeffs == DivisorClass.make(
         {"suppB3": Fraction(1, 2), "D": -1}
-    )
-    assert entry(odd, "rho1").c1 == DivisorClass.make(
+    ).coeffs
+    assert entry(odd, "rho1").c1.coeffs == DivisorClass.make(
         {"D1": 1, "suppB3": Fraction(1, 2), "D": -1}
-    )
+    ).coeffs
 
 
 def test_build_ledger_coarse():
     entries = build_ledger(6, "coarse")
     assert entry(entries, "rho1").extension == "split"
-    assert entry(entries, "rho1").c1 == DivisorClass.make({"D1": 1, "L": 1})
-    assert entry(entries, "rho3").c1 == DivisorClass.make({"suppB1": 1, "L": 1})
-    assert entry(entries, "rho3'").c1 == DivisorClass.make({"suppB2": 1, "L": 1})
-    assert entry(entries, "rho0'").c1 == DivisorClass.make({"L": 1})
+    assert entry(entries, "rho1").c1.coeffs == DivisorClass.make({"D1": 1, "L": 1}).coeffs
+    assert entry(entries, "rho3").c1.coeffs == DivisorClass.make({"suppB1": 1, "L": 1}).coeffs
+    assert entry(entries, "rho3'").c1.coeffs == DivisorClass.make({"suppB2": 1, "L": 1}).coeffs
+    assert entry(entries, "rho0'").c1.coeffs == DivisorClass.make({"L": 1}).coeffs
     md = ledger_markdown(6, entries, "coarse")
     assert "| rho1 | 2 |" in md
 
@@ -153,7 +154,7 @@ def test_c1_additivity():
             for e in entries:
                 if e.rank == 2:
                     i = int(e.name[3:])
-                    assert e.c1 == DivisorClass.make({f"D{i}": 1}) + tw
+                    assert e.c1.coeffs == (DivisorClass.make({f"D{i}": 1}) + tw).coeffs
 
 
 def test_pushforward_identities():
@@ -162,9 +163,24 @@ def test_pushforward_identities():
         assert report  # raises IdentityViolation on failure
 
 
+def test_pushforward_identities_do_not_depend_on_what_the_weight_memo_holds():
+    """Ind eps_i is decomposed through constel's weight memo: the report is the
+    same, in order too, whether the memo starts empty or holds the answers
+    that socle_table(n) put there, some of which Ind reads."""
+    memo = constel._weight_decomposition
+    for n in range(3, 13):
+        memo.cache_clear()
+        fresh = repr(pushforward_identities(n))
+        memo.cache_clear()
+        socle_table(n)
+        hits = memo.cache_info().hits
+        assert repr(pushforward_identities(n)) == fresh, n
+        assert memo.cache_info().hits > hits, n
+
+
 def test_identity_violation_fails_closed(monkeypatch):
     assert not issubclass(taut.IdentityViolation, (AssertionError, ValueError))
-    monkeypatch.setattr(taut, "decompose", lambda chi: {})
+    monkeypatch.setattr(taut.constel, "_weight_decomposition", lambda n, *weights: ())
     with pytest.raises(taut.IdentityViolation, match=r"Ind eps0 = \{\}"):
         pushforward_identities(4)
 
