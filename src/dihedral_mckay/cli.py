@@ -19,14 +19,7 @@ from fractions import Fraction
 
 from . import constel, hilb, taut, verify
 from .intersect import an_chain, domination_chain, dual_graph_dot, z2_fold
-from .reps import (
-    GroupSpec,
-    char_table,
-    mckay_quiver,
-    quiver_to_dot,
-    quiver_to_json,
-    table_to_json,
-)
+from .reps import GroupSpec, char_table, mckay_quiver, quiver_to_dot, table_to_json
 
 class UsageError(Exception):
     pass
@@ -89,8 +82,10 @@ def _atlas_dot(args):
 
 def _strict_transforms(args):
     n = args.n
-    st = hilb.boundary_strict_transforms(n)
-    payload = [
+    records = sorted(hilb.boundary_strict_transforms(n).items())
+    if n % 2:
+        records.append((("B3", "Ainv"), hilb.invariant_chart_boundary(n)))
+    return [
         {
             "boundary": label,
             "chart": cname,
@@ -98,23 +93,8 @@ def _strict_transforms(args):
             "orders": {k: v for k, v in sorted(rec["orders"].items())},
             "certificate": rec["certificate"],
         }
-        for (label, cname), rec in sorted(st.items())
+        for (label, cname), rec in records
     ]
-    if n % 2:
-        inv = hilb.invariant_chart_boundary(n)
-        payload.append(
-            {
-                "boundary": "B3",
-                "chart": "Ainv",
-                "strict": str(inv["strict"]),
-                "orders": {k: v for k, v in sorted(inv["orders"].items())},
-                "certificate": {
-                    "type": "tangency",
-                    "multiplicity": inv["tangency"],
-                },
-            }
-        )
-    return payload
 
 
 def _parse_theta(n, text):
@@ -172,30 +152,16 @@ def _socle_table(args):
     theta = _parse_theta(n, args.theta) if args.theta else None
     family = _load_family(args.family, 2 * n)
     rows = constel.socle_table(n, alpha=alpha, theta=theta, family=family)
-    payload = []
-    for row in rows:
-        item = {
-            "stratum": row["stratum"],
-            "witness": row["witness"],
-            "twist": row["twist"],
-            "socle": row["socle"],
-            "top": row["top"],
-            "regular": row["regular"],
-        }
-        if theta is not None:
+    if theta is not None:
+        for row in rows:
             verdict = row["theta"]
-            item["theta"] = (
-                {
-                    "verdict": "destabilized-by",
-                    "class": verdict.cls,
-                    "value": str(verdict.value),
-                }
+            row["theta"] = (
+                {"verdict": "destabilized-by", "class": verdict.cls, "value": str(verdict.value)}
                 if verdict.destabilized
                 else {"verdict": "no-violation-found"}
             )
-        payload.append(item)
-    payload.append({"stratum": "off-exceptional", **constel.off_exceptional_report(n)})
-    return payload
+    rows.append({"stratum": "off-exceptional", **constel.off_exceptional_report(n)})
+    return rows
 
 
 def _taut_text(args):
@@ -211,12 +177,13 @@ def _taut_json(args):
     n = args.n
     stack = taut.build_ledger(n, "stack")
     coarse = taut.build_ledger(n, "coarse")
+    twist = taut.stack_twist_class(n)
     return {
         "stack": taut.ledger_to_json(stack),
         "coarse": taut.ledger_to_json(coarse),
         "torsion_twist": {
-            "class": {k: str(v) for k, v in taut.stack_twist_class(n).coeffs},
-            "order_two": taut.torsion_check(n, taut.stack_twist_class(n)),
+            "class": {k: str(v) for k, v in twist.coeffs},
+            "order_two": taut.torsion_check(n, twist),
         },
     }
 
@@ -238,7 +205,7 @@ ARTIFACTS = {
         "table": _chartable_text,
     }),
     "quiver": ("McKay quiver", {
-        "json": lambda args: quiver_to_json(mckay_quiver(args.n)),
+        "json": lambda args: mckay_quiver(args.n),
         "dot": lambda args: quiver_to_dot(mckay_quiver(args.n)),
     }),
     "hilb-atlas": ("chart atlas of the order-n Hilbert scheme", {
@@ -335,7 +302,3 @@ def main(argv=None):
     except Exception as exc:  # an internal failure, never a usage error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

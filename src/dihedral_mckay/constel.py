@@ -43,16 +43,6 @@ from .polyring import Ideal, Poly, staircase
 from .reps import Character, GroupSpec, NotACharacter, char_table, decompose
 
 
-class InvalidConstellation(Exception):
-    """A module fails a structural certificate (shape, relations or weights).
-
-    Not an AssertionError: the check is a raise, which ``python -O`` keeps.
-    Not a ValueError: the package raises ValueError for bad input, and a
-    caller that catches it to report a usage error must not catch this
-    internal math failure too.
-    """
-
-
 TWISTS = ("delta0", "delta1")
 # delta1 carries the pullback action tau.v = v o tau (the convention that
 # reproduces the stated stacky socles); delta0 is its sign flip.  Row r of
@@ -80,25 +70,25 @@ class Constellation:
     # --- structural invariants -------------------------------------
 
     def validate(self):
-        """Certify the shape, relations and weights; raise InvalidConstellation."""
+        """Certify the shape, relations and weights; raise hilb.CertificateFailure."""
         x, y, t = self.x_action, self.y_action, self.tau_action
         k = self.dim
         for cols in (x, y, t):
             if len(cols) != k or any(not 0 <= i < k for col in cols for i in col):
-                raise InvalidConstellation(f"{self.label}: action is not {k} x {k}")
+                raise hilb.CertificateFailure(f"{self.label}: action is not {k} x {k}")
         if _compose(x, y) != _compose(y, x):
-            raise InvalidConstellation(f"{self.label}: x and y do not commute")
+            raise hilb.CertificateFailure(f"{self.label}: x and y do not commute")
         if _compose(t, t) != [{j: 1} for j in range(k)]:
-            raise InvalidConstellation(f"{self.label}: tau^2 != 1")
+            raise hilb.CertificateFailure(f"{self.label}: tau^2 != 1")
         if _compose(_compose(t, x), t) != y:
-            raise InvalidConstellation(f"{self.label}: tau x tau != y")
+            raise hilb.CertificateFailure(f"{self.label}: tau x tau != y")
         n, w = self.n, self.weights
         for name, cols, step in (("x", x, 1), ("y", y, -1), ("tau", t, None)):
             for j, col in enumerate(cols):
                 want = (-w[j] if step is None else w[j] + step) % n
                 for i in col:
                     if w[i] != want:
-                        raise InvalidConstellation(
+                        raise hilb.CertificateFailure(
                             f"{self.label}: {name} maps basis {j} (weight {w[j]}) "
                             f"to basis {i} (weight {w[i]}), expected weight {want}"
                         )
@@ -201,7 +191,7 @@ def _two_row(n, ideals, label, signs=None, twist=None):
     for r, I in enumerate(ideals):
         mons = staircase(I)
         if len(mons) != n:
-            raise InvalidConstellation(f"{label}: quotient has length {len(mons)} != {n}")
+            raise hilb.CertificateFailure(f"{label}: quotient has length {len(mons)} != {n}")
         rows.append((I, mons, {m: i + r * n for i, m in enumerate(mons)}))
     basis = [(r, m) for r, (_, mons, _) in enumerate(rows) for m in mons]
     x, y, t, forms = [], [], [], {}
@@ -247,7 +237,7 @@ def subspace_weights(F, graded):
             # diagonal coefficient of this vector in its own basis
             rest, coords = linalg.reduce(vecs, _apply(F.tau_action, v))
             if rest:
-                raise InvalidConstellation(
+                raise hilb.CertificateFailure(
                     f"{F.label}: the weight-{w} subspace is not tau-stable"
                 )
             diag[w] += coords.get(piv, 0)

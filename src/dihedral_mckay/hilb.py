@@ -41,7 +41,10 @@ from .polyring import Ideal, Poly, staircase
 
 
 class CertificateFailure(Exception):
-    """An identity or a strict transform that a certificate rests on fails.
+    """A certificate fails: an identity or a strict transform it rests on, a
+    constellation's structure, a ledger or push-forward identity, or a
+    cross-check of the chart data against the socle tables.  Every failed
+    certificate of the package raises this one type.
 
     Not an AssertionError: the check is a raise, which ``python -O`` keeps.
     Not a ValueError: the package raises ValueError for bad input, and a
@@ -269,11 +272,11 @@ def boundary_intersection_numbers(n):
             row[f"E{min(j, n - j)}"] += total // 2
         out[label] = row
     if n % 2:
-        inv = invariant_chart_boundary(n)
-        if out["B3"][f"E{m}"] != inv["tangency"]:
+        tang = invariant_chart_boundary(n)["certificate"]["multiplicity"]
+        if out["B3"][f"E{m}"] != tang:
             raise CertificateFailure(
                 f"n={n}: B3.E{m} = {out['B3'][f'E{m}']} but the invariant chart "
-                f"gives tangency {inv['tangency']}"
+                f"gives tangency {tang}"
             )
     return MappingProxyType({label: MappingProxyType(row) for label, row in out.items()})
 
@@ -367,7 +370,9 @@ def invariant_chart_boundary(n):
     """Odd n: boundary on the invariant chart (f1/(xy)^m, xy).
 
     Pulls the squared boundary back and certifies the strict transform
-    t^2 - 4s with its order-2 tangency to E_m at t = 0.
+    t^2 - 4s with its order-2 tangency to E_m at t = 0.  The record has
+    the shape of a ``boundary_strict_transforms`` entry: {"strict",
+    "orders", "certificate": {"type": "tangency", "multiplicity"}}.
     """
     if n % 2 == 0:
         raise ValueError("odd n only")
@@ -382,12 +387,11 @@ def invariant_chart_boundary(n):
         raise CertificateFailure(
             f"n={n}: invariant-chart boundary is {strict}, not t^2 - 4s"
         )
-    curve = LocalCurve(strict, "B3")
-    tang = local_intersection(curve)
+    tang = local_intersection(LocalCurve(strict, "B3"))
     return {
         "strict": strict,
         "orders": orders,
-        "tangency": tang,
+        "certificate": {"type": "tangency", "multiplicity": tang},
     }
 
 

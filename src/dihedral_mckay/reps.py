@@ -305,24 +305,6 @@ def restrict(chi):
     return Character(cyc, f"Res({chi.name})", vals)
 
 
-class Quiver:
-    """McKay quiver data: vertex names, symmetric adjacency, divergences.
-
-    ``divergences`` lists entries where the character-theoretic
-    adjacency differs from the drawn diagram (for odd n the diagram
-    omits the loop at rho_{(n-1)/2} even though
-    <rho_nat * rho_m, rho_m> = 1).
-    """
-
-    __slots__ = ("n", "vertices", "adjacency", "divergences")
-
-    def __init__(self, n, vertices, adjacency, divergences):
-        self.n = n
-        self.vertices = tuple(vertices)
-        self.adjacency = tuple(tuple(row) for row in adjacency)
-        self.divergences = tuple(divergences)
-
-
 def _drawn_adjacency(table):
     """Adjacency of the diagram as drawn: affine-D shape, no loops.
 
@@ -334,6 +316,14 @@ def _drawn_adjacency(table):
 
 
 def mckay_quiver(n):
+    """McKay quiver data {"n", "vertices", "adjacency", "divergences"}: vertex
+    names, the symmetric adjacency and the divergences.
+
+    ``divergences`` lists entries where the character-theoretic
+    adjacency differs from the drawn diagram (for odd n the diagram
+    omits the loop at rho_{(n-1)/2} even though
+    <rho_nat * rho_m, rho_m> = 1).
+    """
     if n < 3:
         raise ValueError("need n >= 3 for a 2-dimensional rho1")
     table = build_char_table(GroupSpec("dihedral", n))
@@ -348,34 +338,26 @@ def mckay_quiver(n):
                 divergences.append(
                     {"from": a, "to": b, "computed": adj[i][j], "drawn": drawn[i][j]}
                 )
-    return Quiver(n, names, adj, divergences)
+    return {"n": n, "vertices": names, "adjacency": adj, "divergences": divergences}
 
 
 def quiver_to_dot(q):
-    lines = [f'graph "mckay_D{2 * q.n}" {{']
-    for v in q.vertices:
+    vertices, adjacency = q["vertices"], q["adjacency"]
+    lines = [f'graph "mckay_D{2 * q["n"]}" {{']
+    for v in vertices:
         lines.append(f'  "{v}";')
-    for i, a in enumerate(q.vertices):
-        for j in range(i, len(q.vertices)):
-            mult = q.adjacency[i][j]
+    for i, a in enumerate(vertices):
+        for j in range(i, len(vertices)):
+            mult = adjacency[i][j]
             if mult:
-                lines.append(f'  "{a}" -- "{q.vertices[j]}" [label="{mult}"];')
-    for d in q.divergences:
+                lines.append(f'  "{a}" -- "{vertices[j]}" [label="{mult}"];')
+    for d in q["divergences"]:
         lines.append(
             f'  // diagram divergence: {d["from"]} -- {d["to"]} computed '
             f'{d["computed"]}, drawn {d["drawn"]}'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def quiver_to_json(q):
-    return {
-        "n": q.n,
-        "vertices": list(q.vertices),
-        "adjacency": [list(r) for r in q.adjacency],
-        "divergences": [dict(d) for d in q.divergences],
-    }
 
 
 def table_to_json(table):

@@ -20,16 +20,6 @@ from .exactnum import ReadOnly
 from .reps import GroupSpec, char_table, decompose, restrict
 
 
-class IdentityViolation(Exception):
-    """A ledger or push-forward identity fails: an internal failure, not an
-    AssertionError or a ValueError (see hilb.CertificateFailure)."""
-
-
-class CrossCheckFailure(Exception):
-    """The chart data and the socle tables disagree; an internal failure,
-    not an AssertionError or a ValueError (see hilb.CertificateFailure)."""
-
-
 class DivisorClass(ReadOnly):
     __slots__ = ("coeffs",)
 
@@ -118,15 +108,6 @@ def stack_twist_class(n):
     return DivisorClass.make({"suppB1": Fraction(1, 2), "suppB2": Fraction(-1, 2)})
 
 
-class LedgerEntry:
-    def __init__(self, name, rank, c1, description, extension):
-        self.name = name
-        self.rank = rank
-        self.c1 = c1
-        self.description = description
-        self.extension = extension  # "line", "split", "unique-nontrivial"
-
-
 def build_ledger(n, space):
     """Tautological tables on the stack or the coarse space.
 
@@ -134,6 +115,9 @@ def build_ledger(n, space):
     the coarse space), in the rank-2 entries (unique nontrivial extensions
     on the stack, split on the coarse space) and in rho_(n/2): half a
     boundary support on the stack, a support plus L on the coarse space.
+    Each entry is a dict {"rep", "rank", "c1", "description", "extension"}
+    with c1 a DivisorClass and extension "line", "split" or
+    "unique-nontrivial".
     """
     if space not in ("stack", "coarse"):
         raise ValueError("space must be 'stack' or 'coarse'")
@@ -166,22 +150,15 @@ def build_ledger(n, space):
             text = f"O({c1.pretty()})"
         # rank bookkeeping must match degrees
         if rank != int(chi.degree):
-            raise IdentityViolation(f"rank of {name} differs from its degree")
-        entries.append(LedgerEntry(name, rank, c1, text, extension))
+            raise hilb.CertificateFailure(f"rank of {name} differs from its degree")
+        entries.append(
+            {"rep": name, "rank": rank, "c1": c1, "description": text, "extension": extension}
+        )
     return entries
 
 
 def ledger_to_json(entries):
-    return [
-        {
-            "rep": e.name,
-            "rank": e.rank,
-            "c1": {k: str(v) for k, v in e.c1.coeffs},
-            "description": e.description,
-            "extension": e.extension,
-        }
-        for e in entries
-    ]
+    return [{**e, "c1": {k: str(v) for k, v in e["c1"].coeffs}} for e in entries]
 
 
 def ledger_markdown(n, entries, space):
@@ -190,7 +167,7 @@ def ledger_markdown(n, entries, space):
     )
     lines = [f"# {title} (n = {n})", "", "| rep | rank | description | c1 |", "|---|---|---|---|"]
     for e in entries:
-        lines.append(f"| {e.name} | {e.rank} | {e.description} | {e.c1.pretty()} |")
+        lines.append(f"| {e['rep']} | {e['rank']} | {e['description']} | {e['c1'].pretty()} |")
     return "\n".join(lines) + "\n"
 
 
@@ -217,14 +194,14 @@ def pushforward_identities(n):
         ind = dict(constel._weight_decomposition(n, *counts, *[0] * n))
         want = {c.name: 1 for c in dih if dih.index[c.name] == min(i, n - i)}
         if ind != want:
-            raise IdentityViolation(f"Ind {eps.name} = {ind}, expected {want}")
+            raise hilb.CertificateFailure(f"Ind {eps.name} = {ind}, expected {want}")
         report.append({"eps": eps.name, "induced": ind})
     for chi in dih:
         j = dih.index[chi.name]
         res = decompose(restrict(chi))
         want = {c.name: 1 for c in cyc if cyc.index[c.name] in (j, n - j)}
         if res != want:
-            raise IdentityViolation(f"Res {chi.name} = {res}, expected {want}")
+            raise hilb.CertificateFailure(f"Res {chi.name} = {res}, expected {want}")
         report.append({"rho": chi.name, "restricted": res})
     return report
 
@@ -271,7 +248,7 @@ def fm_cross_check(n, rows):
         if support == "F":
             for row in rows:
                 if rep not in row["top"] and row["twist"] is None:
-                    raise CrossCheckFailure(
+                    raise hilb.CertificateFailure(
                         f"{rep}: missing from the top on {row['stratum']}"
                     )
             continue
@@ -279,18 +256,18 @@ def fm_cross_check(n, rows):
             present = rep in row["socle"]
             touches = int(support[1:]) in strata_curves[row["stratum"]]
             if present and not touches:
-                raise CrossCheckFailure(
+                raise hilb.CertificateFailure(
                     f"{rep}: socle appearance off its support at {row['stratum']}"
                 )
             if row["stratum"] == support and not present:
-                raise CrossCheckFailure(
+                raise hilb.CertificateFailure(
                     f"{rep}: missing from the socle on its generic stratum"
                 )
         if entry["twist"] in ("-B1", "-B2"):
             point = entry["twist"][1:]
             bad = next(r for r in rows if r["stratum"] == point)
             if rep in bad["socle"]:
-                raise CrossCheckFailure(f"{rep}: should be excluded at {point}")
+                raise hilb.CertificateFailure(f"{rep}: should be excluded at {point}")
     return {"n": n, "checked": len(table), "strata": len(rows)}
 
 
@@ -301,5 +278,5 @@ def refdivisor_certify(n, k=None):
     data = hilb.refdiv_data(n, k)
     want = {f"E{j}": (1 if j == k else 0) for j in range(1, m + 1)}
     if data["intersections"] != want:
-        raise CrossCheckFailure(f"W_{k} pairings {data['intersections']} != {want}")
+        raise hilb.CertificateFailure(f"W_{k} pairings {data['intersections']} != {want}")
     return data

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dihedral_mckay import cli, taut, verify
+from dihedral_mckay import cli, hilb, verify
 from dihedral_mckay.exactnum import NotRational
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -286,7 +286,7 @@ def test_a_family_with_no_proper_closure_finds_no_violation(capsys, tmp_path):
 
 def test_verify_fails_closed_on_a_raising_criterion(capsys, monkeypatch):
     def raising(n_range=None):
-        raise taut.CrossCheckFailure("W_2 pairings differ")
+        raise hilb.CertificateFailure("W_2 pairings differ")
 
     criteria = list(verify.CRITERIA)
     criteria[9] = raising
@@ -295,7 +295,7 @@ def test_verify_fails_closed_on_a_raising_criterion(capsys, monkeypatch):
     assert code == 2
     assert "Traceback" not in out + err and err == ""
     assert (
-        "FAIL criterion 10: tautological ledgers - raised CrossCheckFailure: W_2 pairings differ"
+        "FAIL criterion 10: tautological ledgers - raised CertificateFailure: W_2 pairings differ"
         in out
     )
     assert out.count("PASS") == 10 and "10/11 criteria passed" in out
@@ -309,7 +309,7 @@ def test_verify_fails_closed_on_a_raising_criterion(capsys, monkeypatch):
             "id": 10,
             "name": "tautological ledgers",
             "passed": False,
-            "details": "raised CrossCheckFailure: W_2 pairings differ",
+            "details": "raised CertificateFailure: W_2 pairings differ",
         }
     ]
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from dihedral_mckay import constel, hilb
 from dihedral_mckay.constel import (
     Constellation,
-    InvalidConstellation,
     StabilityParam,
     constellation_from_cluster,
     expected_socle,
@@ -284,9 +283,8 @@ def test_validate_rejects_bad_modules(spoil, message):
     # the unspoiled module passes
     Constellation(3, basis, *map(columns, (x, y, t)), label="good")
     spoil(basis, x, y, t)
-    with pytest.raises(InvalidConstellation, match=message):
+    with pytest.raises(hilb.CertificateFailure, match=message):
         Constellation(3, basis, *map(columns, (x, y, t)), label="bad")
-    assert not issubclass(InvalidConstellation, (AssertionError, ValueError))
 
 
 def _short_action(cols):
@@ -306,7 +304,7 @@ def test_validate_rejects_misshapen_actions(spoil):
     basis, x, y, t = _small_module()
     cols = {"x": columns(x), "y": columns(y), "tau": columns(t)}
     spoil(cols)
-    with pytest.raises(InvalidConstellation, match="^misshapen: action is not 3 x 3$"):
+    with pytest.raises(hilb.CertificateFailure, match="^misshapen: action is not 3 x 3$"):
         Constellation(3, basis, cols["x"], cols["y"], cols["tau"], label="misshapen")
 
 
@@ -314,7 +312,8 @@ def test_validate_fails_closed_under_optimize():
     script = (
         "import sys\n"
         "from fractions import Fraction as Q\n"
-        "from dihedral_mckay.constel import Constellation, InvalidConstellation\n"
+        "from dihedral_mckay.constel import Constellation\n"
+        "from dihedral_mckay.hilb import CertificateFailure\n"
         "x, y, t = ([[Q(0)] * 3 for _ in range(3)] for _ in range(3))\n"
         "x[1][0] = t[0][0] = t[1][2] = t[2][1] = Q(1)\n"
         "y[2][0] = Q(2)\n"
@@ -324,7 +323,7 @@ def test_validate_fails_closed_under_optimize():
         "print('optimize', sys.flags.optimize)\n"
         "try:\n"
         "    Constellation(3, [(0, (0, 0)), (0, (1, 0)), (0, (0, 1))], x, y, t, label='bad')\n"
-        "except InvalidConstellation as exc:\n"
+        "except CertificateFailure as exc:\n"
         "    print('rejected:', exc)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -456,7 +455,7 @@ def test_theta_check_finds_planted_socle_destabilizers(n, data):
 
 def test_two_row_refuses_a_quotient_of_the_wrong_length():
     ideal = hilb.cluster_ideal(5, cp(1, 1, 3))
-    with pytest.raises(InvalidConstellation, match="^planted: quotient has length 5 != 6$"):
+    with pytest.raises(hilb.CertificateFailure, match="^planted: quotient has length 5 != 6$"):
         constel._two_row(6, (ideal, ideal), "planted")
 
 
@@ -466,7 +465,7 @@ def test_subspace_weights_refuses_a_subspace_that_is_not_tau_stable():
     F = constellation_from_cluster(5, cp(1, 1, 3))
     graded = {0: {0: {0: 1}}}  # weight 0: the echelon {pivot 0: basis vector 0}
     message = r"^I1\(1:3\)\|I4\(1:1/3\): the weight-0 subspace is not tau-stable$"
-    with pytest.raises(InvalidConstellation, match=message):
+    with pytest.raises(hilb.CertificateFailure, match=message):
         subspace_weights(F, graded)
 
 

@@ -190,7 +190,7 @@ def test_invariant_chart_and_master_identity():
     for n in (3, 5, 7, 11):
         assert master_identity_holds(n)
         inv = invariant_chart_boundary(n)
-        assert inv["tangency"] == 2
+        assert inv["certificate"] == {"type": "tangency", "multiplicity": 2}
     assert master_identity_holds(4) and master_identity_holds(10)
 
 
@@ -245,8 +245,9 @@ def test_boundary_certificate_failure_is_raised_on_every_call(monkeypatch):
     fails the fold on each call, and the real one passes afterwards."""
     boundary_intersection_numbers.cache_clear()
     real = hilb.invariant_chart_boundary
+    flat = {"type": "tangency", "multiplicity": 1}
     with monkeypatch.context() as patch:
-        patch.setattr(hilb, "invariant_chart_boundary", lambda n: {**real(n), "tangency": 1})
+        patch.setattr(hilb, "invariant_chart_boundary", lambda n: {**real(n), "certificate": flat})
         for _ in range(2):
             with pytest.raises(CertificateFailure, match="invariant chart gives tangency 1"):
                 z2_fold(an_chain(6), 7)

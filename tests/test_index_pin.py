@@ -32,7 +32,7 @@ def _outputs(n):
         "socle": [[s, constel.expected_socle(n, s)] for s in _strata(n)],
         "fm": taut.fm_table(n),
         "ledgers": [taut.ledger_to_json(taut.build_ledger(n, s)) for s in ("stack", "coarse")],
-        "quiver": [[list(r) for r in q.adjacency], [dict(d) for d in q.divergences]],
+        "quiver": [q["adjacency"], q["divergences"]],
         "pushforward": taut.pushforward_identities(n),
     }
 

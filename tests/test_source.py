@@ -9,6 +9,7 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 import dihedral_mckay
+from dihedral_mckay import cli, hilb
 
 MODULES = sorted(Path(dihedral_mckay.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
@@ -27,20 +28,28 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in the package: {found}"
 
 
-def test_no_check_in_the_package_is_an_assertion_error():
-    """A failed certificate raises a named internal failure: no exception
-    class of the package derives from AssertionError, and nothing in the
-    package raises a bare AssertionError."""
-    found = []
+def _own_classes():
+    """(file name, class name, class) of every class a package module defines;
+    __main__ is left out, since importing it runs the CLI."""
     for path in MODULES:
         if path.stem == "__main__":
             continue
         module = importlib.import_module(f"dihedral_mckay.{path.stem}")
-        found += [
-            f"{path.name}: class {name}"
-            for name, obj in inspect.getmembers(module, inspect.isclass)
-            if obj.__module__ == module.__name__ and issubclass(obj, AssertionError)
-        ]
+        for name, obj in inspect.getmembers(module, inspect.isclass):
+            if obj.__module__ == module.__name__:
+                yield path.name, name, obj
+
+
+def test_no_check_in_the_package_is_an_assertion_error():
+    """A failed certificate raises a named internal failure: no exception
+    class of the package derives from AssertionError, and nothing in the
+    package raises a bare AssertionError."""
+    found = [
+        f"{file}: class {name}"
+        for file, name, obj in _own_classes()
+        if issubclass(obj, AssertionError)
+    ]
+    for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             exc = node.exc if isinstance(node, ast.Raise) else None
@@ -49,6 +58,20 @@ def test_no_check_in_the_package_is_an_assertion_error():
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(f"{path.name}:{node.lineno} raise AssertionError")
     assert not found, f"AssertionError in the package: {found}"
+
+
+def test_every_exception_of_the_package_is_bad_input_or_one_of_two_failures():
+    """Every exception class of the package is of one of the three kinds a
+    caller tells apart: a ValueError (bad input), cli.UsageError (a bad
+    command line) or hilb.CertificateFailure (a failed certificate)."""
+    found = [
+        f"{file}: class {name}"
+        for file, name, obj in _own_classes()
+        if issubclass(obj, BaseException)
+        and not issubclass(obj, ValueError)
+        and obj not in (cli.UsageError, hilb.CertificateFailure)
+    ]
+    assert not found, f"exception classes of a fourth kind: {found}"
 
 
 def _references(tree):

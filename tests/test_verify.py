@@ -292,18 +292,18 @@ def _quiver_at(monkeypatch, at, spoil):
 
 
 def _drop_loop_flag(q):
-    return reps.Quiver(q.n, q.vertices, q.adjacency, [])
+    return {**q, "divergences": []}
 
 
 def _flag_an_edge(q):
     d = {"from": "rho1", "to": "rho2", "computed": 2, "drawn": 1}
-    return reps.Quiver(q.n, q.vertices, q.adjacency, [d])
+    return {**q, "divergences": [d]}
 
 
 def _join_the_tails(q):
-    adj = [list(row) for row in q.adjacency]
+    adj = [list(row) for row in q["adjacency"]]
     adj[0][1] = adj[1][0] = 1  # rho0 -- rho0'
-    return reps.Quiver(q.n, q.vertices, adj, q.divergences)
+    return {**q, "adjacency": adj}
 
 
 @pytest.mark.parametrize(
@@ -623,13 +623,13 @@ def _b1_meets_u1(st):
     return st
 
 
+def _flat_tangency(inv):
+    inv["certificate"]["multiplicity"] = 1
+    return inv
+
+
 def _flat_invariant_chart(monkeypatch):
-    real = verify.hilb.invariant_chart_boundary
-    monkeypatch.setattr(
-        verify.hilb,
-        "invariant_chart_boundary",
-        lambda n: {**real(n), "tangency": 1} if n == 7 else real(n),
-    )
+    _hilb_at(7, "invariant_chart_boundary", _flat_tangency)(monkeypatch)
 
 
 @pytest.mark.parametrize(
