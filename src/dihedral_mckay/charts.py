@@ -29,23 +29,6 @@ from .linalg import hnf, integer_coordinates, solver
 from .polyring import Poly, rational_roots
 
 
-class NoIntegerSolution(ValueError):
-    """Monomial not expressible with integer exponents in chart coordinates."""
-
-
-class NotInChart(ValueError):
-    """Pullback has a pole along a chart coordinate."""
-
-
-class CurveContainsAxis(ValueError):
-    """Restriction of a curve equation to an axis vanished identically."""
-
-
-class NotUnimodular(ValueError):
-    """Chart exponent matrix is not unimodular relative to the atlas lattice,
-    or the chart is over other atoms than its atlas."""
-
-
 class Atom(ReadOnly):
     __slots__ = ("name", "poly")
 
@@ -106,7 +89,7 @@ def express_monomial(chart, mono):
     """
     alpha = integer_coordinates(chart.rows, mono)
     if alpha is None:
-        raise NoIntegerSolution(f"{chart.name}: {mono} not in the chart lattice")
+        raise ValueError(f"{chart.name}: {mono} not in the chart lattice")
     return tuple(alpha)
 
 
@@ -116,20 +99,16 @@ def pullback_orders(chart, f):
     Returns (strict, orders) where strict is a Poly in the chart
     coordinates not divisible by any coordinate, and orders maps each
     exceptional-axis label to the vanishing order of f along it.
-    Raises NotInChart when f has a pole along some coordinate.
+    Raises ValueError when a monomial of f is outside the chart lattice
+    (express_monomial's message) or f has a pole along some coordinate.
     """
     if f.is_zero():
         raise ValueError("cannot pull back the zero polynomial")
-    exps = {}
-    for m, c in f.terms.items():
-        try:
-            exps[m] = express_monomial(chart, m)
-        except NoIntegerSolution as exc:
-            raise NotInChart(f"{chart.name}: monomial {m} not expressible") from exc
+    exps = {m: express_monomial(chart, m) for m in f.terms}
     k = len(chart.rows)
     mins = [min(a[i] for a in exps.values()) for i in range(k)]
     if any(v < 0 for v in mins):
-        raise NotInChart(f"{chart.name}: pole along a coordinate (orders {mins})")
+        raise ValueError(f"{chart.name}: pole along a coordinate (orders {mins})")
     strict = Poly(
         k, {tuple(a - b for a, b in zip(alpha, mins)): f.terms[m] for m, alpha in exps.items()}
     )
@@ -145,7 +124,7 @@ def restrict_to_axis(curve, axis_index):
     other = 1 - axis_index
     res = eq.substitute_zero(axis_index)
     if res.is_zero():
-        raise CurveContainsAxis(f"{curve.label} contains the axis")
+        raise ValueError(f"{curve.label} contains the axis")
     return res.univariate_in(other)
 
 
@@ -257,10 +236,10 @@ class Atlas:
         solver(self.lattice)  # a dependent lattice raises ValueError, with or without charts
         for chart in self.charts:
             if chart.atoms != self.atoms:
-                raise NotUnimodular(f"{chart.name}: atoms differ from the atlas atoms")
+                raise ValueError(f"{chart.name}: atoms differ from the atlas atoms")
             why = _unimodular_failure(chart.rows, self.lattice)
             if why is not None:
-                raise NotUnimodular(f"{chart.name}: {why}")
+                raise ValueError(f"{chart.name}: {why}")
 
     def chart(self, name):
         for c in self.charts:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import hilb, linalg
-from .exactnum import CycloElt, NotRational, ReadOnly, rational_value
+from .exactnum import CycloElt, NotRational, ReadOnly, as_fraction, rational_value
 from .polyring import Ideal, Poly, staircase
 from .reps import Character, GroupSpec, NotACharacter, char_table, decompose
 
@@ -434,7 +434,10 @@ class StabilityParam(ReadOnly):
     @classmethod
     def make(cls, n, values):
         table = char_table(GroupSpec("dihedral", n))
-        theta = {c.name: Fraction(values.get(c.name, 0)) for c in table}
+        unknown = [k for k in values if k not in table.by_name]
+        if unknown:
+            raise ValueError(f"not irreducibles of D_{2 * n}: {', '.join(map(str, unknown))}")
+        theta = {c.name: as_fraction(values.get(c.name, 0)) for c in table}
         total = sum(int(c.degree) * theta[c.name] for c in table)
         if total != 0:
             raise ValueError(f"theta(C[G]) = {total} != 0")

@@ -30,10 +30,6 @@ from functools import lru_cache
 from types import MappingProxyType
 
 
-class OrderMismatch(ValueError):
-    """Raised when combining CycloElt values of different orders."""
-
-
 class NotRational(ValueError):
     """Raised when a CycloElt is expected to be rational but is not."""
 
@@ -118,7 +114,7 @@ class CycloElt(ReadOnly):
         if not isinstance(other, CycloElt):
             raise TypeError("expected CycloElt")
         if self.order != other.order:
-            raise OrderMismatch(f"orders differ: {self.order} != {other.order}")
+            raise ValueError(f"orders differ: {self.order} != {other.order}")
 
     def __add__(self, other):
         self._check(other)
@@ -164,6 +160,13 @@ class CycloElt(ReadOnly):
             else:
                 terms.append(f"{c}*t^{k}")
         return " + ".join(terms) if terms else "0"
+
+
+def as_fraction(value):
+    """value as a Fraction, refusing with a ValueError anything but an int or a Fraction."""
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"not an int or a Fraction: {value!r}")
+    return Fraction(value)
 
 
 def _normal(terms):

@@ -36,7 +36,7 @@ from .charts import (
     verify_gluing,
     verify_poly_transition,
 )
-from .exactnum import ReadOnly
+from .exactnum import ReadOnly, as_fraction
 from .polyring import Ideal, Poly, staircase
 
 
@@ -68,9 +68,10 @@ class ClusterPoint(ReadOnly):
     __slots__ = ("i", "a", "b")
 
     def __init__(self, i, a, b):
+        a, b = as_fraction(a), as_fraction(b)
         if a == 0 and b == 0:
             raise ValueError("(a:b) must be a projective pair")
-        lead = Fraction(a or b)
+        lead = a or b
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "a", a / lead)
         object.__setattr__(self, "b", b / lead)

@@ -28,10 +28,6 @@ ZERO = Fraction(0)  # built once: pair() of two labels that q does not pair, sto
 BOUNDARY_COEFFICIENT = Fraction(1, 2)  # (m_j - 1)/m_j: each reflection line of D_2n has m_j = 2
 
 
-class NotContractible(ValueError):
-    """Castelnuovo preconditions (C^2 = -1, K.C = -1) fail."""
-
-
 class Point(ReadOnly):
     """Special point: multiplicities of curves and boundary components, read-only."""
 
@@ -194,8 +190,9 @@ def blow_down(cfg, curve):
     if curve not in cfg.labels:
         raise KeyError(curve)
     if cfg.pair(curve, curve) != -1 or cfg.pair(curve, "K") != -1:
-        raise NotContractible(
-            f"{curve}: C^2 = {cfg.pair(curve, curve)}, K.C = {cfg.pair(curve, 'K')}"
+        raise ValueError(
+            f"{curve} is not contractible: C^2 = {cfg.pair(curve, curve)}, "
+            f"K.C = {cfg.pair(curve, 'K')}"
         )
     labels = [a for a in cfg.labels if a != curve]
     dots = {y: cfg.pair(y, curve) for y in [*labels, "K", *cfg.boundary]}

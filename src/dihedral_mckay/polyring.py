@@ -23,10 +23,6 @@ from .exactnum import _normal, exact_poly_div
 VAR_NAMES = ("x", "y", "z")
 
 
-class InfiniteDimensional(ValueError):
-    """Quotient by the ideal is not a finite-dimensional vector space."""
-
-
 def _key(mono):
     # grlex: total degree, then lex with z largest, then x.
     if len(mono) == 3:
@@ -274,7 +270,7 @@ def staircase(ideal):
     leads = [g.leading()[0] for g in ideal.closure]
     for v in (0, 1):
         if all(m[1 - v] for m in leads):
-            raise InfiniteDimensional(
+            raise ValueError(
                 f"no pure power of {VAR_NAMES[v]} in the leading-term ideal"
             )
     basis = []

@@ -16,7 +16,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import constel, hilb, intersect
-from .exactnum import ReadOnly
+from .exactnum import ReadOnly, as_fraction
 from .reps import GroupSpec, char_table, decompose, restrict
 
 
@@ -28,7 +28,8 @@ class DivisorClass(ReadOnly):
 
     @classmethod
     def make(cls, d):
-        return cls(tuple(sorted((k, Fraction(v)) for k, v in d.items() if v != 0)))
+        coeffs = [(k, as_fraction(v)) for k, v in d.items()]
+        return cls(tuple(sorted((k, v) for k, v in coeffs if v != 0)))
 
     def __add__(self, other):
         out = dict(self.coeffs)

@@ -167,6 +167,20 @@ def test_submodule_closure_examples():
     assert _dim(graded3) == G.dim  # tau swaps the rows, so 1 generates all
 
 
+def test_a_stability_parameter_refuses_a_float():
+    with pytest.raises(ValueError, match=r"^not an int or a Fraction: -0\.1$"):
+        StabilityParam.make(3, {"rho0": -0.1, "rho0'": 0.1})
+
+
+def test_a_stability_parameter_refuses_a_name_that_is_no_irreducible():
+    """theta is read on the irreducibles of D_2n only: another name is refused,
+    not dropped."""
+    with pytest.raises(ValueError, match="^not irreducibles of D_10: rho7$"):
+        StabilityParam.make(5, {"rho7": 3})
+    with pytest.raises(ValueError, match="^not irreducibles of D_6: rho2, rho1'$"):
+        StabilityParam.make(3, {"rho0": 1, "rho2": -1, "rho1'": 0})
+
+
 def test_theta_examples():
     n = 5
     with pytest.raises(ValueError):

@@ -125,6 +125,14 @@ def test_a_cluster_point_is_canonical_once_built(n, data):
     assert z2_image(n, z2_image(n, q)) == p
 
 
+def test_a_cluster_point_refuses_a_float():
+    """A float would enter (a:b) as its binary expansion, so it is refused by value."""
+    with pytest.raises(ValueError, match=r"^not an int or a Fraction: 0\.1$"):
+        ClusterPoint(1, 0.1, 1)
+    with pytest.raises(ValueError, match=r"^not an int or a Fraction: 0\.0$"):
+        ClusterPoint(1, 1, 0.0)
+
+
 def test_z2_image_is_ideal_level_involution():
     rng = random.Random(3)
     for n in (3, 4, 5, 8):

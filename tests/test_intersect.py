@@ -10,7 +10,6 @@ from dihedral_mckay import intersect
 from dihedral_mckay.hilb import CertificateFailure, half_index
 from dihedral_mckay.intersect import (
     CurveConfig,
-    NotContractible,
     Point,
     an_chain,
     blow_down,
@@ -144,8 +143,10 @@ def test_blow_down():
     assert c.pair("E1", "E1") == -1 and c.pair("E1", "K") == -1
     assert c.boundary == ("B3",) and c.pair("E1", "B3") == 2
     assert blow_down(fold(3), "E1").labels == []
-    with pytest.raises(NotContractible):
+    with pytest.raises(ValueError, match=r"^E1 is not contractible: C\^2 = -2, K\.C = 0$"):
         blow_down(f5, "E1")
+    with pytest.raises(KeyError, match="E9"):
+        blow_down(f5, "E9")
 
 
 def test_domination_chain():

@@ -145,6 +145,14 @@ def test_build_ledger_coarse():
     assert "| rho1 | 2 |" in md
 
 
+def test_a_divisor_class_refuses_a_float():
+    """A float coefficient is refused by value, a zero one too."""
+    with pytest.raises(ValueError, match=r"^not an int or a Fraction: 0\.1$"):
+        DivisorClass.make({"E1": 0.1})
+    with pytest.raises(ValueError, match=r"^not an int or a Fraction: 0\.0$"):
+        DivisorClass.make({"E1": 1, "E2": 0.0})
+
+
 def test_c1_additivity():
     # c1 of the rank-2 entry equals c1(O) + c1 of its quotient line bundle
     for n in (5, 8):
