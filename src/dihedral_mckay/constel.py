@@ -23,10 +23,12 @@ vectors.  Its character is linear in its integer weight data: counts[w],
 its dimension in weight w, and diag[w], the trace of tau on a tau-stable
 weight space (zero unless 2w = 0 mod n).  Rotation classes add counts[w]
 at exponent power*w mod n, reflection classes add diag[w], and one
-CycloElt is built per class at the end.  Socle, top and closures are
-decomposed from the weight data, once per distinct (n, counts, diag) per
-process (``_weight_decomposition``, the package's one memo of decompositions,
-which also serves taut's inductions); only a new vector builds a character.
+CycloElt is built per class at the end.  ``decompose_weights`` is the one
+door into the package's one memo of decompositions, ``_weight_decomposition``,
+keyed on the flat ints (n, *counts, *diag): socle, top, closures and taut's
+inductions all pass through it, only a vector new to the process builds a
+character, and a failed decomposition is a hilb.CertificateFailure that names
+its case.
 
 A ``socle_table`` row holds what was read off its witness, never the module:
 the table builds, reads and drops one module at a time.
@@ -40,7 +42,7 @@ from functools import lru_cache
 from . import hilb, linalg
 from .exactnum import CycloElt, NotRational, ReadOnly, as_fraction, rational_value
 from .polyring import Ideal, Poly, staircase
-from .reps import Character, GroupSpec, NotACharacter, char_table, decompose
+from .reps import Character, GroupSpec, char_table, decompose
 
 
 TWISTS = ("delta0", "delta1")
@@ -244,13 +246,13 @@ def subspace_weights(F, graded):
     return counts, diag
 
 
-def _decompose_weights(F, name, counts, diag):
-    """Decomposition of the subspace ``name`` of F from its weight data, as a
-    fresh dict; a NotACharacter names F and the subspace."""
+def decompose_weights(where, n, counts, diag):
+    """Decomposition of the D_2n-character with weight data (counts, diag), as
+    a fresh dict; a failure is a hilb.CertificateFailure prefixed by ``where``."""
     try:
-        return dict(_weight_decomposition(F.n, *counts, *diag))
-    except NotACharacter as err:
-        raise NotACharacter(f"{F.label}: {name}: {err}") from err
+        return dict(_weight_decomposition(n, *counts, *diag))
+    except ValueError as err:
+        raise hilb.CertificateFailure(f"{where}: {err}") from err
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +282,7 @@ def submodule_closure(F, seeds):
             for w, comp in _split_by_weight(F, _apply(cols, v)).items():
                 if linalg.insert(graded.setdefault(w, {}), comp) is not None:
                     work.append(comp)
-    cls = _decompose_weights(F, "closure", *subspace_weights(F, graded))
+    cls = decompose_weights(f"{F.label}: closure", F.n, *subspace_weights(F, graded))
     return graded, cls
 
 
@@ -298,7 +300,7 @@ def top(F):
                 linalg.insert(graded.setdefault(w, {}), comp)
     total, sub = F.weight_data(idx), subspace_weights(F, graded)
     counts, diag = ([a - b for a, b in zip(t, s)] for t, s in zip(total, sub))
-    return _decompose_weights(F, "top", counts, diag)
+    return decompose_weights(f"{F.label}: top", F.n, counts, diag)
 
 
 def _stacky_half(F):
@@ -331,7 +333,7 @@ def socle_subspace(F):
 
 def socle(F):
     """Joint kernel of the x and y actions, decomposed into irreducibles."""
-    return _decompose_weights(F, "socle", *subspace_weights(F, socle_subspace(F)))
+    return decompose_weights(f"{F.label}: socle", F.n, *subspace_weights(F, socle_subspace(F)))
 
 
 # --- the socle table --------------------------------------------------

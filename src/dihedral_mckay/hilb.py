@@ -286,16 +286,8 @@ def boundary_intersection_numbers(n):
 
 
 def _binomials(n):
-    if n % 2:
-        f1 = Poly(2, {(n, 0): 1, (0, n): 1})
-        f2 = Poly(2, {(n, 0): 1, (0, n): -1})
-        power = n
-    else:
-        h = n // 2
-        f1 = Poly(2, {(h, 0): 1, (0, h): 1})
-        f2 = Poly(2, {(h, 0): 1, (0, h): -1})
-        power = h
-    return f1, f2, power
+    h = n if n % 2 else n // 2
+    return Poly(2, {(h, 0): 1, (0, h): 1}), Poly(2, {(h, 0): 1, (0, h): -1}), h
 
 
 def master_identity_holds(n):

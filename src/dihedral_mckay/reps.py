@@ -18,8 +18,8 @@ is Hermitian; real class functions, as D_2n characters are, on palindromic sums 
 in half) and reduces each distinct sum once modulo Phi_n (see exactnum);
 ``inner_product`` is its integer-checked matrix, one ``gram`` per call, so a McKay quiver
 pairs all its products in one pass.  ``decompose`` reads one ``gram`` row, checks an
-exact reconstruction and keeps no answer: the process memo of decompositions is
-``constel._weight_decomposition``, keyed on integer weight data.
+exact reconstruction and keeps no answer.  A class function that is not a character
+is bad input: both raise ValueError.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ from .exactnum import (
     expect_rational,
     rational_value,
 )
-
-
-class NotACharacter(ValueError):
-    """Decomposition produced a negative or non-integral multiplicity."""
 
 
 class ConjClass(ReadOnly):
@@ -259,7 +255,7 @@ def inner_product(rows, cols):
     for chi, row in zip(rows, out):
         for psi, val in zip(cols, row):
             if val.denominator != 1 or val < 0:
-                raise NotACharacter(f"<{chi.name},{psi.name}> = {val}")
+                raise ValueError(f"<{chi.name},{psi.name}> = {val}")
     return [[int(val) for val in row] for row in out]
 
 
@@ -271,14 +267,14 @@ def decompose(chi):
     recon = [CycloElt(chi.group.n, {}) for _ in table.group.classes]
     for irr, m in zip(table, gram([chi], table.chars)[0]):
         if m.denominator != 1 or m < 0:
-            raise NotACharacter(f"multiplicity of {irr.name} in {chi.name} is {m}")
+            raise ValueError(f"multiplicity of {irr.name} in {chi.name} is {m}")
         m = int(m)
         if m:
             mults[irr.name] = m
             recon = [r + m * v for r, v in zip(recon, irr.values)]
     for r, v, c in zip(recon, chi.values, table.group.classes):
         if not _same_value(r, v):
-            raise NotACharacter(f"reconstruction differs on class {c.label}")
+            raise ValueError(f"reconstruction differs on class {c.label}")
     return mults
 
 

@@ -182,7 +182,7 @@ def pushforward_identities(n):
 
     Ind eps_i is the module C.v + C.tau(v) with v of weight i, so it is
     decomposed from its weight data, counts 1 at i and at -i mod n and
-    every tau trace 0, through constel's memo of weight decompositions.
+    every tau trace 0, by constel.decompose_weights.
     """
     cyc = char_table(GroupSpec("cyclic", n))
     dih = char_table(GroupSpec("dihedral", n))
@@ -192,7 +192,7 @@ def pushforward_identities(n):
         counts = [0] * n
         counts[i] += 1
         counts[-i % n] += 1
-        ind = dict(constel._weight_decomposition(n, *counts, *[0] * n))
+        ind = constel.decompose_weights(f"Ind {eps.name}", n, counts, [0] * n)
         want = {c.name: 1 for c in dih if dih.index[c.name] == min(i, n - i)}
         if ind != want:
             raise hilb.CertificateFailure(f"Ind {eps.name} = {ind}, expected {want}")

@@ -42,6 +42,8 @@ def test_identity_chart_express():
     c = identity_chart()
     assert express_monomial(c, (3, 5)) == (3, 5)
     assert express_monomial(c, (0, 0)) == (0, 0)
+    with pytest.raises(ValueError, match="^coordinate name count mismatch$"):
+        Chart("short", XY_ATOMS, ID2, ("u",))
 
 
 def test_chart_coordinate_expresses_as_itself():
@@ -375,6 +377,8 @@ def test_pullback_pole_raises():
     c = Chart("p", XY_ATOMS, ((1, 0), (1, 1)), ("u", "v"))
     with pytest.raises(ValueError, match=r"^p: pole along a coordinate \(orders \[-1, 1\]\)$"):
         pullback_orders(c, Poly.var("y"))
+    with pytest.raises(ValueError, match="^cannot pull back the zero polynomial$"):
+        pullback_orders(c, Poly(2))
 
 
 def test_axis_root_report_cofactor_entry():
@@ -404,6 +408,9 @@ def test_local_intersection_examples():
         local_intersection(bad)
     with pytest.raises(ValueError):
         LocalCurve(X * Y + Y, "bad")
+    solid = LocalCurve(Poly(3, {(0, 0, 0): 1, (1, 0, 0): 1}), "solid")
+    with pytest.raises(ValueError, match="^axis restriction implemented for surface charts$"):
+        local_intersection(solid)
 
 
 def test_verify_gluing_consecutive_and_far():
@@ -415,6 +422,8 @@ def test_verify_gluing_consecutive_and_far():
         assert verify_gluing(atlas.chart("U1"), atlas.chart("U1"))
         # non-adjacent pairs require two inversions -> not a wall crossing
         assert not verify_gluing(atlas.chart("U1"), atlas.chart("U3"))
+    with pytest.raises(ValueError, match="^charts over different atom alphabets$"):
+        verify_gluing(identity_chart(), hilb_atlas(4).chart("U1"))
 
 
 def test_atlas_adjacency_is_the_chain():

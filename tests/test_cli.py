@@ -113,6 +113,8 @@ def test_usage_errors_exit_1(capsys):
         (["socle-table", "--n", "5", "--theta=1,1,1/0,1"], "--theta: '1/0' is not a rational"),
         (["refdiv", "--n", "6", "--k", "4"], "--k must lie in 1..3 for n = 6"),
         (["refdiv", "--n", "7", "--k", "0"], "--k must lie in 1..3 for n = 7"),
+        (["verify", "--n-range", "3-6"], "bad range '3-6', expected A..B"),
+        (["socle-table", "--n", "3", "--theta=1,1,1"], "theta(C[G]) = 4 != 0"),
     ],
 )
 def test_bad_option_values_are_usage_errors(capsys, argv, message):

@@ -31,7 +31,7 @@ from dihedral_mckay.constel import (
 from dihedral_mckay.exactnum import CycloElt
 from dihedral_mckay.hilb import half_index
 from dihedral_mckay.polyring import Poly, staircase
-from dihedral_mckay.reps import GroupSpec, NotACharacter, char_table, conjugacy_classes
+from dihedral_mckay.reps import GroupSpec, char_table, conjugacy_classes
 from reference import coefficients_are_normal, cp
 
 
@@ -88,6 +88,10 @@ def test_twist_guard():
     # a twist flag only makes sense at a Z_2-fixed point
     with pytest.raises(ValueError):
         constellation_from_cluster(5, cp(1, 1, 2), twist="delta1")
+    with pytest.raises(ValueError, match="^unknown twist delta2$"):
+        constellation_from_cluster(4, cp(2, 1, -1), twist="delta2")
+    with pytest.raises(ValueError, match=r"^alpha must avoid 0 and \+-1$"):
+        witness_point(1, 0)
 
 
 def test_socle_table_matches_theorem():
@@ -148,6 +152,9 @@ def test_regular_check_rejects_fake():
     # its top is the whole module: <x,y>F = 0
     t = top(F)
     assert sum(t.values()) == 2 * n and t["rho0"] == 2 * n
+    # weights 1 and 4 swapped by tau: the rotation values t + t^4 are not rational
+    pair = Constellation(5, [(0, (1, 0)), (1, (0, 1))], [{}, {}], [{}, {}], [{1: 1}, {0: 1}], "pair")
+    assert not regular_check(pair)
 
 
 def test_submodule_closure_examples():
@@ -492,7 +499,7 @@ def test_weight_data_of_no_character_raises_on_every_call_and_is_not_kept():
     memo = constel._weight_decomposition
     before = memo.cache_info().currsize
     for _ in range(2):
-        with pytest.raises(NotACharacter, match="^multiplicity of rho0 in .* is 1/2$"):
+        with pytest.raises(ValueError, match="^multiplicity of rho0 in .* is 1/2$"):
             memo(5, *HALF_RHO0[0], *HALF_RHO0[1])
     assert memo.cache_info().currsize == before
 
@@ -508,12 +515,11 @@ def test_each_caller_gets_a_fresh_decomposition():
 def test_list_and_tuple_weight_data_share_one_entry():
     """The memo key is the flat ints (n, *counts, *diag), whatever sequences
     hold them: after a call with lists, the same data as tuples is a hit."""
-    F = constellation_from_cluster(5, witness_point(1, Fraction(1, 2)))
     memo = constel._weight_decomposition
     counts, diag = [2] * 5, [0] * 5
-    answer = constel._decompose_weights(F, "all", counts, diag)
+    answer = constel.decompose_weights("all", 5, counts, diag)
     before = memo.cache_info()
-    assert constel._decompose_weights(F, "all", tuple(counts), tuple(diag)) == answer
+    assert constel.decompose_weights("all", 5, tuple(counts), tuple(diag)) == answer
     after = memo.cache_info()
     assert (after.currsize, after.misses, after.hits) == (
         before.currsize, before.misses, before.hits + 1
@@ -524,13 +530,14 @@ def test_list_and_tuple_weight_data_share_one_entry():
 @pytest.mark.parametrize("name", ["socle", "top", "closure"])
 def test_a_decomposition_failure_names_the_witness_and_the_subspace(name, monkeypatch):
     """Weight data planted by a spoiled subspace_weights (for top, the whole
-    module's less the planted data) is no character, and the error names F's
-    label and which subspace it was."""
+    module's less the planted data) is no character: a CertificateFailure
+    that names F's label and which subspace it was."""
     F = constellation_from_cluster(5, witness_point(1, Fraction(1, 2)))
     monkeypatch.setattr(constel, "subspace_weights", lambda F, graded: HALF_RHO0)
     run = {"socle": socle, "top": top, "closure": lambda F: submodule_closure(F, [{0: 1}])}
     label = r"I1\(1:3\)\|I4\(1:1/3\)"
-    with pytest.raises(NotACharacter, match=f"^{label}: {name}: multiplicity of rho0 in "):
+    message = f"^{label}: {name}: multiplicity of rho0 in "
+    with pytest.raises(hilb.CertificateFailure, match=message):
         run[name](F)
 
 

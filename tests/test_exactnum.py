@@ -9,6 +9,7 @@ from dihedral_mckay.exactnum import (
     NotRational,
     cyc_mul,
     cyclotomic_polynomial,
+    exact_poly_div,
     expect_rational,
     rational_value,
 )
@@ -50,6 +51,8 @@ def test_mul_n4_hand_oracle():
 def test_order_mismatch():
     with pytest.raises(ValueError, match="^orders differ: 3 != 4$"):
         cyc_mul(t_power(3, 1), t_power(4, 1))
+    with pytest.raises(TypeError, match="^expected CycloElt$"):
+        t_power(3, 1) + 1
 
 
 def test_conjugate_definition_and_involution():
@@ -173,3 +176,10 @@ def test_cyclotomic_polynomials():
 
     for n in range(1, 40):
         assert len(cyclotomic_polynomial(n)) - 1 == phi(n)
+    with pytest.raises(ValueError, match="^order must be positive$"):
+        cyclotomic_polynomial(0)
+    # the division they rest on refuses a leading coefficient it cannot
+    # divide, and a remainder: 1 + t by 1 + 2t, and 1 + t^2 by 1 + t
+    for num, den in (([1, 1], [1, 2]), ([1, 0, 1], [1, 1])):
+        with pytest.raises(ArithmeticError, match="^division not exact$"):
+            exact_poly_div(num, den)

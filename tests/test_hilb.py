@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dihedral_mckay import hilb, polyring
-from dihedral_mckay.charts import verify_gluing
+from dihedral_mckay.charts import verify_gluing, verify_poly_transition
 from dihedral_mckay.hilb import (
     CertificateFailure,
     ClusterPoint,
@@ -39,6 +39,8 @@ def test_cluster_ideal_n4_matches_explicit_generators():
     other = Ideal([x**3, y**3, x * y, x**2 + y**2])
     assert ideal == other
     assert len(staircase(ideal)) == 4
+    with pytest.raises(ValueError, match="^index out of range$"):
+        cluster_ideal(4, cp(4, 1, 1))
 
 
 def test_cluster_dimension_examples():
@@ -64,6 +66,7 @@ def test_cluster_dimension_randomized():
 def test_z2_image():
     assert z2_image(4, cp(2, 1, -1)) == cp(2, 1, -1)
     assert z2_image(5, cp(1, 1, 3)) == cp(4, 3, 1) == cp(4, 1, Fraction(1, 3))
+    assert cp(2, 1, -1) != (2, 1, -1)  # a point equals no other type
 
 
 def test_ideal_equality_on_fixed_cases():
@@ -131,6 +134,8 @@ def test_a_cluster_point_refuses_a_float():
         ClusterPoint(1, 0.1, 1)
     with pytest.raises(ValueError, match=r"^not an int or a Fraction: 0\.0$"):
         ClusterPoint(1, 1, 0.0)
+    with pytest.raises(ValueError, match=r"^\(a:b\) must be a projective pair$"):
+        ClusterPoint(1, 0, 0)
 
 
 def test_z2_image_is_ideal_level_involution():
@@ -155,6 +160,8 @@ def test_fixed_points():
     assert [p.label for p in pts3] == ["I1(0:1)"]
     for n in range(3, 26):
         assert len(fixed_points(n)) == (2 if n % 2 == 0 else 1)
+    with pytest.raises(ValueError, match="^need n >= 3$"):
+        fixed_points(2)
 
 
 def test_boundary_strict_transforms_even():
@@ -200,6 +207,8 @@ def test_invariant_chart_and_master_identity():
         inv = invariant_chart_boundary(n)
         assert inv["certificate"] == {"type": "tangency", "multiplicity": 2}
     assert master_identity_holds(4) and master_identity_holds(10)
+    with pytest.raises(ValueError, match="^odd n only$"):
+        invariant_chart_boundary(4)
 
 
 def test_invariant_chart_fails_closed(monkeypatch):
@@ -356,6 +365,10 @@ def test_flop_atlas_odd():
         assert len(top.atlas.charts) == m + 2
         assert top.floppable["curve"] == f"E{m}"
         assert top.floppable["coords"] == f"(f1 : (xy)^{m})"
+    with pytest.raises(ValueError, match="^stage out of range$"):
+        build_flop_atlas(5, (2,))
+    with pytest.raises(ValueError, match="^n=5: undefined flop chart U9$"):
+        hilb._flop_atlas(5, "X", ["U1''", "U9"])
 
 
 def test_flop_atlas_even():
@@ -367,6 +380,9 @@ def test_flop_atlas_even():
         assert counts == list(range(m, 0, -1))
         top = build_flop_atlas(n, chain[0])
         assert top.floppable["coords"] == f"(f1^2 : (xy)^{m})"
+    for stage in ((3, 0), (0, -2)):  # i = m and j = -2 at n = 6
+        with pytest.raises(ValueError, match="^stage out of range$"):
+            build_flop_atlas(6, stage)
 
 
 def test_displayed_gluing_and_flop():
@@ -395,6 +411,10 @@ def test_poly_bridges():
         fa = build_flop_atlas(n, stage_chain(n)[0])
         bridges = poly_bridges(n, fa.atlas)
         assert bridges and all(b["verified"] for b in bridges)
+    # the odd bridge U3' -> U4 of n = 5 fails once _ODD_TOP's coefficient -4 is made 4
+    atlas = build_flop_atlas(5, (1,)).atlas
+    spoiled = {**hilb._ODD_TOP, 0: [(1, (2, 2, 0)), (4, (2, 0, 1))]}
+    assert not verify_poly_transition(atlas.chart("U3'"), atlas.chart("U4"), spoiled)
     for n in (6, 8):
         fa = build_flop_atlas(n, stage_chain(n)[0])
         bridges = poly_bridges(n, fa.atlas)

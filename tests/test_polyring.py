@@ -113,6 +113,10 @@ def test_arithmetic_refuses_mixed_variable_counts():
     for op in (lambda: X + x3, lambda: X - x3, lambda: X * x3):
         with pytest.raises(ValueError, match="mixed variable counts"):
             op()
+    with pytest.raises(ValueError, match="^negative power$"):
+        X**-1
+    with pytest.raises(ValueError, match="^zero polynomial has no leading term$"):
+        Poly(2).leading()
 
 
 def test_groebner_refuses_polynomials_that_are_not_bivariate():
@@ -241,6 +245,10 @@ def test_rational_roots_examples():
     assert rational_roots([Fraction(1), Fraction(0), Fraction(1)]) == ([], [1, 0, 1])
     # u^2: the zero root, stripped before the candidates are tried
     assert rational_roots([Fraction(0), Fraction(0), Fraction(1)]) == ([(Fraction(0), 2)], [1])
+    # a coefficient list is read off a polynomial in one variable only
+    assert (X**2 + X).univariate_in(0) == [0, 1, 1]
+    with pytest.raises(ValueError, match="^polynomial is not univariate in that variable$"):
+        (X * Y).univariate_in(0)
 
 
 def test_rational_roots_of_int_coefficients():
@@ -252,6 +260,8 @@ def test_rational_roots_strips_trailing_zero_coefficients():
     """A zero leading coefficient does not raise the degree: -1 + t + 0 t^2 has
     the one root 1."""
     assert rational_roots([-1, 1, 0]) == ([(Fraction(1), 1)], [1])
+    with pytest.raises(ValueError, match="^the zero polynomial vanishes everywhere$"):
+        rational_roots([0, 0])
 
 
 def _times(a, b):

@@ -8,7 +8,6 @@ from dihedral_mckay.exactnum import CycloElt, NotRational, cyc_mul, rational_val
 from dihedral_mckay.reps import (
     Character,
     GroupSpec,
-    NotACharacter,
     char_table,
     conjugacy_classes,
     decompose,
@@ -87,6 +86,9 @@ def test_class_data():
             assert len(refl) == 2 and all(c.size == n // 2 for c in refl)
     cyc = conjugacy_classes(GroupSpec("cyclic", 6))
     assert sum(c.size for c in cyc) == 6
+    rho1 = char_table(GroupSpec("dihedral", 6)).by_name["rho1"]
+    with pytest.raises(ValueError, match="^characters of different groups$"):
+        rho1 * char_table(GroupSpec("dihedral", 5)).by_name["rho1"]
 
 
 def test_equal_groups_are_one_key():
@@ -192,7 +194,7 @@ def test_decompose_rejects_non_characters():
     assert decompose(fake) == {"rho0": 2}
     vals = list(table.by_name["rho1"].values)
     vals[0] = vals[0] + table.by_name["rho0"].values[0]  # degree 3, breaks integrality
-    with pytest.raises(NotACharacter):
+    with pytest.raises(ValueError, match=r"^multiplicity of rho0 in bad2 is 1/8$"):
         decompose(Character(g, "bad2", vals))
 
 
@@ -214,7 +216,7 @@ def test_a_failed_decomposition_raises_on_every_call_and_is_not_cached():
     vals = list(table.by_name["rho1"].values)
     vals[0] = vals[0] + table.by_name["rho0"].values[0]
     for name in ("bad", "bad", "worse"):
-        with pytest.raises(NotACharacter, match=rf" in {name} is "):
+        with pytest.raises(ValueError, match=rf"^multiplicity of rho0 in {name} is 1/8$"):
             decompose(Character(g, name, vals))
 
 
@@ -230,7 +232,7 @@ def test_decompose_refuses_a_reconstruction_that_differs(monkeypatch):
 
     monkeypatch.setattr(reps, "gram", bumped)
     rho1 = char_table(GroupSpec("dihedral", 5)).by_name["rho1"]
-    with pytest.raises(NotACharacter, match=r"^reconstruction differs on class 1$"):
+    with pytest.raises(ValueError, match=r"^reconstruction differs on class 1$"):
         decompose(rho1)
 
 
@@ -240,11 +242,13 @@ def test_decompose_refuses_an_irrational_difference(monkeypatch):
     monkeypatch.setattr(reps, "gram", lambda rows, cols: [[Fraction(0)] * len(cols)])
     g = GroupSpec("dihedral", 5)
     t = CycloElt(5, {1: 1})
-    with pytest.raises(NotACharacter, match=r"^reconstruction differs on class 1$"):
+    with pytest.raises(ValueError, match=r"^reconstruction differs on class 1$"):
         decompose(Character(g, "odd", [t] + [CycloElt(5, {})] * 3))
 
 
 def test_restrict_rows():
+    with pytest.raises(ValueError, match="^restrict expects a dihedral character$"):
+        restrict(char_table(GroupSpec("cyclic", 5)).by_name["eps1"])
     for n in (4, 5, 6, 9):
         table = char_table(GroupSpec("dihedral", n))
         cyc = char_table(GroupSpec("cyclic", n))
@@ -325,6 +329,8 @@ def edge_set(q):
 
 
 def test_mckay_quiver_even_star_and_chain():
+    with pytest.raises(ValueError, match="^need n >= 3 for a 2-dimensional rho1$"):
+        mckay_quiver(2)
     q4 = mckay_quiver(4)
     assert edge_set(q4) == {
         ("rho0", "rho1"): 1,

@@ -23,7 +23,6 @@ from dihedral_mckay.exactnum import CycloElt, NotRational, cyc_mul, rational_val
 from dihedral_mckay.reps import (
     Character,
     GroupSpec,
-    NotACharacter,
     char_table,
     conjugacy_classes,
     decompose,
@@ -135,7 +134,7 @@ def check_inner_product(chi, psi):
         return
     if want.denominator != 1 or want < 0:
         event("negative" if want < 0 else "non-integral")
-        with pytest.raises(NotACharacter) as info:
+        with pytest.raises(ValueError) as info:
             inner_product([chi], [psi])
         assert str(info.value) == f"<{chi.name},{psi.name}> = {want}"
         return
@@ -192,7 +191,7 @@ def test_inner_product_matrix_matches_definition(sides):
     for chi, psi, want in wants:
         if want.denominator != 1 or want < 0:
             event("negative entry" if want < 0 else "non-integral entry")
-            with pytest.raises(NotACharacter) as info:
+            with pytest.raises(ValueError) as info:
                 inner_product(rows, cols)
             assert str(info.value) == f"<{chi.name},{psi.name}> = {want}"
             return
@@ -211,7 +210,7 @@ def test_decompose_reads_the_multiplicities(case):
     bad = [(irr, m) for irr, m in zip(char_table(g), wants) if m.denominator != 1 or m < 0]
     if bad:
         irr, m = bad[0]
-        with pytest.raises(NotACharacter) as info:
+        with pytest.raises(ValueError) as info:
             decompose(chi)
         assert str(info.value) == f"multiplicity of {irr.name} in chi is {m}"
         return

@@ -70,19 +70,17 @@ def _names(node):
 
 def _caught_names():
     """Names that an ``except`` clause of the package catches, alone or in a
-    tuple.  A clause whose whole body raises a class it does not catch only
-    renames the failure, so it tells nothing apart and is left out."""
+    tuple.  A clause whose whole body is one ``raise`` only renames the
+    failure, whatever class it raises, so it tells nothing apart and is left
+    out."""
     names = set()
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if not isinstance(node, ast.ExceptHandler) or node.type is None:
                 continue
-            caught = _names(node.type)
-            body = node.body[0] if len(node.body) == 1 else None
-            if isinstance(body, ast.Raise) and isinstance(body.exc, ast.Call):
-                if not _names(body.exc.func) & caught:
-                    continue
-            names |= caught
+            if len(node.body) == 1 and isinstance(node.body[0], ast.Raise):
+                continue
+            names |= _names(node.type)
     return names
 
 

@@ -132,6 +132,8 @@ def test_build_ledger_stack():
     assert entry(odd, "rho1")["c1"].coeffs == DivisorClass.make(
         {"D1": 1, "suppB3": Fraction(1, 2), "D": -1}
     ).coeffs
+    with pytest.raises(ValueError, match="^space must be 'stack' or 'coarse'$"):
+        build_ledger(5, "orbifold")
 
 
 def test_build_ledger_coarse():
@@ -189,6 +191,18 @@ def test_pushforward_identities_do_not_depend_on_what_the_weight_memo_holds():
 def test_identity_violation_fails_closed(monkeypatch):
     monkeypatch.setattr(taut.constel, "_weight_decomposition", lambda n, *weights: ())
     with pytest.raises(CertificateFailure, match=r"Ind eps0 = \{\}"):
+        pushforward_identities(4)
+
+
+def test_a_failed_induction_is_a_certificate_failure_that_names_its_case(monkeypatch):
+    """A decomposition that raises ValueError reaches the caller as a
+    CertificateFailure prefixed by the induction it was asked for."""
+
+    def refuse(n, *weights):
+        raise ValueError("x")
+
+    monkeypatch.setattr(taut.constel, "_weight_decomposition", refuse)
+    with pytest.raises(CertificateFailure, match=r"^Ind eps0: x$"):
         pushforward_identities(4)
 
 
