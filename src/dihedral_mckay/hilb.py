@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from types import MappingProxyType
 
 from .charts import (
@@ -392,11 +392,20 @@ def invariant_chart_boundary(n):
 
 
 def _reflect(f):
-    """f(1 - x, y) for a bivariate Poly f, by binomial expansion."""
+    """f(1 - x, y) for a bivariate Poly f, by binomial expansion.
+
+    The sums run over the integers, with every coefficient brought to the
+    lcm d of f's denominators; each output coefficient is one Fraction over d.
+    """
+    d = lcm(*(c.denominator for c in f.terms.values()))
     out = {}
     for (i, j), c in f.terms.items():
+        a = c.numerator * (d // c.denominator)
         for k in range(i + 1):
-            out[(k, j)] = out.get((k, j), 0) + (-1) ** k * comb(i, k) * c
+            t = comb(i, k) * a
+            out[(k, j)] = out.get((k, j), 0) + (-t if k & 1 else t)
+    if d > 1:
+        out = {mono: Fraction(s, d) for mono, s in out.items()}
     return Poly(2, out)
 
 
@@ -414,7 +423,8 @@ def _pullback_even_end(n, chart, f):
     Am and p = f2^2 on Am1.  The chart (v, w) with v = (xy)^m/p and
     w = p/(xy)^(m-1) is monomial over (xy, p): xy = vw, p = v^(m-1) w^m.  The
     master identity f1^2 - f2^2 = 4(xy)^m gives u = 1 - 4v on Am and
-    u = 1 + 4v on Am1.  So f loses the other atom (``_eliminate``), is pulled
+    u = 1 + 4v on Am1.  f comes without the other atom (f2^2 on Am, f1^2 on
+    Am1; ``surface_pullbacks`` eliminates it once for all charts), is pulled
     back to (v, w), and v = +-(1 - u)/4 is substituted; the v-order is the
     order along the non-axis divisor E_(m-1) = {u = 1}.  Returns
     (strict, orders) with strict in (u, w), so that
@@ -423,11 +433,11 @@ def _pullback_even_end(n, chart, f):
     """
     m = half_index(n)
     if chart.name == f"A{m}":
-        sign, other, boundary, rows = 1, 2, "B2", ((m, -1, 0), (1 - m, 1, 0))
+        sign, boundary, rows = 1, "B2", ((m, -1, 0), (1 - m, 1, 0))
     else:  # A(m+1)
-        sign, other, boundary, rows = -1, 1, "B1", ((m, 0, -1), (1 - m, 0, 1))
+        sign, boundary, rows = -1, "B1", ((m, 0, -1), (1 - m, 0, 1))
     vw = Chart(f"{chart.name}(v, w)", chart.atoms, rows, ("v", "w"), {0: f"E{m - 1}", 1: f"E{m}"})
-    strict, orders = pullback_orders(vw, _eliminate(n, f, other))
+    strict, orders = pullback_orders(vw, f)
     # v = sign (1 - u)/4, and v^k = (-sign/4)^k (u - 1)^k keeps strict's
     # (u - 1)-factorisation
     norm = Fraction(-sign, 4) ** orders[f"E{m - 1}"]
@@ -452,14 +462,22 @@ def _eliminate(n, f, atom):
     return out
 
 
-def surface_pullback(n, chart, f):
-    """Pullback to a surface chart, transparent to the even end charts."""
-    m = half_index(n)
-    if n % 2 == 0 and chart.name in (f"A{m}", f"A{m + 1}"):
-        return _pullback_even_end(n, chart, f)
-    if n % 2 == 0:
-        f = _eliminate(n, f, 2)
-    return pullback_orders(chart, f)
+def surface_pullbacks(n, f):
+    """{chart name: (strict, orders)} of an atom-polynomial f on every chart
+    of ``surface_atlas(n)``, transparent to the even end charts.
+
+    Even n: f loses each atom once by the master identity; the f2^2-free
+    form serves A_1..A_m and the f1^2-free form serves A_(m+1).
+    """
+    charts = surface_atlas(n).charts
+    if n % 2:
+        return {c.name: pullback_orders(c, f) for c in charts}
+    *inner, end, last = charts
+    f2_free = _eliminate(n, f, 2)
+    out = {c.name: pullback_orders(c, f2_free) for c in inner}
+    out[end.name] = _pullback_even_end(n, end, f2_free)
+    out[last.name] = _pullback_even_end(n, last, _eliminate(n, f, 1))
+    return out
 
 
 def refdiv_curve(n, k):
@@ -504,7 +522,7 @@ def refdiv_data(n, k):
     """Certificate that W_k meets E_k once, transversally, and no other E_j."""
     m = half_index(n)
     f = refdiv_curve(n, k)
-    stricts = {c.name: surface_pullback(n, c, f)[0] for c in surface_atlas(n).charts}
+    stricts = {name: strict for name, (strict, _) in surface_pullbacks(n, f).items()}
     counts = curve_intersections_on_surface(n, stricts)
     notes = []
     if n % 2:

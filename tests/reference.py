@@ -2,7 +2,8 @@
 needs: ``reps.gram`` conjugates inline, and the properties check it against
 ``conjugate``; ``leibniz_det`` is independent of ``linalg``;
 ``reference_closure`` builds Buchberger's closure with ``Poly`` arithmetic and
-one pair rule; ``criterion_4_points`` draws criterion 4's points;
+one pair rule; ``reflected`` expands f(1 - x, y) on dense Pascal rows;
+``criterion_4_points`` draws criterion 4's points;
 ``with_fields`` builds a changed copy of a read-only value and
 ``check_read_only`` tries every write on one."""
 
@@ -61,6 +62,20 @@ def cp(i, a, b):
 def coefficients_are_normal(values):
     """Every value is nonzero, an int when it is integral and a Fraction otherwise."""
     return all(c != 0 and type(c) is (int if c.denominator == 1 else Fraction) for c in values)
+
+
+def reflected(terms):
+    """f(1 - x, y) for f given as {(i, j): coefficient}, zero terms dropped:
+    x^i expands along Pascal's row i, a dense list of Fractions built by
+    addition, with alternating signs."""
+    out = {}
+    for (i, j), c in terms.items():
+        row = [Fraction(1)]
+        for _ in range(i):
+            row = [a + b for a, b in zip([Fraction(0), *row], [*row, Fraction(0)])]
+        for k, binom in enumerate(row):
+            out[(k, j)] = out.get((k, j), Fraction(0)) + (-1) ** k * binom * Fraction(c)
+    return {mono: c for mono, c in out.items() if c}
 
 
 def criterion_4_points(n_max, seed=7):

@@ -7,9 +7,9 @@ spaces) for one n:
   ``transition_exponents`` each way of every adjacent pair;
 * the same for ``build_flop_atlas(n, stage)`` at every stage of
   ``stage_chain(n)``, for n <= 15;
-* for every k: ``surface_pullback(n, chart, refdiv_curve(n, k))`` on every
-  surface chart (strict transform as text, sorted orders), and
-  ``refdiv_data(n, k)``.
+* for every k: ``surface_pullbacks(n, refdiv_curve(n, k))``, chart by chart
+  in the order of ``surface_atlas(n).charts`` (strict transform as text,
+  sorted orders), and ``refdiv_data(n, k)``.
 """
 
 import pytest
@@ -39,10 +39,10 @@ def _flop_atlases(n):
 def _refdivs(n):
     out = []
     for k in range(1, hilb.half_index(n) + 1):
-        f = hilb.refdiv_curve(n, k)
+        per_chart = hilb.surface_pullbacks(n, hilb.refdiv_curve(n, k))
         pullbacks = []
         for chart in hilb.surface_atlas(n).charts:
-            strict, orders = hilb.surface_pullback(n, chart, f)
+            strict, orders = per_chart[chart.name]
             pullbacks.append([chart.name, str(strict), sorted(orders.items())])
         out.append([pullbacks, hilb.refdiv_data(n, k)])
     return out

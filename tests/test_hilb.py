@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_mckay import hilb, polyring
@@ -29,7 +29,7 @@ from dihedral_mckay.hilb import (
 )
 from dihedral_mckay.intersect import an_chain, z2_fold
 from dihedral_mckay.polyring import Ideal, Poly, groebner_basis, staircase
-from reference import cp
+from reference import coefficients_are_normal, cp, reflected
 
 
 def test_cluster_ideal_n4_matches_explicit_generators():
@@ -483,14 +483,13 @@ ATOM_TERMS = st.dictionaries(
 def test_end_chart_pullback_matches_substitution(n, last, terms):
     m = half_index(n)
     name = f"A{m + 1}" if last else f"A{m}"
-    chart = surface_atlas(n).chart(name)
     f = Poly(3, terms)
     s, f1, f2 = _end_chart_images(n, name)
     reference = Poly(2)
     for (a, b, c), coeff in f.terms.items():
         reference = reference + coeff * s**a * f1**b * f2**c
     assume(not reference.is_zero())  # a multiple of f1^2 - f2^2 - 4(xy)^m
-    strict, orders = hilb.surface_pullback(n, chart, f)
+    strict, orders = hilb.surface_pullbacks(n, f)[name]
     u, w = Poly.var("x"), Poly.var("y")
     factor = (
         u ** orders["B1" if last else "B2"]
@@ -504,6 +503,46 @@ def test_end_chart_pullback_matches_substitution(n, last, terms):
     for (_, j), c in strict.terms.items():
         at_one[j] = at_one.get(j, 0) + c
     assert any(at_one.values())  # not divisible by u - 1
+
+
+def test_refdiv_data_eliminates_each_atom_once_for_even_n(monkeypatch):
+    """Even n: W_k is rewritten without f2^2 once (for A_1..A_m) and without
+    f1^2 once (for A_(m+1)), whatever m is; odd n has no atom to eliminate."""
+    calls = []
+    real = hilb._eliminate
+
+    def counted(n, f, atom):
+        calls.append(atom)
+        return real(n, f, atom)
+
+    monkeypatch.setattr(hilb, "_eliminate", counted)
+    for n in (4, 6, 10, 16, 5, 9):
+        for k in range(1, half_index(n) + 1):
+            calls.clear()
+            refdiv_data(n, k)
+            assert sorted(calls) == ([] if n % 2 else [1, 2]), (n, k, calls)
+
+
+REFLECT_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 20), st.integers(0, 4)),
+    st.one_of(
+        st.integers(-60, 60),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(REFLECT_TERMS)
+@example({(0, 0): 7})
+@example({(0, 0): Fraction(-5, 3)})
+@example({(3, 1): Fraction(1, 4), (2, 0): Fraction(-2, 3), (0, 2): -5})
+def test_reflect_matches_dense_pascal_rows(terms):
+    f = Poly(2, terms)
+    out = hilb._reflect(f)
+    assert out.terms == reflected(f.terms)
+    assert coefficients_are_normal(out.terms.values())
 
 
 def test_boundary_strict_transforms_refuse_a_missing_transform_off_one(monkeypatch):
@@ -537,13 +576,14 @@ def test_invariant_chart_boundary_refuses_another_strict_transform(monkeypatch):
 
 
 def test_refdiv_data_refuses_another_strict_transform_on_ainv(monkeypatch):
-    real = hilb.surface_pullback
+    real = hilb.surface_pullbacks
 
-    def planted(n, chart, f):
-        out = real(n, chart, f)
-        return (Poly(2, {(1, 0): 1, (0, 0): -2}), *out[1:]) if chart.name == "Ainv" else out
+    def planted(n, f):
+        out = real(n, f)
+        out["Ainv"] = (Poly(2, {(1, 0): 1, (0, 0): -2}), *out["Ainv"][1:])
+        return out
 
-    monkeypatch.setattr(hilb, "surface_pullback", planted)
+    monkeypatch.setattr(hilb, "surface_pullbacks", planted)
     message = "^n=5, k=2: strict transform on Ainv is x - 2, not t - 1$"
     with pytest.raises(CertificateFailure, match=message):
         refdiv_data(5, 2)

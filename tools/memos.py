@@ -14,7 +14,10 @@ hits and the MB freed by clearing that memo alone; the next line frees all
 of them at once.  Each clearing runs in a forked child, so every memo is
 measured on the same state and an object that two memos share is freed by
 neither alone.  The closing line names the run's highest peak and the
-criterion it occurred in.  MB are 2**20 bytes.
+criterion it occurred in.  MB are 2**20 bytes.  A "freed MB" figure varies
+by about 0.001 MB between runs of one tree (a forked child's ``tracemalloc``
+difference shifts by about a kilobyte), so its last digit tells two trees
+apart only when it moves by more than that.
 
 Standard library only (POSIX, for ``os.fork``) and opt-in; tier-1 runs it
 on 3..4 only.  The published ranges take about fifteen seconds.  It writes no
